@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench bench-fig2 bench-fig4 bench-stream bench-load coverage-obs trace-demo test-resilience test-concurrency test-jobs test-server chaos-demo jobs-demo
+.PHONY: test bench bench-ledger bench-compare bench-fig2 bench-fig4 bench-stream bench-load coverage-obs trace-demo test-resilience test-concurrency test-jobs test-server chaos-demo jobs-demo
 
 test: test-jobs
 	$(PYTHON) -m pytest -x -q
@@ -45,6 +45,18 @@ jobs-demo:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
+
+# The committed trajectory (ROADMAP item 1): `make bench-ledger N=<pr>`
+# runs the whole dais-bench at seed 1 into benchmarks/ledger/BENCH_<pr>.json;
+# `make bench-compare` diffs the two newest ledger files and fails on a
+# `worse` verdict.  Measure a parent commit from a clone of it, back to
+# back with the change on the same host.
+bench-ledger:
+	$(if $(N),,$(error usage: make bench-ledger N=<pr number>))
+	$(PYTHON) -m bench.run --seed 1 --out benchmarks/ledger/BENCH_$(N).json
+
+bench-compare:
+	$(PYTHON) -m bench.compare $$(ls benchmarks/ledger/BENCH_*.json | sort -V | tail -2)
 
 # Compiled hot-path gate: on the repeat-query workload, message-layer
 # time (total - engine) must drop >= 3x with the fast path on vs off

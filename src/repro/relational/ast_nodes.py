@@ -12,9 +12,20 @@ from repro.relational.types import SqlType
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Literal:
     value: Any  # python value or NULL
+
+    # Nodes key the compiled-expression memo, where 1, 1.0 and TRUE
+    # (equal and hash-equal in Python) must stay three different literals.
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Literal) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def _key(self) -> tuple:
+        return (type(self.value), self.value)
 
 
 @dataclass(frozen=True)

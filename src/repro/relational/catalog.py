@@ -7,8 +7,8 @@ from these objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Callable, Optional
 
 from repro.relational import ast_nodes as ast
 from repro.relational.errors import CatalogError
@@ -44,10 +44,15 @@ class ForeignKey:
     ref_columns: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass
 class CheckConstraint:
     name: str
     expression: ast.Expression
+    #: The expression compiled against its table's columns, memoised by
+    #: the executor on first use.  It never goes stale: a CHECK sees only
+    #: its own table, whose columns are append-only (ALTER … ADD COLUMN),
+    #: so a resolved position never moves.
+    compiled: Optional[Callable] = field(default=None, compare=False, repr=False)
 
 
 class TableSchema:

@@ -30,7 +30,7 @@ from repro.relational.errors import (
     TransactionError,
 )
 from repro.relational.executor import Executor, Journal
-from repro.relational.expressions import ExpressionEvaluator, RowEnvironment
+from repro.relational.expressions import Context, compile_expression
 from repro.relational.parser import parse_statement
 from repro.relational.plancache import PlanCache, PlanEntry
 from repro.relational.storage import TableStorage
@@ -111,6 +111,12 @@ class ResultSet:
 
     def __len__(self) -> int:
         return len(self.rows)
+
+
+def _constant(expression: ast.Expression) -> Any:
+    """A row-less, parameter-less expression's value (DEFAULTs, CALL
+    arguments); a column reference or subquery in one is an error."""
+    return compile_expression(expression, ())((), Context())
 
 
 class Database:
@@ -213,6 +219,8 @@ class Session:
             plan = cache.store(
                 sql, PlanEntry(parse_statement(sql), catalog_version=version)
             )
+        elif plan.compiled is None:
+            plan.compiled = {}  # a repeat statement: start keeping closures
         return self.execute_ast(
             plan.statement, parameters, stream=stream, plan=plan
         )
@@ -317,6 +325,7 @@ class Session:
             journal=transaction.journal,
             on_table_read=lambda table: manager.note_read(transaction, table),
             on_table_write=lambda table: manager.note_write(transaction, table),
+            compiled=plan.compiled if plan is not None else None,
         )
         checkpoint = len(transaction.journal.entries)
         try:
@@ -412,11 +421,7 @@ class Session:
 
     def _call_procedure(self, executor: Executor, statement: ast.Call) -> ResultSet:
         procedure = self._database.procedure(statement.procedure)
-        evaluator = ExpressionEvaluator()
-        env = RowEnvironment([], ())
-        arguments = [
-            evaluator.evaluate(argument, env) for argument in statement.arguments
-        ]
+        arguments = [_constant(argument) for argument in statement.arguments]
 
         def execute(sql: str, params: Sequence[Any] = ()) -> ResultSet:
             """Run a statement inside the caller's transaction context."""
@@ -525,12 +530,10 @@ class Session:
         return ResultSet("CREATE TABLE", update_count=0)
 
     def _validate_defaults(self, schema: TableSchema) -> None:
-        evaluator = ExpressionEvaluator()
-        env = RowEnvironment([], ())
         for column in schema.columns:
             if column.default is None:
                 continue
-            value = evaluator.evaluate(column.default, env)
+            value = _constant(column.default)
             if value is not NULL:
                 coerce(value, column.sql_type, column.length)
 
@@ -603,11 +606,9 @@ class Session:
         storage = self._database.storages[schema.name.lower()]
         definition = statement.column
 
-        evaluator = ExpressionEvaluator()
-        env = RowEnvironment([], ())
         if definition.default is not None:
             fill_value = coerce(
-                evaluator.evaluate(definition.default, env),
+                _constant(definition.default),
                 definition.sql_type,
                 definition.length,
             )

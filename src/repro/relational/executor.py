@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal
-from functools import cmp_to_key
 from typing import Any, Iterator
 
 from repro.obs import add_to_current_span, get_tracer
@@ -23,7 +22,13 @@ from repro.relational.errors import (
     SqlError,
     SqlTypeError,
 )
-from repro.relational.expressions import ExpressionEvaluator, RowEnvironment
+from repro.relational.expressions import (
+    Compiled,
+    Context,
+    compile_expression,
+    compile_filter,
+    compile_row,
+)
 from repro.relational.planner import (
     EqualityLookup,
     RangeLookup,
@@ -32,14 +37,20 @@ from repro.relational.planner import (
     recognise_equi_join,
 )
 from repro.relational.storage import TableStorage
-from repro.relational.types import NULL, coerce, compare_values
+from repro.relational.types import (
+    NULL,
+    Null,
+    coerce,
+    compare_values,
+    comparison_key,
+)
 
 
 @dataclass
 class Relation:
     """An intermediate result: qualified bindings + materialized rows."""
 
-    bindings: list[tuple[str, str]]  # (qualifier, column), lower-cased
+    bindings: tuple  # (qualifier, column) pairs, lower-cased
     rows: list[tuple]
 
     def qualifiers(self) -> set[str]:
@@ -87,6 +98,7 @@ class Executor:
         journal: Journal | None = None,
         on_table_read=None,
         on_table_write=None,
+        compiled: dict | None = None,
     ) -> None:
         self._catalog = catalog
         self._storages = storages
@@ -94,9 +106,10 @@ class Executor:
         self._journal = journal if journal is not None else Journal()
         self._on_table_read = on_table_read or (lambda name: None)
         self._on_table_write = on_table_write or (lambda name: None)
-        self._evaluator = ExpressionEvaluator(
-            parameters, subquery_runner=self._run_subquery
-        )
+        #: Closures by (compiler, AST, scopes).  A cached plan lends its
+        #: own memo, so a repeat statement binds nothing.
+        self._compiled = {} if compiled is None else compiled
+        self._ctx = Context(parameters, self._run_subquery)
 
     # -- helpers --------------------------------------------------------------
 
@@ -117,18 +130,30 @@ class Executor:
         schema = self._catalog.table(table)
         return self._storages[schema.name.lower()]
 
-    def _run_subquery(
-        self, query: ast.Select, env: RowEnvironment
-    ) -> list[tuple]:
-        _, rows = self.execute_select(query, outer_env=env)
-        return rows
+    def _bind(self, compiler, node, bindings: tuple, ctx: Context) -> Compiled:
+        """*node* compiled by *compiler* for rows shaped like *bindings*
+        inside *ctx*'s enclosing queries — once per (node, scopes)."""
+        scopes = (bindings, *ctx.scopes)
+        key = (compiler, node, scopes)
+        bound = self._compiled.get(key)
+        if bound is None:
+            # setdefault: sessions racing on one cached plan share a closure
+            bound = self._compiled.setdefault(key, compiler(node, scopes))
+        return bound
+
+    def _constant(self, expr: ast.Expression, ctx: Context) -> Any:
+        """Evaluate a row-less expression (LIMIT, VALUES, DEFAULT)."""
+        return self._bind(compile_expression, expr, (), ctx)((), ctx)
+
+    def _run_subquery(self, query: ast.Select, ctx: Context) -> list[tuple]:
+        return self.execute_select(query, ctx)[1]
 
     # =========================================================================
     # SELECT
     # =========================================================================
 
     def execute_select(
-        self, select: ast.Select, outer_env: RowEnvironment | None = None
+        self, select: ast.Select, ctx: Context | None = None
     ) -> tuple[list[str], list[tuple]]:
         """Run a SELECT; returns (output column names, rows).
 
@@ -138,35 +163,36 @@ class Executor:
         spans, so a trace shows the operator tree's row flow.
         """
         with get_tracer().span("sql.select") as span:
-            columns, rows = self._execute_select(select, outer_env)
+            columns, rows = self._execute_select(select, ctx or self._ctx, span)
             if span.recording:
                 span.set_attribute("rows_out", len(rows))
             return columns, rows
 
     def _execute_select(
-        self, select: ast.Select, outer_env: RowEnvironment | None
+        self, select: ast.Select, ctx: Context, span
     ) -> tuple[list[str], list[tuple]]:
-        columns, rows, order_keys = self._select_core(select, outer_env)
-
+        if self.can_stream(select):
+            columns, source = self._pipeline(select, ctx, span)
+            return columns, list(source)
+        offset, limit = self._window(select, ctx)
+        end = None if limit is None else offset + limit
+        # UNION and DISTINCT lose the source rows: they order on outputs.
+        on_outputs = select.union is not None or select.distinct
+        columns, rows = self._select_core(
+            select, ctx, sort=not on_outputs, window=end
+        )
         if select.union is not None:
-            union_columns, union_rows = self.execute_select(
-                select.union.query, outer_env
-            )
+            union_columns, union_rows = self.execute_select(select.union.query, ctx)
             if len(union_columns) != len(columns):
                 raise SqlError("UNION operands must have the same column count")
             rows = rows + union_rows
             if not select.union.all:
                 rows = _distinct(rows)
-            order_keys = None  # source rows are gone; order on outputs
-
-        if select.order_by:
-            if order_keys is not None:
-                rows = _sort_by_keys(rows, order_keys, select.order_by)
-            else:
-                rows = self._order_output_rows(select, columns, rows, outer_env)
-
-        rows = self._apply_limit(select, rows, outer_env)
-        return columns, rows
+        if select.order_by and on_outputs:
+            outputs = Relation(_aliases(columns), rows)
+            keys = self._order_keys(select, columns, rows, outputs, ctx)
+            rows = [rows[i] for i in _sort_order(keys, select.order_by)]
+        return columns, rows[offset:end]
 
     # -- streaming ----------------------------------------------------------
 
@@ -184,7 +210,7 @@ class Executor:
         return True
 
     def iter_select(
-        self, select: ast.Select, outer_env: RowEnvironment | None = None
+        self, select: ast.Select
     ) -> tuple[list[str], Iterator[tuple]]:
         """Lazy SELECT: output column names now, rows as a generator.
 
@@ -200,103 +226,88 @@ class Executor:
         with get_tracer().span("sql.select") as span:
             if span.recording:
                 span.set_attribute("streamed", True)
-            bindings, source = self._iter_from(select, outer_env)
-            items = self._expand_items(select, Relation(bindings, []))
-            columns = [name for name, _ in items]
-            where_parts = conjuncts(select.where)
-            env0 = RowEnvironment([], (), outer_env)
-            offset = 0
-            if select.offset is not None:
-                offset = _expect_int(
-                    self._evaluator.evaluate(select.offset, env0), "OFFSET"
-                )
-            limit = None
-            if select.limit is not None:
-                limit = _expect_int(
-                    self._evaluator.evaluate(select.limit, env0), "LIMIT"
-                )
+            return self._pipeline(select, self._ctx, span)
+
+    def _pipeline(
+        self, select: ast.Select, ctx: Context, span
+    ) -> tuple[list[str], Iterator[tuple]]:
+        """Scan → filter → OFFSET/LIMIT → project, one pulled row at a
+        time.  Everything is bound before the first row is pulled, so a
+        bad name is an error here, not halfway through a reply."""
+        where_parts = tuple(conjuncts(select.where))
+        item = select.from_item
+        lazy = isinstance(item, ast.TableRef) and not self._catalog.has_view(
+            item.name
+        )
+        if lazy:
+            bindings, source = self._scan(item, where_parts)
+        else:
+            relation = self._evaluate_from(select, where_parts, ctx)
+            bindings, source = relation.bindings, relation.rows
+        columns, project = self._projector(select, bindings, bindings, ctx)
+        passes = (
+            self._bind(compile_filter, where_parts, bindings, ctx)
+            if where_parts
+            else None
+        )
+        offset, limit = self._window(select, ctx)
 
         def rows() -> Iterator[tuple]:
-            produced = 0
+            scanned = skipped = produced = 0
             try:
                 if limit == 0:
                     return
                 for row in source:
-                    env = RowEnvironment(bindings, row, outer_env)
-                    if where_parts and not all(
-                        self._evaluator.truthy(p, env) for p in where_parts
-                    ):
+                    scanned += 1
+                    if passes is not None and not passes(row, ctx):
                         continue
-                    if skipped_box[0] < offset:
-                        skipped_box[0] += 1
+                    if skipped < offset:
+                        skipped += 1
                         continue
-                    yield tuple(
-                        self._evaluator.evaluate(expr, env) for _, expr in items
-                    )
+                    yield project(row, ctx)
                     produced += 1
-                    if limit is not None and produced >= limit:
+                    if produced == limit:
                         return
             finally:
-                # The span ended (and was exported) when setup finished;
-                # exporters hold the span object, so the row count lands
-                # on it once known — the one honest moment for a lazy plan.
+                # A streamed plan's span ended (and was exported) when
+                # setup finished; exporters hold the span object, so the
+                # counts land on it once known — the one honest moment
+                # for a lazy plan.
                 if span.recording:
                     span.set_attribute("rows_out", produced)
+                    if lazy:
+                        span.add("rows_scanned", scanned)
+                    if passes is not None:
+                        span.add("rows_filtered_out", scanned - skipped - produced)
 
-        skipped_box = [0]
         return columns, rows()
 
-    def _iter_from(
-        self, select: ast.Select, outer_env: RowEnvironment | None
-    ) -> tuple[list[tuple[str, str]], Iterator[tuple]]:
-        item = select.from_item
-        if item is None:
-            return [], iter([()])
-        where_parts = conjuncts(select.where)
-        if isinstance(item, ast.TableRef) and not self._catalog.has_view(
-            item.name
-        ):
-            return self._iter_base_table(item, where_parts)
-        relation = self._from_item(item, where_parts, outer_env)
-        return relation.bindings, iter(relation.rows)
-
-    def _iter_base_table(
-        self, ref: ast.TableRef, where_parts: list[ast.Expression]
-    ) -> tuple[list[tuple[str, str]], Iterator[tuple]]:
+    def _scan(
+        self, ref: ast.TableRef, where_parts: tuple
+    ) -> tuple[tuple, Iterator[tuple]]:
+        """Bindings and a lazy row source for a base table, through the
+        best index the WHERE conjuncts allow."""
         schema = self._catalog.table(ref.name)
         self._on_table_read(schema.name.lower())
         storage = self._storage(ref.name)
         qualifier = (ref.alias or ref.name).lower()
-        bindings = [(qualifier, c.lower()) for c in schema.column_names]
+        bindings = _table_bindings(schema, qualifier)
 
         path = choose_access_path(storage, qualifier, where_parts, self._parameters)
+        if path is None:
+            add_to_current_span("table_scans")
+            return bindings, (row for _, row in storage.iter_rows())
+        add_to_current_span("index_lookups")
         if isinstance(path, EqualityLookup):
-            add_to_current_span("index_lookups")
-            row_ids: list[int] | None = sorted(path.index.lookup(path.key))
-        elif isinstance(path, RangeLookup):
-            add_to_current_span("index_lookups")
-            row_ids = sorted(
-                set(
-                    path.index.range(
-                        path.low, path.high, path.low_inclusive, path.high_inclusive
-                    )
+            row_ids = path.index.lookup(path.key)
+        else:
+            row_ids = set(
+                path.index.range(
+                    path.low, path.high, path.low_inclusive, path.high_inclusive
                 )
             )
-        else:
-            add_to_current_span("table_scans")
-            row_ids = None
-
-        def scan() -> Iterator[tuple]:
-            if row_ids is None:
-                for _, row in storage.iter_rows():
-                    yield row
-            else:
-                for row_id in row_ids:
-                    row = storage.get(row_id)
-                    if row is not None:
-                        yield row
-
-        return bindings, scan()
+        fetched = map(storage.get, sorted(row_ids))
+        return bindings, (row for row in fetched if row is not None)
 
     # -- column type metadata ------------------------------------------------
 
@@ -310,7 +321,7 @@ class Executor:
         """
         try:
             return [type_name for _, type_name in self._select_shape(select)]
-        except Exception:
+        except SqlError:
             return []
 
     def _select_shape(self, select: ast.Select) -> list[tuple[str, str]]:
@@ -370,87 +381,71 @@ class Executor:
         return []
 
     def _select_core(
-        self, select: ast.Select, outer_env: RowEnvironment | None
-    ) -> tuple[list[str], list[tuple], list[list] | None]:
-        """Project a SELECT (no union/order/limit).
+        self, select: ast.Select, ctx: Context, sort: bool, window: int | None
+    ) -> tuple[list[str], list[tuple]]:
+        """FROM → WHERE → GROUP BY/HAVING → select list (no union/limit).
 
-        Returns (columns, rows, order_keys) where order_keys — when the
-        query has ORDER BY and no DISTINCT — are the evaluated sort keys
-        per row, computed against the source relation so ORDER BY may
-        reference non-projected columns.
+        With *sort* the rows come back in ORDER BY order, at most
+        *window* of them, keyed on the source rows so ORDER BY may name
+        columns the select list drops.
         """
-        relation = self._evaluate_from(select, outer_env)
-
-        where_parts = conjuncts(select.where)
+        where_parts = tuple(conjuncts(select.where))
+        relation = self._evaluate_from(select, where_parts, ctx)
         if where_parts:
-            relation = self._filter(relation, where_parts, outer_env)
+            relation = self._filter(relation, where_parts, ctx)
 
+        source = relation.bindings  # what * expands to
         aggregates = _collect_aggregates(select)
         if select.group_by or aggregates:
-            return self._grouped_projection(select, relation, aggregates, outer_env)
+            relation = self._grouped(select, relation, aggregates, ctx)
+        columns, project = self._projector(select, source, relation.bindings, ctx)
+        rows = relation.rows
 
-        columns, rows, order_keys = self._projection(select, relation, outer_env)
-        if select.distinct:
-            rows = _distinct(rows)
-            order_keys = None  # key rows no longer align after dedup
-        return columns, rows, order_keys
+        if select.order_by and sort:
+            by_output = _orders_by_output(select.order_by, columns)
+            if by_output:
+                rows = [project(row, ctx) for row in rows]
+                keys = self._order_keys(select, columns, rows, relation, ctx)
+            else:  # keys from the source rows; project only what LIMIT keeps
+                terms = [
+                    self._bind(compile_expression, o.expression, relation.bindings, ctx)
+                    for o in select.order_by
+                ]
+                keys = [[term(row, ctx) for row in rows] for term in terms]
+            order = _sort_order(keys, select.order_by)[:window]
+            return columns, [
+                rows[i] if by_output else project(rows[i], ctx) for i in order
+            ]
+
+        rows = [project(row, ctx) for row in rows]
+        return columns, _distinct(rows) if select.distinct else rows
 
     # -- FROM -------------------------------------------------------------
 
     def _evaluate_from(
-        self, select: ast.Select, outer_env: RowEnvironment | None
+        self, select: ast.Select, where_parts: tuple, ctx: Context
     ) -> Relation:
         if select.from_item is None:
-            return Relation([], [()])  # one empty row: SELECT 1+1
-        return self._from_item(
-            select.from_item, conjuncts(select.where), outer_env
-        )
+            return Relation((), [()])  # one empty row: SELECT 1+1
+        return self._from_item(select.from_item, where_parts, ctx)
 
     def _from_item(
-        self,
-        item: ast.FromItem,
-        where_parts: list[ast.Expression],
-        outer_env: RowEnvironment | None,
+        self, item: ast.FromItem, where_parts: tuple, ctx: Context
     ) -> Relation:
         if isinstance(item, ast.TableRef):
-            return self._base_table(item, where_parts)
+            if self._catalog.has_view(item.name):
+                return self._view(item)
+            bindings, source = self._scan(item, where_parts)
+            rows = list(source)
+            add_to_current_span("rows_scanned", len(rows))
+            return Relation(bindings, rows)
         if isinstance(item, ast.SubqueryRef):
-            columns, rows = self.execute_select(item.query, outer_env)
+            columns, rows = self.execute_select(item.query, ctx)
             alias = item.alias.lower()
-            return Relation([(alias, c.lower()) for c in columns], rows)
+            return Relation(tuple((alias, c.lower()) for c in columns), rows)
         if isinstance(item, ast.Join):
-            return self._join(item, where_parts, outer_env)
+            return self._join(item, where_parts, ctx)
         raise SqlError(f"unsupported FROM item {type(item).__name__}")
-
-    def _base_table(
-        self, ref: ast.TableRef, where_parts: list[ast.Expression]
-    ) -> Relation:
-        if self._catalog.has_view(ref.name):
-            return self._view(ref)
-        schema = self._catalog.table(ref.name)
-        self._on_table_read(schema.name.lower())
-        storage = self._storage(ref.name)
-        qualifier = (ref.alias or ref.name).lower()
-        bindings = [(qualifier, c.lower()) for c in schema.column_names]
-
-        path = choose_access_path(storage, qualifier, where_parts, self._parameters)
-        if isinstance(path, EqualityLookup):
-            row_ids = sorted(path.index.lookup(path.key))
-            rows = [storage.get(rid) for rid in row_ids]
-            rows = [row for row in rows if row is not None]
-            add_to_current_span("index_lookups")
-        elif isinstance(path, RangeLookup):
-            row_ids = path.index.range(
-                path.low, path.high, path.low_inclusive, path.high_inclusive
-            )
-            rows = [storage.get(rid) for rid in sorted(set(row_ids))]
-            rows = [row for row in rows if row is not None]
-            add_to_current_span("index_lookups")
-        else:
-            rows = [row for _, row in storage.rows()]
-            add_to_current_span("table_scans")
-        add_to_current_span("rows_scanned", len(rows))
-        return Relation(bindings, rows)
 
     def _view(self, ref: ast.TableRef) -> Relation:
         """Expand a view: run its stored query, bind under the alias."""
@@ -464,16 +459,11 @@ class Executor:
                 )
             columns = list(view.columns)
         qualifier = (ref.alias or ref.name).lower()
-        return Relation([(qualifier, c.lower()) for c in columns], rows)
+        return Relation(tuple((qualifier, c.lower()) for c in columns), rows)
 
-    def _join(
-        self,
-        join: ast.Join,
-        where_parts: list[ast.Expression],
-        outer_env: RowEnvironment | None,
-    ) -> Relation:
-        left = self._from_item(join.left, where_parts, outer_env)
-        right = self._from_item(join.right, where_parts, outer_env)
+    def _join(self, join: ast.Join, where_parts: tuple, ctx: Context) -> Relation:
+        left = self._from_item(join.left, where_parts, ctx)
+        right = self._from_item(join.right, where_parts, ctx)
         bindings = left.bindings + right.bindings
 
         if join.kind == "CROSS":
@@ -487,41 +477,41 @@ class Executor:
                 join.condition, left.qualifiers(), right.qualifiers()
             )
             if equi is not None:
-                relation = self._hash_join(join.kind, left, right, equi, outer_env)
+                relation = self._hash_join(join.kind, left, right, equi, ctx)
                 add_to_current_span("hash_joins")
             else:
-                relation = self._nested_loop_join(join, left, right, outer_env)
+                relation = self._nested_loop_join(join, left, right, ctx)
                 add_to_current_span("nested_loop_joins")
         add_to_current_span("join_rows", len(relation.rows))
         return relation
 
     def _hash_join(
-        self,
-        kind: str,
-        left: Relation,
-        right: Relation,
-        equi,
-        outer_env: RowEnvironment | None,
+        self, kind: str, left: Relation, right: Relation, equi, ctx: Context
     ) -> Relation:
         bindings = left.bindings + right.bindings
+        left_key = self._bind(compile_expression, equi.left_expr, left.bindings, ctx)
+        right_key = self._bind(
+            compile_expression, equi.right_expr, right.bindings, ctx
+        )
+        residual = (
+            self._bind(compile_filter, tuple(equi.residual), bindings, ctx)
+            if equi.residual
+            else None
+        )
         buckets: dict[Any, list[tuple]] = {}
         for rrow in right.rows:
-            env = RowEnvironment(right.bindings, rrow, outer_env)
-            key = self._evaluator.evaluate(equi.right_expr, env)
-            if key is NULL:
-                continue
-            buckets.setdefault(_join_key(key), []).append(rrow)
+            key = right_key(rrow, ctx)
+            if key is not NULL:
+                buckets.setdefault(_group_key(key), []).append(rrow)
 
         null_padding = (NULL,) * len(right.bindings)
         rows: list[tuple] = []
         for lrow in left.rows:
-            env = RowEnvironment(left.bindings, lrow, outer_env)
-            key = self._evaluator.evaluate(equi.left_expr, env)
-            matches = [] if key is NULL else buckets.get(_join_key(key), [])
+            key = left_key(lrow, ctx)
             matched = False
-            for rrow in matches:
+            for rrow in () if key is NULL else buckets.get(_group_key(key), ()):
                 combined = lrow + rrow
-                if self._residual_passes(equi.residual, bindings, combined, outer_env):
+                if residual is None or residual(combined, ctx):
                     rows.append(combined)
                     matched = True
             if kind == "LEFT" and not matched:
@@ -529,249 +519,156 @@ class Executor:
         return Relation(bindings, rows)
 
     def _nested_loop_join(
-        self,
-        join: ast.Join,
-        left: Relation,
-        right: Relation,
-        outer_env: RowEnvironment | None,
+        self, join: ast.Join, left: Relation, right: Relation, ctx: Context
     ) -> Relation:
         bindings = left.bindings + right.bindings
+        condition = (
+            self._bind(compile_expression, join.condition, bindings, ctx)
+            if join.condition is not None
+            else None
+        )
         null_padding = (NULL,) * len(right.bindings)
         rows: list[tuple] = []
         for lrow in left.rows:
             matched = False
             for rrow in right.rows:
                 combined = lrow + rrow
-                env = RowEnvironment(bindings, combined, outer_env)
-                if join.condition is None or self._evaluator.truthy(
-                    join.condition, env
-                ):
+                if condition is None or condition(combined, ctx) is True:
                     rows.append(combined)
                     matched = True
             if join.kind == "LEFT" and not matched:
                 rows.append(lrow + null_padding)
         return Relation(bindings, rows)
 
-    def _residual_passes(
-        self,
-        residual: list[ast.Expression],
-        bindings: list[tuple[str, str]],
-        row: tuple,
-        outer_env: RowEnvironment | None,
-    ) -> bool:
-        if not residual:
-            return True
-        env = RowEnvironment(bindings, row, outer_env)
-        return all(self._evaluator.truthy(part, env) for part in residual)
-
     # -- WHERE -------------------------------------------------------------
 
     def _filter(
-        self,
-        relation: Relation,
-        predicates: list[ast.Expression],
-        outer_env: RowEnvironment | None,
+        self, relation: Relation, where_parts: tuple, ctx: Context
     ) -> Relation:
-        rows = []
-        for row in relation.rows:
-            env = RowEnvironment(relation.bindings, row, outer_env)
-            if all(self._evaluator.truthy(p, env) for p in predicates):
-                rows.append(row)
+        passes = self._bind(compile_filter, where_parts, relation.bindings, ctx)
+        rows = [row for row in relation.rows if passes(row, ctx)]
         add_to_current_span("rows_filtered_out", len(relation.rows) - len(rows))
         return Relation(relation.bindings, rows)
 
     # -- projection ---------------------------------------------------------
 
-    def _expand_items(
-        self, select: ast.Select, relation: Relation
-    ) -> list[tuple[str, ast.Expression]]:
-        """Resolve the select list into (output name, expression) pairs."""
-        items: list[tuple[str, ast.Expression]] = []
+    def _projector(
+        self, select: ast.Select, source: tuple, bindings: tuple, ctx: Context
+    ) -> tuple[list[str], Compiled]:
+        """Output names and the row → output-tuple closure of the select
+        list; ``*`` expands to *source*, expressions bind to *bindings*."""
+        names: list[str] = []
+        expressions: list[ast.Expression] = []
         for item in select.items:
             expression = item.expression
             if isinstance(expression, ast.Star):
                 wanted = expression.table.lower() if expression.table else None
-                found = False
-                for qualifier, column in relation.bindings:
-                    if wanted is None or qualifier == wanted:
-                        items.append(
-                            (column, ast.ColumnRef(qualifier, column))
-                        )
-                        found = True
-                if not found:
+                matched = [
+                    (qualifier, column)
+                    for qualifier, column in source
+                    if wanted is None or qualifier == wanted
+                ]
+                if not matched:
                     raise CatalogError(
                         f"unknown table alias {expression.table!r} in select list"
                     )
+                names += [column for _, column in matched]
+                expressions += [ast.ColumnRef(q, column) for q, column in matched]
                 continue
-            items.append((_output_name(item), expression))
-        return items
+            names.append(_output_name(item))
+            expressions.append(expression)
+        return names, self._bind(compile_row, tuple(expressions), bindings, ctx)
 
-    def _projection(
-        self,
-        select: ast.Select,
-        relation: Relation,
-        outer_env: RowEnvironment | None,
-    ) -> tuple[list[str], list[tuple], list[list] | None]:
-        items = self._expand_items(select, relation)
-        columns = [name for name, _ in items]
-        rows = []
-        order_keys: list[list] | None = [] if select.order_by else None
-        for row in relation.rows:
-            env = RowEnvironment(relation.bindings, row, outer_env)
-            projected = tuple(
-                self._evaluator.evaluate(expr, env) for _, expr in items
-            )
-            rows.append(projected)
-            if order_keys is not None:
-                order_keys.append(
-                    self._order_key_row(select, columns, projected, env)
-                )
-        return columns, rows, order_keys
-
-    def _order_key_row(
+    def _order_keys(
         self,
         select: ast.Select,
         columns: list[str],
-        projected: tuple,
-        source_env: RowEnvironment,
-    ) -> list:
-        """Evaluate ORDER BY terms with output aliases layered over the
-        source row, so both ``ORDER BY alias`` and ``ORDER BY raw_col``
-        (and 1-based ordinals) resolve."""
-        alias_bindings = [("", c.lower()) for c in columns]
-        env = source_env.child(alias_bindings, projected)
-        env.aggregates = source_env.aggregates
-        keys = []
+        projected: list[tuple],
+        source: Relation,
+        ctx: Context,
+    ) -> list[list]:
+        """One list of keys per ORDER BY term, evaluated with the output
+        aliases layered over the source rows, so both ``ORDER BY alias``
+        and ``ORDER BY raw_col`` (and 1-based ordinals) resolve."""
+        under = Context(
+            ctx.parameters, ctx.run_subquery, (source.bindings, *ctx.scopes)
+        )
+        aliases = _aliases(columns)
+        names = [name for _, name in aliases]
+        keys: list[list] = []
         for order in select.order_by:
             expression = order.expression
-            if isinstance(expression, ast.Literal) and isinstance(
-                expression.value, int
-            ) and not isinstance(expression.value, bool):
-                ordinal = expression.value
-                if not 1 <= ordinal <= len(columns):
-                    raise SqlError(f"ORDER BY ordinal {ordinal} out of range")
-                keys.append(projected[ordinal - 1])
-            else:
-                keys.append(self._evaluator.evaluate(expression, env))
+            position = None
+            if _is_ordinal(expression):
+                position = expression.value - 1
+                if not 0 <= position < len(columns):
+                    raise SqlError(f"ORDER BY ordinal {position + 1} out of range")
+            elif isinstance(expression, ast.ColumnRef) and expression.table is None:
+                if names.count(expression.column.lower()) == 1:
+                    position = names.index(expression.column.lower())
+            if position is not None:  # an output column as it stands
+                keys.append([row[position] for row in projected])
+                continue
+            term = self._bind(compile_expression, expression, aliases, under)
+            column = []
+            for row, source_row in zip(projected, source.rows):
+                under.outer = (source_row, *ctx.outer)
+                column.append(term(row, under))
+            keys.append(column)
         return keys
 
     # -- grouping ------------------------------------------------------------
 
-    def _grouped_projection(
+    def _grouped(
         self,
         select: ast.Select,
         relation: Relation,
         aggregates: list[ast.Aggregate],
-        outer_env: RowEnvironment | None,
-    ) -> tuple[list[str], list[tuple], list[list] | None]:
-        items = self._expand_items(select, relation)
-        columns = [name for name, _ in items]
-
+        ctx: Context,
+    ) -> Relation:
+        """One row per group that passes HAVING: a representative source
+        row followed by the group's aggregate results (bound, in the
+        scope, as the ``ast.Aggregate`` nodes themselves)."""
+        bindings = relation.bindings
+        key_of = self._bind(compile_row, select.group_by, bindings, ctx)
         groups: dict[tuple, list[tuple]] = {}
-        order: list[tuple] = []
         for row in relation.rows:
-            env = RowEnvironment(relation.bindings, row, outer_env)
-            key = tuple(
-                _group_key(self._evaluator.evaluate(g, env))
-                for g in select.group_by
-            )
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(row)
-
+            key = tuple(map(_group_key, key_of(row, ctx)))
+            groups.setdefault(key, []).append(row)
         if not select.group_by and not groups:
             groups[()] = []
-            order.append(())
 
-        out_rows: list[tuple] = []
-        order_keys: list[list] | None = [] if select.order_by else None
-        for key in order:
-            member_rows = groups[key]
-            representative = (
-                member_rows[0]
-                if member_rows
-                else tuple([NULL] * len(relation.bindings))
+        arguments = [
+            None  # COUNT(*)
+            if aggregate.argument is None
+            else self._bind(compile_expression, aggregate.argument, bindings, ctx)
+            for aggregate in aggregates
+        ]
+        grouped = bindings + tuple(aggregates)
+        having = (
+            self._bind(compile_expression, select.having, grouped, ctx)
+            if select.having is not None
+            else None
+        )
+        padding = (NULL,) * len(bindings)
+        rows = []
+        for members in groups.values():
+            row = (members[0] if members else padding) + tuple(
+                _aggregate(aggregate, argument, members, ctx)
+                for aggregate, argument in zip(aggregates, arguments)
             )
-            env = RowEnvironment(relation.bindings, representative, outer_env)
-            env.aggregates = self._compute_aggregates(
-                aggregates, relation, member_rows, outer_env
-            )
-            if select.having is not None and not self._evaluator.truthy(
-                select.having, env
-            ):
-                continue
-            projected = tuple(
-                self._evaluator.evaluate(expr, env) for _, expr in items
-            )
-            out_rows.append(projected)
-            if order_keys is not None:
-                order_keys.append(
-                    self._order_key_row(select, columns, projected, env)
-                )
-        if select.distinct:
-            out_rows = _distinct(out_rows)
-            order_keys = None
-        return columns, out_rows, order_keys
+            if having is None or having(row, ctx) is True:
+                rows.append(row)
+        return Relation(grouped, rows)
 
-    def _compute_aggregates(
-        self,
-        aggregates: list[ast.Aggregate],
-        relation: Relation,
-        rows: list[tuple],
-        outer_env: RowEnvironment | None,
-    ) -> dict[ast.Aggregate, Any]:
-        results: dict[ast.Aggregate, Any] = {}
-        for aggregate in aggregates:
-            if aggregate.argument is None:  # COUNT(*)
-                results[aggregate] = len(rows)
-                continue
-            values = []
-            for row in rows:
-                env = RowEnvironment(relation.bindings, row, outer_env)
-                value = self._evaluator.evaluate(aggregate.argument, env)
-                if value is not NULL:
-                    values.append(value)
-            if aggregate.distinct:
-                values = _distinct_values(values)
-            results[aggregate] = _fold_aggregate(aggregate.name, values)
-        return results
-
-    # -- ORDER BY / LIMIT -----------------------------------------------------
-
-    def _order_output_rows(
-        self,
-        select: ast.Select,
-        columns: list[str],
-        rows: list[tuple],
-        outer_env: RowEnvironment | None,
-    ) -> list[tuple]:
-        """Sort projected rows when source rows are unavailable (UNION,
-        DISTINCT): terms must be output columns, ordinals or expressions
-        over the output columns."""
-        bindings = [("", c.lower()) for c in columns]
-        keys: list[list[Any]] = []
-        for row in rows:
-            env = RowEnvironment(bindings, row, outer_env)
-            keys.append(self._order_key_row(select, columns, row, env))
-        return _sort_by_keys(rows, keys, select.order_by)
-
-    def _apply_limit(
-        self,
-        select: ast.Select,
-        rows: list[tuple],
-        outer_env: RowEnvironment | None,
-    ) -> list[tuple]:
-        env = RowEnvironment([], (), outer_env)
-        offset = 0
+    def _window(self, select: ast.Select, ctx: Context) -> tuple[int, int | None]:
+        """(OFFSET, LIMIT) as integers; LIMIT is None when absent."""
+        offset, limit = 0, None
         if select.offset is not None:
-            offset = _expect_int(self._evaluator.evaluate(select.offset, env), "OFFSET")
-        if offset:
-            rows = rows[offset:]
+            offset = _expect_int(self._constant(select.offset, ctx), "OFFSET")
         if select.limit is not None:
-            limit = _expect_int(self._evaluator.evaluate(select.limit, env), "LIMIT")
-            rows = rows[:limit]
-        return rows
+            limit = _expect_int(self._constant(select.limit, ctx), "LIMIT")
+        return offset, limit
 
     # -- EXPLAIN ---------------------------------------------------------------
 
@@ -861,9 +758,8 @@ class Executor:
             _, source_rows = self.execute_select(insert.query)
             value_rows = source_rows
         else:
-            env = RowEnvironment([], ())
             value_rows = [
-                tuple(self._evaluator.evaluate(e, env) for e in row)
+                self._bind(compile_row, row, (), self._ctx)((), self._ctx)
                 for row in insert.rows
             ]
 
@@ -888,14 +784,14 @@ class Executor:
         for position, value in zip(positions, values):
             column = schema.columns[position]
             row[position] = coerce(value, column.sql_type, column.length)
-        env = RowEnvironment([], ())
         for position, column in enumerate(schema.columns):
             if position in supplied:
                 continue
             if column.default is not None:
-                default_value = self._evaluator.evaluate(column.default, env)
                 row[position] = coerce(
-                    default_value, column.sql_type, column.length
+                    self._constant(column.default, self._ctx),
+                    column.sql_type,
+                    column.length,
                 )
             else:
                 row[position] = NULL
@@ -907,19 +803,18 @@ class Executor:
                 raise ConstraintViolation(
                     f"column {schema.name}.{column.name} may not be NULL"
                 )
-        if schema.checks:
-            # Unqualified references match any qualifier, so one binding
-            # set under the table name serves both styles.
-            bindings = [
-                (schema.name.lower(), c.lower()) for c in schema.column_names
-            ]
-            env = RowEnvironment(bindings, row)
-            for check in schema.checks:
-                result = self._evaluator.evaluate(check.expression, env)
-                if result is False:  # NULL passes a CHECK per the standard
-                    raise ConstraintViolation(
-                        f"check constraint {check.name!r} violated"
-                    )
+        for check in schema.checks:
+            if check.compiled is None:
+                # Unqualified references match any qualifier, so one
+                # binding set under the table name serves both styles.
+                check.compiled = compile_expression(
+                    check.expression, (_table_bindings(schema),)
+                )
+            # NULL passes a CHECK per the standard
+            if check.compiled(row, self._ctx) is False:
+                raise ConstraintViolation(
+                    f"check constraint {check.name!r} violated"
+                )
 
     def _check_foreign_keys(self, schema, row: tuple) -> None:
         for fk in schema.foreign_keys:
@@ -985,25 +880,22 @@ class Executor:
         schema = self._catalog.table(update.table)
         self._on_table_write(schema.name.lower())
         storage = self._storage(update.table)
-        qualifier = schema.name.lower()
-        bindings = [(qualifier, c.lower()) for c in schema.column_names]
+        bindings, ctx = _table_bindings(schema), self._ctx
 
         assignments = [
-            (schema.column_index(column), schema.column(column), expression)
+            (
+                schema.column_index(column),
+                schema.column(column),
+                self._bind(compile_expression, expression, bindings, ctx),
+            )
             for column, expression in update.assignments
         ]
-
-        targets: list[tuple[int, tuple]] = []
-        for row_id, row in storage.rows():
-            env = RowEnvironment(bindings, row)
-            if update.where is None or self._evaluator.truthy(update.where, env):
-                targets.append((row_id, row))
+        targets = self._targets(storage, update.where, bindings)
 
         for row_id, old_row in targets:
-            env = RowEnvironment(bindings, old_row)
             new_values = list(old_row)
             for position, column, expression in assignments:
-                value = self._evaluator.evaluate(expression, env)
+                value = expression(old_row, ctx)
                 new_values[position] = coerce(value, column.sql_type, column.length)
             new_row = tuple(new_values)
             self._check_row(schema, new_row)
@@ -1029,6 +921,16 @@ class Executor:
             for p in referenced
         )
 
+    def _targets(
+        self, storage: TableStorage, where: ast.Expression | None, bindings: tuple
+    ) -> list[tuple[int, tuple]]:
+        """The (row id, row) pairs an UPDATE/DELETE's WHERE selects."""
+        if where is None:
+            return list(storage.rows())
+        test = self._bind(compile_expression, where, bindings, self._ctx)
+        ctx = self._ctx
+        return [pair for pair in storage.rows() if test(pair[1], ctx) is True]
+
     def execute_delete(self, delete: ast.Delete) -> int:
         with get_tracer().span("sql.delete", table=delete.table) as span:
             count = self._execute_delete(delete)
@@ -1039,14 +941,7 @@ class Executor:
         schema = self._catalog.table(delete.table)
         self._on_table_write(schema.name.lower())
         storage = self._storage(delete.table)
-        qualifier = schema.name.lower()
-        bindings = [(qualifier, c.lower()) for c in schema.column_names]
-
-        targets: list[tuple[int, tuple]] = []
-        for row_id, row in storage.rows():
-            env = RowEnvironment(bindings, row)
-            if delete.where is None or self._evaluator.truthy(delete.where, env):
-                targets.append((row_id, row))
+        targets = self._targets(storage, delete.where, _table_bindings(schema))
 
         for row_id, row in targets:
             self._check_no_children(schema, row)
@@ -1086,38 +981,74 @@ def _lookup_type(
     return ""
 
 
+def _table_bindings(schema, qualifier: str | None = None) -> tuple:
+    """The scope a table's rows bind under (its own name by default)."""
+    qualifier = qualifier or schema.name.lower()
+    return tuple((qualifier, c.lower()) for c in schema.column_names)
+
+
+def _aliases(columns: list[str]) -> tuple:
+    """The output columns as an unqualified scope (ORDER BY's alias layer)."""
+    return tuple(("", c.lower()) for c in columns)
+
+
+def _walk(node) -> Iterator:
+    """*node* and the expressions below it.  Subqueries manage their own
+    names and aggregates, and nested aggregates are invalid anyway, so
+    neither is descended into."""
+    yield node
+    if isinstance(node, (ast.Aggregate, ast.Select)):
+        return
+    for field_name in getattr(node, "__dataclass_fields__", ()):
+        value = getattr(node, field_name)
+        for element in value if isinstance(value, tuple) else (value,):
+            for sub in element if isinstance(element, tuple) else (element,):
+                yield from _walk(sub)
+
+
 def _collect_aggregates(select: ast.Select) -> list[ast.Aggregate]:
-    found: list[ast.Aggregate] = []
-    seen: set[ast.Aggregate] = set()
+    roots = [item.expression for item in select.items]
+    roots += [] if select.having is None else [select.having]
+    roots += [order.expression for order in select.order_by]
+    found: dict[ast.Aggregate, None] = {}
+    for root in roots:
+        for node in _walk(root):
+            if isinstance(node, ast.Aggregate):
+                found.setdefault(node)
+    return list(found)
 
-    def walk(node) -> None:
-        if isinstance(node, ast.Aggregate):
-            if node not in seen:
-                seen.add(node)
-                found.append(node)
-            return  # nested aggregates are invalid anyway
-        if isinstance(node, (ast.Select,)):
-            return  # subqueries manage their own aggregates
-        if hasattr(node, "__dataclass_fields__"):
-            for field_name in node.__dataclass_fields__:
-                value = getattr(node, field_name)
-                if isinstance(value, tuple):
-                    for element in value:
-                        if isinstance(element, tuple):
-                            for sub in element:
-                                walk(sub)
-                        else:
-                            walk(element)
-                else:
-                    walk(value)
 
-    for item in select.items:
-        walk(item.expression)
-    if select.having is not None:
-        walk(select.having)
-    for order in select.order_by:
-        walk(order.expression)
-    return found
+def _is_ordinal(expression: ast.Expression) -> bool:
+    return isinstance(expression, ast.Literal) and type(expression.value) is int
+
+
+def _orders_by_output(order_by: tuple, columns: list[str]) -> bool:
+    """True when an ORDER BY term needs the projected row: an ordinal, an
+    unqualified name that is an output column, or (conservatively) a
+    subquery.  Otherwise the keys come from the source rows alone and
+    only the rows that survive LIMIT are projected."""
+    names = {c.lower() for c in columns}
+    for order in order_by:
+        if _is_ordinal(order.expression):
+            return True
+        for node in _walk(order.expression):
+            if isinstance(node, ast.ColumnRef):
+                if node.table is None and node.column.lower() in names:
+                    return True
+            elif isinstance(node, (ast.Exists, ast.InSubquery, ast.ScalarSubquery)):
+                return True
+    return False
+
+
+def _aggregate(
+    aggregate: ast.Aggregate, argument: Compiled | None, rows: list, ctx: Context
+) -> Any:
+    if argument is None:  # COUNT(*)
+        return len(rows)
+    values = [v for v in [argument(row, ctx) for row in rows] if v is not NULL]
+    if aggregate.distinct:
+        values = _distinct_values(values)
+    return _fold_aggregate(aggregate.name, values)
 
 
 def _fold_aggregate(name: str, values: list) -> Any:
@@ -1198,44 +1129,40 @@ def _group_key(value: Any) -> Any:
     return value
 
 
-def _join_key(value: Any) -> Any:
-    return _group_key(value)
+def _sort_order(keys: list[list], order_by: tuple[ast.OrderItem, ...]) -> list[int]:
+    """Row indices in ORDER BY order, from one list of keys per term.
+
+    One stable C-level sort per term, last term first; a descending pass
+    is ``reverse=True``, which keeps ties in input order.  NULLs go
+    last in either direction.
+    """
+    order = list(range(len(keys[0])))
+    for values, item in zip(reversed(keys), reversed(order_by)):
+        column = _sort_column(values)
+        present = [i for i in order if values[i] is not NULL]
+        present.sort(key=column.__getitem__, reverse=not item.ascending)
+        order = present + [i for i in order if values[i] is NULL]
+    return order
 
 
-def _sort_by_keys(
-    rows: list[tuple], keys: list[list], order_by: tuple[ast.OrderItem, ...]
-) -> list[tuple]:
-    """Stable sort of *rows* by parallel *keys* honouring per-term direction."""
-    directions = [order.ascending for order in order_by]
-
-    def compare(a_index: int, b_index: int) -> int:
-        for position, ascending in enumerate(directions):
-            a_value = keys[a_index][position]
-            b_value = keys[b_index][position]
-            # NULLs always sort last, regardless of direction.
-            if a_value is NULL or b_value is NULL:
-                if a_value is NULL and b_value is NULL:
-                    continue
-                return 1 if a_value is NULL else -1
-            comparison = _null_aware_compare(a_value, b_value)
-            if comparison != 0:
-                return comparison if ascending else -comparison
-        return 0
-
-    order_indexes = sorted(range(len(rows)), key=cmp_to_key(compare))
-    return [rows[i] for i in order_indexes]
-
-
-def _null_aware_compare(a: Any, b: Any) -> int:
-    """NULLs sort after everything (ascending)."""
-    if a is NULL and b is NULL:
-        return 0
-    if a is NULL:
-        return 1
-    if b is NULL:
-        return -1
-    comparison = compare_values(a, b)
-    return comparison if comparison is not None else 0
+def _sort_column(values: list) -> list:
+    """*values* as keys ``list.sort`` orders the way ``compare_values``
+    does: one comparison family per column, a num/str mix compared as
+    numbers, any other mix a type error."""
+    kinds = set(map(type, values))
+    kinds.discard(Null)
+    if kinds <= {int, float} or kinds <= {str}:
+        return values
+    keyed = [v if v is NULL else comparison_key(v) for v in values]
+    families = sorted({k[0] for k in keyed if k is not NULL})
+    if len(families) <= 1:
+        return [k if k is NULL else k[1] for k in keyed]
+    if families != ["num", "str"]:
+        raise SqlTypeError(f"cannot compare {families[0]} with {families[1]}")
+    try:
+        return [k if k is NULL else float(k[1]) for k in keyed]
+    except ValueError as exc:
+        raise SqlTypeError(f"cannot compare number with string: {exc}") from None
 
 
 def _expect_int(value: Any, clause: str) -> int:

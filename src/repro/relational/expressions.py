@@ -1,18 +1,28 @@
-"""Expression evaluation with SQL three-valued logic.
+"""Expression compilation with SQL three-valued logic.
 
-Boolean results are ``True``, ``False`` or :data:`NULL` (unknown).  The
-evaluator is shared by the WHERE/HAVING filters, projections, CHECK
-constraints and DEFAULT expressions; aggregates are *not* computed here —
-the executor computes them per group and binds the results into the
-environment, so an expression like ``SUM(x) / COUNT(*)`` evaluates
-uniformly.
+:func:`compile_expression` turns an expression AST into a closure
+``fn(row, ctx)`` once per operator: every column reference is resolved
+to a position when the statement is bound, so evaluating a row is
+closure calls and tuple indexing — no name lookup, no per-row
+environment.  A closure is a pure function of ``(AST node, scopes)``:
+whatever differs between executions (parameters, the subquery runner,
+the rows of enclosing queries) is read from the :class:`Context`
+argument, so one closure may be memoised on a cached plan and shared by
+concurrent sessions.
+
+Boolean results are ``True``, ``False`` or :data:`NULL` (unknown).
+Aggregates are *not* computed here — the executor computes them per
+group and appends the results to the group's row, so an expression like
+``SUM(x) / COUNT(*)`` is two slot reads and a division.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from decimal import Decimal
-from typing import Any, Callable, Optional
+from functools import lru_cache, partial
+from typing import Any, Callable
 
 from repro.relational import ast_nodes as ast
 from repro.relational.errors import (
@@ -23,216 +33,335 @@ from repro.relational.errors import (
 )
 from repro.relational.types import NULL, SqlType, coerce, compare_values
 
-
-class RowEnvironment:
-    """Column bindings for one row, chained for correlated subqueries.
-
-    ``columns`` is a list of ``(qualifier, name)`` pairs (both lower-case,
-    qualifier may be ``None`` only conceptually — it is always a string
-    here since every from-item has at least a generated alias).
-    """
-
-    def __init__(
-        self,
-        columns: list[tuple[str, str]],
-        values: tuple,
-        parent: Optional["RowEnvironment"] = None,
-    ) -> None:
-        self.columns = columns
-        self.values = values
-        self.parent = parent
-        #: aggregate results bound by the executor, keyed by AST node
-        self.aggregates: dict[ast.Aggregate, Any] = {}
-
-    def child(self, columns: list[tuple[str, str]], values: tuple) -> "RowEnvironment":
-        return RowEnvironment(columns, values, parent=self)
-
-    def lookup(self, table: str | None, column: str) -> Any:
-        wanted_table = table.lower() if table else None
-        wanted_column = column.lower()
-        matches = [
-            index
-            for index, (qualifier, name) in enumerate(self.columns)
-            if name == wanted_column
-            and (wanted_table is None or qualifier == wanted_table)
-        ]
-        if len(matches) > 1:
-            raise CatalogError(f"ambiguous column reference {column!r}")
-        if matches:
-            return self.values[matches[0]]
-        if self.parent is not None:
-            return self.parent.lookup(table, column)
-        display = f"{table}.{column}" if table else column
-        raise CatalogError(f"unknown column {display!r}")
+#: One scope per query nesting level, innermost first.  A scope lists
+#: what each position of that level's row holds: ``(qualifier, column)``
+#: pairs (lower-cased) and, after a grouped operator's columns, the
+#: ``ast.Aggregate`` nodes whose per-group results follow them.
+Scopes = tuple[tuple, ...]
 
 
-SubqueryRunner = Callable[[ast.Select, "RowEnvironment"], list[tuple]]
+class Context:
+    """What a compiled closure reads besides its row, per execution."""
 
-
-class ExpressionEvaluator:
-    """Evaluates expression ASTs against row environments."""
+    __slots__ = ("parameters", "run_subquery", "scopes", "outer")
 
     def __init__(
         self,
         parameters: tuple = (),
-        subquery_runner: SubqueryRunner | None = None,
+        run_subquery: Callable[[ast.Select, "Context"], list[tuple]] | None = None,
+        scopes: Scopes = (),
+        outer: tuple = (),
     ) -> None:
-        self._parameters = parameters
-        self._subquery_runner = subquery_runner
+        self.parameters = parameters
+        self.run_subquery = run_subquery
+        #: scopes of the enclosing queries and, parallel to them, the
+        #: row each is currently on (correlated subqueries read these)
+        self.scopes = scopes
+        self.outer = outer
 
-    # -- entry points -------------------------------------------------------
 
-    def evaluate(self, expr: ast.Expression, env: RowEnvironment) -> Any:
-        method = self._DISPATCH.get(type(expr))
-        if method is None:
-            raise SqlError(f"cannot evaluate {type(expr).__name__} here")
-        return method(self, expr, env)
+Compiled = Callable[[tuple, Context], Any]
 
-    def truthy(self, expr: ast.Expression, env: RowEnvironment) -> bool:
-        """Three-valued filter semantics: only TRUE passes."""
-        return self.evaluate(expr, env) is True
 
-    # -- leaves ---------------------------------------------------------------
+def compile_expression(expr: ast.Expression, scopes: Scopes) -> Compiled:
+    """Bind *expr* against *scopes*; unknown or ambiguous names raise here."""
+    compiler = _COMPILERS.get(type(expr))
+    if compiler is None:
+        raise SqlError(f"cannot evaluate {type(expr).__name__} here")
+    return compiler(expr, scopes)
 
-    def _literal(self, expr: ast.Literal, env: RowEnvironment) -> Any:
-        return expr.value
 
-    def _parameter(self, expr: ast.Parameter, env: RowEnvironment) -> Any:
+def compile_row(expressions: tuple, scopes: Scopes) -> Compiled:
+    """A closure producing the tuple of *expressions*' values."""
+    if all(type(e) is ast.ColumnRef for e in expressions):
+        slots = [_resolve_column(e, scopes) for e in expressions]
+        if slots and all(depth == 0 for depth, _ in slots):
+            pick = operator.itemgetter(*(index for _, index in slots))
+            if len(slots) == 1:
+                return lambda row, ctx: (pick(row),)
+            return lambda row, ctx: pick(row)
+    parts = [compile_expression(e, scopes) for e in expressions]
+    return lambda row, ctx: tuple([part(row, ctx) for part in parts])
+
+
+def compile_filter(conjuncts: tuple, scopes: Scopes) -> Compiled:
+    """Filter semantics over AND-ed *conjuncts*: only TRUE passes."""
+    tests = [compile_expression(part, scopes) for part in conjuncts]
+    if len(tests) == 1:
+        (test,) = tests
+        return lambda row, ctx: test(row, ctx) is True
+
+    def run(row, ctx):
+        for test in tests:
+            if test(row, ctx) is not True:
+                return False
+        return True
+
+    return run
+
+
+# -- leaves -------------------------------------------------------------------
+
+
+def _literal(expr: ast.Literal, scopes: Scopes) -> Compiled:
+    value = expr.value
+    return lambda row, ctx: value
+
+
+def _parameter(expr: ast.Parameter, scopes: Scopes) -> Compiled:
+    index = expr.index
+
+    def run(row, ctx):
         try:
-            value = self._parameters[expr.index]
+            value = ctx.parameters[index]
         except IndexError:
             raise SqlError(
-                f"statement uses parameter {expr.index + 1} but only "
-                f"{len(self._parameters)} supplied"
+                f"statement uses parameter {index + 1} but only "
+                f"{len(ctx.parameters)} supplied"
             ) from None
         return NULL if value is None else value
 
-    def _column(self, expr: ast.ColumnRef, env: RowEnvironment) -> Any:
-        return env.lookup(expr.table, expr.column)
+    return run
 
-    def _aggregate(self, expr: ast.Aggregate, env: RowEnvironment) -> Any:
-        scope: RowEnvironment | None = env
-        while scope is not None:
-            if expr in scope.aggregates:
-                return scope.aggregates[expr]
-            scope = scope.parent
-        raise SqlError(
-            f"aggregate {expr.name} used outside GROUP BY / aggregate query"
-        )
 
-    # -- operators -----------------------------------------------------------
+def _slot(depth: int, index: int) -> Compiled:
+    if depth == 0:
+        return lambda row, ctx: row[index]
+    depth -= 1
+    return lambda row, ctx: ctx.outer[depth][index]
 
-    def _unary(self, expr: ast.Unary, env: RowEnvironment) -> Any:
-        value = self.evaluate(expr.operand, env)
-        if expr.op == "NOT":
+
+def _resolve_column(expr: ast.ColumnRef, scopes: Scopes) -> tuple[int, int]:
+    """(depth, index): the innermost scope with a match wins."""
+    table = expr.table.lower() if expr.table else None
+    column = expr.column.lower()
+    for depth, bindings in enumerate(scopes):
+        matches = [
+            index
+            for index, binding in enumerate(bindings)
+            if type(binding) is tuple
+            and binding[1] == column
+            and (table is None or binding[0] == table)
+        ]
+        if len(matches) > 1:
+            raise CatalogError(f"ambiguous column reference {expr.column!r}")
+        if matches:
+            return depth, matches[0]
+    display = f"{expr.table}.{expr.column}" if expr.table else expr.column
+    raise CatalogError(f"unknown column {display!r}")
+
+
+def _column(expr: ast.ColumnRef, scopes: Scopes) -> Compiled:
+    return _slot(*_resolve_column(expr, scopes))
+
+
+def _aggregate(expr: ast.Aggregate, scopes: Scopes) -> Compiled:
+    for depth, bindings in enumerate(scopes):
+        if expr in bindings:
+            return _slot(depth, bindings.index(expr))
+    raise SqlError(
+        f"aggregate {expr.name} used outside GROUP BY / aggregate query"
+    )
+
+
+# -- operators ----------------------------------------------------------------
+
+
+def _unary(expr: ast.Unary, scopes: Scopes) -> Compiled:
+    operand = compile_expression(expr.operand, scopes)
+    if expr.op == "NOT":
+
+        def run(row, ctx):
+            value = operand(row, ctx)
             if value is NULL:
                 return NULL
             if isinstance(value, bool):
                 return not value
             raise SqlTypeError("NOT requires a boolean operand")
+
+        return run
+
+    def run(row, ctx):
+        value = operand(row, ctx)
         if value is NULL:
             return NULL
-        if isinstance(value, (int, float, Decimal)) and not isinstance(value, bool):
+        if _is_number(value):
             return -value
         raise SqlTypeError("unary minus requires a numeric operand")
 
-    def _binary(self, expr: ast.Binary, env: RowEnvironment) -> Any:
-        op = expr.op
-        if op == "AND":
-            return _and3(
-                lambda: self._boolean_operand(expr.left, env),
-                lambda: self._boolean_operand(expr.right, env),
-            )
-        if op == "OR":
-            return _or3(
-                lambda: self._boolean_operand(expr.left, env),
-                lambda: self._boolean_operand(expr.right, env),
-            )
-        left = self.evaluate(expr.left, env)
-        right = self.evaluate(expr.right, env)
-        if op in ("=", "<>", "<", "<=", ">", ">="):
-            comparison = compare_values(left, right)
-            if comparison is None:
+    return run
+
+
+def _boolean(value: Any) -> Any:
+    if value is NULL or isinstance(value, bool):
+        return value
+    raise SqlTypeError(
+        f"expected a boolean operand, got {type(value).__name__}"
+    )
+
+
+#: ``a OP b`` for an exact int/float pair, ``compare_values(a, b) OP 0``
+#: for everything else — the same six operators serve both.
+_COMPARISONS = {
+    "=": operator.eq,
+    "<>": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+_PLAIN_NUMBERS = frozenset((int, float))  # bool is its own family
+
+
+def _binary(expr: ast.Binary, scopes: Scopes) -> Compiled:
+    op = expr.op
+    left = compile_expression(expr.left, scopes)
+    right = compile_expression(expr.right, scopes)
+    if op == "AND":
+
+        def run(row, ctx):
+            a = _boolean(left(row, ctx))
+            if a is False:
+                return False
+            b = _boolean(right(row, ctx))
+            if b is False:
+                return False
+            return NULL if a is NULL or b is NULL else True
+
+    elif op == "OR":
+
+        def run(row, ctx):
+            a = _boolean(left(row, ctx))
+            if a is True:
+                return True
+            b = _boolean(right(row, ctx))
+            if b is True:
+                return True
+            return NULL if a is NULL or b is NULL else False
+
+    elif op in _COMPARISONS:
+        test = _COMPARISONS[op]
+
+        def run(row, ctx):
+            a = left(row, ctx)
+            b = right(row, ctx)
+            if type(a) in _PLAIN_NUMBERS and type(b) in _PLAIN_NUMBERS:
+                # what compare_values computes, minus its key tuples
+                return test((a > b) - (a < b), 0)
+            comparison = compare_values(a, b)
+            return NULL if comparison is None else test(comparison, 0)
+
+    else:
+        apply = _concatenate if op == "||" else partial(_arithmetic, op)
+
+        def run(row, ctx):
+            a = left(row, ctx)
+            b = right(row, ctx)
+            if a is NULL or b is NULL:
                 return NULL
-            return _COMPARISONS[op](comparison)
-        if op == "||":
-            if left is NULL or right is NULL:
-                return NULL
-            return _stringify(left) + _stringify(right)
-        # arithmetic
-        if left is NULL or right is NULL:
+            return apply(a, b)
+
+    return run
+
+
+def _is_null(expr: ast.IsNull, scopes: Scopes) -> Compiled:
+    operand = compile_expression(expr.operand, scopes)
+    if expr.negated:
+        return lambda row, ctx: operand(row, ctx) is not NULL
+    return lambda row, ctx: operand(row, ctx) is NULL
+
+
+def _like(expr: ast.Like, scopes: Scopes) -> Compiled:
+    operand = compile_expression(expr.operand, scopes)
+    pattern = compile_expression(expr.pattern, scopes)
+    negated = expr.negated
+    fixed = None
+    if isinstance(expr.pattern, ast.Literal) and isinstance(expr.pattern.value, str):
+        fixed = _translate_like(expr.pattern.value)
+
+    def run(row, ctx):
+        value = operand(row, ctx)
+        text = pattern(row, ctx)
+        if value is NULL or text is NULL:
             return NULL
-        return _arithmetic(op, left, right)
-
-    def _boolean_operand(self, expr: ast.Expression, env: RowEnvironment) -> Any:
-        value = self.evaluate(expr, env)
-        if value is NULL or isinstance(value, bool):
-            return value
-        raise SqlTypeError(
-            f"expected a boolean operand, got {type(value).__name__}"
-        )
-
-    def _is_null(self, expr: ast.IsNull, env: RowEnvironment) -> bool:
-        value = self.evaluate(expr.operand, env)
-        result = value is NULL
-        return not result if expr.negated else result
-
-    def _like(self, expr: ast.Like, env: RowEnvironment) -> Any:
-        value = self.evaluate(expr.operand, env)
-        pattern = self.evaluate(expr.pattern, env)
-        if value is NULL or pattern is NULL:
-            return NULL
-        if not isinstance(value, str) or not isinstance(pattern, str):
+        if not isinstance(value, str) or not isinstance(text, str):
             raise SqlTypeError("LIKE requires string operands")
-        matched = bool(_like_regex(pattern).match(value))
-        return not matched if expr.negated else matched
+        matched = (fixed or _like_regex(text)).match(value) is not None
+        return matched is not negated
 
-    def _between(self, expr: ast.Between, env: RowEnvironment) -> Any:
-        value = self.evaluate(expr.operand, env)
-        low = self.evaluate(expr.low, env)
-        high = self.evaluate(expr.high, env)
-        lower = compare_values(value, low)
-        upper = compare_values(value, high)
-        result = _and3(
-            lambda: NULL if lower is None else lower >= 0,
-            lambda: NULL if upper is None else upper <= 0,
-        )
-        if expr.negated:
-            return NULL if result is NULL else not result
-        return result
+    return run
 
-    def _in_list(self, expr: ast.InList, env: RowEnvironment) -> Any:
-        value = self.evaluate(expr.operand, env)
-        candidates = [self.evaluate(item, env) for item in expr.items]
-        return self._in_semantics(value, candidates, expr.negated)
 
-    def _in_subquery(self, expr: ast.InSubquery, env: RowEnvironment) -> Any:
-        value = self.evaluate(expr.operand, env)
-        rows = self._run_subquery(expr.query, env)
-        candidates = [row[0] for row in rows]
-        return self._in_semantics(value, candidates, expr.negated)
+def _between(expr: ast.Between, scopes: Scopes) -> Compiled:
+    operand = compile_expression(expr.operand, scopes)
+    low = compile_expression(expr.low, scopes)
+    high = compile_expression(expr.high, scopes)
+    negated = expr.negated
 
-    def _in_semantics(self, value: Any, candidates: list, negated: bool) -> Any:
-        if value is NULL:
+    def run(row, ctx):
+        value = operand(row, ctx)
+        floor = low(row, ctx)
+        ceiling = high(row, ctx)
+        lower = compare_values(value, floor)
+        upper = compare_values(value, ceiling)
+        # three-valued (value >= low) AND (value <= high)
+        if (lower is not None and lower < 0) or (upper is not None and upper > 0):
+            return negated
+        if lower is None or upper is None:
             return NULL
-        saw_null = False
-        for candidate in candidates:
-            comparison = compare_values(value, candidate)
-            if comparison is None:
-                saw_null = True
-            elif comparison == 0:
-                return not negated
-        if saw_null:
-            return NULL
-        return negated
+        return not negated
 
-    def _exists(self, expr: ast.Exists, env: RowEnvironment) -> bool:
-        rows = self._run_subquery(expr.query, env)
-        found = bool(rows)
-        return not found if expr.negated else found
+    return run
 
-    def _scalar_subquery(self, expr: ast.ScalarSubquery, env: RowEnvironment) -> Any:
-        rows = self._run_subquery(expr.query, env)
+
+def _in_list(expr: ast.InList, scopes: Scopes) -> Compiled:
+    operand = compile_expression(expr.operand, scopes)
+    items = [compile_expression(item, scopes) for item in expr.items]
+    negated = expr.negated
+    return lambda row, ctx: _in_semantics(
+        operand(row, ctx), [item(row, ctx) for item in items], negated
+    )
+
+
+def _in_subquery(expr: ast.InSubquery, scopes: Scopes) -> Compiled:
+    operand = compile_expression(expr.operand, scopes)
+    query, negated = expr.query, expr.negated
+
+    def run(row, ctx):
+        value = operand(row, ctx)
+        rows = _run_subquery(query, scopes, row, ctx)
+        return _in_semantics(value, [r[0] for r in rows], negated)
+
+    return run
+
+
+def _in_semantics(value: Any, candidates: list, negated: bool) -> Any:
+    if value is NULL:
+        return NULL
+    saw_null = False
+    for candidate in candidates:
+        comparison = compare_values(value, candidate)
+        if comparison is None:
+            saw_null = True
+        elif comparison == 0:
+            return not negated
+    if saw_null:
+        return NULL
+    return negated
+
+
+def _exists(expr: ast.Exists, scopes: Scopes) -> Compiled:
+    query, negated = expr.query, expr.negated
+    return lambda row, ctx: (
+        bool(_run_subquery(query, scopes, row, ctx)) is not negated
+    )
+
+
+def _scalar_subquery(expr: ast.ScalarSubquery, scopes: Scopes) -> Compiled:
+    query = expr.query
+
+    def run(row, ctx):
+        rows = _run_subquery(query, scopes, row, ctx)
         if not rows:
             return NULL
         if len(rows) > 1:
@@ -241,102 +370,89 @@ class ExpressionEvaluator:
             raise SqlError("scalar subquery must select exactly one column")
         return rows[0][0]
 
-    def _run_subquery(self, query: ast.Select, env: RowEnvironment) -> list[tuple]:
-        if self._subquery_runner is None:
-            raise SqlError("subqueries are not available in this context")
-        return self._subquery_runner(query, env)
-
-    # -- functions ------------------------------------------------------------
-
-    def _function(self, expr: ast.FunctionCall, env: RowEnvironment) -> Any:
-        handler = _FUNCTIONS.get(expr.name)
-        if handler is None:
-            raise SqlError(f"unknown function {expr.name}()")
-        args = [self.evaluate(arg, env) for arg in expr.args]
-        return handler(args)
-
-    def _case(self, expr: ast.Case, env: RowEnvironment) -> Any:
-        if expr.operand is not None:
-            # Simple CASE: compare the operand with each WHEN value.
-            subject = self.evaluate(expr.operand, env)
-            for candidate, result in expr.whens:
-                comparison = compare_values(
-                    subject, self.evaluate(candidate, env)
-                )
-                if comparison == 0:
-                    return self.evaluate(result, env)
-        else:
-            for condition, result in expr.whens:
-                if self.evaluate(condition, env) is True:
-                    return self.evaluate(result, env)
-        if expr.default is not None:
-            return self.evaluate(expr.default, env)
-        return NULL
-
-    def _cast(self, expr: ast.Cast, env: RowEnvironment) -> Any:
-        value = self.evaluate(expr.operand, env)
-        return coerce(value, expr.target, expr.length)
-
-    _DISPATCH = {}
+    return run
 
 
-ExpressionEvaluator._DISPATCH = {
-    ast.Literal: ExpressionEvaluator._literal,
-    ast.Parameter: ExpressionEvaluator._parameter,
-    ast.ColumnRef: ExpressionEvaluator._column,
-    ast.Aggregate: ExpressionEvaluator._aggregate,
-    ast.Unary: ExpressionEvaluator._unary,
-    ast.Binary: ExpressionEvaluator._binary,
-    ast.IsNull: ExpressionEvaluator._is_null,
-    ast.Like: ExpressionEvaluator._like,
-    ast.Between: ExpressionEvaluator._between,
-    ast.InList: ExpressionEvaluator._in_list,
-    ast.InSubquery: ExpressionEvaluator._in_subquery,
-    ast.Exists: ExpressionEvaluator._exists,
-    ast.ScalarSubquery: ExpressionEvaluator._scalar_subquery,
-    ast.FunctionCall: ExpressionEvaluator._function,
-    ast.Case: ExpressionEvaluator._case,
-    ast.Cast: ExpressionEvaluator._cast,
+def _run_subquery(
+    query: ast.Select, scopes: Scopes, row: tuple, ctx: Context
+) -> list[tuple]:
+    """Run *query* with *row* (bound as ``scopes[0]``) as its outer row."""
+    if ctx.run_subquery is None:
+        raise SqlError("subqueries are not available in this context")
+    inner = Context(ctx.parameters, ctx.run_subquery, scopes, (row, *ctx.outer))
+    return ctx.run_subquery(query, inner)
+
+
+# -- functions ----------------------------------------------------------------
+
+
+def _function(expr: ast.FunctionCall, scopes: Scopes) -> Compiled:
+    handler = _FUNCTIONS.get(expr.name)
+    if handler is None:
+        raise SqlError(f"unknown function {expr.name}()")
+    args = [compile_expression(arg, scopes) for arg in expr.args]
+    return lambda row, ctx: handler([arg(row, ctx) for arg in args])
+
+
+def _case(expr: ast.Case, scopes: Scopes) -> Compiled:
+    whens = [
+        (compile_expression(when, scopes), compile_expression(then, scopes))
+        for when, then in expr.whens
+    ]
+    default = compile_expression(
+        ast.Literal(NULL) if expr.default is None else expr.default, scopes
+    )
+    if expr.operand is None:
+
+        def run(row, ctx):
+            for condition, result in whens:
+                if condition(row, ctx) is True:
+                    return result(row, ctx)
+            return default(row, ctx)
+
+        return run
+    operand = compile_expression(expr.operand, scopes)
+
+    def run(row, ctx):
+        # Simple CASE: compare the operand with each WHEN value.
+        subject = operand(row, ctx)
+        for candidate, result in whens:
+            if compare_values(subject, candidate(row, ctx)) == 0:
+                return result(row, ctx)
+        return default(row, ctx)
+
+    return run
+
+
+def _cast(expr: ast.Cast, scopes: Scopes) -> Compiled:
+    operand = compile_expression(expr.operand, scopes)
+    target, length = expr.target, expr.length
+    return lambda row, ctx: coerce(operand(row, ctx), target, length)
+
+
+_COMPILERS = {
+    ast.Literal: _literal,
+    ast.Parameter: _parameter,
+    ast.ColumnRef: _column,
+    ast.Aggregate: _aggregate,
+    ast.Unary: _unary,
+    ast.Binary: _binary,
+    ast.IsNull: _is_null,
+    ast.Like: _like,
+    ast.Between: _between,
+    ast.InList: _in_list,
+    ast.InSubquery: _in_subquery,
+    ast.Exists: _exists,
+    ast.ScalarSubquery: _scalar_subquery,
+    ast.FunctionCall: _function,
+    ast.Case: _case,
+    ast.Cast: _cast,
 }
 
 
 # ---------------------------------------------------------------------------
-# Three-valued connectives
+# Scalar semantics shared by every compiled form
 # ---------------------------------------------------------------------------
-
-
-def _and3(left_thunk, right_thunk) -> Any:
-    left = left_thunk()
-    if left is False:
-        return False
-    right = right_thunk()
-    if right is False:
-        return False
-    if left is NULL or right is NULL:
-        return NULL
-    return True
-
-
-def _or3(left_thunk, right_thunk) -> Any:
-    left = left_thunk()
-    if left is True:
-        return True
-    right = right_thunk()
-    if right is True:
-        return True
-    if left is NULL or right is NULL:
-        return NULL
-    return False
-
-
-_COMPARISONS = {
-    "=": lambda c: c == 0,
-    "<>": lambda c: c != 0,
-    "<": lambda c: c < 0,
-    "<=": lambda c: c <= 0,
-    ">": lambda c: c > 0,
-    ">=": lambda c: c >= 0,
-}
 
 
 def _arithmetic(op: str, left: Any, right: Any) -> Any:
@@ -384,24 +500,26 @@ def _stringify(value: Any) -> str:
     return coerce(value, SqlType.TEXT)
 
 
-_LIKE_CACHE: dict[str, re.Pattern] = {}
+def _concatenate(left: Any, right: Any) -> str:
+    return _stringify(left) + _stringify(right)
 
 
-def _like_regex(pattern: str) -> re.Pattern:
-    compiled = _LIKE_CACHE.get(pattern)
-    if compiled is None:
-        parts = ["^"]
-        for ch in pattern:
-            if ch == "%":
-                parts.append(".*")
-            elif ch == "_":
-                parts.append(".")
-            else:
-                parts.append(re.escape(ch))
-        parts.append("$")
-        compiled = re.compile("".join(parts), re.DOTALL)
-        _LIKE_CACHE[pattern] = compiled
-    return compiled
+def _translate_like(pattern: str) -> re.Pattern:
+    parts = ["^"]
+    for ch in pattern:
+        if ch == "%":
+            parts.append(".*")
+        elif ch == "_":
+            parts.append(".")
+        else:
+            parts.append(re.escape(ch))
+    parts.append("$")
+    return re.compile("".join(parts), re.DOTALL)
+
+
+#: Patterns that arrive as values (parameters, columns); a literal
+#: pattern is translated once when its LIKE is compiled instead.
+_like_regex = lru_cache(maxsize=256)(_translate_like)
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,9 @@ cached plan therefore can never be served across a schema change, and a
 plan compiled *during* a schema change is at worst recompiled once more.
 
 Thread-safety: all cache state is guarded by one lock; the cached AST
-itself is treated as immutable by the executor (statements are resolved
-afresh on each execution — only the *parse* is reused), so concurrent
-sessions may share one entry.
+is immutable, and the closures compiled from it hold no per-execution
+state (parameters and outer rows arrive through a per-execution
+context), so concurrent sessions may share one entry.
 """
 
 from __future__ import annotations
@@ -39,18 +39,25 @@ DEFAULT_CAPACITY = 512
 
 @dataclass
 class PlanEntry:
-    """One compiled statement: the parse plus memoized SELECT planning.
+    """One compiled statement: the parse plus memoized planning.
 
     ``column_types`` and ``can_stream`` start unset and are memoized by
     the session on first execution; they are derived purely from the
     statement and the catalog, so they stay valid exactly as long as the
-    version stamp does.
+    version stamp does.  ``compiled`` is the executor's memo of bound
+    expressions.  It appears on the entry's first *hit* — a text seen
+    once (inlined literals, 8× the cache's capacity in the benchmark's
+    ad-hoc workload) is not worth keeping closures for — and is filled
+    as operators run; its keys carry the row shapes they were bound
+    against and entries are only ever added with ``dict.setdefault``,
+    so it needs no lock.
     """
 
     statement: object
     catalog_version: int
     column_types: Optional[list] = None
     can_stream: Optional[bool] = None
+    compiled: Optional[dict] = field(default=None, repr=False)
     #: Guards lazy memoization so concurrent first executions don't race.
     lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 

@@ -11,7 +11,7 @@ nested loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Iterator, Optional
 
 from repro.relational import ast_nodes as ast
 from repro.relational.errors import SqlTypeError
@@ -75,7 +75,7 @@ def choose_access_path(
     equalities: dict[str, Any] = {}
     ranges: dict[str, RangeLookup] = {}
 
-    for predicate in where_conjuncts:
+    for predicate in _range_conjuncts(where_conjuncts):
         column, op, value = _sargable(predicate, qualifier, parameters, storage)
         if column is None or value is NULL:
             continue
@@ -114,6 +114,17 @@ def choose_access_path(
     return None
 
 
+def _range_conjuncts(predicates) -> Iterator[ast.Expression]:
+    """``x BETWEEN lo AND hi`` read as ``x >= lo`` and ``x <= hi``: the
+    index narrows the scan, the predicate itself still runs on its rows."""
+    for predicate in predicates:
+        if isinstance(predicate, ast.Between) and not predicate.negated:
+            yield ast.Binary(">=", predicate.operand, predicate.low)
+            yield ast.Binary("<=", predicate.operand, predicate.high)
+        else:
+            yield predicate
+
+
 def _find_index_subset(
     storage: TableStorage, columns: tuple[str, ...], size: int
 ) -> HashIndex | None:
@@ -133,9 +144,6 @@ def _sargable(
     storage: TableStorage,
 ) -> tuple[str | None, str, Any]:
     """Recognise ``col OP constant`` / ``constant OP col`` for this table."""
-    if isinstance(predicate, ast.Between):
-        # BETWEEN decomposes into >= and <=; handled by caller via rewrite.
-        pass
     if not isinstance(predicate, ast.Binary):
         return None, "", None
     if predicate.op not in ("=", "<", "<=", ">", ">="):

@@ -259,8 +259,8 @@ def compare_values(left: Any, right: Any) -> int | None:
     """
     if left is NULL or right is NULL:
         return None
-    left_key = _comparison_key(left)
-    right_key = _comparison_key(right)
+    left_key = comparison_key(left)
+    right_key = comparison_key(right)
     if left_key[0] != right_key[0]:
         # Numeric affinity: an untyped (string) operand compared with a
         # number is converted — WS-DAIR parameters travel as strings.
@@ -285,7 +285,7 @@ def compare_values(left: Any, right: Any) -> int | None:
     return 0
 
 
-def _comparison_key(value: Any) -> tuple[str, Any]:
+def comparison_key(value: Any) -> tuple[str, Any]:
     if isinstance(value, bool):
         return ("bool", value)
     if isinstance(value, (int, float)):

@@ -272,3 +272,116 @@ class TestDifferentialQueries:
             ours.execute("SELECT a, b, label FROM t").rows,
             reference.execute("SELECT a, b, label FROM t").fetchall(),
         )
+
+
+# -- the benchmark's query shapes ---------------------------------------------
+#
+# The three ``engine_adhoc`` texts and the ``indirect_mixed`` factory text
+# (bench/workloads.py), over hypothesis data on the same two-table shape,
+# plus the other ways an ORDER BY term can be spelled.  Every sort key is
+# NULL-free and every ordering is total: sqlite puts NULLs first where
+# this engine puts them last, and neither promises an order among ties.
+
+_REGIONS = ["north", "south", "east", "west"]
+#: (customer 1..6, total in quarter units) — multiples of 0.25 add exactly
+_ORDERS = st.lists(
+    st.tuples(
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=0, max_value=80).map(lambda q: q * 0.25),
+    ),
+    min_size=0,
+    max_size=40,
+)
+_PIVOT = st.integers(min_value=0, max_value=80).map(lambda q: q * 0.25)
+
+
+def _build_shop(orders, indexed):
+    ours = Database()
+    reference = sqlite3.connect(":memory:")
+    for engine in (ours, reference):
+        engine.execute("CREATE TABLE customers (id INT PRIMARY KEY, region VARCHAR(10))")
+        engine.execute(
+            "CREATE TABLE orders (id INT PRIMARY KEY, customer_id INT, total FLOAT)"
+        )
+        if indexed:  # the benchmark's schema has it: the range-scan path
+            engine.execute("CREATE INDEX ix_orders_total ON orders (total)")
+        for customer in range(1, 7):
+            engine.execute(
+                "INSERT INTO customers VALUES (?, ?)",
+                (customer, _REGIONS[customer % len(_REGIONS)]),
+            )
+        for order_id, (customer, total) in enumerate(orders, start=1):
+            engine.execute(
+                "INSERT INTO orders VALUES (?, ?, ?)", (order_id, customer, total)
+            )
+    return ours, reference
+
+
+def _same_rows_in_order(ours, reference, query, parameters=()):
+    assert _normalize(ours.execute(query, parameters).rows) == _normalize(
+        reference.execute(query, parameters).fetchall()
+    )
+
+
+class TestBenchmarkShapes:
+    @given(_ORDERS, _PIVOT, st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_adhoc_join_group_order_by_aggregate(self, orders, pivot, indexed):
+        ours, reference = _build_shop(orders, indexed)
+        # the benchmark's text orders by revenue alone; the region
+        # tie-break makes the order total so two engines can agree
+        query = (
+            "SELECT c.region, COUNT(*) AS n, SUM(o.total) AS revenue "
+            "FROM orders o JOIN customers c ON o.customer_id = c.id "
+            f"WHERE o.total >= {pivot:.2f} GROUP BY c.region "
+            "ORDER BY revenue DESC, c.region"
+        )
+        _same_rows_in_order(ours, reference, query)
+
+    @given(_ORDERS, _PIVOT, st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_adhoc_range_two_term_order_limit(self, orders, pivot, indexed):
+        ours, reference = _build_shop(orders, indexed)
+        query = (
+            f"SELECT id, total FROM orders WHERE total >= {pivot:.2f} "
+            "ORDER BY total, id LIMIT 10"
+        )
+        _same_rows_in_order(ours, reference, query)
+
+    @given(_ORDERS, _PIVOT, st.booleans(), st.integers(min_value=0, max_value=12))
+    @settings(max_examples=40, deadline=None)
+    def test_adhoc_topk_mixed_directions_limit_offset(
+        self, orders, pivot, indexed, offset
+    ):
+        ours, reference = _build_shop(orders, indexed)
+        query = (
+            f"SELECT o.id, o.total FROM orders o WHERE o.total <= {pivot:.2f} "
+            f"ORDER BY o.total DESC, o.id LIMIT 10 OFFSET {offset}"
+        )
+        _same_rows_in_order(ours, reference, query)
+
+    @given(_ORDERS, _PIVOT, st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_indirect_mixed_factory_shape(self, orders, pivot, indexed):
+        ours, reference = _build_shop(orders, indexed)
+        query = (
+            "SELECT id, customer_id, total FROM orders WHERE total >= ? "
+            "ORDER BY total, id LIMIT 200"
+        )
+        _same_rows_in_order(ours, reference, query, (pivot,))
+
+    @given(_ORDERS)
+    @settings(max_examples=40, deadline=None)
+    def test_order_by_alias_ordinal_and_having(self, orders):
+        ours, reference = _build_shop(orders, indexed=False)
+        for query in (
+            "SELECT id, total * 2 AS dbl FROM orders ORDER BY dbl DESC, 1",
+            "SELECT id, total * 2 AS dbl FROM orders ORDER BY dbl + id, id LIMIT 7",
+            "SELECT customer_id, COUNT(*) AS n, MAX(total) FROM orders "
+            "GROUP BY customer_id HAVING COUNT(*) >= 2 "
+            "ORDER BY n DESC, customer_id",
+            "SELECT c.region, SUM(o.total) FROM orders o "
+            "JOIN customers c ON o.customer_id = c.id GROUP BY c.region "
+            "HAVING SUM(o.total) > 5 ORDER BY 2 DESC, 1 LIMIT 2",
+        ):
+            _same_rows_in_order(ours, reference, query)

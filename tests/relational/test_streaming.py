@@ -102,3 +102,47 @@ class TestColumnTypes:
         db.execute("CREATE VIEW tv AS SELECT k, v FROM t")
         result = db.create_session().execute("SELECT v FROM tv")
         assert result.column_types == ["VARCHAR(16)"]
+
+
+class TestEagerPathStopsAtLimit:
+    """A plan ``can_stream`` accepts runs the same scan → filter →
+    limit → project loop whether or not the caller asked to stream, so
+    plain ``Database.execute`` no longer materialises before LIMIT."""
+
+    @pytest.fixture()
+    def counted(self, db, monkeypatch):
+        storage = db.storage("t")
+        pulled = []
+        walk = storage.iter_rows
+
+        def counting_iter_rows():
+            for pair in walk():
+                pulled.append(pair[0])
+                yield pair
+
+        monkeypatch.setattr(storage, "iter_rows", counting_iter_rows)
+        monkeypatch.setattr(storage, "rows", None)  # the snapshot is not taken
+        return pulled
+
+    def test_limit_one_reads_one_row(self, db, counted):
+        assert db.execute("SELECT * FROM t LIMIT 1").rows == [(0, "val0", 0.5)]
+        assert len(counted) == 1
+
+    def test_filter_offset_limit_read_only_what_they_need(self, db, counted):
+        result = db.execute("SELECT k FROM t WHERE f > 2.0 LIMIT 2 OFFSET 1")
+        assert result.rows == [(3,), (4,)]
+        assert counted == [1, 2, 3, 4, 5]  # row ids: stops at the 2nd keeper
+
+    def test_span_counters_say_the_same(self, db):
+        from repro.obs import use_exporter
+
+        with use_exporter() as exporter:
+            db.execute("SELECT k FROM t WHERE f > 2.0 LIMIT 2 OFFSET 1")
+            db.execute("SELECT k FROM t")
+        limited, full = exporter.spans("sql.select")
+        assert limited.attributes["rows_scanned"] == 5
+        assert limited.attributes["rows_filtered_out"] == 2
+        assert limited.attributes["rows_out"] == 2
+        assert full.attributes["rows_scanned"] == full.attributes["rows_out"] == 20
+        assert "rows_filtered_out" not in full.attributes
+        assert "streamed" not in full.attributes

@@ -177,6 +177,26 @@ class TestExplain:
         ).rows]
         assert plan == ["INDEX RANGE SCAN sales (ix_amount__ord)"]
 
+    def test_between_uses_the_ordered_index_like_its_two_comparisons(self, db):
+        db.execute("CREATE INDEX ix_amount ON sales (amount)")
+
+        def plan(where):
+            rows = db.execute(
+                f"EXPLAIN SELECT * FROM sales WHERE {where}", (1, 2)[: where.count("?")]
+            ).rows
+            return [r[0] for r in rows]
+
+        ranged = ["INDEX RANGE SCAN sales (ix_amount__ord)"]
+        assert plan("amount BETWEEN 1 AND 2") == ranged
+        assert plan("amount >= 1 AND amount <= 2") == ranged
+        assert plan("amount BETWEEN ? AND ?") == ranged
+        assert plan("amount NOT BETWEEN 1 AND 2") == ["FULL SCAN sales"]
+        # the index only narrows the scan; the predicate decides the rows
+        between = db.execute("SELECT id FROM sales WHERE amount BETWEEN 10 AND 20")
+        outside = db.execute("SELECT id FROM sales WHERE amount NOT BETWEEN 10 AND 20")
+        assert sorted(between.rows) == [(1,), (2,)]
+        assert sorted(outside.rows) == [(3,), (4,)]
+
     def test_join_strategy_reported(self, db):
         db.execute("CREATE TABLE other (id INT PRIMARY KEY)")
         equi = [r[0] for r in db.execute(
