@@ -1,9 +1,9 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench bench-ledger bench-compare bench-fig2 bench-fig4 bench-stream bench-load coverage-obs trace-demo test-resilience test-concurrency test-jobs test-server chaos-demo jobs-demo
+.PHONY: test bench bench-ledger bench-compare bench-fig2 bench-fig4 bench-stream bench-load coverage-obs trace-demo test-resilience test-concurrency test-jobs test-xml test-server chaos-demo jobs-demo
 
-test: test-jobs
+test: test-jobs test-xml
 	$(PYTHON) -m pytest -x -q
 	BENCH_LOAD_SMOKE=1 PYTHONFAULTHANDLER=1 $(PYTHON) -m pytest benchmarks/test_bench_load.py -q
 	BENCH_FIG2_SMOKE=1 $(PYTHON) -m pytest benchmarks/test_fig2_hotpath.py -q
@@ -38,6 +38,15 @@ test-jobs:
 	PYTHONFAULTHANDLER=1 $(PYTHON) -m pytest tests/jobs -q
 	JOBS_SEED=$$($(PYTHON) -c 'import random; print(random.randrange(10**6))') \
 		PYTHONFAULTHANDLER=1 $(PYTHON) -m pytest tests/jobs/test_crash_recovery.py -q
+
+# XPath/XQuery suites, including the compiled-vs-interpreter and
+# ElementTree differentials: once with hypothesis pinned to seed 0, then
+# again under a fresh seed so the generated documents and expressions
+# vary run to run (a failure prints the seed to replay it with).
+test-xml:
+	$(PYTHON) -m pytest tests/xpath tests/xmldb tests/daix -q --hypothesis-seed=0
+	$(PYTHON) -m pytest tests/xpath tests/xmldb tests/daix -q \
+		--hypothesis-seed=$$($(PYTHON) -c 'import random; print(random.randrange(10**6))')
 
 # Submit → crash → restart → recover → fetch, narrated on stdout.
 jobs-demo:

@@ -98,9 +98,9 @@ class XMLCollectionResource(DataResource):
     ) -> list[XmlElement]:
         """Evaluate XPath over one document or every document in turn."""
         try:
+            roots = [d.root for d in self._documents(document_name)]
             results: list[XmlElement] = []
-            for document in self._documents(document_name):
-                value = self._xpath.evaluate(expression, document.root)
+            for value in self._xpath.evaluate_each(expression, roots):
                 results.extend(value_to_items(value))
             return results
         except XPathError as exc:

@@ -12,93 +12,125 @@ Supports the profile WS-DAIX's ``XQueryExecute`` exercises:
 
 This is not the full XQuery 1.0 language (no modules, types, user
 functions, or nested FLWOR) — DESIGN.md records the subset.
+
+A query text is parsed once into a cached :class:`_Plan`: clause
+keywords are recognised only where the XPath parser says the previous
+expression has ended (so ``/policy/return`` is a path, not a clause),
+every ``for``/``let``/``where``/``order by``/enclosed expression is a
+compiled closure and the constructor is a pre-parsed template.  A run
+keeps one :class:`DocumentContext` per document for the whole statement,
+so a node bound by one clause is the same object in every later one.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Callable
 
+from repro.obs import get_tracer
 from repro.xmldb.errors import XQueryError
-from repro.xmlutil import E, QName, XmlElement
+from repro.xmlutil import QName, XmlElement
 from repro.xmlutil.tree import Text
 from repro.xpath import XPathEngine, XPathError
-from repro.xpath.context import string_value
-from repro.xpath.functions import to_string
+from repro.xpath.context import DocumentContext, string_value
+from repro.xpath.evaluator import compile_prefix, compile_xpath
+from repro.xpath.functions import to_boolean, to_number, to_string
 
-_CLAUSE_RE = re.compile(
-    r"\b(for|let|where|order\s+by|return)\b", re.IGNORECASE
-)
-_VAR_RE = re.compile(r"\$([A-Za-z_][\w\-]*)")
+_KEYWORD_RE = re.compile(r"\s*(for|let|where|order\s+by|return)(?![\w\-])", re.I)
+_FOR_RE = re.compile(r"\s*\$([A-Za-z_][\w\-]*)\s+in\s", re.I)
+_LET_RE = re.compile(r"\s*\$([A-Za-z_][\w\-]*)\s*:=")
+_DIRECTION_RE = re.compile(r"\s*(ascending|descending)(?![\w\-])", re.I)
 
 
-@dataclass
-class _Clause:
-    kind: str  # for / let / where / order / return
+@dataclass(frozen=True)
+class _Expr:
+    """A compiled XPath expression and the text it came from."""
+
     text: str
+    run: Callable
 
 
-def _split_clauses(query: str) -> list[_Clause]:
-    """Split the query at top-level clause keywords (depth-0, unquoted)."""
-    clauses: list[_Clause] = []
-    boundaries: list[tuple[int, int, str]] = []
-    depth = 0
-    quote: str | None = None
-    index = 0
-    while index < len(query):
-        ch = query[index]
-        if quote:
-            if ch == quote:
-                quote = None
-            index += 1
-            continue
-        if ch in "'\"":
-            quote = ch
-            index += 1
-            continue
-        if ch in "([{":
-            depth += 1
-            index += 1
-            continue
-        if ch == "<" and index + 1 < len(query) and (
-            query[index + 1].isalpha() or query[index + 1] in "_/"
-        ):
-            # A constructor tag (not a comparison operator).
-            depth += 1
-            index += 1
-            continue
-        if ch in ")]}":
-            depth = max(0, depth - 1)
-            index += 1
-            continue
-        if ch == ">":
-            depth = max(0, depth - 1)
-            index += 1
-            continue
-        if depth == 0:
-            match = _CLAUSE_RE.match(query, index)
-            if match and _word_boundary(query, index, match.end()):
-                keyword = re.sub(r"\s+", " ", match.group(1).lower())
-                boundaries.append((index, match.end(), keyword))
-                index = match.end()
-                continue
-        index += 1
-    if not boundaries:
-        raise XQueryError("not a FLWOR expression (no clauses found)")
-    for i, (start, body_start, keyword) in enumerate(boundaries):
-        end = boundaries[i + 1][0] if i + 1 < len(boundaries) else len(query)
-        kind = "order" if keyword.startswith("order") else keyword
-        clauses.append(_Clause(kind, query[body_start:end].strip()))
-    head = query[: boundaries[0][0]].strip()
-    if head:
-        raise XQueryError(f"unexpected text before first clause: {head!r}")
-    return clauses
+@dataclass(frozen=True)
+class _Constructor:
+    name: QName
+    attributes: tuple  # of (QName, parts); a part is a str or an _Expr
+    content: tuple  # of str | _Expr | _Constructor
 
 
-def _word_boundary(query: str, start: int, end: int) -> bool:
-    before_ok = start == 0 or not (query[start - 1].isalnum() or query[start - 1] in "_$-")
-    after_ok = end >= len(query) or not (query[end].isalnum() or query[end] == "_")
-    return before_ok and after_ok
+@dataclass(frozen=True)
+class _Plan:
+    clauses: tuple | None  # of (kind, variable, _Expr); None: bare XPath
+    order: tuple  # of (_Expr, ascending)
+    result: _Expr | _Constructor
+
+
+def _expr(text: str, namespaces: tuple) -> _Expr:
+    try:
+        return _Expr(text, compile_xpath(text, namespaces))
+    except XPathError as exc:
+        raise XQueryError(f"error in expression {text!r}: {exc}") from exc
+
+
+@lru_cache(maxsize=512)
+def _plan(query: str, namespaces: tuple) -> _Plan:
+    """Parse *query* once: clause by clause, each body ending where the
+    XPath parser stops, which is the only place a keyword can start."""
+    if not re.match(r"(for|let)\b", query, re.IGNORECASE):
+        return _Plan(None, (), _expr(query, namespaces))
+    clauses: list[tuple] = []
+    order: list[tuple] = []
+    pos = 0
+    while True:
+        keyword = _KEYWORD_RE.match(query, pos)
+        if keyword is None:
+            if not query[pos:].strip():
+                raise XQueryError("FLWOR must end with a return clause")
+            raise XQueryError(f"expected a clause keyword at {query[pos:].strip()!r}")
+        kind = keyword.group(1).lower()
+        pos = keyword.end()
+        if kind == "return":
+            return _Plan(
+                tuple(clauses), tuple(order), _parse_return(query[pos:], namespaces)
+            )
+        variable = None
+        if kind in ("for", "let"):
+            binding = (_FOR_RE if kind == "for" else _LET_RE).match(query, pos)
+            if binding is None:
+                raise XQueryError(
+                    f"expected '$variable {'in' if kind == 'for' else ':='}' "
+                    f"after {kind} in {query[pos:].strip()!r}"
+                )
+            variable, pos = binding.group(1), binding.end()
+        try:
+            run, end = compile_prefix(query, pos, namespaces)
+        except XPathError as exc:
+            raise XQueryError(
+                f"error in expression {query[pos:].strip()!r}: {exc}"
+            ) from exc
+        expr, pos = _Expr(query[pos:end].strip(), run), end
+        if kind in ("for", "let", "where"):
+            clauses.append((kind, variable, expr))
+        else:
+            direction = _DIRECTION_RE.match(query, pos)
+            if direction is not None:
+                pos = direction.end()
+            order.append(
+                (expr, direction is None or direction.group(1).lower() == "ascending")
+            )
+
+
+def _parse_return(text: str, namespaces: tuple) -> _Expr | _Constructor:
+    text = text.strip()
+    if text.startswith("<"):
+        constructor, rest = _parse_constructor(text, namespaces)
+        if rest.strip():
+            raise XQueryError(f"trailing content after constructor: {rest!r}")
+        return constructor
+    if text.startswith("{") and text.endswith("}"):
+        text = text[1:-1]
+    return _expr(text, namespaces)
 
 
 class XQueryEngine:
@@ -118,214 +150,110 @@ class XQueryEngine:
         With a list of roots, the outermost ``for`` clause ranges over
         every document (collection semantics: ``where``/``order by``
         apply globally across documents).  A query without FLWOR clauses
-        is evaluated as a bare XPath expression per document.
+        is evaluated as a bare XPath expression per document.  One
+        statement is one ``xpath.evaluate`` span.
         """
         roots = root if isinstance(root, list) else [root]
         if not roots:
             return []
-        query = query.strip()
-        if not re.match(r"(for|let)\b", query, re.IGNORECASE):
+        with get_tracer().span(
+            "xpath.evaluate", expression=query, documents=len(roots)
+        ) as span:
+            plan = _plan(query.strip(), self._xpath.namespace_key)
+            documents = [DocumentContext(r) for r in roots]
+            variables = dict(variables or {})
+            if plan.clauses is None:
+                bindings = [(document, variables) for document in documents]
+            else:
+                bindings = self._bind(plan, documents, variables)
             results: list = []
-            for document_root in roots:
-                results.extend(
-                    self._bare_expression(query, document_root, variables)
-                )
+            for anchor, binding in bindings:
+                if isinstance(plan.result, _Constructor):
+                    results.append(self._build(plan.result, anchor, binding))
+                else:
+                    value = self._eval(plan.result, anchor, binding)
+                    results.extend(value if isinstance(value, list) else [value])
+            if span.recording:
+                span.set_attribute("result_nodes", len(results))
             return results
 
-        clauses = _split_clauses(query)
-        if clauses[-1].kind != "return":
-            raise XQueryError("FLWOR must end with a return clause")
-        return_text = clauses[-1].text
-        # Each tuple is (document root this binding is anchored to, vars).
-        bindings: list[tuple[XmlElement, dict]] = [
-            (roots[0], dict(variables or {}))
-        ]
-        first_for_pending = len(roots) > 1
-        order_specs: list[tuple[str, bool]] = []
-
-        for clause in clauses[:-1]:
-            if clause.kind == "for":
-                bindings = self._apply_for(
-                    clause.text,
-                    bindings,
-                    roots if first_for_pending else None,
-                )
-                first_for_pending = False
-            elif clause.kind == "let":
-                bindings = self._apply_let(clause.text, bindings)
-            elif clause.kind == "where":
+    def _bind(
+        self, plan: _Plan, documents: list[DocumentContext], variables: dict
+    ) -> list[tuple[DocumentContext, dict]]:
+        """The binding tuples the clauses produce, in result order: each
+        is (the document it is anchored to, its variables)."""
+        bindings = [(documents[0], variables)]
+        fan_out = documents if len(documents) > 1 else None
+        for kind, variable, expr in plan.clauses:
+            if kind == "for":
+                out = []
+                for anchor, binding in bindings:
+                    for document in fan_out or (anchor,):
+                        value = self._eval(expr, document, binding)
+                        for item in value if isinstance(value, list) else [value]:
+                            out.append((document, {**binding, variable: [item]}))
+                bindings, fan_out = out, None
+            elif kind == "let":
                 bindings = [
-                    (anchor, b)
-                    for anchor, b in bindings
-                    if self._boolean(clause.text, anchor, b)
+                    (anchor, {**binding, variable: self._eval(expr, anchor, binding)})
+                    for anchor, binding in bindings
                 ]
-            elif clause.kind == "order":
-                order_specs.append(_parse_order_spec(clause.text))
             else:
-                raise XQueryError(f"misplaced {clause.kind} clause")
-
-        if order_specs:
-            bindings = self._order(bindings, order_specs)
-
-        results = []
-        for anchor, binding in bindings:
-            results.extend(self._evaluate_return(return_text, anchor, binding))
-        return results
-
-    # -- clause evaluation -------------------------------------------------
-
-    def _apply_for(
-        self,
-        text: str,
-        bindings: list[tuple[XmlElement, dict]],
-        fan_out_roots: list[XmlElement] | None,
-    ) -> list[tuple[XmlElement, dict]]:
-        variable, expression = _parse_binding(text, "in")
-        out: list[tuple[XmlElement, dict]] = []
-        for anchor, binding in bindings:
-            anchors = fan_out_roots if fan_out_roots is not None else [anchor]
-            for document_root in anchors:
-                value = self._eval(expression, document_root, binding)
-                items = value if isinstance(value, list) else [value]
-                for item in items:
-                    extended = dict(binding)
-                    extended[variable] = (
-                        [item] if not isinstance(item, list) else item
-                    )
-                    out.append((document_root, extended))
-        return out
-
-    def _apply_let(
-        self, text: str, bindings: list[tuple[XmlElement, dict]]
-    ) -> list[tuple[XmlElement, dict]]:
-        variable, expression = _parse_binding(text, ":=")
-        out = []
-        for anchor, binding in bindings:
-            extended = dict(binding)
-            extended[variable] = self._eval(expression, anchor, binding)
-            out.append((anchor, extended))
-        return out
-
-    def _order(
-        self,
-        bindings: list[tuple[XmlElement, dict]],
-        specs: list[tuple[str, bool]],
-    ) -> list[tuple[XmlElement, dict]]:
+                bindings = [
+                    pair for pair in bindings if to_boolean(self._eval(expr, *pair))
+                ]
         # Sort per spec, last key first, honouring direction (stable sort).
-        ordered = list(bindings)
-        for position in range(len(specs) - 1, -1, -1):
-            expression, ascending = specs[position]
-            ordered.sort(
-                key=lambda pair: _order_key(
-                    self._eval(expression, pair[0], pair[1])
-                ),
+        for expr, ascending in reversed(plan.order):
+            bindings.sort(
+                key=lambda pair: _order_key(self._eval(expr, *pair)),
                 reverse=not ascending,
             )
-        return ordered
+        return bindings
 
-    # -- return evaluation -------------------------------------------------
-
-    def _evaluate_return(
-        self, text: str, root: XmlElement, binding: dict
-    ) -> list:
-        text = text.strip()
-        if text.startswith("<"):
-            constructor, rest = _parse_constructor(text)
-            if rest.strip():
-                raise XQueryError(f"trailing content after constructor: {rest!r}")
-            return [self._build(constructor, root, binding)]
-        if text.startswith("{") and text.endswith("}"):
-            text = text[1:-1]
-        value = self._eval(text, root, binding)
-        return value if isinstance(value, list) else [value]
-
-    def _build(self, node: "_Constructor", root: XmlElement, binding: dict):
-        element = XmlElement(QName.parse(node.name))
-        for attr_name, attr_parts in node.attributes:
-            rendered = "".join(
+    def _build(
+        self, node: _Constructor, anchor: DocumentContext, binding: dict
+    ) -> XmlElement:
+        element = XmlElement(node.name)
+        for name, parts in node.attributes:
+            element.attributes[name] = "".join(
                 part
                 if isinstance(part, str)
-                else _atomize(self._eval(part.code, root, binding))
-                for part in attr_parts
+                else _atomize(self._eval(part, anchor, binding))
+                for part in parts
             )
-            element.set(QName.parse(attr_name), rendered)
         for part in node.content:
             if isinstance(part, str):
-                if part:
-                    element.append(Text(part))
-            elif isinstance(part, _Enclosed):
-                value = self._eval(part.code, root, binding)
-                _append_value(element, value)
+                element.append(Text(part))
+            elif isinstance(part, _Expr):
+                _append_value(element, self._eval(part, anchor, binding))
             else:
-                element.append(self._build(part, root, binding))
+                element.append(self._build(part, anchor, binding))
         return element
 
-    # -- expression plumbing -----------------------------------------------
-
-    def _bare_expression(self, query: str, root: XmlElement, variables) -> list:
-        value = self._eval(query, root, dict(variables or {}))
-        return value if isinstance(value, list) else [value]
-
-    def _eval(self, expression: str, root: XmlElement, binding: dict):
+    def _eval(self, expr: _Expr, document: DocumentContext, binding: dict):
         try:
-            return self._xpath.evaluate(expression, root, variables=binding)
+            return expr.run(
+                document.document, self._xpath.context(document, binding)
+            )
         except XPathError as exc:
-            raise XQueryError(f"error in expression {expression!r}: {exc}") from exc
-
-    def _boolean(self, expression: str, root: XmlElement, binding: dict) -> bool:
-        from repro.xpath.functions import to_boolean
-
-        return to_boolean(self._eval(expression, root, binding))
+            raise XQueryError(f"error in expression {expr.text!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
-# binding / constructor parsing
+# constructor parsing
 # ---------------------------------------------------------------------------
-
-
-def _parse_binding(text: str, separator: str) -> tuple[str, str]:
-    match = _VAR_RE.match(text.strip())
-    if match is None:
-        raise XQueryError(f"expected a $variable in {text!r}")
-    rest = text.strip()[match.end() :].lstrip()
-    if separator == "in":
-        if not rest.lower().startswith("in") or not rest[2:3].isspace():
-            raise XQueryError(f"expected 'in' after variable in {text!r}")
-        expression = rest[2:].strip()
-    else:
-        if not rest.startswith(":="):
-            raise XQueryError(f"expected ':=' after variable in {text!r}")
-        expression = rest[2:].strip()
-    if not expression:
-        raise XQueryError(f"missing expression in {text!r}")
-    return match.group(1), expression
-
-
-def _parse_order_spec(text: str) -> tuple[str, bool]:
-    lowered = text.lower()
-    if lowered.endswith("descending"):
-        return text[: -len("descending")].strip(), False
-    if lowered.endswith("ascending"):
-        return text[: -len("ascending")].strip(), True
-    return text.strip(), True
-
-
-@dataclass
-class _Enclosed:
-    code: str
-
-
-@dataclass
-class _Constructor:
-    name: str
-    attributes: list[tuple[str, list]]
-    content: list
-
 
 _NAME_RE = re.compile(r"[A-Za-z_][\w.\-:]*")
 
 
-def _parse_constructor(text: str) -> tuple[_Constructor, str]:
+def _qname(name: str) -> QName:
+    try:
+        return QName.parse(name)
+    except ValueError as exc:
+        raise XQueryError(f"bad name in constructor: {exc}") from exc
+
+
+def _parse_constructor(text: str, namespaces: tuple) -> tuple[_Constructor, str]:
     """Parse one direct element constructor; returns (node, remainder)."""
     if not text.startswith("<"):
         raise XQueryError(f"expected a constructor, got {text[:20]!r}")
@@ -334,7 +262,7 @@ def _parse_constructor(text: str) -> tuple[_Constructor, str]:
         raise XQueryError(f"bad constructor tag in {text[:20]!r}")
     name = match.group()
     index = match.end()
-    attributes: list[tuple[str, list]] = []
+    attributes: list[tuple[QName, tuple]] = []
 
     while True:
         while index < len(text) and text[index].isspace():
@@ -342,7 +270,7 @@ def _parse_constructor(text: str) -> tuple[_Constructor, str]:
         if index >= len(text):
             raise XQueryError("unterminated constructor start tag")
         if text.startswith("/>", index):
-            return _Constructor(name, attributes, []), text[index + 2 :]
+            return _Constructor(_qname(name), tuple(attributes), ()), text[index + 2 :]
         if text[index] == ">":
             index += 1
             break
@@ -361,7 +289,10 @@ def _parse_constructor(text: str) -> tuple[_Constructor, str]:
         if end < 0:
             raise XQueryError(f"unterminated attribute {attr_name!r}")
         attributes.append(
-            (attr_name, _split_enclosed(text[index + 1 : end]))
+            (
+                _qname(attr_name),
+                tuple(_split_enclosed(text[index + 1 : end], namespaces)),
+            )
         )
         index = end + 1
 
@@ -372,16 +303,16 @@ def _parse_constructor(text: str) -> tuple[_Constructor, str]:
             raise XQueryError(f"missing </{name}>")
         if text.startswith(f"</{name}>", index):
             if buffer:
-                content.extend(_split_enclosed("".join(buffer)))
+                content.extend(_split_enclosed("".join(buffer), namespaces))
             return (
-                _Constructor(name, attributes, content),
+                _Constructor(_qname(name), tuple(attributes), tuple(content)),
                 text[index + len(name) + 3 :],
             )
         if text.startswith("<", index) and not text.startswith("<!", index):
             if buffer:
-                content.extend(_split_enclosed("".join(buffer)))
+                content.extend(_split_enclosed("".join(buffer), namespaces))
                 buffer = []
-            child, rest = _parse_constructor(text[index:])
+            child, rest = _parse_constructor(text[index:], namespaces)
             content.append(child)
             text = rest
             index = 0
@@ -390,8 +321,8 @@ def _parse_constructor(text: str) -> tuple[_Constructor, str]:
         index += 1
 
 
-def _split_enclosed(text: str) -> list:
-    """Split text into literal strings and ``_Enclosed`` expressions."""
+def _split_enclosed(text: str, namespaces: tuple) -> list:
+    """Split text into literal strings and compiled enclosed expressions."""
     parts: list = []
     index = 0
     while index < len(text):
@@ -402,7 +333,7 @@ def _split_enclosed(text: str) -> list:
         if open_brace > index:
             parts.append(text[index:open_brace])
         close_brace = _matching_brace(text, open_brace)
-        parts.append(_Enclosed(text[open_brace + 1 : close_brace].strip()))
+        parts.append(_expr(text[open_brace + 1 : close_brace].strip(), namespaces))
         index = close_brace + 1
     return [p for p in parts if not (isinstance(p, str) and p == "")]
 
@@ -451,12 +382,12 @@ def _append_value(element: XmlElement, value) -> None:
         element.append(Text(to_string(value)))
 
 
-def _order_key(value):
-    if isinstance(value, list):
-        text = string_value(value[0]) if value else ""
-    else:
-        text = to_string(value)
-    try:
-        return (0, float(text), "")
-    except ValueError:
-        return (1, 0.0, text)
+def _order_key(value) -> tuple:
+    """Empty and NaN keys least, then numbers, then other strings."""
+    text = to_string(value)
+    number = to_number(text)
+    if number == number:
+        return (1, number, "")
+    if not text.strip() or text == "NaN":
+        return (0, 0.0, "")
+    return (2, 0.0, text)

@@ -12,6 +12,10 @@ Supported: all forward/reverse axes except ``namespace``, name/wildcard/
 unions, arithmetic, comparisons, ``and``/``or``), the XPath 1.0 core
 function library, and variable references.  Not supported: the ``id()``
 function and the ``namespace`` axis, neither of which appears in DAIS use.
+
+An expression is compiled once into a closure (:func:`compile_xpath`,
+cached by text and prefix bindings); docs/PERF.md "XPath/XQuery path"
+says what is bound when.
 """
 
 from repro.xpath.errors import XPathError, XPathSyntaxError, XPathEvaluationError

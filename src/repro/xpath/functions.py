@@ -9,6 +9,7 @@ functions and as the coercion helpers the evaluator itself uses.
 from __future__ import annotations
 
 import math
+import re
 
 from repro.xpath.context import XPathContext, expanded_name, string_value
 from repro.xpath.errors import XPathEvaluationError
@@ -36,18 +37,23 @@ def format_number(value: float) -> str:
     return repr(value)
 
 
+#: XPath 1.0 §4.4 ``Number``: optional minus, digits with an optional
+#: fraction, XML whitespace around it.  ``float()`` alone is laxer
+#: (``1_0``, ``1e3``, ``inf``, ``nan``, non-ASCII digits).
+_NUMBER_RE = re.compile(r"[ \t\r\n]*-?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[ \t\r\n]*")
+
+
 def to_number(value) -> float:
-    """XPath ``number()`` coercion (NaN on unparseable strings)."""
+    """XPath ``number()`` coercion (NaN on strings that are not a Number)."""
+    if isinstance(value, float):
+        return value
+    if isinstance(value, str):
+        return float(value) if _NUMBER_RE.fullmatch(value) else math.nan
     if isinstance(value, list):
         return to_number(to_string(value))
     if isinstance(value, bool):
         return 1.0 if value else 0.0
-    if isinstance(value, float):
-        return value
-    try:
-        return float(value.strip())
-    except (ValueError, AttributeError):
-        return math.nan
+    return math.nan
 
 
 def to_boolean(value) -> bool:
@@ -132,14 +138,14 @@ def fn_contains(ctx: XPathContext, a, b) -> bool:
 
 def fn_substring_before(ctx: XPathContext, a, b) -> str:
     text, sep = to_string(a), to_string(b)
-    before, found, _ = text.partition(sep)
-    return before if found else ""
+    index = text.find(sep)  # an empty separator is found at 0
+    return text[:index] if index >= 0 else ""
 
 
 def fn_substring_after(ctx: XPathContext, a, b) -> str:
     text, sep = to_string(a), to_string(b)
-    _, found, after = text.partition(sep)
-    return after if found else ""
+    index = text.find(sep)
+    return text[index + len(sep) :] if index >= 0 else ""
 
 
 def fn_substring(ctx: XPathContext, value, start, length=None) -> str:
@@ -232,20 +238,22 @@ def fn_sum(ctx: XPathContext, nodes) -> float:
     )
 
 
+def _integral(value, rounding) -> float:
+    number = to_number(value)
+    return float(rounding(number)) if math.isfinite(number) else number
+
+
 def fn_floor(ctx: XPathContext, value) -> float:
-    return math.floor(to_number(value))
+    return _integral(value, math.floor)
 
 
 def fn_ceiling(ctx: XPathContext, value) -> float:
-    return math.ceil(to_number(value))
+    return _integral(value, math.ceil)
 
 
 def fn_round(ctx: XPathContext, value) -> float:
-    number = to_number(value)
-    if math.isnan(number) or math.isinf(number):
-        return number
     # XPath rounds .5 toward positive infinity.
-    return math.floor(number + 0.5)
+    return _integral(value, lambda number: math.floor(number + 0.5))
 
 
 CORE_FUNCTIONS = {

@@ -69,10 +69,22 @@ _NODE_TYPES = {"node", "text", "comment", "processing-instruction"}
 _NAMED_OPERATORS = {"and", "or", "mod", "div"}
 
 
-def tokenize(expression: str) -> list[Token]:
-    """Tokenize *expression*; raises :class:`XPathSyntaxError` on bad input."""
+def tokenize(expression: str, start: int = 0, prefix: bool = False) -> list[Token]:
+    """Tokenize *expression* from *start*; raises :class:`XPathSyntaxError`
+    on bad input — or, with *prefix*, ends the token list there: text that
+    embeds an expression (a FLWOR clause) lexes up to whatever follows it
+    and lets the parser decide where the expression ends."""
     tokens: list[Token] = []
-    pos = 0
+    try:
+        _scan(expression, start, tokens)
+    except XPathSyntaxError as exc:
+        if not prefix:
+            raise
+        tokens.append(Token(TokenType.EOF, "", exc.position))
+    return tokens
+
+
+def _scan(expression: str, pos: int, tokens: list[Token]) -> None:
     n = len(expression)
 
     def prev_is_operand() -> bool:
@@ -217,4 +229,3 @@ def tokenize(expression: str) -> list[Token]:
         raise XPathSyntaxError(f"unexpected character {ch!r}", expression, pos)
 
     tokens.append(Token(TokenType.EOF, "", n))
-    return tokens

@@ -15,6 +15,16 @@ def parse(expression: str) -> ast.Expr:
     return tree
 
 
+def parse_prefix(text: str, start: int) -> tuple[ast.Expr, int]:
+    """Parse the longest expression beginning at ``text[start]``.
+
+    Returns the AST and the offset of the first token that does not
+    continue it — where a grammar that embeds XPath (FLWOR) resumes.
+    """
+    parser = _Parser(text, tokenize(text, start, prefix=True))
+    return parser.parse_or_expr(), parser.current.position
+
+
 class _Parser:
     def __init__(self, expression: str, tokens: list[Token]) -> None:
         self._expression = expression
