@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-import threading
 import time
 from typing import Callable, Optional
 
@@ -15,6 +14,7 @@ from repro.core.messages import DaisMessage
 from repro.wsrf.faults import ResourceUnknownFault
 from repro.jobs import messages as jmsg
 from repro.jobs.model import ERROR, TERMINAL_PHASES
+from repro.lru import VersionedLRU
 from repro.resilience.policy import RetryPolicy
 from repro.soap.addressing import EndpointReference
 from repro.xmlutil import QName, XmlElement
@@ -31,6 +31,10 @@ DEFAULT_POLL_POLICY = RetryPolicy(
     jitter="full",
     budget_seconds=30.0,
 )
+
+
+#: EPRs :meth:`CoreClient.resolve` keeps per client (LRU beyond this).
+RESOLVE_CACHE_CAPACITY = 1024
 
 
 class JobTimeoutError(TimeoutError):
@@ -52,33 +56,33 @@ class CoreClient(DaisClient):
     """CoreDataAccess + CoreResourceList + WSRF property/lifetime calls.
 
     :meth:`resolve` results are cached per ``(address, abstract_name)``
-    — an EPR is stable for the life of the resource, so re-resolving on
-    every interaction only burns round trips.  The cache self-corrects
-    on typed faults: a :class:`ServiceNotFoundFault` from an address
-    drops every EPR cached against it, and a resource-name fault
-    (unknown, invalid, or WSRF-expired) drops the one entry it names.
+    in a :class:`~repro.lru.VersionedLRU` of
+    :data:`RESOLVE_CACHE_CAPACITY` entries — an EPR is stable for the
+    life of the resource, so re-resolving on every interaction only
+    burns round trips.  Entries carry no version stamp; the cache
+    self-corrects on typed faults instead: a
+    :class:`ServiceNotFoundFault` from an address drops every EPR cached
+    against it, and a resource-name fault (unknown, invalid, or
+    WSRF-expired) drops the one entry it names.
     """
 
     def __init__(self, transport, resilience=None) -> None:
         super().__init__(transport, resilience)
-        self._resolve_lock = threading.Lock()
-        self._resolve_cache: dict[tuple[str, str], EndpointReference] = {}
+        self._resolved = VersionedLRU(RESOLVE_CACHE_CAPACITY)
         metrics = getattr(transport, "metrics", None)
-        if metrics is not None:
-            self._resolve_hits = metrics.counter(
-                "cache.resolve.hits", "resolve() calls served from cache"
+        if metrics is not None:  # every shipped transport has metrics
+            self._resolved.bind_counters(
+                metrics.counter(
+                    "cache.resolve.hits", "resolve() calls served from cache"
+                ),
+                metrics.counter(
+                    "cache.resolve.misses", "resolve() calls sent on the wire"
+                ),
+                metrics.counter(
+                    "cache.resolve.invalidations",
+                    "cached EPRs dropped by a typed fault or a refresh",
+                ),
             )
-            self._resolve_misses = metrics.counter(
-                "cache.resolve.misses", "resolve() calls sent on the wire"
-            )
-            self._resolve_invalidations = metrics.counter(
-                "cache.resolve.invalidations",
-                "cached EPRs dropped after a typed fault",
-            )
-        else:  # pragma: no cover - every shipped transport has metrics
-            self._resolve_hits = None
-            self._resolve_misses = None
-            self._resolve_invalidations = None
 
     # -- CoreDataAccess ------------------------------------------------------
 
@@ -135,17 +139,15 @@ class CoreClient(DaisClient):
     ) -> EndpointReference:
         """The EPR for *abstract_name*, cached across calls.
 
-        ``refresh=True`` bypasses the cache (and overwrites the entry
-        with the freshly resolved EPR).
+        ``refresh=True`` drops the cached entry first, so the call goes
+        on the wire and the fresh EPR replaces it.
         """
         key = (address, abstract_name)
-        if not refresh:
-            with self._resolve_lock:
-                cached = self._resolve_cache.get(key)
-            if cached is not None:
-                if self._resolve_hits is not None:
-                    self._resolve_hits.inc()
-                return cached
+        if refresh:
+            self._resolved.invalidate(key)
+        cached = self._resolved.lookup(key)
+        if cached is not None:
+            return cached
         response = self.call(
             address,
             msg.ResolveRequest(abstract_name=abstract_name),
@@ -153,11 +155,7 @@ class CoreClient(DaisClient):
         )
         if response.address is None:
             raise ValueError(f"service could not resolve {abstract_name!r}")
-        with self._resolve_lock:
-            self._resolve_cache[key] = response.address
-        if self._resolve_misses is not None:
-            self._resolve_misses.inc()
-        return response.address
+        return self._resolved.store(key, None, response.address)
 
     def _on_call_fault(self, address: str, request: DaisMessage, exc) -> None:
         """Drop cached EPRs contradicted by a typed fault.
@@ -168,30 +166,18 @@ class CoreClient(DaisClient):
         both the cache key's address and the cached EPR's address.
         """
         if isinstance(exc, ServiceNotFoundFault):
-            dropped = self._drop_resolved(address, None)
+            name = None  # every entry for the address
         elif isinstance(exc, (InvalidResourceNameFault, ResourceUnknownFault)):
             name = getattr(request, "abstract_name", None)
             if name is None:
                 return
-            dropped = self._drop_resolved(address, name)
         else:
             return
-        if dropped and self._resolve_invalidations is not None:
-            self._resolve_invalidations.inc(dropped)
-
-    def _drop_resolved(self, address: str, abstract_name: str | None) -> int:
-        """Remove cache entries for *address* (all of them, or just the
-        one naming *abstract_name*); returns how many were dropped."""
-        with self._resolve_lock:
-            stale = [
-                key
-                for key, epr in self._resolve_cache.items()
-                if (abstract_name is None or key[1] == abstract_name)
-                and (key[0] == address or epr.address == address)
-            ]
-            for key in stale:
-                del self._resolve_cache[key]
-        return len(stale)
+        for key, epr in self._resolved.items():
+            if (name is None or key[1] == name) and (
+                key[0] == address or epr.address == address
+            ):
+                self._resolved.invalidate(key)
 
     # -- asynchronous jobs ----------------------------------------------------
 

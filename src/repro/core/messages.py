@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import ClassVar, Optional
 
-from repro import fastpath
 from repro.core.names import AbstractName
 from repro.core.namespaces import WSDAI_NS, action_uri
 from repro.soap.addressing import EndpointReference
@@ -129,11 +128,7 @@ class GenericQueryResponse(DaisMessage):
         root = E(self.TAG, E(_q("DatasetFormatURI"), self.dataset_format_uri))
         # Data items are shared, not copied: serializers never mutate, and
         # copying every row subtree per render dominates large responses.
-        dataset = E(_q("DatasetData"))
-        copy = not fastpath.enabled()
-        for item in self.data:
-            dataset.append(item.copy() if copy else item)
-        root.append(dataset)
+        root.append(E(_q("DatasetData"), self.data))
         return root
 
     @classmethod

@@ -12,14 +12,13 @@ re-rendering or re-parsing (see ``make bench-fig4``).
 Correctness contract
 --------------------
 
-The design copies the :class:`repro.relational.PlanCache` pattern:
+The mechanism is :class:`repro.lru.VersionedLRU`; the policy is:
 
 * Every entry is stamped with the resource's *property version* (for a
   relational resource, :attr:`Catalog.version`, which bumps on every
-  schema mutation including the undo arms of failed DDL).  A lookup
-  that finds a stale stamp drops the entry — counted as an invalidation
-  **and** a miss — so a document cached before DDL can never be served
-  after it, without any eager sweeping on the DDL path.
+  schema mutation including the undo arms of failed DDL), so a
+  document cached before DDL is dropped at the next lookup, never
+  served after it, with no eager sweeping on the DDL path.
 * Entries are **bytes**, rendered at fill time; the master tree kept
   alongside is parsed *from those bytes*, never taken from the live
   render, so cached documents cannot alias mutable catalog or rowset
@@ -32,148 +31,47 @@ The design copies the :class:`repro.relational.PlanCache` pattern:
   a WSRF ``SetTerminationTime``, destroy, or soft-state sweep — call
   :meth:`invalidate` explicitly.
 
-Thread-safety: one lock guards the table; payload bytes are immutable
-and the master tree is only ever deep-copied, never handed out.
+Thread-safety: the primitive's lock guards the table; payload bytes are
+immutable and the master tree is only ever deep-copied (outside the
+lock), never handed out.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from typing import Optional
 
+from repro.lru import VersionedLRU
 from repro.xmlutil import XmlElement, parse_bytes
 
 __all__ = ["PropertyDocumentCache"]
 
-#: Default number of resource documents retained (LRU beyond this).
-DEFAULT_CAPACITY = 256
 
-
-class PropertyDocumentCache:
+class PropertyDocumentCache(VersionedLRU):
     """A bounded, thread-safe LRU of rendered property-document bytes.
 
-    Keys are resource abstract names; each entry is stamped with the
-    resource's property version at render time and checked at lookup.
+    Keys are resource abstract names (256 by default); each entry is
+    ``(payload bytes, master tree)`` stamped with the resource's
+    property version at render time and checked at lookup.
     """
 
-    def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
-        if capacity < 1:
-            raise ValueError("property-document cache capacity must be >= 1")
-        self._capacity = capacity
-        self._lock = threading.Lock()
-        self._entries: "OrderedDict[str, tuple[int, bytes, XmlElement]]" = (
-            OrderedDict()
-        )
-        self.hits = 0
-        self.misses = 0
-        self.invalidations = 0
-        self._hits_counter = None
-        self._misses_counter = None
-        self._invalidations_counter = None
-
-    def bind_counters(self, hits, misses, invalidations) -> None:
-        """Mirror cache activity into ``cache.propdoc.*`` counters.
-
-        Activity counted before the first bind is flushed in, so the
-        metrics exposition matches :meth:`stats`.  Rebinding replaces
-        the targets without re-flushing.
-        """
-        with self._lock:
-            first_bind = self._hits_counter is None
-            self._hits_counter = hits
-            self._misses_counter = misses
-            self._invalidations_counter = invalidations
-            if first_bind:
-                if self.hits:
-                    hits.inc(self.hits)
-                if self.misses:
-                    misses.inc(self.misses)
-                if self.invalidations:
-                    invalidations.inc(self.invalidations)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def _get(self, key: str, version: int):
-        """Shared hit/stale/miss accounting; call with the lock held.
-
-        A stale-stamped entry is dropped here (invalidation + miss)
-        rather than swept eagerly when the version bumps.
-        """
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            if self._misses_counter is not None:
-                self._misses_counter.inc()
-            return None
-        if entry[0] != version:
-            del self._entries[key]
-            self.invalidations += 1
-            self.misses += 1
-            if self._invalidations_counter is not None:
-                self._invalidations_counter.inc()
-            if self._misses_counter is not None:
-                self._misses_counter.inc()
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        if self._hits_counter is not None:
-            self._hits_counter.inc()
-        return entry
+    def __init__(self, capacity: int = 256) -> None:
+        super().__init__(capacity)
 
     def lookup(self, key: str, version: int) -> Optional[bytes]:
         """Return the cached bytes for *key* at *version*, or ``None``."""
-        with self._lock:
-            entry = self._get(key, version)
-            return None if entry is None else entry[1]
+        entry = super().lookup(key, version)
+        return None if entry is None else entry[0]
 
     def lookup_document(self, key: str, version: int) -> Optional[XmlElement]:
         """A served tree for *key* at *version*: a deep copy of the
         master, or ``None`` on miss/stale."""
-        with self._lock:
-            entry = self._get(key, version)
-        # Copy outside the lock: the master is never mutated (only ever
-        # copied), so concurrent serves are safe.
-        return None if entry is None else entry[2].copy()
+        entry = super().lookup(key, version)
+        return None if entry is None else entry[1].copy()
 
     def store(self, key: str, version: int, payload: bytes) -> XmlElement:
-        """Cache *payload* as the rendering of *key* at *version*.
-
-        The master tree is parsed from *payload* — not taken from the
-        caller's live render — so it cannot alias catalog state.
-        Returns a served (deep-copied) tree for the filling request.
-        """
-        master = parse_bytes(payload)
-        with self._lock:
-            self._entries[key] = (version, payload, master)
-            self._entries.move_to_end(key)
-            while len(self._entries) > self._capacity:
-                self._entries.popitem(last=False)
-        return master.copy()
-
-    def invalidate(self, key: str) -> None:
-        """Drop *key* (lifetime transition, destroy, sweep).
-
-        Counted only when an entry was actually present.
-        """
-        with self._lock:
-            if self._entries.pop(key, None) is not None:
-                self.invalidations += 1
-                if self._invalidations_counter is not None:
-                    self._invalidations_counter.inc()
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-    def stats(self) -> dict[str, int]:
-        """Snapshot of the counters (plus current size)."""
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "invalidations": self.invalidations,
-                "size": len(self._entries),
-            }
+        """Cache *payload* as the rendering of *key* at *version* and
+        return a served (deep-copied) tree for the filling request.  The
+        master is parsed from *payload*, not taken from the caller's
+        live render, so it cannot alias catalog state."""
+        entry = super().store(key, version, (payload, parse_bytes(payload)))
+        return entry[1].copy()

@@ -176,8 +176,7 @@ class DataService:
         #: Per-service metrics (dispatch counts, latency, faults); exposed
         #: to consumers through the property document (ServiceMetrics).
         self.metrics = MetricsRegistry()
-        #: Rendered-bytes cache for resource property documents; set to
-        #: ``None`` to disable (the fig-4 benchmark baseline does).
+        #: Rendered-bytes cache for resource property documents.
         self.propdoc_cache = PropertyDocumentCache()
         self.propdoc_cache.bind_counters(
             self.metrics.counter(
@@ -307,14 +306,14 @@ class DataService:
             # coherent; losing the claim to a concurrent sweep is fine.
             self.lifetime.destroy(abstract_name, missing_ok=True)
             return
-        self._invalidate_document(abstract_name)
+        self.propdoc_cache.invalidate(abstract_name)
         binding.resource.on_destroy()
 
     def _destroy_by_lifetime(self, abstract_name: str) -> None:
         with self._resources_lock:
             binding = self._bindings.pop(abstract_name, None)
         if binding is not None:
-            self._invalidate_document(abstract_name)
+            self.propdoc_cache.invalidate(abstract_name)
             binding.resource.on_destroy()
 
     def sweep_expired(self) -> list[str]:
@@ -333,12 +332,11 @@ class DataService:
         is a deep copy of that master, so a hit and the fill it followed
         are byte-identical and neither aliases mutable catalog state.  A
         resource whose :meth:`~repro.core.resource.DataResource.property_version`
-        is ``None`` (or a service with the cache disabled) renders
-        directly.
+        is ``None`` renders directly.
         """
         cache = self.propdoc_cache
         version = binding.resource.property_version()
-        if cache is None or version is None:
+        if version is None:
             return binding.resource.property_document(
                 binding.configurable
             ).to_xml()
@@ -350,10 +348,6 @@ class DataService:
             ).to_xml()
             served = cache.store(key, version, serialize_bytes(document))
         return served
-
-    def _invalidate_document(self, abstract_name: str) -> None:
-        if self.propdoc_cache is not None:
-            self.propdoc_cache.invalidate(abstract_name)
 
     def epr_for(self, abstract_name: str) -> EndpointReference:
         """The data resource address: service address + abstract name as a
@@ -712,7 +706,7 @@ class DataService:
         )
         # A lifetime transition changes what a property read should
         # reflect without touching the resource's version stamp.
-        self._invalidate_document(request.abstract_name)
+        self.propdoc_cache.invalidate(request.abstract_name)
         return wmsg.SetTerminationTimeResponse(
             new_termination_time=record.termination_time,
             current_time=record.current_time,

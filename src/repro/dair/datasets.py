@@ -28,7 +28,6 @@ from repro.dair.namespaces import (
     WEBROWSET_NS,
     WSDAIR_NS,
 )
-from repro import fastpath
 from repro.relational.engine import ResultSet
 from repro.relational.types import NULL
 from repro.xmlutil import (
@@ -251,45 +250,35 @@ def _parse_sqlrowset(element: XmlElement) -> Rowset:
             columns.append(column.get("name", "") or "")
             types.append(column.get("type", "") or "")
     rows = []
-    if fastpath.enabled():
-        # One pass over raw children with the tag QNames bound once.
-        # Freshly parsed trees carry the interned instances, so tags
-        # compare by identity; equality is the fallback for hand-built
-        # trees.  A Value's single merged Text child is read directly
-        # instead of through the joining ``text`` property.
-        row_qi = interned_qname(WSDAIR_NS, "Row")
-        value_qi = interned_qname(WSDAIR_NS, "Value")
-        null_qi = interned_qname(WSDAIR_NS, "Null")
-        for row_el in element.children:
-            if type(row_el) is not XmlElement or (
-                row_el.tag is not row_qi and row_el.tag != row_qi
-            ):
+    # One pass over raw children with the tag QNames bound once.
+    # Freshly parsed trees carry the interned instances, so tags
+    # compare by identity; equality is the fallback for hand-built
+    # trees.  A Value's single merged Text child is read directly
+    # instead of through the joining ``text`` property.
+    row_qi = interned_qname(WSDAIR_NS, "Row")
+    value_qi = interned_qname(WSDAIR_NS, "Value")
+    null_qi = interned_qname(WSDAIR_NS, "Null")
+    for row_el in element.children:
+        if type(row_el) is not XmlElement or (
+            row_el.tag is not row_qi and row_el.tag != row_qi
+        ):
+            continue
+        values = []
+        append = values.append
+        for child in row_el.children:
+            if type(child) is not XmlElement:
                 continue
-            values = []
-            append = values.append
-            for child in row_el.children:
-                if type(child) is not XmlElement:
-                    continue
-                tag = child.tag
-                if tag is value_qi:
-                    inner = child.children
-                    if len(inner) == 1 and type(inner[0]) is Text:
-                        append(inner[0].value)
-                    else:
-                        append(child.text)
-                elif tag is null_qi or tag == null_qi:
-                    append(NULL)
+            tag = child.tag
+            if tag is value_qi:
+                inner = child.children
+                if len(inner) == 1 and type(inner[0]) is Text:
+                    append(inner[0].value)
                 else:
                     append(child.text)
-            rows.append(tuple(values))
-        return Rowset(columns, types, rows)
-    for row_el in element.findall(_q("Row")):
-        values = []
-        for child in row_el.element_children():
-            if child.tag == _q("Null"):
-                values.append(NULL)
+            elif tag is null_qi or tag == null_qi:
+                append(NULL)
             else:
-                values.append(child.text)
+                append(child.text)
         rows.append(tuple(values))
     return Rowset(columns, types, rows)
 
@@ -556,11 +545,9 @@ def _stream_sqlrowset(rowset: Rowset | StreamingRowset) -> StreamedElement:
         post_vr = close_v + close_r
         join_vv = (close_v + open_v).join
         escape = escape_text
-        fast = fastpath.enabled()
-        limit = _ROW_BATCH if fast else 1
         batch: list[str] = []
         for row in _rows_of(rowset):
-            if fast and row and NULL not in row and "" not in row:
+            if row and NULL not in row and "" not in row:
                 batch.append(
                     pre_rv
                     + join_vv(
@@ -588,7 +575,7 @@ def _stream_sqlrowset(rowset: Rowset | StreamingRowset) -> StreamedElement:
                         parts.append(close_v)
                 parts.append(close_r)
                 batch.append("".join(parts))
-            if len(batch) >= limit:
+            if len(batch) >= _ROW_BATCH:
                 yield "".join(batch)
                 batch.clear()
         if batch:
@@ -631,15 +618,13 @@ def _stream_webrowset(rowset: Rowset | StreamingRowset) -> StreamedElement:
         post_vr = close_v + close_r
         join_vv = (close_v + open_v).join
         escape = escape_text
-        fast = fastpath.enabled()
-        limit = _ROW_BATCH if fast else 1
         opened = False
         batch: list[str] = []
         for row in _rows_of(rowset):
             if not opened:
                 batch.append(f"<{data_tag}>")
                 opened = True
-            if fast and row and NULL not in row and "" not in row:
+            if row and NULL not in row and "" not in row:
                 batch.append(
                     pre_rv
                     + join_vv(
@@ -667,7 +652,7 @@ def _stream_webrowset(rowset: Rowset | StreamingRowset) -> StreamedElement:
                         parts.append(close_v)
                 parts.append(close_r)
                 batch.append("".join(parts))
-            if len(batch) >= limit:
+            if len(batch) >= _ROW_BATCH:
                 yield "".join(batch)
                 batch.clear()
         batch.append(f"</{data_tag}>" if opened else f"<{data_tag}/>")
@@ -681,7 +666,6 @@ def _stream_csv(rowset: Rowset | StreamingRowset) -> StreamedElement:
         header = ",".join(_csv_escape(name) for name in rowset.columns)
         if header:
             yield escape_text(header)
-        limit = _ROW_BATCH if fastpath.enabled() else 1
         batch: list[str] = []
         for row in _rows_of(rowset):
             line = ",".join(
@@ -689,7 +673,7 @@ def _stream_csv(rowset: Rowset | StreamingRowset) -> StreamedElement:
                 for value in row
             )
             batch.append(escape_text("\n" + line))
-            if len(batch) >= limit:
+            if len(batch) >= _ROW_BATCH:
                 yield "".join(batch)
                 batch.clear()
         if batch:

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Optional
 
-from repro import fastpath
 from repro.core.messages import (
     DaisMessage,
     DaisRequest,
@@ -157,11 +156,7 @@ class SQLExecuteResponse(DaisMessage):
             # The dataset subtree is shared, not copied: serializers never
             # mutate and a 1000-row rowset deep copy would dominate the
             # response render (fig-2 message-layer share).
-            wrapper = E(_q("SQLDataset"))
-            wrapper.append(
-                self.dataset if fastpath.enabled() else self.dataset.copy()
-            )
-            root.append(wrapper)
+            root.append(E(_q("SQLDataset"), self.dataset))
         root.append(E(_q("SQLUpdateCount"), self.update_count))
         if self.communication_factory is not None:
             root.append(lazy_communication_area(self.communication_factory))
@@ -178,7 +173,7 @@ class SQLExecuteResponse(DaisMessage):
             if children:
                 # Shared with the (single-use) request tree, not copied —
                 # deep-copying a 1000-row rowset dominates client parse time.
-                dataset = children[0] if fastpath.enabled() else children[0].copy()
+                dataset = children[0]
         area_el = element.find(_q("SQLCommunicationArea"))
         return cls(
             dataset_format_uri=element.findtext(
@@ -396,9 +391,7 @@ class GetSQLRowsetResponse(DaisMessage):
         )
         if self.dataset is not None:
             # Shared, not copied — see SQLExecuteResponse.to_xml.
-            root.append(
-                self.dataset if fastpath.enabled() else self.dataset.copy()
-            )
+            root.append(self.dataset)
         return root
 
     @classmethod
@@ -413,9 +406,7 @@ class GetSQLRowsetResponse(DaisMessage):
                 QName(WSDAI_NS, "DatasetFormatURI"), ""
             )
             or "",
-            dataset=(children[0] if fastpath.enabled() else children[0].copy())
-            if children
-            else None,
+            dataset=children[0] if children else None,
         )
 
 
@@ -639,9 +630,7 @@ class GetTuplesResponse(DaisMessage):
         )
         if self.dataset is not None:
             # Shared, not copied — see SQLExecuteResponse.to_xml.
-            root.append(
-                self.dataset if fastpath.enabled() else self.dataset.copy()
-            )
+            root.append(self.dataset)
         return root
 
     @classmethod
@@ -653,8 +642,6 @@ class GetTuplesResponse(DaisMessage):
                 QName(WSDAI_NS, "DatasetFormatURI"), ""
             )
             or "",
-            dataset=(children[0] if fastpath.enabled() else children[0].copy())
-            if children
-            else None,
+            dataset=children[0] if children else None,
             total_rows=int(element.findtext(_q("TotalRows"), "0") or "0"),
         )

@@ -16,11 +16,11 @@ Correctness contract
 * Every entry is stamped with ``(catalog.version, data_version)`` of the
   parent database at *request admission* (before the snapshot is
   evaluated).  Schema changes bump the first component, committed DML
-  the second, so a lookup that finds a stale stamp drops the entry
-  (invalidation + miss) and the factory re-executes — a reused result
-  can never reflect pre-DDL schema or pre-commit data.  Stamping before
-  evaluation is deliberately conservative: a write racing the snapshot
-  at worst costs one extra miss, never a stale hit.
+  the second, so a stale entry is dropped at lookup and the factory
+  re-executes — a reused result can never reflect pre-DDL schema or
+  pre-commit data.  Stamping before evaluation is deliberately
+  conservative: a write racing the snapshot at worst costs one extra
+  miss, never a stale hit.
 * Reuse is offered only for insensitive, synchronous,
   unconfigured requests (a configuration document or ``SENSITIVE``
   sensitivity makes the derived resource consumer-specific).
@@ -30,134 +30,47 @@ Correctness contract
   :meth:`lookup` closes the remaining race (entry present but binding
   concurrently gone → drop, count as miss).
 
-Thread-safety: one lock guards the table; the acquire callback runs
-under it, which is safe because binding-table locks are only ever taken
-*after* this one (destroy listeners fire outside the binding lock).
+Thread-safety: the primitive's lock guards the table and the
+name → key reverse index alike; the acquire callback runs under it,
+which is safe because binding-table locks are only ever taken *after*
+this one (destroy listeners fire outside the binding lock).
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-from typing import Callable, Hashable, Optional
+from typing import Hashable
+
+from repro.lru import VersionedLRU
 
 __all__ = ["SharedResultCache"]
 
-#: Default number of distinct factory requests retained (LRU beyond this).
-DEFAULT_CAPACITY = 256
 
+class SharedResultCache(VersionedLRU):
+    """A bounded, thread-safe LRU mapping factory requests (256 by
+    default) to the abstract name of the shared derived resource.
 
-class SharedResultCache:
-    """A bounded, thread-safe LRU mapping factory requests to the
-    abstract name of the shared derived resource."""
+    ``lookup(key, stamp, acquire)`` is the primitive's own: *acquire*
+    must atomically add one claim on the named binding and report
+    whether it still exists, so a hit is only counted when it lands.
+    """
 
-    def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
-        if capacity < 1:
-            raise ValueError("result cache capacity must be >= 1")
-        self._capacity = capacity
-        self._lock = threading.Lock()
-        self._entries: "OrderedDict[Hashable, tuple[Hashable, str]]" = (
-            OrderedDict()
-        )
+    def __init__(self, capacity: int = 256) -> None:
         self._by_name: dict[str, Hashable] = {}
-        self.hits = 0
-        self.misses = 0
-        self.invalidations = 0
-        self._hits_counter = None
-        self._misses_counter = None
-        self._invalidations_counter = None
+        super().__init__(capacity, lambda key, name: self._by_name.pop(name, None))
 
-    def bind_counters(self, hits, misses, invalidations) -> None:
-        """Mirror cache activity into ``cache.result.*`` counters
-        (pre-bind activity is flushed in on the first bind)."""
+    def store(self, key: Hashable, stamp: Hashable, name: str) -> str:
+        """Record *name* as the shared resource for *key* at *stamp*;
+        returns the name now cached (a racing same-stamp writer's, if it
+        got there first — the loser's resource simply stays private)."""
         with self._lock:
-            first_bind = self._hits_counter is None
-            self._hits_counter = hits
-            self._misses_counter = misses
-            self._invalidations_counter = invalidations
-            if first_bind:
-                if self.hits:
-                    hits.inc(self.hits)
-                if self.misses:
-                    misses.inc(self.misses)
-                if self.invalidations:
-                    invalidations.inc(self.invalidations)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def lookup(
-        self,
-        key: Hashable,
-        stamp: Hashable,
-        acquire: Callable[[str], bool],
-    ) -> Optional[str]:
-        """Return the shared resource name for *key*, claiming it.
-
-        *acquire* must atomically add one claim on the named binding and
-        report whether it still exists; a hit is only counted when the
-        claim lands.  A stale stamp, or an entry whose resource is
-        already gone, is dropped (invalidation + miss).
-        """
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-                if self._misses_counter is not None:
-                    self._misses_counter.inc()
-                return None
-            stored_stamp, name = entry
-            if stored_stamp != stamp or not acquire(name):
-                del self._entries[key]
-                self._by_name.pop(name, None)
-                self.invalidations += 1
-                self.misses += 1
-                if self._invalidations_counter is not None:
-                    self._invalidations_counter.inc()
-                if self._misses_counter is not None:
-                    self._misses_counter.inc()
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            if self._hits_counter is not None:
-                self._hits_counter.inc()
-            return name
-
-    def store(self, key: Hashable, stamp: Hashable, name: str) -> None:
-        """Record *name* as the shared resource for *key* at *stamp*."""
-        with self._lock:
-            old = self._entries.get(key)
-            if old is not None:
-                self._by_name.pop(old[1], None)
-            self._entries[key] = (stamp, name)
-            self._by_name[name] = key
-            self._entries.move_to_end(key)
-            while len(self._entries) > self._capacity:
-                _, (_, evicted) = self._entries.popitem(last=False)
-                self._by_name.pop(evicted, None)
+            cached = super().store(key, stamp, name)
+            if cached == name:
+                self._by_name[name] = key
+            return cached
 
     def forget(self, name: str) -> None:
         """Drop the entry for a destroyed resource (destroy listener)."""
         with self._lock:
-            key = self._by_name.pop(name, None)
-            if key is not None and key in self._entries:
-                del self._entries[key]
-                self.invalidations += 1
-                if self._invalidations_counter is not None:
-                    self._invalidations_counter.inc()
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self._by_name.clear()
-
-    def stats(self) -> dict[str, int]:
-        """Snapshot of the counters (plus current size)."""
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "invalidations": self.invalidations,
-                "size": len(self._entries),
-            }
+            key = self._by_name.get(name)
+            if key is not None:
+                self.invalidate(key)

@@ -103,7 +103,7 @@ class SQLRealisationService(DataService):
         )
         #: Shared derived results: a repeat SQLExecuteFactory request
         #: reuses the existing response resource (refcounted) instead of
-        #: re-executing.  Set to ``None`` to disable.
+        #: re-executing.
         self.result_cache = SharedResultCache()
         self.result_cache.bind_counters(
             self.metrics.counter(
@@ -386,8 +386,7 @@ class SQLRealisationService(DataService):
         # write racing the snapshot costs a miss, never a stale hit.
         cache = self.result_cache
         reusable = (
-            cache is not None
-            and request.configuration_document is None
+            request.configuration_document is None
             and configurable.sensitivity is Sensitivity.INSENSITIVE
             and isinstance(binding.resource, SQLDataResource)
         )

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Optional, Sequence
 
-from repro import fastpath
 from repro.relational import ast_nodes as ast
 from repro.relational.catalog import (
     Catalog,
@@ -210,8 +209,6 @@ class Session:
         is served from the database's :class:`PlanCache`, stamped with
         the catalog version so any schema change forces a recompile.
         """
-        if not fastpath.enabled():
-            return self.execute_ast(parse_statement(sql), parameters, stream=stream)
         cache = self._database.plan_cache
         version = self._database.catalog.version
         plan = cache.lookup(sql, version)

@@ -85,7 +85,14 @@ def compile_row(expressions: tuple, scopes: Scopes) -> Compiled:
 
 
 def compile_filter(conjuncts: tuple, scopes: Scopes) -> Compiled:
-    """Filter semantics over AND-ed *conjuncts*: only TRUE passes."""
+    """Filter semantics over AND-ed *conjuncts*: only TRUE passes.
+
+    Splitting an ``AND`` chain must not change what it means: a conjunct
+    that is not TRUE is an ``AND`` operand, so it is type-checked like
+    one (``WHERE 0 AND 0`` raises, it is not silently empty), FALSE
+    short-circuits, and after a NULL the later operands are still
+    evaluated and checked.  Rows that pass never reach any of that.
+    """
     tests = [compile_expression(part, scopes) for part in conjuncts]
     if len(tests) == 1:
         (test,) = tests
@@ -93,9 +100,15 @@ def compile_filter(conjuncts: tuple, scopes: Scopes) -> Compiled:
 
     def run(row, ctx):
         for test in tests:
-            if test(row, ctx) is not True:
-                return False
-        return True
+            if (value := test(row, ctx)) is not True:
+                break
+        else:
+            return True
+        if value is not False and _boolean(value) is NULL:
+            for later in tests[tests.index(test) + 1 :]:
+                if _boolean(later(row, ctx)) is False:
+                    break
+        return False
 
     return run
 

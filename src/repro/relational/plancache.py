@@ -27,14 +27,12 @@ context), so concurrent sessions may share one entry.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Optional
 
-__all__ = ["PlanCache", "PlanEntry"]
+from repro.lru import VersionedLRU
 
-#: Default number of distinct SQL texts retained (LRU beyond this).
-DEFAULT_CAPACITY = 512
+__all__ = ["PlanCache", "PlanEntry"]
 
 
 @dataclass
@@ -62,110 +60,16 @@ class PlanEntry:
     lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
 
-class PlanCache:
-    """A bounded, thread-safe LRU of :class:`PlanEntry` keyed on SQL text."""
+class PlanCache(VersionedLRU):
+    """A bounded, thread-safe LRU of :class:`PlanEntry` keyed on SQL
+    text (512 distinct texts by default) and stamped with the catalog
+    version; ``lookup(sql, catalog_version)`` is the primitive's own."""
 
-    def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
-        if capacity < 1:
-            raise ValueError("plan cache capacity must be >= 1")
-        self._capacity = capacity
-        self._lock = threading.Lock()
-        self._entries: "OrderedDict[str, PlanEntry]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.invalidations = 0
-        self._hits_counter = None
-        self._misses_counter = None
-        self._invalidations_counter = None
-
-    def bind_counters(self, hits, misses, invalidations) -> None:
-        """Mirror cache activity into metrics counters.
-
-        *hits*/*misses*/*invalidations* are
-        :class:`repro.obs.metrics.Counter` instances (the service's
-        ``cache.plan.*`` family).  Activity counted before binding is
-        flushed into the counters so the exposition matches
-        :meth:`stats`.  Rebinding replaces the targets without
-        re-flushing.
-        """
-        with self._lock:
-            first_bind = self._hits_counter is None
-            self._hits_counter = hits
-            self._misses_counter = misses
-            self._invalidations_counter = invalidations
-            if first_bind:
-                if self.hits:
-                    hits.inc(self.hits)
-                if self.misses:
-                    misses.inc(self.misses)
-                if self.invalidations:
-                    invalidations.inc(self.invalidations)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def lookup(self, sql: str, catalog_version: int) -> Optional[PlanEntry]:
-        """Return the live entry for *sql*, or ``None`` on miss.
-
-        An entry stamped with an older catalog version is *stale*: it is
-        dropped here (counted as an invalidation **and** a miss, since
-        the caller must recompile) rather than swept eagerly on DDL —
-        the version check makes eager sweeping unnecessary.
-        """
-        with self._lock:
-            entry = self._entries.get(sql)
-            if entry is None:
-                self.misses += 1
-                if self._misses_counter is not None:
-                    self._misses_counter.inc()
-                return None
-            if entry.catalog_version != catalog_version:
-                del self._entries[sql]
-                self.invalidations += 1
-                self.misses += 1
-                if self._invalidations_counter is not None:
-                    self._invalidations_counter.inc()
-                if self._misses_counter is not None:
-                    self._misses_counter.inc()
-                return None
-            self._entries.move_to_end(sql)
-            self.hits += 1
-            if self._hits_counter is not None:
-                self._hits_counter.inc()
-            return entry
+    def __init__(self, capacity: int = 512) -> None:
+        super().__init__(capacity)
 
     def store(self, sql: str, entry: PlanEntry) -> PlanEntry:
-        """Insert *entry*; returns the entry actually cached.
-
-        If another thread stored a same-version entry first, that one
-        wins (so memoized planning attributes are shared, not split
-        across duplicate entries).
-        """
-        with self._lock:
-            existing = self._entries.get(sql)
-            if (
-                existing is not None
-                and existing.catalog_version == entry.catalog_version
-            ):
-                self._entries.move_to_end(sql)
-                return existing
-            self._entries[sql] = entry
-            self._entries.move_to_end(sql)
-            while len(self._entries) > self._capacity:
-                self._entries.popitem(last=False)
-            return entry
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-    def stats(self) -> dict[str, int]:
-        """Snapshot of the counters (plus current size)."""
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "invalidations": self.invalidations,
-                "size": len(self._entries),
-            }
+        """Insert *entry*; returns the entry actually cached: if another
+        thread stored a same-version entry first, that one wins, so
+        memoized planning attributes are shared, not split."""
+        return super().store(sql, entry.catalog_version, entry)

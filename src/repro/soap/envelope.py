@@ -11,7 +11,6 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
-from repro import fastpath
 from repro.soap.addressing import MessageHeaders
 from repro.soap.fault import FaultCode, SoapFault
 from repro.soap.namespaces import SOAP_ENV_NS, WSA_NS
@@ -127,8 +126,6 @@ class Envelope:
         from bytes and only the header values and the payload fragment
         are spliced in — byte-identical to tree serialization, which
         remains the fallback for every other shape."""
-        if not fastpath.enabled():
-            return serialize_bytes(self.to_xml())
         fast = self._template_bytes()
         if fast is not None:
             return fast
@@ -171,8 +168,7 @@ class Envelope:
         concatenation equals :meth:`to_bytes`.  Lazy payload content is
         rendered as it is pulled, so a streamed dataset never exists in
         memory as one string."""
-        view = self._serial_view() if fastpath.enabled() else self.to_xml()
-        for chunk in serialize_chunks(view):
+        for chunk in serialize_chunks(self._serial_view()):
             yield chunk.encode("utf-8")
 
     @classmethod

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import re
 
-from repro import fastpath
 from repro.xmlutil.escape import unescape
 from repro.xmlutil.names import XML_NS, QName
 from repro.xmlutil.tree import Comment, Text, XmlElement
@@ -253,12 +252,7 @@ def parse(text: str) -> XmlElement:
         raise scanner.error("DTDs are not supported")
     if not scanner.peek("<"):
         raise scanner.error("expected the root element")
-    if fastpath.enabled():
-        root = _parse_element(scanner, _NsContext({}), {})
-    else:
-        # The kill switch reverts to the pre-optimization parser so the
-        # bench gate's "before" leg measures what the fast path replaced.
-        root = _parse_element_classic(scanner, {}, {})
+    root = _parse_element(scanner, _NsContext({}), {})
     _skip_misc(scanner)
     if not scanner.eof():
         raise scanner.error("content after the root element")
@@ -304,7 +298,6 @@ def _parse_element(
     while True:
         if node is not None:
             # ---- content of the current open element -----------------
-            closed = None
             while True:
                 if pos >= size:
                     scanner.pos = pos
@@ -338,13 +331,15 @@ def _parse_element(
                             node.children.append(Text(joined))
                     # End tags nearly always match byte-for-byte: compare
                     # the raw slice before paying for a name scan.
-                    if startswith(raw_tag, pos):
-                        after = pos + len(raw_tag)
-                        if after < size and text[after] == ">":
-                            pos = after + 1
-                            closed = node
-                        # else: longer name or whitespace — slow close
-                    if closed is None:
+                    after = pos + len(raw_tag)
+                    if (
+                        startswith(raw_tag, pos)
+                        and after < size
+                        and text[after] == ">"
+                    ):
+                        pos = after + 1
+                    else:
+                        # longer name, whitespace or a mismatch: slow close
                         scanner.pos = pos
                         closing = scanner.name()
                         if closing != raw_tag:
@@ -355,7 +350,7 @@ def _parse_element(
                         scanner.skip_ws()
                         scanner.expect(">")
                         pos = scanner.pos
-                        closed = node
+                    closed = node
                     node, raw_tag, ctx, buffer = stack.pop()
                     if node is None:
                         scanner.pos = pos
@@ -518,7 +513,7 @@ def _parse_element(
         siblings = node.children
         siblings.append(elem)
 
-        if simple:
+        if simple and ectx is ctx:
             # Sibling run: a simple-content element is nearly always
             # followed by more spelled exactly the same way (the Value
             # columns of a row).  A run of escape-free values is matched
@@ -526,7 +521,9 @@ def _parse_element(
             # the Python loop only builds nodes; values carrying '&'
             # (and the end of the run) fall to the probe loop below.
             # Content cannot contain a raw '<', so the pattern cannot
-            # skip over markup.
+            # skip over markup.  The run reuses this element's QName, so
+            # it is skipped when the element declared a namespace itself
+            # (its attribute-free siblings resolve in the outer scope).
             run = rcache.get(nraw)
             if run is None:
                 escaped = re.escape(nraw)
@@ -592,7 +589,9 @@ def _parse_element(
             # …</Row> — are consumed by one C-level match and two split
             # passes.  Attribute-free tags spelled identically resolve
             # to the same QNames (a pattern row cannot introduce xmlns),
-            # so node construction is the only Python-loop work left.
+            # so node construction is the only Python-loop work left —
+            # unless the first row declared a namespace of its own, in
+            # which case its siblings do not share its scope.
             if node is not None and startswith("</" + raw_tag + ">", pos):
                 rraw = raw_tag
                 pos += len(rraw) + 3
@@ -602,6 +601,8 @@ def _parse_element(
                     scanner.pos = pos
                     return closed
                 node.children.append(closed)
+                if ctx is not ectx:
+                    continue
                 rkey = (rraw, nraw)
                 row_re = rcache.get(rkey)
                 if row_re is None:
@@ -645,136 +646,3 @@ def _parse_element(
                             rowel.children = []
                         append_row(rowel)
                     pos = run_end
-
-
-# ---------------------------------------------------------------------------
-# The classic (pre-fast-path) parser, kept verbatim behind the kill
-# switch: no raw-name caches, no interned-vocabulary seeding, no
-# simple-content shortcut.  ``repro.fastpath`` selects between the two
-# in :func:`parse` so benchmarks can compare them in one process and
-# operators can rule the fast path out when chasing a discrepancy.
-# ---------------------------------------------------------------------------
-
-
-def _parse_element_classic(
-    scanner: _Scanner, nsmap: dict[str, str], qcache: _QCache
-) -> XmlElement:
-    text = scanner.text
-    size = len(text)
-    pos = scanner.pos
-    if pos >= size or text[pos] != "<":
-        raise scanner.error("expected '<'")
-    scanner.pos = pos + 1
-    raw_tag = scanner.name()
-
-    plain: dict[str, str] | None = None
-    pos = scanner.pos
-    ch = text[pos] if pos < size else ""
-    if ch != ">" and not (ch == "/" and text.startswith("/>", pos)):
-        raw_attributes = _parse_attributes(scanner)
-        scope: dict[str, str] | None = None
-        for raw_name, value in raw_attributes.items():
-            if raw_name == "xmlns":
-                if scope is None:
-                    scope = {}
-                scope[""] = value
-            elif raw_name.startswith("xmlns:"):
-                if not value:
-                    raise scanner.error("cannot undeclare a namespace prefix")
-                if scope is None:
-                    scope = {}
-                scope[raw_name[6:]] = value
-            else:
-                if plain is None:
-                    plain = {}
-                plain[raw_name] = value
-        if scope:
-            nsmap = {**nsmap, **scope}
-        pos = scanner.pos
-        ch = text[pos] if pos < size else ""
-
-    prefix, local = _split_prefixed(raw_tag, scanner)
-    tag = _resolve(prefix, local, nsmap, scanner, False, qcache)
-    node = XmlElement(tag)
-    if plain:
-        for raw_name, value in plain.items():
-            aprefix, alocal = _split_prefixed(raw_name, scanner)
-            aname = _resolve(aprefix, alocal, nsmap, scanner, True, qcache)
-            if aname in node.attributes:
-                raise scanner.error(f"duplicate attribute {aname.clark()}")
-            node.attributes[aname] = value
-
-    if ch == "/":
-        scanner.pos = pos + 2
-        return node
-    if ch != ">":
-        raise scanner.error("expected '>'")
-    scanner.pos = pos + 1
-    _parse_content_classic(scanner, node, nsmap, qcache)
-
-    closing = scanner.name()
-    if closing != raw_tag:
-        raise scanner.error(
-            f"mismatched end tag: expected </{raw_tag}>, got </{closing}>"
-        )
-    pos = scanner.pos
-    if pos < size and text[pos] == ">":
-        scanner.pos = pos + 1
-    else:
-        scanner.skip_ws()
-        scanner.expect(">")
-    return node
-
-
-def _parse_content_classic(
-    scanner: _Scanner,
-    node: XmlElement,
-    nsmap: dict[str, str],
-    qcache: _QCache,
-) -> None:
-    text = scanner.text
-    size = len(text)
-    buffer: list[str] = []
-
-    while True:
-        pos = scanner.pos
-        if pos >= size:
-            raise scanner.error(f"unexpected end of input inside <{node.tag.local}>")
-        ch = text[pos]
-        if ch != "<":
-            end = text.find("<", pos)
-            if end < 0:
-                raise scanner.error("unexpected end of input in character data")
-            raw = text[pos:end]
-            scanner.pos = end
-            try:
-                buffer.append(unescape(raw))
-            except ValueError as exc:
-                raise scanner.error(str(exc)) from None
-            continue
-        nxt = text[pos + 1] if pos + 1 < size else ""
-        if nxt == "/":
-            scanner.pos = pos + 2
-            if buffer:
-                node.append(Text("".join(buffer)))
-            return
-        if nxt == "?":
-            scanner.pos = pos + 2
-            scanner.until("?>")
-            continue
-        if nxt == "!":
-            if text.startswith("<![CDATA[", pos):
-                scanner.pos = pos + 9
-                buffer.append(scanner.until("]]>"))
-                continue
-            if text.startswith("<!--", pos):
-                scanner.pos = pos + 4
-                if buffer:
-                    node.append(Text("".join(buffer)))
-                    buffer.clear()
-                node.append(Comment(scanner.until("-->")))
-                continue
-        if buffer:
-            node.append(Text("".join(buffer)))
-            buffer.clear()
-        node.append(_parse_element_classic(scanner, nsmap, qcache))

@@ -10,6 +10,7 @@ entry for the address.
 
 import pytest
 
+from repro.client import core as client_core
 from repro.client.sql import SQLClient
 from repro.core import (
     InvalidResourceNameFault,
@@ -19,6 +20,7 @@ from repro.core import (
 from repro.dair import SQLDataResource
 from repro.core import messages as cmsg
 from repro.relational import Database
+from repro.transport import LoopbackTransport
 from repro.workload import RelationalWorkload, build_single_service
 
 SMALL = RelationalWorkload(customers=4, orders_per_customer=1, items_per_order=1)
@@ -114,3 +116,44 @@ class TestResolveCache:
         ).document
         assert document is not None
         assert epr.address == epr_again.address
+
+
+class TestResolveBound:
+    def test_cache_stays_at_its_bound_and_evicted_names_re_resolve(
+        self, single, monkeypatch
+    ):
+        bound = 3
+        monkeypatch.setattr(client_core, "RESOLVE_CACHE_CAPACITY", bound)
+        client = SQLClient(LoopbackTransport(single.registry))
+        names = [single.name]
+        for index in range(bound):
+            resource = SQLDataResource(
+                mint_abstract_name(f"extra{index}"), Database(f"extra{index}")
+            )
+            single.service.add_resource(resource)
+            names.append(resource.abstract_name)
+
+        for name in names:  # bound + 1 distinct names
+            client.resolve(single.address, name)
+        assert len(client._resolved) == bound
+        assert _counter(client, "cache.resolve.misses").total() == bound + 1
+
+        # The most recent `bound` names are served from the cache …
+        for name in names[1:]:
+            client.resolve(single.address, name)
+        assert _counter(client, "cache.resolve.hits").total() == bound
+        # … and the evicted one goes back on the wire: exactly one miss,
+        # no invalidation (making room is not an invalidation).
+        client.resolve(single.address, names[0])
+        assert _counter(client, "cache.resolve.misses").total() == bound + 2
+        assert _counter(client, "cache.resolve.invalidations").total() == 0
+        assert len(client._resolved) == bound
+
+        # Typed-fault eviction counts one invalidation per dropped entry.
+        single.registry.unregister(single.address)
+        with pytest.raises(ServiceNotFoundFault):
+            client.list_resources(single.address)
+        assert (
+            _counter(client, "cache.resolve.invalidations").total() == bound
+        )
+        assert len(client._resolved) == 0

@@ -16,7 +16,6 @@ import pytest
 
 from repro.cim import parse_cim_xml
 from repro.core.propcache import PropertyDocumentCache
-from repro.obs import MetricsRegistry
 from repro.workload import RelationalWorkload, build_single_service
 from repro.xmlutil import serialize_bytes
 
@@ -41,6 +40,10 @@ def _cim(document):
 
 
 class TestCacheUnit:
+    """Recency, capacity, stale-stamp dropping and the pre-bind flush
+    are the primitive's: ``tests/test_versioned_lru.py`` checks them on
+    this cache too.  What is the document cache's own stays here."""
+
     def test_miss_then_store_then_hit(self):
         cache = PropertyDocumentCache()
         assert cache.lookup("r1", 0) is None
@@ -50,19 +53,6 @@ class TestCacheUnit:
             "hits": 1, "misses": 1, "invalidations": 0, "size": 1,
         }
 
-    def test_stale_version_drops_entry_and_counts_both(self):
-        cache = PropertyDocumentCache()
-        cache.store("r1", 3, b"<doc/>")
-        assert cache.lookup("r1", 4) is None
-        stats = cache.stats()
-        assert stats["invalidations"] == 1
-        assert stats["misses"] == 1
-        assert stats["size"] == 0
-        # The stale entry is gone: looking up the old version again is
-        # a plain miss, not a second invalidation.
-        assert cache.lookup("r1", 3) is None
-        assert cache.stats()["invalidations"] == 1
-
     def test_explicit_invalidate_counts_only_when_present(self):
         cache = PropertyDocumentCache()
         cache.invalidate("ghost")
@@ -71,16 +61,6 @@ class TestCacheUnit:
         cache.invalidate("r1")
         assert cache.stats()["invalidations"] == 1
         assert len(cache) == 0
-
-    def test_lru_eviction_respects_capacity(self):
-        cache = PropertyDocumentCache(capacity=2)
-        cache.store("a", 0, b"<a/>")
-        cache.store("b", 0, b"<b/>")
-        assert cache.lookup("a", 0) == b"<a/>"  # refresh a
-        cache.store("c", 0, b"<c/>")  # evicts b, the LRU entry
-        assert cache.lookup("b", 0) is None
-        assert cache.lookup("a", 0) == b"<a/>"
-        assert cache.lookup("c", 0) == b"<c/>"
 
     def test_served_documents_are_independent_copies(self):
         cache = PropertyDocumentCache()
@@ -92,23 +72,6 @@ class TestCacheUnit:
         assert cache.lookup_document("r1", 0).get("kind") == "cached"
         assert cache.lookup_document("r1", 1) is None  # stale → dropped
         assert cache.stats()["invalidations"] == 1
-
-    def test_bind_counters_flushes_pre_bind_activity_once(self):
-        cache = PropertyDocumentCache()
-        cache.store("r1", 0, b"<doc/>")
-        cache.lookup("r1", 0)
-        cache.lookup("r1", 1)  # invalidation + miss
-        registry = MetricsRegistry()
-        hits = registry.counter("cache.propdoc.hits")
-        misses = registry.counter("cache.propdoc.misses")
-        invalidations = registry.counter("cache.propdoc.invalidations")
-        cache.bind_counters(hits, misses, invalidations)
-        assert hits.total() == 1
-        assert misses.total() == 1
-        assert invalidations.total() == 1
-        # Rebinding must not double-flush.
-        cache.bind_counters(hits, misses, invalidations)
-        assert hits.total() == 1
 
 
 class TestServiceIntegration:

@@ -16,7 +16,7 @@ import threading
 from decimal import Decimal
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.relational import Database, NULL, SqlTypeError
@@ -189,9 +189,34 @@ def _compiled(expression, inner_row, outer_row, parameters):
     return compile_expression(expression, SCOPES)(inner_row, ctx)
 
 
+#: A row of NULLs for the examples that need no column values.
+_NULL_INNER = (NULL,) * 7 + (0,)
+_NULL_OUTER = (NULL, NULL)
+
+
+def _in_subquery_where(where):
+    """``0 IN (SELECT 0 WHERE where)``: the executor splits *where*
+    into conjuncts, the reference evaluates it as one AND tree."""
+    return ast.InSubquery(ast.Literal(0), _subquery([ast.Literal(0)], where))
+
+
 class TestCompiledAgainstReference:
     @given(_EXPRESSIONS, _INNER_ROW, _OUTER_ROW, _PARAMETERS)
     @settings(max_examples=400, deadline=None)
+    # A split WHERE must stay an AND: non-boolean operands raise, and a
+    # NULL operand does not hide a later one from the check.
+    @example(
+        _in_subquery_where(ast.Binary("AND", ast.Literal(0), ast.Literal(0))),
+        _NULL_INNER, _NULL_OUTER, (NULL, NULL, NULL),
+    )
+    @example(
+        _in_subquery_where(ast.Binary("AND", ast.Literal(NULL), ast.Literal(0))),
+        _NULL_INNER, _NULL_OUTER, (NULL, NULL, NULL),
+    )
+    @example(
+        _in_subquery_where(ast.Binary("AND", ast.Literal(False), ast.Literal(0))),
+        _NULL_INNER, _NULL_OUTER, (NULL, NULL, NULL),
+    )
     def test_same_value_or_same_exception(
         self, expression, inner_row, outer_row, parameters
     ):

@@ -12,16 +12,10 @@ import threading
 
 import pytest
 
-from repro import fastpath
 from repro.obs import MetricsRegistry
 from repro.relational import Database, PlanCache, PlanEntry
 from repro.relational.errors import CatalogError
 from repro.relational.parser import parse_statement
-
-
-pytestmark = pytest.mark.skipif(
-    not fastpath.enabled(), reason="plan cache is bypassed with REPRO_FASTPATH=0"
-)
 
 
 @pytest.fixture()
@@ -141,14 +135,9 @@ class TestInvalidation:
 
 
 class TestCacheMechanics:
-    def test_lru_eviction_respects_capacity(self):
-        cache = PlanCache(capacity=2)
-        for index in range(3):
-            sql = f"SELECT {index}"
-            cache.store(sql, PlanEntry(parse_statement(sql), catalog_version=0))
-        assert len(cache) == 2
-        assert cache.lookup("SELECT 0", 0) is None  # evicted, counted a miss
-        assert cache.lookup("SELECT 2", 0) is not None
+    """Recency, capacity, ``clear`` and the pre-bind flush are the
+    primitive's: ``tests/test_versioned_lru.py`` checks them on this
+    cache too.  What is the plan cache's own stays here."""
 
     def test_same_version_store_returns_existing_entry(self):
         cache = PlanCache()
@@ -159,16 +148,6 @@ class TestCacheMechanics:
             "SELECT 1", PlanEntry(parse_statement("SELECT 1"), catalog_version=3)
         )
         assert second is first  # memoized attributes stay shared
-
-    def test_clear_empties_without_touching_totals(self):
-        cache = PlanCache()
-        cache.store(
-            "SELECT 1", PlanEntry(parse_statement("SELECT 1"), catalog_version=0)
-        )
-        cache.lookup("SELECT 1", 0)
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.stats()["hits"] == 1
 
 
 class TestMetricsBinding:
@@ -193,10 +172,3 @@ class TestMetricsBinding:
         assert hits.total() == 1
         assert misses.total() == 2
         assert invalidations.total() == 1
-
-    def test_first_bind_flushes_earlier_totals(self):
-        cache = PlanCache()
-        cache.lookup("SELECT 1", 0)  # pre-bind miss
-        hits, misses, invalidations = self._counters()
-        cache.bind_counters(hits, misses, invalidations)
-        assert misses.total() == 1

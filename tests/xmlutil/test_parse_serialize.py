@@ -1,5 +1,8 @@
 """Parser/serializer unit tests plus property-based round trips."""
 
+import re
+from xml.etree import ElementTree
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +18,20 @@ from repro.xmlutil import (
 )
 from repro.xmlutil.escape import escape_attribute, escape_text, unescape
 from repro.xmlutil.names import NamespaceRegistry
+from tests.xmlutil import reference_parser
+
+
+def _shape(node):
+    """(tag, own text, child shapes) of a parsed element."""
+    return (
+        node.tag.clark(),
+        node.text,
+        [_shape(child) for child in node.element_children()],
+    )
+
+
+def _et_shape(node):
+    return (node.tag, node.text or "", [_et_shape(child) for child in node])
 
 
 class TestEscape:
@@ -98,6 +115,38 @@ class TestParser:
         with pytest.raises(XmlParseError) as err:
             parse("<a></a><junk/>")
         assert err.value.position > 0
+
+    @pytest.mark.parametrize(
+        "document",
+        ["<r><a><b><c/></b></a ></r>", "<r><a><b>t<!--c--></b></a\n></r>"],
+    )
+    def test_end_tag_after_an_inner_close_takes_the_slow_path(self, document):
+        """``</a >`` needs the name scan; once an inner end tag had popped
+        a frame the scan used to be skipped and ``a >`` became text."""
+        tree = parse(document)
+        assert serialize(tree) == serialize(reference_parser.parse(document))
+        assert _shape(tree) == _et_shape(ElementTree.fromstring(document))
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            '<r><Row xmlns="urn:d">x</Row><Row>y</Row></r>',
+            '<r><Row xmlns="urn:d"><V>1</V></Row><Row><V>2</V></Row></r>',
+        ],
+    )
+    def test_run_shortcuts_do_not_leak_an_elements_own_namespace(self, document):
+        """Sibling and row runs reuse the first element's QName; they
+        must not when that element declared the namespace on itself."""
+        tree = parse(document)
+        assert serialize(tree) == serialize(reference_parser.parse(document))
+        assert _shape(tree) == _et_shape(ElementTree.fromstring(document))
+
+    def test_mismatched_end_tag_after_an_inner_close_is_rejected(self):
+        with pytest.raises(
+            XmlParseError,
+            match=re.escape("mismatched end tag: expected </a>, got </x>"),
+        ):
+            parse("<r><a><b><c/></b></x></r>")
 
 
 class TestSerializer:

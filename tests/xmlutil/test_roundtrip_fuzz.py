@@ -3,8 +3,10 @@
 Random trees — nested namespaces, attribute soup, escape-worthy text,
 mixed content, comments — must survive ``parse(serialize(tree))`` with
 structural equality, and serialization must be a fixed point (a second
-serialize of the reparsed tree yields identical text).  Seeds are fixed
-so failures reproduce exactly.
+serialize of the reparsed tree yields identical text).  The same text is
+parsed by the classic oracle (``reference_parser``) too, so the
+well-formed side of the parser differential reuses this generator.
+Seeds are fixed so failures reproduce exactly.
 """
 
 import random
@@ -21,6 +23,7 @@ from repro.xmlutil import (
     serialize,
     serialize_bytes,
 )
+from tests.xmlutil import reference_parser
 
 NAMESPACES = [
     "",  # no namespace (xmlutil canonical form is the empty string)
@@ -80,6 +83,7 @@ def test_random_tree_round_trips(seed):
     text = serialize(tree)
     reparsed = parse(text)
     assert reparsed.equals(tree), f"seed {seed}: reparse lost structure"
+    assert reference_parser.parse(text).equals(tree), f"seed {seed}: oracle"
 
     # Serialization is a fixed point after one round trip.
     assert serialize(reparsed) == text
@@ -94,6 +98,8 @@ def test_random_tree_round_trips_via_bytes(seed):
     assert data.startswith(b"<?xml")
     reparsed = parse_bytes(data)
     assert reparsed.equals(tree), f"seed {seed}: byte round trip lost structure"
+    oracle = reference_parser.parse(data.decode("utf-8"))
+    assert oracle.equals(tree), f"seed {seed}: oracle"
     assert serialize_bytes(reparsed) == data
 
 
