@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable
+from typing import Any, Callable, Iterable, Optional
 
 from repro.core import messages as msg
 from repro.core import wsrf_messages as wmsg
@@ -25,6 +25,7 @@ from repro.core.names import AbstractName
 from repro.core.propcache import PropertyDocumentCache
 from repro.core.properties import ConfigurableProperties
 from repro.core.resource import DataResource
+from repro.jobs import messages as jmsg
 from repro.obs import MetricsRegistry, get_tracer
 from repro.obs.journal import get_journal, journal_element, record_event
 from repro.obs.properties import metrics_element
@@ -35,6 +36,7 @@ from repro.soap.tracecontext import extract_context
 from repro.wsrf.clock import Clock
 from repro.wsrf.faults import WsrfFault
 from repro.wsrf.lifetime import LifetimeManager
+from repro.wsrf.namespaces import WSRF_RL_NS
 from repro.wsrf.properties import PropertyAccess
 from repro.xmlutil import E, QName, XmlElement, serialize_bytes
 from repro.core.namespaces import WSDAI_NS
@@ -42,7 +44,9 @@ from repro.core.namespaces import WSDAI_NS
 #: The reference-parameter tag DAIS puts in data resource EPRs.
 RESOURCE_REFERENCE_PARAMETER = QName(WSDAI_NS, "DataResourceAbstractName")
 
-Handler = Callable[[XmlElement, MessageHeaders], msg.DaisMessage]
+#: A handler takes the decoded request message — or, registered without
+#: a request class, the raw payload element — and the message headers.
+Handler = Callable[[Any, MessageHeaders], msg.DaisMessage]
 
 
 class ResourceBinding:
@@ -106,10 +110,8 @@ class ResourceBinding:
             document.append(resilience.status_element())
         jobs = self._service.jobs
         if jobs is not None:
-            from repro.jobs.messages import job_set_element
-
             document.append(
-                job_set_element(
+                jmsg.job_set_element(
                     [
                         job
                         for job in jobs.jobs()
@@ -135,6 +137,45 @@ class ResourceBinding:
 class DataService:
     """A DAIS data service bound to zero or more data resources."""
 
+    #: The operations, as data: port type → rows of (request class,
+    #: handler method name[, wsa:Action when it is not the class's own]).
+    #: Realisations extend the table; the constructor installs the port
+    #: types it was given, :meth:`enable_jobs` the ``jobs`` one.
+    OPERATIONS: dict[str, tuple[tuple, ...]] = {
+        "core_data_access": (
+            (msg.GenericQueryRequest, "_handle_generic_query"),
+            (msg.DestroyDataResourceRequest, "_handle_destroy"),
+            (
+                msg.GetDataResourcePropertyDocumentRequest,
+                "_handle_get_property_document",
+            ),
+        ),
+        "core_resource_list": (
+            (msg.GetResourceListRequest, "_handle_get_resource_list"),
+            (msg.ResolveRequest, "_handle_resolve"),
+        ),
+        "wsrf": (
+            (wmsg.GetResourcePropertyRequest, "_handle_get_resource_property"),
+            (
+                wmsg.GetMultipleResourcePropertiesRequest,
+                "_handle_get_multiple_properties",
+            ),
+            (wmsg.QueryResourcePropertiesRequest, "_handle_query_properties"),
+            (wmsg.SetTerminationTimeRequest, "_handle_set_termination_time"),
+            # WS-ResourceLifetime's immediate Destroy is an alias for the
+            # DAIS DestroyDataResource semantics on this service.
+            (
+                msg.DestroyDataResourceRequest,
+                "_handle_destroy",
+                f"{WSRF_RL_NS}/Destroy",
+            ),
+        ),
+        "jobs": (
+            (jmsg.GetJobStatusRequest, "_handle_get_job_status"),
+            (jmsg.CancelJobRequest, "_handle_cancel_job"),
+        ),
+    }
+
     def __init__(
         self,
         name: str,
@@ -153,7 +194,7 @@ class DataService:
         #: ``destroy_resource``) pops from the same table.
         self._resources_lock = threading.RLock()
         self._bindings: dict[str, ResourceBinding] = {}
-        self._handlers: dict[str, Handler] = {}
+        self._handlers: dict[str, tuple[Optional[type], Handler]] = {}
         self._property_namespaces = dict(property_namespaces or {})
         self._property_namespaces.setdefault("wsdai", WSDAI_NS)
         self.lifetime = LifetimeManager(clock) if wsrf else None
@@ -200,11 +241,12 @@ class DataService:
             "dais.dispatch.seconds", "dispatch wall-clock seconds"
         )
 
-        self._install_core_operations()
+        port_types = ["core_data_access"]
         if resource_list_enabled:
-            self._install_resource_list_operations()
+            port_types.append("core_resource_list")
         if wsrf:
-            self._install_wsrf_operations()
+            port_types.append("wsrf")
+        self.install_port_types(port_types)
 
     # -- resource management ---------------------------------------------------
 
@@ -362,9 +404,26 @@ class DataService:
 
     # -- operation registry ------------------------------------------------
 
-    def register_operation(self, action: str, handler: Handler) -> None:
-        """Register *handler* for an action URI (realisations extend here)."""
-        self._handlers[action] = handler
+    def register_operation(
+        self,
+        action: str,
+        handler: Handler,
+        request_cls: Optional[type[msg.DaisMessage]] = None,
+    ) -> None:
+        """Register *handler* for an action URI.  With *request_cls*,
+        dispatch decodes the payload with it and hands the handler the
+        message; without, the handler gets the payload element itself."""
+        self._handlers[action] = (request_cls, handler)
+
+    def install_port_types(self, port_types: Iterable[str]) -> None:
+        """Register every row :attr:`OPERATIONS` lists under *port_types*."""
+        for port_type in port_types:
+            for request_cls, handler, *action in self.OPERATIONS[port_type]:
+                self.register_operation(
+                    action[0] if action else request_cls.action(),
+                    getattr(self, handler),
+                    request_cls,
+                )
 
     def supports_action(self, action: str) -> bool:
         return action in self._handlers
@@ -444,13 +503,18 @@ class DataService:
                     f"service {self.name!r} is at its concurrency limit "
                     f"({self.max_concurrent})"
                 )
-            handler = self._handlers.get(action)
-            if handler is None:
+            if action not in self._handlers:
                 raise SoapFault(
                     FaultCode.CLIENT, f"unsupported wsa:Action {action!r}"
                 )
+            request_cls, handler = self._handlers[action]
             with tracer.span("dais.handler", action=action):
-                response_message = handler(request.payload, request.headers)
+                # Decoded inside the span and the fault boundary: a
+                # malformed body is a fault envelope like any other.
+                message = request.payload
+                if request_cls is not None:
+                    message = request_cls.from_xml(message)
+                response_message = handler(message, request.headers)
             return Envelope(
                 headers=request.headers.reply(f"{action}Response"),
                 payload=response_message.to_xml(),
@@ -482,22 +546,9 @@ class DataService:
 
     # -- CoreDataAccess handlers ----------------------------------------------
 
-    def _install_core_operations(self) -> None:
-        self.register_operation(
-            msg.GenericQueryRequest.action(), self._handle_generic_query
-        )
-        self.register_operation(
-            msg.DestroyDataResourceRequest.action(), self._handle_destroy
-        )
-        self.register_operation(
-            msg.GetDataResourcePropertyDocumentRequest.action(),
-            self._handle_get_property_document,
-        )
-
     def _handle_generic_query(
-        self, payload: XmlElement, headers: MessageHeaders
+        self, request: msg.GenericQueryRequest, headers: MessageHeaders
     ) -> msg.GenericQueryResponse:
-        request = msg.GenericQueryRequest.from_xml(payload)
         binding = self.binding(request.abstract_name)
         binding.require_readable()
         from repro.core.faults import InvalidLanguageFault
@@ -516,16 +567,16 @@ class DataService:
         )
 
     def _handle_destroy(
-        self, payload: XmlElement, headers: MessageHeaders
+        self, request: msg.DestroyDataResourceRequest, headers: MessageHeaders
     ) -> msg.DestroyDataResourceResponse:
-        request = msg.DestroyDataResourceRequest.from_xml(payload)
         self.destroy_resource(request.abstract_name)
         return msg.DestroyDataResourceResponse(destroyed=request.abstract_name)
 
     def _handle_get_property_document(
-        self, payload: XmlElement, headers: MessageHeaders
+        self,
+        request: msg.GetDataResourcePropertyDocumentRequest,
+        headers: MessageHeaders,
     ) -> msg.GetDataResourcePropertyDocumentResponse:
-        request = msg.GetDataResourcePropertyDocumentRequest.from_xml(payload)
         binding = self.binding(request.abstract_name)
         return msg.GetDataResourcePropertyDocumentResponse(
             document=binding.property_document()
@@ -533,21 +584,14 @@ class DataService:
 
     # -- CoreResourceList handlers ----------------------------------------------
 
-    def _install_resource_list_operations(self) -> None:
-        self.register_operation(
-            msg.GetResourceListRequest.action(), self._handle_get_resource_list
-        )
-        self.register_operation(msg.ResolveRequest.action(), self._handle_resolve)
-
     def _handle_get_resource_list(
-        self, payload: XmlElement, headers: MessageHeaders
+        self, request: msg.GetResourceListRequest, headers: MessageHeaders
     ) -> msg.GetResourceListResponse:
         return msg.GetResourceListResponse(names=self.resource_names())
 
     def _handle_resolve(
-        self, payload: XmlElement, headers: MessageHeaders
+        self, request: msg.ResolveRequest, headers: MessageHeaders
     ) -> msg.ResolveResponse:
-        request = msg.ResolveRequest.from_xml(payload)
         address = self.epr_for(request.abstract_name)
         record_event("resolved", request.abstract_name, service=self.name)
         return msg.ResolveResponse(address=address)
@@ -565,17 +609,10 @@ class DataService:
         termination time via the service's LifetimeManager, so the job
         table does not grow without bound.
         """
-        from repro.jobs import messages as jmsg
-
         self.jobs = jobs
         if self.lifetime is not None and terminal_ttl is not None:
             jobs.attach_lifetime(self.lifetime, terminal_ttl)
-        self.register_operation(
-            jmsg.GetJobStatusRequest.action(), self._handle_get_job_status
-        )
-        self.register_operation(
-            jmsg.CancelJobRequest.action(), self._handle_cancel_job
-        )
+        self.install_port_types(["jobs"])
 
     def _job_or_fault(self, job_id: str):
         from repro.core.faults import UnknownJobFault
@@ -591,7 +628,6 @@ class DataService:
             ) from None
 
     def _job_status_response(self, job):
-        from repro.jobs import messages as jmsg
         from repro.jobs.model import COMPLETED
 
         response = jmsg.GetJobStatusResponse(
@@ -618,53 +654,25 @@ class DataService:
         return response
 
     def _handle_get_job_status(
-        self, payload: XmlElement, headers: MessageHeaders
+        self, request: jmsg.GetJobStatusRequest, headers: MessageHeaders
     ):
-        from repro.jobs import messages as jmsg
-
-        request = jmsg.GetJobStatusRequest.from_xml(payload)
         return self._job_status_response(self._job_or_fault(request.abstract_name))
 
-    def _handle_cancel_job(self, payload: XmlElement, headers: MessageHeaders):
-        from repro.jobs import messages as jmsg
-
-        request = jmsg.CancelJobRequest.from_xml(payload)
+    def _handle_cancel_job(
+        self, request: jmsg.CancelJobRequest, headers: MessageHeaders
+    ):
         self._job_or_fault(request.abstract_name)
         job = self.jobs.cancel(request.abstract_name)
         return jmsg.CancelJobResponse(job_id=job.job_id, phase=job.phase)
 
     # -- WSRF handlers -------------------------------------------------------
 
-    def _install_wsrf_operations(self) -> None:
-        self.register_operation(
-            wmsg.GetResourcePropertyRequest.action(),
-            self._handle_get_resource_property,
-        )
-        self.register_operation(
-            wmsg.GetMultipleResourcePropertiesRequest.action(),
-            self._handle_get_multiple_properties,
-        )
-        self.register_operation(
-            wmsg.QueryResourcePropertiesRequest.action(),
-            self._handle_query_properties,
-        )
-        self.register_operation(
-            wmsg.SetTerminationTimeRequest.action(),
-            self._handle_set_termination_time,
-        )
-        # WS-ResourceLifetime's immediate Destroy is an alias for the DAIS
-        # DestroyDataResource semantics on this service.
-        from repro.wsrf.namespaces import WSRF_RL_NS
-
-        self.register_operation(f"{WSRF_RL_NS}/Destroy", self._handle_destroy)
-
     def _property_access(self, binding: ResourceBinding) -> PropertyAccess:
         return PropertyAccess(binding, namespaces=self._property_namespaces)
 
     def _handle_get_resource_property(
-        self, payload: XmlElement, headers: MessageHeaders
+        self, request: wmsg.GetResourcePropertyRequest, headers: MessageHeaders
     ) -> wmsg.GetResourcePropertyResponse:
-        request = wmsg.GetResourcePropertyRequest.from_xml(payload)
         binding = self.binding(request.abstract_name)
         if request.property_qname is None:
             raise WsrfFault("GetResourceProperty requires a property QName")
@@ -673,9 +681,10 @@ class DataService:
         )
 
     def _handle_get_multiple_properties(
-        self, payload: XmlElement, headers: MessageHeaders
+        self,
+        request: wmsg.GetMultipleResourcePropertiesRequest,
+        headers: MessageHeaders,
     ) -> wmsg.GetMultipleResourcePropertiesResponse:
-        request = wmsg.GetMultipleResourcePropertiesRequest.from_xml(payload)
         binding = self.binding(request.abstract_name)
         return wmsg.GetMultipleResourcePropertiesResponse(
             properties=self._property_access(binding).get_multiple(
@@ -684,9 +693,8 @@ class DataService:
         )
 
     def _handle_query_properties(
-        self, payload: XmlElement, headers: MessageHeaders
+        self, request: wmsg.QueryResourcePropertiesRequest, headers: MessageHeaders
     ) -> wmsg.QueryResourcePropertiesResponse:
-        request = wmsg.QueryResourcePropertiesRequest.from_xml(payload)
         binding = self.binding(request.abstract_name)
         return wmsg.QueryResourcePropertiesResponse(
             properties=self._property_access(binding).query(
@@ -695,9 +703,8 @@ class DataService:
         )
 
     def _handle_set_termination_time(
-        self, payload: XmlElement, headers: MessageHeaders
+        self, request: wmsg.SetTerminationTimeRequest, headers: MessageHeaders
     ) -> wmsg.SetTerminationTimeResponse:
-        request = wmsg.SetTerminationTimeRequest.from_xml(payload)
         self.binding(request.abstract_name)
         if self.lifetime is None:  # pragma: no cover - wsrf only installs this
             raise WsrfFault("service runs the non-WSRF profile")

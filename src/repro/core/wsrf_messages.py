@@ -13,9 +13,23 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import ClassVar, Optional
 
+from repro.core.codec import (
+    FLOAT,
+    NOT_NONE,
+    QNAME,
+    Attribute,
+    Elements,
+    Group,
+    Nillable,
+    OwnText,
+    Repeated,
+    Scalar,
+)
 from repro.core.messages import DaisMessage, DaisRequest
 from repro.wsrf.namespaces import WSRF_RL_NS, WSRF_RP_NS
-from repro.xmlutil import E, QName, XmlElement
+from repro.xmlutil import QName, XmlElement
+
+_RESOURCE_PROPERTY = QName(WSRF_RP_NS, "ResourceProperty")
 
 
 @dataclass
@@ -24,21 +38,7 @@ class GetResourcePropertyRequest(DaisRequest):
 
     property_qname: Optional[QName] = None
 
-    def to_xml(self) -> XmlElement:
-        root = self._root()
-        if self.property_qname is not None:
-            root.append(
-                E(QName(WSRF_RP_NS, "ResourceProperty"), self.property_qname.clark())
-            )
-        return root
-
-    @classmethod
-    def from_xml(cls, element: XmlElement):
-        text = element.findtext(QName(WSRF_RP_NS, "ResourceProperty"))
-        return cls(
-            abstract_name=cls._read_name(element),
-            property_qname=QName.parse(text.strip()) if text else None,
-        )
+    WIRE = (Scalar("property_qname", _RESOURCE_PROPERTY, QNAME, emit=NOT_NONE),)
 
 
 @dataclass
@@ -47,12 +47,7 @@ class GetResourcePropertyResponse(DaisMessage):
 
     properties: list[XmlElement] = field(default_factory=list)
 
-    def to_xml(self) -> XmlElement:
-        return E(self.TAG, [p.copy() for p in self.properties])
-
-    @classmethod
-    def from_xml(cls, element: XmlElement):
-        return cls(properties=[c.copy() for c in element.element_children()])
+    WIRE = (Elements("properties"),)
 
 
 @dataclass
@@ -61,21 +56,7 @@ class GetMultipleResourcePropertiesRequest(DaisRequest):
 
     property_qnames: list[QName] = field(default_factory=list)
 
-    def to_xml(self) -> XmlElement:
-        root = self._root()
-        for name in self.property_qnames:
-            root.append(E(QName(WSRF_RP_NS, "ResourceProperty"), name.clark()))
-        return root
-
-    @classmethod
-    def from_xml(cls, element: XmlElement):
-        return cls(
-            abstract_name=cls._read_name(element),
-            property_qnames=[
-                QName.parse(c.text.strip())
-                for c in element.findall(QName(WSRF_RP_NS, "ResourceProperty"))
-            ],
-        )
+    WIRE = (Repeated("property_qnames", _RESOURCE_PROPERTY, QNAME),)
 
 
 @dataclass
@@ -92,24 +73,13 @@ class QueryResourcePropertiesRequest(DaisRequest):
     query: str = ""
     dialect: str = "http://www.w3.org/TR/1999/REC-xpath-19991116"
 
-    def to_xml(self) -> XmlElement:
-        root = self._root()
-        expression = E(QName(WSRF_RP_NS, "QueryExpression"), self.query)
-        expression.set("Dialect", self.dialect)
-        root.append(expression)
-        return root
-
-    @classmethod
-    def from_xml(cls, element: XmlElement):
-        expression = element.find(QName(WSRF_RP_NS, "QueryExpression"))
-        return cls(
-            abstract_name=cls._read_name(element),
-            query=expression.text if expression is not None else "",
-            dialect=(
-                expression.get("Dialect", "") if expression is not None else ""
-            )
-            or "",
-        )
+    WIRE = (
+        Group(
+            QName(WSRF_RP_NS, "QueryExpression"),
+            # An absent Dialect is not the XPath default: it reads as "".
+            (OwnText("query"), Attribute("dialect", "Dialect", default="")),
+        ),
+    )
 
 
 @dataclass
@@ -124,26 +94,13 @@ class SetTerminationTimeRequest(DaisRequest):
     #: Absolute termination time (seconds since epoch), or None = infinite.
     requested_termination_time: Optional[float] = None
 
-    def to_xml(self) -> XmlElement:
-        root = self._root()
-        node = E(QName(WSRF_RL_NS, "RequestedTerminationTime"))
-        if self.requested_termination_time is None:
-            node.set("nil", "true")
-        else:
-            node.text = repr(self.requested_termination_time)
-        root.append(node)
-        return root
-
-    @classmethod
-    def from_xml(cls, element: XmlElement):
-        node = element.find(QName(WSRF_RL_NS, "RequestedTerminationTime"))
-        requested: Optional[float] = None
-        if node is not None and node.get("nil") != "true" and node.text.strip():
-            requested = float(node.text.strip())
-        return cls(
-            abstract_name=cls._read_name(element),
-            requested_termination_time=requested,
-        )
+    WIRE = (
+        Nillable(
+            "requested_termination_time",
+            QName(WSRF_RL_NS, "RequestedTerminationTime"),
+            FLOAT,
+        ),
+    )
 
 
 @dataclass
@@ -153,22 +110,9 @@ class SetTerminationTimeResponse(DaisMessage):
     new_termination_time: Optional[float] = None
     current_time: float = 0.0
 
-    def to_xml(self) -> XmlElement:
-        root = E(self.TAG)
-        node = E(QName(WSRF_RL_NS, "NewTerminationTime"))
-        if self.new_termination_time is None:
-            node.set("nil", "true")
-        else:
-            node.text = repr(self.new_termination_time)
-        root.append(node)
-        root.append(E(QName(WSRF_RL_NS, "CurrentTime"), repr(self.current_time)))
-        return root
-
-    @classmethod
-    def from_xml(cls, element: XmlElement):
-        node = element.find(QName(WSRF_RL_NS, "NewTerminationTime"))
-        new_time: Optional[float] = None
-        if node is not None and node.get("nil") != "true" and node.text.strip():
-            new_time = float(node.text.strip())
-        current = element.findtext(QName(WSRF_RL_NS, "CurrentTime"), "0") or "0"
-        return cls(new_termination_time=new_time, current_time=float(current))
+    WIRE = (
+        Nillable(
+            "new_termination_time", QName(WSRF_RL_NS, "NewTerminationTime"), FLOAT
+        ),
+        Scalar("current_time", QName(WSRF_RL_NS, "CurrentTime"), FLOAT),
+    )

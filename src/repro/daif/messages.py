@@ -2,17 +2,31 @@
 
 from __future__ import annotations
 
-import base64
 from dataclasses import dataclass, field
 from typing import ClassVar, Optional
 
+from repro.core.codec import (
+    BASE64,
+    FLOAT,
+    INT,
+    NOT_NONE,
+    TRUTHY,
+    Attribute,
+    Records,
+    Repeated,
+    Scalar,
+)
 from repro.core.messages import DaisMessage, DaisRequest, FactoryRequest, FactoryResponse
 from repro.daif.namespaces import WSDAIF_NS
-from repro.xmlutil import E, QName, XmlElement
+from repro.xmlutil import QName
 
 
 def _q(local: str) -> QName:
     return QName(WSDAIF_NS, local)
+
+
+_PATH = Scalar("path", _q("Path"))
+_CONTENT = Scalar("content", _q("Content"), BASE64)
 
 
 @dataclass
@@ -21,17 +35,7 @@ class ListFilesRequest(DaisRequest):
 
     path: str = ""
 
-    def to_xml(self) -> XmlElement:
-        root = self._root()
-        root.append(E(_q("Path"), self.path))
-        return root
-
-    @classmethod
-    def from_xml(cls, element: XmlElement):
-        return cls(
-            abstract_name=cls._read_name(element),
-            path=element.findtext(_q("Path"), "") or "",
-        )
+    WIRE = (_PATH,)
 
 
 @dataclass
@@ -42,35 +46,18 @@ class ListFilesResponse(DaisMessage):
     files: list[tuple[str, int, float]] = field(default_factory=list)
     directories: list[str] = field(default_factory=list)
 
-    def to_xml(self) -> XmlElement:
-        root = E(self.TAG)
-        for name, size, modified in self.files:
-            entry = E(_q("File"))
-            entry.set("name", name)
-            entry.set("size", size)
-            entry.set("modified", repr(modified))
-            root.append(entry)
-        for name in self.directories:
-            entry = E(_q("Directory"))
-            entry.set("name", name)
-            root.append(entry)
-        return root
-
-    @classmethod
-    def from_xml(cls, element: XmlElement):
-        files = [
+    WIRE = (
+        Records(
+            "files",
+            _q("File"),
             (
-                entry.get("name", "") or "",
-                int(entry.get("size", "0") or "0"),
-                float(entry.get("modified", "0") or "0"),
-            )
-            for entry in element.findall(_q("File"))
-        ]
-        directories = [
-            entry.get("name", "") or ""
-            for entry in element.findall(_q("Directory"))
-        ]
-        return cls(files=files, directories=directories)
+                Attribute("name", "name", default=""),
+                Attribute("size", "size", INT, default=0),
+                Attribute("modified", "modified", FLOAT, default=0.0),
+            ),
+        ),
+        Repeated("directories", _q("Directory"), attribute="name"),
+    )
 
 
 @dataclass
@@ -81,24 +68,11 @@ class GetFileRequest(DaisRequest):
     offset: int = 0
     length: Optional[int] = None
 
-    def to_xml(self) -> XmlElement:
-        root = self._root()
-        root.append(E(_q("Path"), self.path))
-        if self.offset:
-            root.append(E(_q("Offset"), self.offset))
-        if self.length is not None:
-            root.append(E(_q("Length"), self.length))
-        return root
-
-    @classmethod
-    def from_xml(cls, element: XmlElement):
-        length_text = element.findtext(_q("Length"))
-        return cls(
-            abstract_name=cls._read_name(element),
-            path=element.findtext(_q("Path"), "") or "",
-            offset=int(element.findtext(_q("Offset"), "0") or "0"),
-            length=int(length_text) if length_text else None,
-        )
+    WIRE = (
+        _PATH,
+        Scalar("offset", _q("Offset"), INT, emit=TRUTHY),
+        Scalar("length", _q("Length"), INT, emit=NOT_NONE),
+    )
 
 
 @dataclass
@@ -109,22 +83,7 @@ class GetFileResponse(DaisMessage):
     content: bytes = b""
     total_size: int = 0
 
-    def to_xml(self) -> XmlElement:
-        return E(
-            self.TAG,
-            E(_q("Path"), self.path),
-            E(_q("TotalSize"), self.total_size),
-            E(_q("Content"), base64.b64encode(self.content).decode("ascii")),
-        )
-
-    @classmethod
-    def from_xml(cls, element: XmlElement):
-        encoded = element.findtext(_q("Content"), "") or ""
-        return cls(
-            path=element.findtext(_q("Path"), "") or "",
-            content=base64.b64decode(encoded),
-            total_size=int(element.findtext(_q("TotalSize"), "0") or "0"),
-        )
+    WIRE = (_PATH, Scalar("total_size", _q("TotalSize"), INT), _CONTENT)
 
 
 @dataclass
@@ -134,22 +93,7 @@ class PutFileRequest(DaisRequest):
     path: str = ""
     content: bytes = b""
 
-    def to_xml(self) -> XmlElement:
-        root = self._root()
-        root.append(E(_q("Path"), self.path))
-        root.append(
-            E(_q("Content"), base64.b64encode(self.content).decode("ascii"))
-        )
-        return root
-
-    @classmethod
-    def from_xml(cls, element: XmlElement):
-        encoded = element.findtext(_q("Content"), "") or ""
-        return cls(
-            abstract_name=cls._read_name(element),
-            path=element.findtext(_q("Path"), "") or "",
-            content=base64.b64decode(encoded),
-        )
+    WIRE = (_PATH, _CONTENT)
 
 
 @dataclass
@@ -159,15 +103,7 @@ class PutFileResponse(DaisMessage):
     path: str = ""
     size: int = 0
 
-    def to_xml(self) -> XmlElement:
-        return E(self.TAG, E(_q("Path"), self.path), E(_q("Size"), self.size))
-
-    @classmethod
-    def from_xml(cls, element: XmlElement):
-        return cls(
-            path=element.findtext(_q("Path"), "") or "",
-            size=int(element.findtext(_q("Size"), "0") or "0"),
-        )
+    WIRE = (_PATH, Scalar("size", _q("Size"), INT))
 
 
 @dataclass
@@ -199,19 +135,10 @@ class GetFileSetMembersRequest(DaisRequest):
     start_position: int = 0
     count: int = 0
 
-    def to_xml(self) -> XmlElement:
-        root = self._root()
-        root.append(E(_q("StartPosition"), self.start_position))
-        root.append(E(_q("Count"), self.count))
-        return root
-
-    @classmethod
-    def from_xml(cls, element: XmlElement):
-        return cls(
-            abstract_name=cls._read_name(element),
-            start_position=int(element.findtext(_q("StartPosition"), "0") or "0"),
-            count=int(element.findtext(_q("Count"), "0") or "0"),
-        )
+    WIRE = (
+        Scalar("start_position", _q("StartPosition"), INT),
+        Scalar("count", _q("Count"), INT),
+    )
 
 
 @dataclass
@@ -221,16 +148,7 @@ class GetFileSetMembersResponse(DaisMessage):
     members: list[str] = field(default_factory=list)
     total_members: int = 0
 
-    def to_xml(self) -> XmlElement:
-        return E(
-            self.TAG,
-            E(_q("TotalMembers"), self.total_members),
-            [E(_q("Member"), member) for member in self.members],
-        )
-
-    @classmethod
-    def from_xml(cls, element: XmlElement):
-        return cls(
-            members=[c.text for c in element.findall(_q("Member"))],
-            total_members=int(element.findtext(_q("TotalMembers"), "0") or "0"),
-        )
+    WIRE = (
+        Scalar("total_members", _q("TotalMembers"), INT),
+        Repeated("members", _q("Member")),
+    )

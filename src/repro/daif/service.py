@@ -16,13 +16,29 @@ from repro.daif.namespaces import FILE_SET_ACCESS_PT, WSDAIF_NS
 from repro.daif.resources import FileCollectionResource, FileSetResource
 from repro.jobs.namespaces import MODE_ASYNCHRONOUS
 from repro.soap.addressing import MessageHeaders
-from repro.xmlutil import XmlElement, parse, serialize
+from repro.xmlutil import parse, serialize
 
 PORT_TYPES = {"collection_access", "selection_factory", "fileset_access"}
 
 
 class FileRealisationService(DataService):
     """A data service exposing the files realisation port types."""
+
+    OPERATIONS = {
+        **DataService.OPERATIONS,
+        "collection_access": (
+            (msg.ListFilesRequest, "_handle_list_files"),
+            (msg.GetFileRequest, "_handle_get_file"),
+            (msg.PutFileRequest, "_handle_put_file"),
+            (msg.DeleteFileRequest, "_handle_delete_file"),
+        ),
+        "selection_factory": (
+            (msg.FileSelectionFactoryRequest, "_handle_selection_factory"),
+        ),
+        "fileset_access": (
+            (msg.GetFileSetMembersRequest, "_handle_get_members"),
+        ),
+    }
 
     def __init__(
         self,
@@ -44,29 +60,7 @@ class FileRealisationService(DataService):
             raise ValueError(f"unknown port types {sorted(unknown)}")
         self.fileset_target = fileset_target or self
 
-        if "collection_access" in self.port_types:
-            self.register_operation(
-                msg.ListFilesRequest.action(), self._handle_list_files
-            )
-            self.register_operation(
-                msg.GetFileRequest.action(), self._handle_get_file
-            )
-            self.register_operation(
-                msg.PutFileRequest.action(), self._handle_put_file
-            )
-            self.register_operation(
-                msg.DeleteFileRequest.action(), self._handle_delete_file
-            )
-        if "selection_factory" in self.port_types:
-            self.register_operation(
-                msg.FileSelectionFactoryRequest.action(),
-                self._handle_selection_factory,
-            )
-        if "fileset_access" in self.port_types:
-            self.register_operation(
-                msg.GetFileSetMembersRequest.action(),
-                self._handle_get_members,
-            )
+        self.install_port_types(self.port_types)
 
     # -- typed lookups -------------------------------------------------------
 
@@ -89,9 +83,8 @@ class FileRealisationService(DataService):
     # -- FileCollectionAccess --------------------------------------------------
 
     def _handle_list_files(
-        self, payload: XmlElement, headers: MessageHeaders
+        self, request: msg.ListFilesRequest, headers: MessageHeaders
     ) -> msg.ListFilesResponse:
-        request = msg.ListFilesRequest.from_xml(payload)
         binding = self._collection_binding(request.abstract_name)
         binding.require_readable()
         files, directories = binding.resource.list_files(request.path)
@@ -101,9 +94,8 @@ class FileRealisationService(DataService):
         )
 
     def _handle_get_file(
-        self, payload: XmlElement, headers: MessageHeaders
+        self, request: msg.GetFileRequest, headers: MessageHeaders
     ) -> msg.GetFileResponse:
-        request = msg.GetFileRequest.from_xml(payload)
         binding = self._collection_binding(request.abstract_name)
         binding.require_readable()
         entry, content = binding.resource.get_file(
@@ -114,18 +106,16 @@ class FileRealisationService(DataService):
         )
 
     def _handle_put_file(
-        self, payload: XmlElement, headers: MessageHeaders
+        self, request: msg.PutFileRequest, headers: MessageHeaders
     ) -> msg.PutFileResponse:
-        request = msg.PutFileRequest.from_xml(payload)
         binding = self._collection_binding(request.abstract_name)
         binding.require_writeable()
         entry = binding.resource.put_file(request.path, request.content)
         return msg.PutFileResponse(path=request.path, size=entry.size)
 
     def _handle_delete_file(
-        self, payload: XmlElement, headers: MessageHeaders
+        self, request: msg.DeleteFileRequest, headers: MessageHeaders
     ) -> msg.DeleteFileResponse:
-        request = msg.DeleteFileRequest.from_xml(payload)
         binding = self._collection_binding(request.abstract_name)
         binding.require_writeable()
         entry = binding.resource.delete_file(request.path)
@@ -134,9 +124,8 @@ class FileRealisationService(DataService):
     # -- FileSelectionFactory ----------------------------------------------------
 
     def _handle_selection_factory(
-        self, payload: XmlElement, headers: MessageHeaders
+        self, request: msg.FileSelectionFactoryRequest, headers: MessageHeaders
     ) -> msg.FileSelectionFactoryResponse:
-        request = msg.FileSelectionFactoryRequest.from_xml(payload)
         binding = self._collection_binding(request.abstract_name)
         binding.require_readable()
         resource: FileCollectionResource = binding.resource
@@ -237,9 +226,8 @@ class FileRealisationService(DataService):
     # -- FileSetAccess -----------------------------------------------------------
 
     def _handle_get_members(
-        self, payload: XmlElement, headers: MessageHeaders
+        self, request: msg.GetFileSetMembersRequest, headers: MessageHeaders
     ) -> msg.GetFileSetMembersResponse:
-        request = msg.GetFileSetMembersRequest.from_xml(payload)
         binding = self._fileset_binding(request.abstract_name)
         binding.require_readable()
         resource: FileSetResource = binding.resource

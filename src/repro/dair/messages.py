@@ -9,73 +9,91 @@ template under the WS-DAIR tag.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Optional
+from typing import Any, Callable, ClassVar, Optional
 
+from repro.core.codec import (
+    INT,
+    NOT_NONE,
+    TRUTHY,
+    Element,
+    Field,
+    Group,
+    Nillable,
+    Repeated,
+    Scalar,
+    decode_fields,
+    encode_fields,
+)
 from repro.core.messages import (
+    DATASET_FORMAT,
+    REQUESTED_FORMAT,
     DaisMessage,
     DaisRequest,
     FactoryRequest,
     FactoryResponse,
 )
-from repro.core.namespaces import WSDAI_NS
 from repro.dair.namespaces import WSDAIR_NS
 from repro.relational import SqlCommunicationArea
-from repro.xmlutil import E, LazyText, QName, XmlElement
+from repro.xmlutil import LazyText, QName, XmlElement
 
 
 def _q(local: str) -> QName:
     return QName(WSDAIR_NS, local)
 
 
-def communication_area_to_xml(area: SqlCommunicationArea) -> XmlElement:
-    return E(
-        _q("SQLCommunicationArea"),
-        E(_q("SQLCode"), area.sqlcode),
-        E(_q("SQLState"), area.sqlstate),
-        E(_q("SQLMessage"), area.message),
-        E(_q("RowsProcessed"), area.rows_processed),
-    )
+_TRANSACTION_CONTEXT = _q("TransactionContext")
+_CONTEXT = Scalar("transaction_context", _TRANSACTION_CONTEXT)
+_UPDATE_COUNT = Scalar("update_count", _q("SQLUpdateCount"), INT)
+_TOTAL_ROWS = _q("TotalRows")
 
 
-def lazy_communication_area(
-    factory: Callable[[], SqlCommunicationArea],
-) -> XmlElement:
-    """A communication area whose values resolve at serialization time.
+class _CommunicationArea(Field):
+    """The SQL communication area — this realisation's own field kind.
 
-    Document order puts the communication area *after* the dataset, so
-    when the dataset is streamed the serializer reaches these values
-    only once every row has been emitted — which is how RowsProcessed
-    can report the true count of a result that was never materialized.
-    *factory* is invoked once, at first access.
+    Written from the message's ``communication``, or — when the message
+    carries a ``communication_factory`` — as text that resolves at
+    serialization time.  Document order puts the communication area
+    *after* the dataset, so when the dataset is streamed the serializer
+    reaches these values only once every row has been emitted — which is
+    how RowsProcessed can report the true count of a result that was
+    never materialized.  The factory is invoked once, at first access.
     """
-    cache: list[SqlCommunicationArea] = []
 
-    def area() -> SqlCommunicationArea:
-        if not cache:
-            cache.append(factory())
-        return cache[0]
-
-    root = E(_q("SQLCommunicationArea"))
-    for tag, getter in (
-        ("SQLCode", lambda: area().sqlcode),
-        ("SQLState", lambda: area().sqlstate),
-        ("SQLMessage", lambda: area().message),
-        ("RowsProcessed", lambda: area().rows_processed),
-    ):
-        child = E(_q(tag))
-        child.children.append(LazyText(lambda getter=getter: str(getter())))
-        root.append(child)
-    return root
-
-
-def communication_area_from_xml(element: XmlElement) -> SqlCommunicationArea:
-    return SqlCommunicationArea(
-        sqlcode=int(element.findtext(_q("SQLCode"), "0") or "0"),
-        sqlstate=element.findtext(_q("SQLState"), "") or "",
-        message=element.findtext(_q("SQLMessage"), "") or "",
-        rows_processed=int(element.findtext(_q("RowsProcessed"), "0") or "0"),
+    name = "communication"
+    tag = _q("SQLCommunicationArea")
+    parts = (
+        Scalar("sqlcode", _q("SQLCode"), INT, default=0),
+        Scalar("sqlstate", _q("SQLState"), default=""),
+        Scalar("message", _q("SQLMessage"), default=""),
+        Scalar("rows_processed", _q("RowsProcessed"), INT, default=0),
     )
+
+    def encode(self, node: XmlElement, message: Any) -> None:
+        area = XmlElement(self.tag)
+        factory = getattr(message, "communication_factory", None)
+        if factory is None:
+            encode_fields(self.parts, area, message.communication)
+        else:
+            resolve = functools.cache(factory)
+            for part in self.parts:
+                text = LazyText(
+                    lambda part=part: part.kind.to_text(
+                        getattr(resolve(), part.name)
+                    )
+                )
+                area.children.append(XmlElement(part.tag, {}, [text]))
+        node.children.append(area)
+
+    def read(self, element: XmlElement) -> SqlCommunicationArea:
+        area = element.find(self.tag)
+        if area is None:
+            return SqlCommunicationArea.success(0)
+        return SqlCommunicationArea(**decode_fields(self.parts, area))
+
+
+_COMMUNICATION = _CommunicationArea()
 
 
 # ---------------------------------------------------------------------------
@@ -95,39 +113,17 @@ class SQLExecuteRequest(DaisRequest):
     #: autocommitting (paper Figure 4's third initiation mode).
     transaction_context: Optional[str] = None
 
-    def to_xml(self) -> XmlElement:
-        root = self._root()
-        if self.dataset_format_uri:
-            root.append(
-                E(QName(WSDAI_NS, "DatasetFormatURI"), self.dataset_format_uri)
-            )
-        if self.transaction_context:
-            root.append(E(_q("TransactionContext"), self.transaction_context))
-        expression = E(_q("SQLExpression"), E(_q("Expression"), self.expression))
-        for parameter in self.parameters:
-            expression.append(E(_q("Parameter"), parameter))
-        root.append(expression)
-        return root
-
-    @classmethod
-    def from_xml(cls, element: XmlElement) -> "SQLExecuteRequest":
-        expression_el = element.find(_q("SQLExpression"))
-        expression = ""
-        parameters: list[str] = []
-        if expression_el is not None:
-            expression = expression_el.findtext(_q("Expression"), "") or ""
-            parameters = [
-                p.text for p in expression_el.findall(_q("Parameter"))
-            ]
-        return cls(
-            abstract_name=cls._read_name(element),
-            expression=expression,
-            parameters=parameters,
-            dataset_format_uri=element.findtext(
-                QName(WSDAI_NS, "DatasetFormatURI")
+    WIRE = (
+        REQUESTED_FORMAT,
+        Scalar("transaction_context", _TRANSACTION_CONTEXT, emit=TRUTHY),
+        Group(
+            _q("SQLExpression"),
+            (
+                Scalar("expression", _q("Expression")),
+                Repeated("parameters", _q("Parameter")),
             ),
-            transaction_context=element.findtext(_q("TransactionContext")),
-        )
+        ),
+    )
 
 
 @dataclass
@@ -147,57 +143,18 @@ class SQLExecuteResponse(DaisMessage):
     #: dataset so RowsProcessed reflects what actually went out.
     communication_factory: Optional[Callable[[], SqlCommunicationArea]] = None
 
-    def to_xml(self) -> XmlElement:
-        root = E(
-            self.TAG,
-            E(QName(WSDAI_NS, "DatasetFormatURI"), self.dataset_format_uri),
-        )
-        if self.dataset is not None:
-            # The dataset subtree is shared, not copied: serializers never
-            # mutate and a 1000-row rowset deep copy would dominate the
-            # response render (fig-2 message-layer share).
-            root.append(E(_q("SQLDataset"), self.dataset))
-        root.append(E(_q("SQLUpdateCount"), self.update_count))
-        if self.communication_factory is not None:
-            root.append(lazy_communication_area(self.communication_factory))
-        else:
-            root.append(communication_area_to_xml(self.communication))
-        return root
-
-    @classmethod
-    def from_xml(cls, element: XmlElement) -> "SQLExecuteResponse":
-        wrapper = element.find(_q("SQLDataset"))
-        dataset = None
-        if wrapper is not None:
-            children = wrapper.element_children()
-            if children:
-                # Shared with the (single-use) request tree, not copied —
-                # deep-copying a 1000-row rowset dominates client parse time.
-                dataset = children[0]
-        area_el = element.find(_q("SQLCommunicationArea"))
-        return cls(
-            dataset_format_uri=element.findtext(
-                QName(WSDAI_NS, "DatasetFormatURI"), ""
-            )
-            or "",
-            dataset=dataset,
-            update_count=int(element.findtext(_q("SQLUpdateCount"), "-1") or "-1"),
-            communication=communication_area_from_xml(area_el)
-            if area_el is not None
-            else SqlCommunicationArea.success(0),
-        )
+    WIRE = (
+        DATASET_FORMAT,
+        Element("dataset", wrapper=_q("SQLDataset"), copy=False),
+        _UPDATE_COUNT,
+        _COMMUNICATION,
+    )
+    NON_WIRE = frozenset({"communication_factory"})
 
 
 @dataclass
 class GetSQLPropertyDocumentRequest(DaisRequest):
     TAG: ClassVar[QName] = _q("GetSQLPropertyDocumentRequest")
-
-    def to_xml(self) -> XmlElement:
-        return self._root()
-
-    @classmethod
-    def from_xml(cls, element: XmlElement):
-        return cls(abstract_name=cls._read_name(element))
 
 
 @dataclass
@@ -206,16 +163,7 @@ class GetSQLPropertyDocumentResponse(DaisMessage):
 
     document: Optional[XmlElement] = None
 
-    def to_xml(self) -> XmlElement:
-        root = E(self.TAG)
-        if self.document is not None:
-            root.append(self.document.copy())
-        return root
-
-    @classmethod
-    def from_xml(cls, element: XmlElement):
-        children = element.element_children()
-        return cls(document=children[0].copy() if children else None)
+    WIRE = (Element("document"),)
 
 
 # ---------------------------------------------------------------------------
@@ -229,18 +177,7 @@ class BeginTransactionRequest(DaisRequest):
 
     isolation: Optional[str] = None  # SQL isolation-level phrase
 
-    def to_xml(self) -> XmlElement:
-        root = self._root()
-        if self.isolation:
-            root.append(E(_q("IsolationLevel"), self.isolation))
-        return root
-
-    @classmethod
-    def from_xml(cls, element: XmlElement):
-        return cls(
-            abstract_name=cls._read_name(element),
-            isolation=element.findtext(_q("IsolationLevel")),
-        )
+    WIRE = (Scalar("isolation", _q("IsolationLevel"), emit=TRUTHY),)
 
 
 @dataclass
@@ -249,33 +186,14 @@ class BeginTransactionResponse(DaisMessage):
 
     transaction_context: str = ""
 
-    def to_xml(self) -> XmlElement:
-        return E(self.TAG, E(_q("TransactionContext"), self.transaction_context))
-
-    @classmethod
-    def from_xml(cls, element: XmlElement):
-        return cls(
-            transaction_context=element.findtext(_q("TransactionContext"), "")
-            or ""
-        )
+    WIRE = (_CONTEXT,)
 
 
 @dataclass
 class _TransactionContextRequest(DaisRequest):
     transaction_context: str = ""
 
-    def to_xml(self) -> XmlElement:
-        root = self._root()
-        root.append(E(_q("TransactionContext"), self.transaction_context))
-        return root
-
-    @classmethod
-    def from_xml(cls, element: XmlElement):
-        return cls(
-            abstract_name=cls._read_name(element),
-            transaction_context=element.findtext(_q("TransactionContext"), "")
-            or "",
-        )
+    WIRE = (_CONTEXT,)
 
 
 @dataclass
@@ -295,20 +213,7 @@ class TransactionOutcomeResponse(DaisMessage):
     transaction_context: str = ""
     outcome: str = ""  # "Committed" | "RolledBack"
 
-    def to_xml(self) -> XmlElement:
-        return E(
-            self.TAG,
-            E(_q("TransactionContext"), self.transaction_context),
-            E(_q("Outcome"), self.outcome),
-        )
-
-    @classmethod
-    def from_xml(cls, element: XmlElement):
-        return cls(
-            transaction_context=element.findtext(_q("TransactionContext"), "")
-            or "",
-            outcome=element.findtext(_q("Outcome"), "") or "",
-        )
+    WIRE = (_CONTEXT, Scalar("outcome", _q("Outcome")))
 
 
 # ---------------------------------------------------------------------------
@@ -332,19 +237,7 @@ class SQLExecuteFactoryResponse(FactoryResponse):
 
 
 @dataclass
-class _ResponseAccessRequest(DaisRequest):
-    """Shared shape: abstract name only."""
-
-    def to_xml(self) -> XmlElement:
-        return self._root()
-
-    @classmethod
-    def from_xml(cls, element: XmlElement):
-        return cls(abstract_name=cls._read_name(element))
-
-
-@dataclass
-class GetSQLResponsePropertyDocumentRequest(_ResponseAccessRequest):
+class GetSQLResponsePropertyDocumentRequest(DaisRequest):
     TAG: ClassVar[QName] = _q("GetSQLResponsePropertyDocumentRequest")
 
 
@@ -359,22 +252,7 @@ class GetSQLRowsetRequest(DaisRequest):
 
     dataset_format_uri: Optional[str] = None
 
-    def to_xml(self) -> XmlElement:
-        root = self._root()
-        if self.dataset_format_uri:
-            root.append(
-                E(QName(WSDAI_NS, "DatasetFormatURI"), self.dataset_format_uri)
-            )
-        return root
-
-    @classmethod
-    def from_xml(cls, element: XmlElement):
-        return cls(
-            abstract_name=cls._read_name(element),
-            dataset_format_uri=element.findtext(
-                QName(WSDAI_NS, "DatasetFormatURI")
-            ),
-        )
+    WIRE = (REQUESTED_FORMAT,)
 
 
 @dataclass
@@ -384,34 +262,14 @@ class GetSQLRowsetResponse(DaisMessage):
     dataset_format_uri: str = ""
     dataset: Optional[XmlElement] = None
 
-    def to_xml(self) -> XmlElement:
-        root = E(
-            self.TAG,
-            E(QName(WSDAI_NS, "DatasetFormatURI"), self.dataset_format_uri),
-        )
-        if self.dataset is not None:
-            # Shared, not copied — see SQLExecuteResponse.to_xml.
-            root.append(self.dataset)
-        return root
-
-    @classmethod
-    def from_xml(cls, element: XmlElement):
-        children = [
-            c
-            for c in element.element_children()
-            if c.tag != QName(WSDAI_NS, "DatasetFormatURI")
-        ]
-        return cls(
-            dataset_format_uri=element.findtext(
-                QName(WSDAI_NS, "DatasetFormatURI"), ""
-            )
-            or "",
-            dataset=children[0] if children else None,
-        )
+    WIRE = (
+        DATASET_FORMAT,
+        Element("dataset", skip=(DATASET_FORMAT.tag,), copy=False),
+    )
 
 
 @dataclass
-class GetSQLUpdateCountRequest(_ResponseAccessRequest):
+class GetSQLUpdateCountRequest(DaisRequest):
     TAG: ClassVar[QName] = _q("GetSQLUpdateCountRequest")
 
 
@@ -421,18 +279,11 @@ class GetSQLUpdateCountResponse(DaisMessage):
 
     update_count: int = -1
 
-    def to_xml(self) -> XmlElement:
-        return E(self.TAG, E(_q("SQLUpdateCount"), self.update_count))
-
-    @classmethod
-    def from_xml(cls, element: XmlElement):
-        return cls(
-            update_count=int(element.findtext(_q("SQLUpdateCount"), "-1") or "-1")
-        )
+    WIRE = (_UPDATE_COUNT,)
 
 
 @dataclass
-class GetSQLCommunicationAreaRequest(_ResponseAccessRequest):
+class GetSQLCommunicationAreaRequest(DaisRequest):
     TAG: ClassVar[QName] = _q("GetSQLCommunicationAreaRequest")
 
 
@@ -444,21 +295,11 @@ class GetSQLCommunicationAreaResponse(DaisMessage):
         default_factory=lambda: SqlCommunicationArea.success(0)
     )
 
-    def to_xml(self) -> XmlElement:
-        return E(self.TAG, communication_area_to_xml(self.communication))
-
-    @classmethod
-    def from_xml(cls, element: XmlElement):
-        area_el = element.find(_q("SQLCommunicationArea"))
-        return cls(
-            communication=communication_area_from_xml(area_el)
-            if area_el is not None
-            else SqlCommunicationArea.success(0)
-        )
+    WIRE = (_COMMUNICATION,)
 
 
 @dataclass
-class GetSQLReturnValueRequest(_ResponseAccessRequest):
+class GetSQLReturnValueRequest(DaisRequest):
     TAG: ClassVar[QName] = _q("GetSQLReturnValueRequest")
 
 
@@ -468,41 +309,16 @@ class GetSQLReturnValueResponse(DaisMessage):
 
     value: Optional[str] = None
 
-    def to_xml(self) -> XmlElement:
-        root = E(self.TAG)
-        node = E(_q("SQLReturnValue"))
-        if self.value is None:
-            node.set("nil", "true")
-        else:
-            node.text = self.value
-        root.append(node)
-        return root
-
-    @classmethod
-    def from_xml(cls, element: XmlElement):
-        node = element.find(_q("SQLReturnValue"))
-        if node is None or node.get("nil") == "true":
-            return cls(value=None)
-        return cls(value=node.text)
+    WIRE = (Nillable("value", _q("SQLReturnValue")),)
 
 
 @dataclass
-class GetSQLOutputParameterRequest(_ResponseAccessRequest):
+class GetSQLOutputParameterRequest(DaisRequest):
     TAG: ClassVar[QName] = _q("GetSQLOutputParameterRequest")
 
     parameter_name: str = ""
 
-    def to_xml(self) -> XmlElement:
-        root = self._root()
-        root.append(E(_q("ParameterName"), self.parameter_name))
-        return root
-
-    @classmethod
-    def from_xml(cls, element: XmlElement):
-        return cls(
-            abstract_name=cls._read_name(element),
-            parameter_name=element.findtext(_q("ParameterName"), "") or "",
-        )
+    WIRE = (Scalar("parameter_name", _q("ParameterName")),)
 
 
 @dataclass
@@ -511,7 +327,7 @@ class GetSQLOutputParameterResponse(GetSQLReturnValueResponse):
 
 
 @dataclass
-class GetSQLResponseItemRequest(_ResponseAccessRequest):
+class GetSQLResponseItemRequest(DaisRequest):
     """Introspection: which response items (rowset/update count/...) exist."""
 
     TAG: ClassVar[QName] = _q("GetSQLResponseItemRequest")
@@ -523,12 +339,7 @@ class GetSQLResponseItemResponse(DaisMessage):
 
     items: list[str] = field(default_factory=list)
 
-    def to_xml(self) -> XmlElement:
-        return E(self.TAG, [E(_q("ResponseItem"), item) for item in self.items])
-
-    @classmethod
-    def from_xml(cls, element: XmlElement):
-        return cls(items=[c.text for c in element.findall(_q("ResponseItem"))])
+    WIRE = (Repeated("items", _q("ResponseItem")),)
 
 
 # ---------------------------------------------------------------------------
@@ -548,28 +359,7 @@ class SQLRowsetFactoryRequest(FactoryRequest):
 
     dataset_format_uri: Optional[str] = None
 
-    def to_xml(self) -> XmlElement:
-        root = super().to_xml()
-        if self.dataset_format_uri:
-            root.append(
-                E(QName(WSDAI_NS, "DatasetFormatURI"), self.dataset_format_uri)
-            )
-        return root
-
-    @classmethod
-    def from_xml(cls, element: XmlElement):
-        base = FactoryRequest.from_xml(element)
-        return cls(
-            abstract_name=base.abstract_name,
-            port_type_qname=base.port_type_qname,
-            configuration_document=base.configuration_document,
-            expression=base.expression,
-            language_uri=base.language_uri,
-            parameters=base.parameters,
-            dataset_format_uri=element.findtext(
-                QName(WSDAI_NS, "DatasetFormatURI")
-            ),
-        )
+    WIRE = FactoryRequest.WIRE + (REQUESTED_FORMAT,)
 
 
 @dataclass
@@ -578,7 +368,7 @@ class SQLRowsetFactoryResponse(FactoryResponse):
 
 
 @dataclass
-class GetRowsetPropertyDocumentRequest(_ResponseAccessRequest):
+class GetRowsetPropertyDocumentRequest(DaisRequest):
     TAG: ClassVar[QName] = _q("GetRowsetPropertyDocumentRequest")
 
 
@@ -597,21 +387,11 @@ class GetTuplesRequest(DaisRequest):
     #: turned every count-less request into an empty page.
     count: Optional[int] = None
 
-    def to_xml(self) -> XmlElement:
-        root = self._root()
-        root.append(E(_q("StartPosition"), self.start_position))
-        if self.count is not None:
-            root.append(E(_q("Count"), self.count))
-        return root
-
-    @classmethod
-    def from_xml(cls, element: XmlElement):
-        count_text = element.findtext(_q("Count"))
-        return cls(
-            abstract_name=cls._read_name(element),
-            start_position=int(element.findtext(_q("StartPosition"), "0") or "0"),
-            count=None if count_text is None else int(count_text or "0"),
-        )
+    WIRE = (
+        Scalar("start_position", _q("StartPosition"), INT),
+        # <Count/> is an explicit (empty) window, not "the rest".
+        Scalar("count", _q("Count"), INT, emit=NOT_NONE, empty=0),
+    )
 
 
 @dataclass
@@ -622,26 +402,8 @@ class GetTuplesResponse(DaisMessage):
     dataset: Optional[XmlElement] = None
     total_rows: int = 0
 
-    def to_xml(self) -> XmlElement:
-        root = E(
-            self.TAG,
-            E(QName(WSDAI_NS, "DatasetFormatURI"), self.dataset_format_uri),
-            E(_q("TotalRows"), self.total_rows),
-        )
-        if self.dataset is not None:
-            # Shared, not copied — see SQLExecuteResponse.to_xml.
-            root.append(self.dataset)
-        return root
-
-    @classmethod
-    def from_xml(cls, element: XmlElement):
-        skip = {QName(WSDAI_NS, "DatasetFormatURI"), _q("TotalRows")}
-        children = [c for c in element.element_children() if c.tag not in skip]
-        return cls(
-            dataset_format_uri=element.findtext(
-                QName(WSDAI_NS, "DatasetFormatURI"), ""
-            )
-            or "",
-            dataset=children[0] if children else None,
-            total_rows=int(element.findtext(_q("TotalRows"), "0") or "0"),
-        )
+    WIRE = (
+        DATASET_FORMAT,
+        Scalar("total_rows", _TOTAL_ROWS, INT),
+        Element("dataset", skip=(DATASET_FORMAT.tag, _TOTAL_ROWS), copy=False),
+    )

@@ -13,6 +13,7 @@ from typing import Iterable, Optional
 
 from repro.core.faults import (
     DataResourceUnavailableFault,
+    InvalidConfigurationDocumentFault,
     InvalidDatasetFormatFault,
     InvalidPortTypeQNameFault,
     InvalidResourceNameFault,
@@ -46,7 +47,7 @@ from repro.dair.resultcache import SharedResultCache
 from repro.jobs.namespaces import MODE_ASYNCHRONOUS
 from repro.relational import SqlCommunicationArea
 from repro.soap.addressing import MessageHeaders
-from repro.xmlutil import QName, XmlElement, parse, serialize
+from repro.xmlutil import parse, serialize
 
 #: The five WS-DAIR port types, by short name.
 PORT_TYPES = {
@@ -60,6 +61,48 @@ PORT_TYPES = {
 
 class SQLRealisationService(DataService):
     """A data service exposing a configurable set of WS-DAIR port types."""
+
+    OPERATIONS = {
+        **DataService.OPERATIONS,
+        "sql_access": (
+            (msg.SQLExecuteRequest, "_handle_sql_execute"),
+            (
+                msg.GetSQLPropertyDocumentRequest,
+                "_handle_get_sql_property_document",
+            ),
+            (msg.BeginTransactionRequest, "_handle_begin_transaction"),
+            (msg.CommitTransactionRequest, "_handle_commit_transaction"),
+            (msg.RollbackTransactionRequest, "_handle_rollback_transaction"),
+        ),
+        "sql_factory": (
+            (msg.SQLExecuteFactoryRequest, "_handle_sql_execute_factory"),
+        ),
+        "response_access": (
+            (
+                msg.GetSQLResponsePropertyDocumentRequest,
+                "_handle_get_response_property_document",
+            ),
+            (msg.GetSQLRowsetRequest, "_handle_get_sql_rowset"),
+            (msg.GetSQLUpdateCountRequest, "_handle_get_update_count"),
+            (
+                msg.GetSQLCommunicationAreaRequest,
+                "_handle_get_communication_area",
+            ),
+            (msg.GetSQLReturnValueRequest, "_handle_get_return_value"),
+            (msg.GetSQLOutputParameterRequest, "_handle_get_output_parameter"),
+            (msg.GetSQLResponseItemRequest, "_handle_get_response_item"),
+        ),
+        "response_factory": (
+            (msg.SQLRowsetFactoryRequest, "_handle_sql_rowset_factory"),
+        ),
+        "rowset_access": (
+            (msg.GetTuplesRequest, "_handle_get_tuples"),
+            (
+                msg.GetRowsetPropertyDocumentRequest,
+                "_handle_get_rowset_property_document",
+            ),
+        ),
+    }
 
     def __init__(
         self,
@@ -128,46 +171,7 @@ class SQLRealisationService(DataService):
         #: Where SQLRowsetFactory registers derived rowsets (default: here).
         self.rowset_target = rowset_target or self
 
-        if "sql_access" in self.port_types:
-            self.register_operation(
-                msg.SQLExecuteRequest.action(), self._handle_sql_execute
-            )
-            self.register_operation(
-                msg.GetSQLPropertyDocumentRequest.action(),
-                self._handle_get_sql_property_document,
-            )
-            self.register_operation(
-                msg.BeginTransactionRequest.action(),
-                self._handle_begin_transaction,
-            )
-            self.register_operation(
-                msg.CommitTransactionRequest.action(),
-                self._handle_commit_transaction,
-            )
-            self.register_operation(
-                msg.RollbackTransactionRequest.action(),
-                self._handle_rollback_transaction,
-            )
-        if "sql_factory" in self.port_types:
-            self.register_operation(
-                msg.SQLExecuteFactoryRequest.action(),
-                self._handle_sql_execute_factory,
-            )
-        if "response_access" in self.port_types:
-            self._install_response_access()
-        if "response_factory" in self.port_types:
-            self.register_operation(
-                msg.SQLRowsetFactoryRequest.action(),
-                self._handle_sql_rowset_factory,
-            )
-        if "rowset_access" in self.port_types:
-            self.register_operation(
-                msg.GetTuplesRequest.action(), self._handle_get_tuples
-            )
-            self.register_operation(
-                msg.GetRowsetPropertyDocumentRequest.action(),
-                self._handle_get_rowset_property_document,
-            )
+        self.install_port_types(self.port_types)
 
     def add_resource(self, resource, configurable=None, lifetime_seconds=None):
         binding = super().add_resource(resource, configurable, lifetime_seconds)
@@ -206,9 +210,8 @@ class SQLRealisationService(DataService):
     # -- SQLAccess --------------------------------------------------------
 
     def _handle_sql_execute(
-        self, payload: XmlElement, headers: MessageHeaders
+        self, request: msg.SQLExecuteRequest, headers: MessageHeaders
     ) -> msg.SQLExecuteResponse:
-        request = msg.SQLExecuteRequest.from_xml(payload)
         binding = self._sql_binding(request.abstract_name)
         resource: SQLDataResource = binding.resource
 
@@ -266,9 +269,8 @@ class SQLRealisationService(DataService):
         )
 
     def _handle_get_sql_property_document(
-        self, payload: XmlElement, headers: MessageHeaders
+        self, request: msg.GetSQLPropertyDocumentRequest, headers: MessageHeaders
     ) -> msg.GetSQLPropertyDocumentResponse:
-        request = msg.GetSQLPropertyDocumentRequest.from_xml(payload)
         binding = self._sql_binding(request.abstract_name)
         return msg.GetSQLPropertyDocumentResponse(
             document=binding.property_document()
@@ -293,9 +295,8 @@ class SQLRealisationService(DataService):
             )
 
     def _handle_begin_transaction(
-        self, payload: XmlElement, headers: MessageHeaders
+        self, request: msg.BeginTransactionRequest, headers: MessageHeaders
     ) -> msg.BeginTransactionResponse:
-        request = msg.BeginTransactionRequest.from_xml(payload)
         binding = self._sql_binding(request.abstract_name)
         self._require_consumer_transactions(binding)
         binding.require_writeable()
@@ -303,9 +304,8 @@ class SQLRealisationService(DataService):
         return msg.BeginTransactionResponse(transaction_context=context_id)
 
     def _handle_commit_transaction(
-        self, payload: XmlElement, headers: MessageHeaders
+        self, request: msg.CommitTransactionRequest, headers: MessageHeaders
     ) -> msg.TransactionOutcomeResponse:
-        request = msg.CommitTransactionRequest.from_xml(payload)
         binding = self._sql_binding(request.abstract_name)
         self._require_consumer_transactions(binding)
         binding.resource.commit_transaction(request.transaction_context)
@@ -315,9 +315,8 @@ class SQLRealisationService(DataService):
         )
 
     def _handle_rollback_transaction(
-        self, payload: XmlElement, headers: MessageHeaders
+        self, request: msg.RollbackTransactionRequest, headers: MessageHeaders
     ) -> msg.TransactionOutcomeResponse:
-        request = msg.RollbackTransactionRequest.from_xml(payload)
         binding = self._sql_binding(request.abstract_name)
         self._require_consumer_transactions(binding)
         binding.resource.rollback_transaction(request.transaction_context)
@@ -355,9 +354,8 @@ class SQLRealisationService(DataService):
         return binding, target, configurable
 
     def _handle_sql_execute_factory(
-        self, payload: XmlElement, headers: MessageHeaders
+        self, request: msg.SQLExecuteFactoryRequest, headers: MessageHeaders
     ) -> msg.SQLExecuteFactoryResponse:
-        request = msg.SQLExecuteFactoryRequest.from_xml(payload)
         binding, target, configurable = self._validate_sql_factory(request)
 
         if request.execution_mode == MODE_ASYNCHRONOUS:
@@ -502,46 +500,19 @@ class SQLRealisationService(DataService):
 
     # -- ResponseAccess ----------------------------------------------------
 
-    def _install_response_access(self) -> None:
-        self.register_operation(
-            msg.GetSQLResponsePropertyDocumentRequest.action(),
-            self._handle_get_response_property_document,
-        )
-        self.register_operation(
-            msg.GetSQLRowsetRequest.action(), self._handle_get_sql_rowset
-        )
-        self.register_operation(
-            msg.GetSQLUpdateCountRequest.action(), self._handle_get_update_count
-        )
-        self.register_operation(
-            msg.GetSQLCommunicationAreaRequest.action(),
-            self._handle_get_communication_area,
-        )
-        self.register_operation(
-            msg.GetSQLReturnValueRequest.action(), self._handle_get_return_value
-        )
-        self.register_operation(
-            msg.GetSQLOutputParameterRequest.action(),
-            self._handle_get_output_parameter,
-        )
-        self.register_operation(
-            msg.GetSQLResponseItemRequest.action(),
-            self._handle_get_response_item,
-        )
-
     def _handle_get_response_property_document(
-        self, payload: XmlElement, headers: MessageHeaders
+        self,
+        request: msg.GetSQLResponsePropertyDocumentRequest,
+        headers: MessageHeaders,
     ) -> msg.GetSQLResponsePropertyDocumentResponse:
-        request = msg.GetSQLResponsePropertyDocumentRequest.from_xml(payload)
         binding = self._response_binding(request.abstract_name)
         return msg.GetSQLResponsePropertyDocumentResponse(
             document=binding.property_document()
         )
 
     def _handle_get_sql_rowset(
-        self, payload: XmlElement, headers: MessageHeaders
+        self, request: msg.GetSQLRowsetRequest, headers: MessageHeaders
     ) -> msg.GetSQLRowsetResponse:
-        request = msg.GetSQLRowsetRequest.from_xml(payload)
         binding = self._response_binding(request.abstract_name)
         binding.require_readable()
         resource: SQLResponseResource = binding.resource
@@ -561,42 +532,37 @@ class SQLRealisationService(DataService):
         )
 
     def _handle_get_update_count(
-        self, payload: XmlElement, headers: MessageHeaders
+        self, request: msg.GetSQLUpdateCountRequest, headers: MessageHeaders
     ) -> msg.GetSQLUpdateCountResponse:
-        request = msg.GetSQLUpdateCountRequest.from_xml(payload)
         binding = self._response_binding(request.abstract_name)
         return msg.GetSQLUpdateCountResponse(
             update_count=binding.resource.update_count()
         )
 
     def _handle_get_communication_area(
-        self, payload: XmlElement, headers: MessageHeaders
+        self, request: msg.GetSQLCommunicationAreaRequest, headers: MessageHeaders
     ) -> msg.GetSQLCommunicationAreaResponse:
-        request = msg.GetSQLCommunicationAreaRequest.from_xml(payload)
         binding = self._response_binding(request.abstract_name)
         return msg.GetSQLCommunicationAreaResponse(
             communication=binding.resource.communication_area()
         )
 
     def _handle_get_return_value(
-        self, payload: XmlElement, headers: MessageHeaders
+        self, request: msg.GetSQLReturnValueRequest, headers: MessageHeaders
     ) -> msg.GetSQLReturnValueResponse:
-        request = msg.GetSQLReturnValueRequest.from_xml(payload)
         binding = self._response_binding(request.abstract_name)
         return msg.GetSQLReturnValueResponse(value=binding.resource.return_value())
 
     def _handle_get_output_parameter(
-        self, payload: XmlElement, headers: MessageHeaders
+        self, request: msg.GetSQLOutputParameterRequest, headers: MessageHeaders
     ) -> msg.GetSQLOutputParameterResponse:
-        request = msg.GetSQLOutputParameterRequest.from_xml(payload)
         binding = self._response_binding(request.abstract_name)
         value = binding.resource.output_parameters().get(request.parameter_name)
         return msg.GetSQLOutputParameterResponse(value=value)
 
     def _handle_get_response_item(
-        self, payload: XmlElement, headers: MessageHeaders
+        self, request: msg.GetSQLResponseItemRequest, headers: MessageHeaders
     ) -> msg.GetSQLResponseItemResponse:
-        request = msg.GetSQLResponseItemRequest.from_xml(payload)
         binding = self._response_binding(request.abstract_name)
         resource: SQLResponseResource = binding.resource
         items = ["SQLCommunicationArea", "SQLUpdateCount"]
@@ -610,11 +576,18 @@ class SQLRealisationService(DataService):
     # -- ResponseFactory -------------------------------------------------------
 
     def _handle_sql_rowset_factory(
-        self, payload: XmlElement, headers: MessageHeaders
+        self, request: msg.SQLRowsetFactoryRequest, headers: MessageHeaders
     ) -> msg.SQLRowsetFactoryResponse:
-        request = msg.SQLRowsetFactoryRequest.from_xml(payload)
         binding = self._response_binding(request.abstract_name)
         resource: SQLResponseResource = binding.resource
+
+        if request.execution_mode == MODE_ASYNCHRONOUS:
+            # There is no deferred rowset factory (the response it pages
+            # over is already materialized); say so rather than silently
+            # answering synchronously.  Not a retryable fault.
+            raise InvalidConfigurationDocumentFault(
+                "SQLRowsetFactory has no asynchronous execution mode"
+            )
 
         requested_pt = request.port_type_qname or SQL_ROWSET_ACCESS_PT
         if requested_pt != SQL_ROWSET_ACCESS_PT:
@@ -659,9 +632,8 @@ class SQLRealisationService(DataService):
     # -- RowsetAccess ----------------------------------------------------------
 
     def _handle_get_tuples(
-        self, payload: XmlElement, headers: MessageHeaders
+        self, request: msg.GetTuplesRequest, headers: MessageHeaders
     ) -> msg.GetTuplesResponse:
-        request = msg.GetTuplesRequest.from_xml(payload)
         binding = self._rowset_binding(request.abstract_name)
         binding.require_readable()
         resource: SQLRowsetResource = binding.resource
@@ -673,9 +645,8 @@ class SQLRealisationService(DataService):
         )
 
     def _handle_get_rowset_property_document(
-        self, payload: XmlElement, headers: MessageHeaders
+        self, request: msg.GetRowsetPropertyDocumentRequest, headers: MessageHeaders
     ) -> msg.GetRowsetPropertyDocumentResponse:
-        request = msg.GetRowsetPropertyDocumentRequest.from_xml(payload)
         binding = self._rowset_binding(request.abstract_name)
         return msg.GetRowsetPropertyDocumentResponse(
             document=binding.property_document()

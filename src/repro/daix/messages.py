@@ -2,7 +2,7 @@
 
 Same construction as :mod:`repro.dair.messages`: each message extends
 the core templates, carries the mandatory abstract name first, and
-(de)serializes itself.
+declares the rest of its body as ``WIRE``.
 """
 
 from __future__ import annotations
@@ -10,6 +10,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import ClassVar, Optional
 
+from repro.core.codec import (
+    BOOL,
+    INT,
+    TRUTHY,
+    Attribute,
+    Element,
+    Elements,
+    OwnText,
+    Records,
+    Repeated,
+    Scalar,
+)
 from repro.core.messages import (
     DaisMessage,
     DaisRequest,
@@ -17,11 +29,21 @@ from repro.core.messages import (
     FactoryResponse,
 )
 from repro.daix.namespaces import WSDAIX_NS
-from repro.xmlutil import E, QName, XmlElement
+from repro.xmldb.xupdate import XUPDATE_NS
+from repro.xmlutil import QName, XmlElement
 
 
 def _q(local: str) -> QName:
     return QName(WSDAIX_NS, local)
+
+
+_COLLECTION_NAME = _q("CollectionName")
+#: Optional single-document scope of a query, update or factory.
+_DOCUMENT_SCOPE = Scalar("document_name", _q("DocumentName"), emit=TRUTHY)
+_RECORD_NAME = Attribute("name", "name", default="")
+_DOCUMENTS = Records("documents", _q("Document"), (_RECORD_NAME, Element("content")))
+_DOCUMENT_NAMES = Repeated("names", _q("DocumentName"))
+_ITEMS = Elements("items", tag=_q("Item"))
 
 
 # ---------------------------------------------------------------------------
@@ -37,28 +59,7 @@ class AddDocumentsRequest(DaisRequest):
     documents: list[tuple[str, XmlElement]] = field(default_factory=list)
     replace: bool = False
 
-    def to_xml(self) -> XmlElement:
-        root = self._root()
-        root.set("replace", "true" if self.replace else "false")
-        for name, content in self.documents:
-            wrapper = E(_q("Document"))
-            wrapper.set("name", name)
-            wrapper.append(content.copy())
-            root.append(wrapper)
-        return root
-
-    @classmethod
-    def from_xml(cls, element: XmlElement):
-        documents = []
-        for wrapper in element.findall(_q("Document")):
-            children = wrapper.element_children()
-            if children:
-                documents.append((wrapper.get("name", "") or "", children[0].copy()))
-        return cls(
-            abstract_name=cls._read_name(element),
-            documents=documents,
-            replace=element.get("replace") == "true",
-        )
+    WIRE = (Attribute("replace", "replace", BOOL), _DOCUMENTS)
 
 
 @dataclass
@@ -68,22 +69,7 @@ class AddDocumentsResponse(DaisMessage):
     #: (document name, status) — status is "Added" or an error token.
     results: list[tuple[str, str]] = field(default_factory=list)
 
-    def to_xml(self) -> XmlElement:
-        root = E(self.TAG)
-        for name, status in self.results:
-            result = E(_q("Result"), status)
-            result.set("name", name)
-            root.append(result)
-        return root
-
-    @classmethod
-    def from_xml(cls, element: XmlElement):
-        return cls(
-            results=[
-                (r.get("name", "") or "", r.text)
-                for r in element.findall(_q("Result"))
-            ]
-        )
+    WIRE = (Records("results", _q("Result"), (_RECORD_NAME, OwnText("status"))),)
 
 
 @dataclass
@@ -92,18 +78,7 @@ class _NamesRequest(DaisRequest):
 
     names: list[str] = field(default_factory=list)
 
-    def to_xml(self) -> XmlElement:
-        root = self._root()
-        for name in self.names:
-            root.append(E(_q("DocumentName"), name))
-        return root
-
-    @classmethod
-    def from_xml(cls, element: XmlElement):
-        return cls(
-            abstract_name=cls._read_name(element),
-            names=[c.text for c in element.findall(_q("DocumentName"))],
-        )
+    WIRE = (_DOCUMENT_NAMES,)
 
 
 @dataclass
@@ -117,23 +92,7 @@ class GetDocumentsResponse(DaisMessage):
 
     documents: list[tuple[str, XmlElement]] = field(default_factory=list)
 
-    def to_xml(self) -> XmlElement:
-        root = E(self.TAG)
-        for name, content in self.documents:
-            wrapper = E(_q("Document"))
-            wrapper.set("name", name)
-            wrapper.append(content.copy())
-            root.append(wrapper)
-        return root
-
-    @classmethod
-    def from_xml(cls, element: XmlElement):
-        documents = []
-        for wrapper in element.findall(_q("Document")):
-            children = wrapper.element_children()
-            if children:
-                documents.append((wrapper.get("name", "") or "", children[0].copy()))
-        return cls(documents=documents)
+    WIRE = (_DOCUMENTS,)
 
 
 @dataclass
@@ -147,24 +106,12 @@ class RemoveDocumentsResponse(DaisMessage):
 
     removed: int = 0
 
-    def to_xml(self) -> XmlElement:
-        return E(self.TAG, E(_q("Removed"), self.removed))
-
-    @classmethod
-    def from_xml(cls, element: XmlElement):
-        return cls(removed=int(element.findtext(_q("Removed"), "0") or "0"))
+    WIRE = (Scalar("removed", _q("Removed"), INT),)
 
 
 @dataclass
 class ListDocumentsRequest(DaisRequest):
     TAG: ClassVar[QName] = _q("ListDocumentsRequest")
-
-    def to_xml(self) -> XmlElement:
-        return self._root()
-
-    @classmethod
-    def from_xml(cls, element: XmlElement):
-        return cls(abstract_name=cls._read_name(element))
 
 
 @dataclass
@@ -174,21 +121,10 @@ class ListDocumentsResponse(DaisMessage):
     names: list[str] = field(default_factory=list)
     subcollections: list[str] = field(default_factory=list)
 
-    def to_xml(self) -> XmlElement:
-        return E(
-            self.TAG,
-            [E(_q("DocumentName"), name) for name in self.names],
-            [E(_q("SubcollectionName"), name) for name in self.subcollections],
-        )
-
-    @classmethod
-    def from_xml(cls, element: XmlElement):
-        return cls(
-            names=[c.text for c in element.findall(_q("DocumentName"))],
-            subcollections=[
-                c.text for c in element.findall(_q("SubcollectionName"))
-            ],
-        )
+    WIRE = (
+        _DOCUMENT_NAMES,
+        Repeated("subcollections", _q("SubcollectionName")),
+    )
 
 
 @dataclass
@@ -197,17 +133,7 @@ class CreateSubcollectionRequest(DaisRequest):
 
     collection_name: str = ""
 
-    def to_xml(self) -> XmlElement:
-        root = self._root()
-        root.append(E(_q("CollectionName"), self.collection_name))
-        return root
-
-    @classmethod
-    def from_xml(cls, element: XmlElement):
-        return cls(
-            abstract_name=cls._read_name(element),
-            collection_name=element.findtext(_q("CollectionName"), "") or "",
-        )
+    WIRE = (Scalar("collection_name", _COLLECTION_NAME),)
 
 
 @dataclass
@@ -228,12 +154,7 @@ class RemoveSubcollectionResponse(DaisMessage):
 
     removed: str = ""
 
-    def to_xml(self) -> XmlElement:
-        return E(self.TAG, E(_q("CollectionName"), self.removed))
-
-    @classmethod
-    def from_xml(cls, element: XmlElement):
-        return cls(removed=element.findtext(_q("CollectionName"), "") or "")
+    WIRE = (Scalar("removed", _COLLECTION_NAME),)
 
 
 @dataclass
@@ -247,16 +168,7 @@ class GetCollectionPropertyDocumentResponse(DaisMessage):
 
     document: Optional[XmlElement] = None
 
-    def to_xml(self) -> XmlElement:
-        root = E(self.TAG)
-        if self.document is not None:
-            root.append(self.document.copy())
-        return root
-
-    @classmethod
-    def from_xml(cls, element: XmlElement):
-        children = element.element_children()
-        return cls(document=children[0].copy() if children else None)
+    WIRE = (Element("document"),)
 
 
 # ---------------------------------------------------------------------------
@@ -266,39 +178,25 @@ class GetCollectionPropertyDocumentResponse(DaisMessage):
 
 @dataclass
 class _ExpressionRequest(DaisRequest):
-    """Shared shape: expression + optional single-document scope."""
+    """Shared shape: optional single-document scope + the expression,
+    which each language carries under its own tag."""
 
     expression: str = ""
     document_name: Optional[str] = None
-
-    EXPR_LOCAL: ClassVar[str] = "Expression"
-
-    def to_xml(self) -> XmlElement:
-        root = self._root()
-        if self.document_name:
-            root.append(E(_q("DocumentName"), self.document_name))
-        root.append(E(_q(self.EXPR_LOCAL), self.expression))
-        return root
-
-    @classmethod
-    def from_xml(cls, element: XmlElement):
-        return cls(
-            abstract_name=cls._read_name(element),
-            expression=element.findtext(_q(cls.EXPR_LOCAL), "") or "",
-            document_name=element.findtext(_q("DocumentName")),
-        )
 
 
 @dataclass
 class XPathExecuteRequest(_ExpressionRequest):
     TAG: ClassVar[QName] = _q("XPathExecuteRequest")
-    EXPR_LOCAL: ClassVar[str] = "XPathExpression"
+
+    WIRE = (_DOCUMENT_SCOPE, Scalar("expression", _q("XPathExpression")))
 
 
 @dataclass
 class XQueryExecuteRequest(_ExpressionRequest):
     TAG: ClassVar[QName] = _q("XQueryExecuteRequest")
-    EXPR_LOCAL: ClassVar[str] = "XQueryExpression"
+
+    WIRE = (_DOCUMENT_SCOPE, Scalar("expression", _q("XQueryExpression")))
 
 
 @dataclass
@@ -307,12 +205,7 @@ class ItemSequenceResponse(DaisMessage):
 
     items: list[XmlElement] = field(default_factory=list)
 
-    def to_xml(self) -> XmlElement:
-        return E(self.TAG, [item.copy() for item in self.items])
-
-    @classmethod
-    def from_xml(cls, element: XmlElement):
-        return cls(items=[c.copy() for c in element.findall(_q("Item"))])
+    WIRE = (_ITEMS,)
 
 
 @dataclass
@@ -332,26 +225,10 @@ class XUpdateExecuteRequest(DaisRequest):
     modifications: Optional[XmlElement] = None
     document_name: Optional[str] = None
 
-    def to_xml(self) -> XmlElement:
-        root = self._root()
-        if self.document_name:
-            root.append(E(_q("DocumentName"), self.document_name))
-        if self.modifications is not None:
-            root.append(self.modifications.copy())
-        return root
-
-    @classmethod
-    def from_xml(cls, element: XmlElement):
-        from repro.xmldb.xupdate import XUPDATE_NS
-
-        modifications = element.find(QName(XUPDATE_NS, "modifications"))
-        return cls(
-            abstract_name=cls._read_name(element),
-            modifications=modifications.copy()
-            if modifications is not None
-            else None,
-            document_name=element.findtext(_q("DocumentName")),
-        )
+    WIRE = (
+        _DOCUMENT_SCOPE,
+        Element("modifications", tag=QName(XUPDATE_NS, "modifications")),
+    )
 
 
 @dataclass
@@ -360,12 +237,7 @@ class XUpdateExecuteResponse(DaisMessage):
 
     modified: int = 0
 
-    def to_xml(self) -> XmlElement:
-        return E(self.TAG, E(_q("Modified"), self.modified))
-
-    @classmethod
-    def from_xml(cls, element: XmlElement):
-        return cls(modified=int(element.findtext(_q("Modified"), "0") or "0"))
+    WIRE = (Scalar("modified", _q("Modified"), INT),)
 
 
 # ---------------------------------------------------------------------------
@@ -379,25 +251,7 @@ class XPathExecuteFactoryRequest(FactoryRequest):
 
     document_name: Optional[str] = None
 
-    def to_xml(self) -> XmlElement:
-        root = super().to_xml()
-        if self.document_name:
-            root.append(E(_q("DocumentName"), self.document_name))
-        return root
-
-    @classmethod
-    def from_xml(cls, element: XmlElement):
-        base = FactoryRequest.from_xml(element)
-        return cls(
-            abstract_name=base.abstract_name,
-            port_type_qname=base.port_type_qname,
-            configuration_document=base.configuration_document,
-            expression=base.expression,
-            language_uri=base.language_uri,
-            parameters=base.parameters,
-            execution_mode=base.execution_mode,
-            document_name=element.findtext(_q("DocumentName")),
-        )
+    WIRE = FactoryRequest.WIRE + (_DOCUMENT_SCOPE,)
 
 
 @dataclass
@@ -422,19 +276,10 @@ class GetItemsRequest(DaisRequest):
     start_position: int = 0
     count: int = 0
 
-    def to_xml(self) -> XmlElement:
-        root = self._root()
-        root.append(E(_q("StartPosition"), self.start_position))
-        root.append(E(_q("Count"), self.count))
-        return root
-
-    @classmethod
-    def from_xml(cls, element: XmlElement):
-        return cls(
-            abstract_name=cls._read_name(element),
-            start_position=int(element.findtext(_q("StartPosition"), "0") or "0"),
-            count=int(element.findtext(_q("Count"), "0") or "0"),
-        )
+    WIRE = (
+        Scalar("start_position", _q("StartPosition"), INT),
+        Scalar("count", _q("Count"), INT),
+    )
 
 
 @dataclass
@@ -444,16 +289,4 @@ class GetItemsResponse(DaisMessage):
     items: list[XmlElement] = field(default_factory=list)
     total_items: int = 0
 
-    def to_xml(self) -> XmlElement:
-        return E(
-            self.TAG,
-            E(_q("TotalItems"), self.total_items),
-            [item.copy() for item in self.items],
-        )
-
-    @classmethod
-    def from_xml(cls, element: XmlElement):
-        return cls(
-            items=[c.copy() for c in element.findall(_q("Item"))],
-            total_items=int(element.findtext(_q("TotalItems"), "0") or "0"),
-        )
+    WIRE = (Scalar("total_items", _q("TotalItems"), INT), _ITEMS)

@@ -21,7 +21,7 @@ from repro.daix.resources import XMLCollectionResource, XMLSequenceResource
 from repro.jobs.namespaces import MODE_ASYNCHRONOUS
 from repro.soap.addressing import MessageHeaders
 from repro.xmldb.errors import XmlDbError
-from repro.xmlutil import XmlElement, parse, serialize
+from repro.xmlutil import parse, serialize
 
 #: Short names of the WS-DAIX port types.
 PORT_TYPES = {
@@ -37,6 +37,34 @@ PORT_TYPES = {
 
 class XMLRealisationService(DataService):
     """A data service exposing a configurable set of WS-DAIX port types."""
+
+    OPERATIONS = {
+        **DataService.OPERATIONS,
+        "collection_access": (
+            (msg.AddDocumentsRequest, "_handle_add_documents"),
+            (msg.GetDocumentsRequest, "_handle_get_documents"),
+            (msg.RemoveDocumentsRequest, "_handle_remove_documents"),
+            (msg.ListDocumentsRequest, "_handle_list_documents"),
+            (msg.CreateSubcollectionRequest, "_handle_create_subcollection"),
+            (msg.RemoveSubcollectionRequest, "_handle_remove_subcollection"),
+            (
+                msg.GetCollectionPropertyDocumentRequest,
+                "_handle_get_collection_property_document",
+            ),
+        ),
+        "xpath_access": ((msg.XPathExecuteRequest, "_handle_xpath_execute"),),
+        "xquery_access": ((msg.XQueryExecuteRequest, "_handle_xquery_execute"),),
+        "xupdate_access": (
+            (msg.XUpdateExecuteRequest, "_handle_xupdate_execute"),
+        ),
+        "xpath_factory": (
+            (msg.XPathExecuteFactoryRequest, "_handle_xpath_factory"),
+        ),
+        "xquery_factory": (
+            (msg.XQueryExecuteFactoryRequest, "_handle_xquery_factory"),
+        ),
+        "sequence_access": ((msg.GetItemsRequest, "_handle_get_items"),),
+    }
 
     def __init__(
         self,
@@ -58,34 +86,7 @@ class XMLRealisationService(DataService):
             raise ValueError(f"unknown port types {sorted(unknown)}")
         self.sequence_target = sequence_target or self
 
-        if "collection_access" in self.port_types:
-            self._install_collection_access()
-        if "xpath_access" in self.port_types:
-            self.register_operation(
-                msg.XPathExecuteRequest.action(), self._handle_xpath_execute
-            )
-        if "xquery_access" in self.port_types:
-            self.register_operation(
-                msg.XQueryExecuteRequest.action(), self._handle_xquery_execute
-            )
-        if "xupdate_access" in self.port_types:
-            self.register_operation(
-                msg.XUpdateExecuteRequest.action(), self._handle_xupdate_execute
-            )
-        if "xpath_factory" in self.port_types:
-            self.register_operation(
-                msg.XPathExecuteFactoryRequest.action(),
-                self._handle_xpath_factory,
-            )
-        if "xquery_factory" in self.port_types:
-            self.register_operation(
-                msg.XQueryExecuteFactoryRequest.action(),
-                self._handle_xquery_factory,
-            )
-        if "sequence_access" in self.port_types:
-            self.register_operation(
-                msg.GetItemsRequest.action(), self._handle_get_items
-            )
+        self.install_port_types(self.port_types)
 
     # -- typed binding lookups ----------------------------------------------
 
@@ -107,36 +108,9 @@ class XMLRealisationService(DataService):
 
     # -- XMLCollectionAccess -------------------------------------------------
 
-    def _install_collection_access(self) -> None:
-        self.register_operation(
-            msg.AddDocumentsRequest.action(), self._handle_add_documents
-        )
-        self.register_operation(
-            msg.GetDocumentsRequest.action(), self._handle_get_documents
-        )
-        self.register_operation(
-            msg.RemoveDocumentsRequest.action(), self._handle_remove_documents
-        )
-        self.register_operation(
-            msg.ListDocumentsRequest.action(), self._handle_list_documents
-        )
-        self.register_operation(
-            msg.CreateSubcollectionRequest.action(),
-            self._handle_create_subcollection,
-        )
-        self.register_operation(
-            msg.RemoveSubcollectionRequest.action(),
-            self._handle_remove_subcollection,
-        )
-        self.register_operation(
-            msg.GetCollectionPropertyDocumentRequest.action(),
-            self._handle_get_collection_property_document,
-        )
-
     def _handle_add_documents(
-        self, payload: XmlElement, headers: MessageHeaders
+        self, request: msg.AddDocumentsRequest, headers: MessageHeaders
     ) -> msg.AddDocumentsResponse:
-        request = msg.AddDocumentsRequest.from_xml(payload)
         binding = self._collection_binding(request.abstract_name)
         binding.require_writeable()
         collection = binding.resource.collection
@@ -150,9 +124,8 @@ class XMLRealisationService(DataService):
         return msg.AddDocumentsResponse(results=results)
 
     def _handle_get_documents(
-        self, payload: XmlElement, headers: MessageHeaders
+        self, request: msg.GetDocumentsRequest, headers: MessageHeaders
     ) -> msg.GetDocumentsResponse:
-        request = msg.GetDocumentsRequest.from_xml(payload)
         binding = self._collection_binding(request.abstract_name)
         binding.require_readable()
         collection = binding.resource.collection
@@ -165,9 +138,8 @@ class XMLRealisationService(DataService):
         return msg.GetDocumentsResponse(documents=documents)
 
     def _handle_remove_documents(
-        self, payload: XmlElement, headers: MessageHeaders
+        self, request: msg.RemoveDocumentsRequest, headers: MessageHeaders
     ) -> msg.RemoveDocumentsResponse:
-        request = msg.RemoveDocumentsRequest.from_xml(payload)
         binding = self._collection_binding(request.abstract_name)
         binding.require_writeable()
         collection = binding.resource.collection
@@ -181,9 +153,8 @@ class XMLRealisationService(DataService):
         return msg.RemoveDocumentsResponse(removed=removed)
 
     def _handle_list_documents(
-        self, payload: XmlElement, headers: MessageHeaders
+        self, request: msg.ListDocumentsRequest, headers: MessageHeaders
     ) -> msg.ListDocumentsResponse:
-        request = msg.ListDocumentsRequest.from_xml(payload)
         binding = self._collection_binding(request.abstract_name)
         collection = binding.resource.collection
         return msg.ListDocumentsResponse(
@@ -192,9 +163,8 @@ class XMLRealisationService(DataService):
         )
 
     def _handle_create_subcollection(
-        self, payload: XmlElement, headers: MessageHeaders
+        self, request: msg.CreateSubcollectionRequest, headers: MessageHeaders
     ) -> msg.CreateSubcollectionResponse:
-        request = msg.CreateSubcollectionRequest.from_xml(payload)
         binding = self._collection_binding(request.abstract_name)
         binding.require_writeable()
         parent: XMLCollectionResource = binding.resource
@@ -215,9 +185,8 @@ class XMLRealisationService(DataService):
         )
 
     def _handle_remove_subcollection(
-        self, payload: XmlElement, headers: MessageHeaders
+        self, request: msg.RemoveSubcollectionRequest, headers: MessageHeaders
     ) -> msg.RemoveSubcollectionResponse:
-        request = msg.RemoveSubcollectionRequest.from_xml(payload)
         binding = self._collection_binding(request.abstract_name)
         binding.require_writeable()
         collection = binding.resource.collection
@@ -236,9 +205,8 @@ class XMLRealisationService(DataService):
         return msg.RemoveSubcollectionResponse(removed=request.collection_name)
 
     def _handle_get_collection_property_document(
-        self, payload: XmlElement, headers: MessageHeaders
+        self, request: msg.GetCollectionPropertyDocumentRequest, headers: MessageHeaders
     ) -> msg.GetCollectionPropertyDocumentResponse:
-        request = msg.GetCollectionPropertyDocumentRequest.from_xml(payload)
         binding = self._collection_binding(request.abstract_name)
         return msg.GetCollectionPropertyDocumentResponse(
             document=binding.property_document()
@@ -247,9 +215,8 @@ class XMLRealisationService(DataService):
     # -- query access ------------------------------------------------------
 
     def _handle_xpath_execute(
-        self, payload: XmlElement, headers: MessageHeaders
+        self, request: msg.XPathExecuteRequest, headers: MessageHeaders
     ) -> msg.XPathExecuteResponse:
-        request = msg.XPathExecuteRequest.from_xml(payload)
         binding = self._collection_binding(request.abstract_name)
         binding.require_readable()
         items = binding.resource.xpath_execute(
@@ -258,9 +225,8 @@ class XMLRealisationService(DataService):
         return msg.XPathExecuteResponse(items=items)
 
     def _handle_xquery_execute(
-        self, payload: XmlElement, headers: MessageHeaders
+        self, request: msg.XQueryExecuteRequest, headers: MessageHeaders
     ) -> msg.XQueryExecuteResponse:
-        request = msg.XQueryExecuteRequest.from_xml(payload)
         binding = self._collection_binding(request.abstract_name)
         binding.require_readable()
         items = binding.resource.xquery_execute(
@@ -269,9 +235,8 @@ class XMLRealisationService(DataService):
         return msg.XQueryExecuteResponse(items=items)
 
     def _handle_xupdate_execute(
-        self, payload: XmlElement, headers: MessageHeaders
+        self, request: msg.XUpdateExecuteRequest, headers: MessageHeaders
     ) -> msg.XUpdateExecuteResponse:
-        request = msg.XUpdateExecuteRequest.from_xml(payload)
         binding = self._collection_binding(request.abstract_name)
         binding.require_writeable()
         if request.modifications is None:
@@ -286,17 +251,15 @@ class XMLRealisationService(DataService):
     # -- factories ------------------------------------------------------------
 
     def _handle_xpath_factory(
-        self, payload: XmlElement, headers: MessageHeaders
+        self, request: msg.XPathExecuteFactoryRequest, headers: MessageHeaders
     ) -> msg.XPathExecuteFactoryResponse:
-        request = msg.XPathExecuteFactoryRequest.from_xml(payload)
         return msg.XPathExecuteFactoryResponse(
             **self._run_factory(request, use_xquery=False)
         )
 
     def _handle_xquery_factory(
-        self, payload: XmlElement, headers: MessageHeaders
+        self, request: msg.XQueryExecuteFactoryRequest, headers: MessageHeaders
     ) -> msg.XQueryExecuteFactoryResponse:
-        request = msg.XQueryExecuteFactoryRequest.from_xml(payload)
         return msg.XQueryExecuteFactoryResponse(
             **self._run_factory(request, use_xquery=True)
         )
@@ -439,9 +402,8 @@ class XMLRealisationService(DataService):
     # -- SequenceAccess -----------------------------------------------------------
 
     def _handle_get_items(
-        self, payload: XmlElement, headers: MessageHeaders
+        self, request: msg.GetItemsRequest, headers: MessageHeaders
     ) -> msg.GetItemsResponse:
-        request = msg.GetItemsRequest.from_xml(payload)
         binding = self._sequence_binding(request.abstract_name)
         binding.require_readable()
         resource: XMLSequenceResource = binding.resource

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import ClassVar, Optional
 
+from repro.core.codec import BOOL, INT, TRUTHY, Address, Group, Scalar
 from repro.core.faults import fault_class_for
 from repro.core.messages import DaisMessage, DaisRequest
 from repro.jobs.model import ERROR, Job
@@ -36,19 +37,25 @@ JOB_STATUS = _q("JobStatus")
 #: QName of the per-resource job list property element.
 JOB_SET = _q("JobSet")
 
+_JOB_ID = Scalar("job_id", _q("JobID"))
+_PHASE = Scalar("phase", _q("Phase"))
+_RESULT_NAME = _q("ResultAbstractName")
+#: The original fault of an ERROR job; written only when there is one.
+_JOB_FAULT = Group(
+    _q("JobFault"),
+    (
+        Scalar("fault_type", _q("FaultType")),
+        Scalar("fault_message", _q("FaultMessage")),
+    ),
+    when="fault_type",
+)
+
 
 @dataclass
 class GetJobStatusRequest(DaisRequest):
     """Poll one job's phase (the async half of the DALI sync/async split)."""
 
     TAG: ClassVar[QName] = _q("GetJobStatusRequest")
-
-    def to_xml(self) -> XmlElement:
-        return self._root()
-
-    @classmethod
-    def from_xml(cls, element: XmlElement) -> "GetJobStatusRequest":
-        return cls(abstract_name=cls._read_name(element))
 
 
 @dataclass
@@ -67,51 +74,15 @@ class GetJobStatusResponse(DaisMessage):
     fault_type: str = ""
     fault_message: str = ""
 
-    def to_xml(self) -> XmlElement:
-        root = E(
-            self.TAG,
-            E(_q("JobID"), self.job_id),
-            E(_q("Phase"), self.phase),
-            E(_q("Attempts"), self.attempts),
-        )
-        if self.cancel_requested:
-            root.append(E(_q("CancelRequested"), "true"))
-        if self.address is not None:
-            root.append(self.address.to_xml(_q("ResultAddress")))
-        if self.result_name:
-            root.append(E(_q("ResultAbstractName"), self.result_name))
-        if self.fault_type:
-            fault = E(_q("JobFault"), E(_q("FaultType"), self.fault_type))
-            fault.append(E(_q("FaultMessage"), self.fault_message))
-            root.append(fault)
-        return root
-
-    @classmethod
-    def from_xml(cls, element: XmlElement) -> "GetJobStatusResponse":
-        address_el = element.find(_q("ResultAddress"))
-        fault_el = element.find(_q("JobFault"))
-        return cls(
-            job_id=element.findtext(_q("JobID"), "") or "",
-            phase=element.findtext(_q("Phase"), "") or "",
-            attempts=int(element.findtext(_q("Attempts"), "0") or "0"),
-            cancel_requested=(
-                (element.findtext(_q("CancelRequested"), "") or "") == "true"
-            ),
-            address=EndpointReference.from_xml(address_el)
-            if address_el is not None
-            else None,
-            result_name=element.findtext(_q("ResultAbstractName"), "") or "",
-            fault_type=(
-                fault_el.findtext(_q("FaultType"), "") if fault_el is not None else ""
-            )
-            or "",
-            fault_message=(
-                fault_el.findtext(_q("FaultMessage"), "")
-                if fault_el is not None
-                else ""
-            )
-            or "",
-        )
+    WIRE = (
+        _JOB_ID,
+        _PHASE,
+        Scalar("attempts", _q("Attempts"), INT),
+        Scalar("cancel_requested", _q("CancelRequested"), BOOL, emit=TRUTHY),
+        Address("address", _q("ResultAddress")),
+        Scalar("result_name", _RESULT_NAME, emit=TRUTHY),
+        _JOB_FAULT,
+    )
 
 
 @dataclass
@@ -119,13 +90,6 @@ class CancelJobRequest(DaisRequest):
     """Request cancellation; the response reports the phase that won."""
 
     TAG: ClassVar[QName] = _q("CancelJobRequest")
-
-    def to_xml(self) -> XmlElement:
-        return self._root()
-
-    @classmethod
-    def from_xml(cls, element: XmlElement) -> "CancelJobRequest":
-        return cls(abstract_name=cls._read_name(element))
 
 
 @dataclass
@@ -142,17 +106,7 @@ class CancelJobResponse(DaisMessage):
     job_id: str = ""
     phase: str = ""
 
-    def to_xml(self) -> XmlElement:
-        return E(
-            self.TAG, E(_q("JobID"), self.job_id), E(_q("Phase"), self.phase)
-        )
-
-    @classmethod
-    def from_xml(cls, element: XmlElement) -> "CancelJobResponse":
-        return cls(
-            job_id=element.findtext(_q("JobID"), "") or "",
-            phase=element.findtext(_q("Phase"), "") or "",
-        )
+    WIRE = (_JOB_ID, _PHASE)
 
 
 # ---------------------------------------------------------------------------
@@ -171,11 +125,8 @@ def job_status_element(job: Job, tag: QName = JOB_STATUS) -> XmlElement:
         cancelRequested=True if job.cancel_requested else None,
     )
     if job.result and job.result.get("abstract_name"):
-        node.append(E(_q("ResultAbstractName"), job.result["abstract_name"]))
-    if job.fault_type:
-        fault = E(_q("JobFault"), E(_q("FaultType"), job.fault_type))
-        fault.append(E(_q("FaultMessage"), job.fault_message))
-        node.append(fault)
+        node.append(E(_RESULT_NAME, job.result["abstract_name"]))
+    _JOB_FAULT.encode(node, job)
     return node
 
 

@@ -601,7 +601,9 @@ def _parse_element(
                     scanner.pos = pos
                     return closed
                 node.children.append(closed)
-                if ctx is not ectx:
+                # A row spelled like its values (<A><A>…</A></A>) has
+                # one seam for both levels: it cannot be split by text.
+                if ctx is not ectx or rraw == nraw:
                     continue
                 rkey = (rraw, nraw)
                 row_re = rcache.get(rkey)

@@ -5,6 +5,7 @@ import pytest
 from repro.client.sql import SQLClient, configuration_document
 from repro.core import (
     DataResourceUnavailableFault,
+    InvalidConfigurationDocumentFault,
     InvalidDatasetFormatFault,
     InvalidExpressionFault,
     InvalidPortTypeQNameFault,
@@ -18,7 +19,10 @@ from repro.dair import (
     SQLROWSET_FORMAT_URI,
     WEBROWSET_FORMAT_URI,
 )
+from repro.dair import messages as dair_msg
 from repro.dair.namespaces import SQL_ROWSET_ACCESS_PT
+from repro.jobs.namespaces import MODE_ASYNCHRONOUS
+from repro.resilience import RETRYABLE_FAULTS
 from repro.relational.types import NULL
 from repro.workload import (
     RelationalWorkload,
@@ -326,3 +330,27 @@ class TestRowsetAccess:
                 factory.abstract_name,
                 dataset_format_uri="urn:fmt:nope",
             )
+
+    def test_asynchronous_rowset_factory_is_refused_not_run_synchronously(
+        self, fig5
+    ):
+        """ExecutionMode survives the SQLRowsetFactoryRequest round trip
+        (the hand-written decoder dropped it, so the service silently
+        answered with a synchronous EPR), and — there being no deferred
+        rowset factory — is answered with a typed, non-retryable fault."""
+        factory = fig5.client.sql_execute_factory(
+            "dais://ds1", fig5.resource.abstract_name, "SELECT 1"
+        )
+        before = fig5.service3.resource_names()
+        with pytest.raises(InvalidConfigurationDocumentFault) as err:
+            fig5.client.call_epr(
+                factory.address,
+                dair_msg.SQLRowsetFactoryRequest(
+                    abstract_name=factory.abstract_name,
+                    execution_mode=MODE_ASYNCHRONOUS,
+                ),
+                dair_msg.SQLRowsetFactoryResponse,
+            )
+        assert "asynchronous" in str(err.value)
+        assert not isinstance(err.value, RETRYABLE_FAULTS)
+        assert fig5.service3.resource_names() == before  # nothing derived

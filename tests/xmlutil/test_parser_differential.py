@@ -48,7 +48,9 @@ _NOISE = [
 
 def _lattice(rng: random.Random) -> str:
     """A ``<Row><Value>…`` block: whole, ragged, or cut off mid-run."""
-    row, value = rng.choice([("Row", "Value"), ("p:Row", "p:a"), ("a", "b")])
+    row, value = rng.choice(
+        [("Row", "Value"), ("p:Row", "p:a"), ("a", "b"), ("a", "a")]
+    )
     cells = ["1", "x", "cell 3", "", "&amp;", "4.5"]
     rows = []
     for _ in range(rng.randint(1, 6)):
