@@ -17,8 +17,9 @@ Hard gate (``make bench-fig2``):
   reference_parser.py``), measured interleaved (min-of-rounds ×
   best-of-N) so machine noise cancels, and builds the same tree;
 * wire output is **byte-identical**: templated ``to_bytes()`` vs
-  generic tree serialization of the same response, and eager vs
-  streamed (chunked) delivery;
+  generic tree serialization of the same response, and eager (a
+  pipeline breaker, emitted from memory) vs streamed (chunked) delivery
+  of the same rows;
 * the plan-cache invalidation regressions and the parser differential
   stay green (they run in the same target).
 
@@ -57,20 +58,20 @@ BEST_OF = 3 if SMOKE else 8
 GATE_RATIO = 1.8 if SMOKE else 3.0
 
 
-def _build(stream_datasets: bool):
-    service = SQLRealisationService(
-        "hot-sql", "dais://hot-sql", stream_datasets=stream_datasets
-    )
+#: The same 1000 rows in the same order (``id`` is the key they are
+#: stored by), asked as a pipeline breaker: the engine holds every row
+#: before the first leaves, so the reply is emitted from memory.
+QUERY_MATERIALIZED = "SELECT * FROM lineitems ORDER BY id LIMIT 1000"
+
+
+@pytest.fixture(scope="module")
+def deploy():
+    service = SQLRealisationService("hot-sql", "dais://hot-sql")
     resource = SQLDataResource(
         mint_abstract_name("shop"), populate_shop_database(WORKLOAD)
     )
     service.add_resource(resource)
     return service, resource
-
-
-@pytest.fixture(scope="module")
-def deploy():
-    return _build(stream_datasets=True)
 
 
 def _best(fn, repeat: int) -> float:
@@ -89,7 +90,9 @@ def _tree_bytes(envelope: Envelope) -> bytes:
     return serialize_bytes(envelope.to_xml())
 
 
-def _execute_bytes(service, resource, render=Envelope.to_bytes) -> bytes:
+def _execute_bytes(
+    service, resource, render=Envelope.to_bytes, query: str = QUERY
+) -> bytes:
     """One SQLExecute round trip at the envelope layer, returning the
     response as *render* serializes it.  Dispatched fresh every call: a
     streamed response drains its dataset when serialized, so the
@@ -100,7 +103,7 @@ def _execute_bytes(service, resource, render=Envelope.to_bytes) -> bytes:
         ),
         payload=msg.SQLExecuteRequest(
             abstract_name=resource.abstract_name,
-            expression=QUERY,
+            expression=query,
         ).to_xml(),
     )
     request_bytes = request.to_bytes()
@@ -171,16 +174,20 @@ def test_fig2_wire_bytes_identical_templated_vs_tree(deploy):
 
 
 def test_fig2_wire_bytes_identical_eager_vs_streamed(deploy):
-    """Chunked delivery changes when bytes are produced, never which
-    bytes: an eager (materialized) service and a streamed one answer
-    the same SQLExecute with identical wire output."""
-    streamed_service, streamed_resource = deploy
-    eager_service, eager_resource = _build(stream_datasets=False)
-    streamed = _execute_bytes(streamed_service, streamed_resource)
-    eager = _execute_bytes(eager_service, eager_resource)
-    # Same abstract name on both sides so the envelopes match byte-for-byte.
-    streamed = streamed.replace(
-        streamed_resource.abstract_name.encode(),
-        eager_resource.abstract_name.encode(),
-    )
+    """Streaming changes when bytes are produced, never which bytes:
+    the rows pulled lazily from the engine while the reply is written,
+    and the same rows held by a pipeline breaker and emitted from
+    memory, are identical wire output."""
+    service, resource = deploy
+
+    def lazy(response: Envelope) -> bytes:
+        assert response.is_streaming()
+        return response.to_bytes()
+
+    def held(response: Envelope) -> bytes:
+        assert not response.is_streaming()
+        return response.to_bytes()
+
+    streamed = _execute_bytes(service, resource, lazy)
+    eager = _execute_bytes(service, resource, held, QUERY_MATERIALIZED)
     assert _normalize(streamed) == _normalize(eager)

@@ -5,7 +5,12 @@ service memory instead of O(N), because rows flow generator → lazy
 dataset emitter → chunked serializer without ever materializing.  This
 benchmark measures peak traced memory and serialization throughput of
 one SQLExecute dispatch + full body drain, streamed vs materialized, at
-1k / 10k / 100k rows.
+1k / 10k / 100k rows.  The service has one way of writing a dataset,
+so the materialized arm is not a mode of it: it is the design streaming
+replaced, rebuilt here from the oracle renderer — drain the result into
+a ``Rowset``, build the dataset as an element tree
+(``tests/dair/reference_render.py``), serialize the envelope in one
+piece.
 
 Hard gates (``make bench-stream``):
 
@@ -22,14 +27,21 @@ import pytest
 
 from repro.bench import Table
 from repro.core import ServiceRegistry, mint_abstract_name
-from repro.dair import SQLDataResource, SQLRealisationService
+from repro.dair import (
+    SQLROWSET_FORMAT_URI,
+    Rowset,
+    SQLDataResource,
+    SQLRealisationService,
+)
 from repro.dair import messages as msg
 from repro.soap.addressing import MessageHeaders
 from repro.soap.envelope import Envelope
 from repro.relational import Database
+from tests.dair.reference_render import render_rowset
 
 SIZES = [1_000, 10_000, 100_000]
 THROUGHPUT_SIZE = 10_000
+SQL = "SELECT k, v FROM t"
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +71,22 @@ def deployments():
     return built
 
 
+def _materialized(service, name, request: Envelope) -> Envelope:
+    """The reply as the tree design produced it: every row held, one
+    ``XmlElement`` per value."""
+    result = service.binding(name).resource.sql_execute(SQL)
+    message = msg.SQLExecuteResponse(
+        dataset_format_uri=SQLROWSET_FORMAT_URI,
+        dataset=render_rowset(SQLROWSET_FORMAT_URI, Rowset.from_result(result)),
+        update_count=result.update_count,
+        communication=result.communication,
+    )
+    return Envelope(
+        headers=request.headers.reply(f"{request.headers.action}Response"),
+        payload=message.to_xml(),
+    )
+
+
 def _measure(service, address, name, streamed):
     """One SQLExecute dispatch + full body drain under tracemalloc.
 
@@ -66,23 +94,23 @@ def _measure(service, address, name, streamed):
     mirrors the transport: chunk-by-chunk for the streamed path (the
     chunked HTTP writer), one materialized string otherwise.
     """
-    service.stream_datasets = streamed
     request = Envelope(
         headers=MessageHeaders(
             to=address, action=msg.SQLExecuteRequest.action()
         ),
         payload=msg.SQLExecuteRequest(
-            abstract_name=name, expression="SELECT k, v FROM t"
+            abstract_name=name, expression=SQL
         ).to_xml(),
     )
     tracemalloc.start()
     tracemalloc.reset_peak()
     started = time.perf_counter()
-    response = service.dispatch(request)
     if streamed:
+        response = service.dispatch(request)
+        assert response.is_streaming()
         body_bytes = sum(len(piece) for piece in response.iter_bytes())
     else:
-        body_bytes = len(response.to_bytes())
+        body_bytes = len(_materialized(service, name, request).to_bytes())
     elapsed = time.perf_counter() - started
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()

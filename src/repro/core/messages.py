@@ -75,6 +75,18 @@ class DaisMessage:
     def to_xml(self) -> XmlElement:
         return encode_fields(self.WIRE, XmlElement(self.TAG), self)
 
+    def has_lazy_content(self) -> bool:
+        """Whether :meth:`to_xml` leaves content still to be produced.
+        Only an embedded element can be (a dataset whose rows have not
+        been pulled), so those fields are asked and no tree is walked."""
+        for part in self.WIRE:
+            if isinstance(part, Elements):
+                value = getattr(self, part.name)
+                for element in value if isinstance(value, list) else (value,):
+                    if getattr(element, "lazy", False):
+                        return True
+        return False
+
     @classmethod
     def from_xml(cls, element: XmlElement) -> "DaisMessage":
         return cls(**decode_fields(cls.WIRE, element))

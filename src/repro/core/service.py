@@ -515,10 +515,14 @@ class DataService:
                 if request_cls is not None:
                     message = request_cls.from_xml(message)
                 response_message = handler(message, request.headers)
-            return Envelope(
+            response = Envelope(
                 headers=request.headers.reply(f"{action}Response"),
                 payload=response_message.to_xml(),
             )
+            # Said once here, so no transport walks the payload to
+            # decide how to frame it.
+            response.known_streaming = response_message.has_lazy_content()
+            return response
         except SoapFault as fault:
             return fault_envelope(request.headers, fault)
         except Exception as exc:  # pragma: no cover - defensive boundary

@@ -25,7 +25,7 @@ from repro.dair.namespaces import (
     WEBROWSET_FORMAT_URI,
     CSV_FORMAT_URI,
 )
-from repro.dair.datasets import Rowset, render_rowset, parse_rowset
+from repro.dair.datasets import Rowset, parse_rowset
 from repro.dair.resources import (
     SQLDataResource,
     SQLResponseResource,
@@ -39,7 +39,6 @@ __all__ = [
     "WEBROWSET_FORMAT_URI",
     "CSV_FORMAT_URI",
     "Rowset",
-    "render_rowset",
     "parse_rowset",
     "SQLDataResource",
     "SQLResponseResource",

@@ -31,7 +31,6 @@ from repro.dair.namespaces import (
 from repro.relational.engine import ResultSet
 from repro.relational.types import NULL
 from repro.xmlutil import (
-    E,
     QName,
     StreamedElement,
     Text,
@@ -66,23 +65,10 @@ class Rowset:
         A streaming result is drained here; use :class:`StreamingRowset`
         to keep it lazy.
         """
-        rows = [
-            tuple(
-                [
-                    str(v)
-                    if type(v) is int
-                    else v
-                    if type(v) is str
-                    else NULL if v is NULL else _lexical(v)
-                    for v in row
-                ]
-            )
-            for row in result.iter_rows()
-        ]
         return cls(
             columns=list(result.columns),
             types=_result_types(result),
-            rows=rows,
+            rows=list(_lexical_rows(result)),
         )
 
     @property
@@ -135,20 +121,9 @@ class StreamingRowset:
     @classmethod
     def from_result(cls, result: ResultSet) -> "StreamingRowset":
         """Wrap a result set without draining it."""
-        source = (
-            tuple(
-                [
-                    str(v)
-                    if type(v) is int
-                    else v
-                    if type(v) is str
-                    else NULL if v is NULL else _lexical(v)
-                    for v in row
-                ]
-            )
-            for row in result.iter_rows()
+        return cls(
+            list(result.columns), _result_types(result), _lexical_rows(result)
         )
-        return cls(list(result.columns), _result_types(result), source)
 
     def __iter__(self) -> Iterator[tuple]:
         for row in self._source:
@@ -180,6 +155,24 @@ class StreamingRowset:
         return Rowset(list(self.columns), list(self.types), list(self))
 
 
+def _lexical_rows(result: ResultSet) -> Iterator[tuple]:
+    """A result's rows, every value as its lexical text (NULL kept),
+    produced as they are pulled."""
+    return (
+        tuple(
+            [
+                str(v)
+                if type(v) is int
+                else v
+                if type(v) is str
+                else NULL if v is NULL else _lexical(v)
+                for v in row
+            ]
+        )
+        for row in result.iter_rows()
+    )
+
+
 def _lexical(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -188,16 +181,6 @@ def _lexical(value) -> str:
 
 #: Format URIs every SQL resource advertises, in preference order.
 ALL_FORMATS = [SQLROWSET_FORMAT_URI, WEBROWSET_FORMAT_URI, CSV_FORMAT_URI]
-
-
-def render_rowset(data_format_uri: str, rowset: Rowset) -> XmlElement:
-    """Render *rowset* in the requested format; faults on unknown URIs."""
-    renderer = _RENDERERS.get(data_format_uri)
-    if renderer is None:
-        raise InvalidDatasetFormatFault(
-            f"unsupported dataset format {data_format_uri!r}"
-        )
-    return renderer(rowset)
 
 
 def parse_rowset(data_format_uri: str, element: XmlElement) -> Rowset:
@@ -218,27 +201,6 @@ def parse_rowset(data_format_uri: str, element: XmlElement) -> Rowset:
 @lru_cache(maxsize=None)
 def _q(local: str) -> QName:
     return QName(WSDAIR_NS, local)
-
-
-def _render_sqlrowset(rowset: Rowset) -> XmlElement:
-    root = E(_q("SQLRowset"))
-    metadata = E(_q("ColumnMetadata"))
-    for index, name in enumerate(rowset.columns):
-        column = E(_q("Column"))
-        column.set("name", name)
-        if index < len(rowset.types) and rowset.types[index]:
-            column.set("type", rowset.types[index])
-        metadata.append(column)
-    root.append(metadata)
-    for row in rowset.rows:
-        row_el = E(_q("Row"))
-        for value in row:
-            if value is NULL:
-                row_el.append(E(_q("Null")))
-            else:
-                row_el.append(E(_q("Value"), value))
-        root.append(row_el)
-    return root
 
 
 def _parse_sqlrowset(element: XmlElement) -> Rowset:
@@ -291,31 +253,6 @@ def _parse_sqlrowset(element: XmlElement) -> Rowset:
 @lru_cache(maxsize=None)
 def _w(local: str) -> QName:
     return QName(_WEBROWSET_NS, local)
-
-
-def _render_webrowset(rowset: Rowset) -> XmlElement:
-    metadata = E(_w("metadata"), E(_w("column-count"), len(rowset.columns)))
-    for index, name in enumerate(rowset.columns):
-        definition = E(
-            _w("column-definition"),
-            E(_w("column-index"), index + 1),
-            E(_w("column-name"), name),
-        )
-        if index < len(rowset.types) and rowset.types[index]:
-            definition.append(E(_w("column-type-name"), rowset.types[index]))
-        metadata.append(definition)
-    data = E(_w("data"))
-    for row in rowset.rows:
-        current = E(_w("currentRow"))
-        for value in row:
-            if value is NULL:
-                column_value = E(_w("columnValue"))
-                column_value.set("null", "true")
-                current.append(column_value)
-            else:
-                current.append(E(_w("columnValue"), value))
-        data.append(current)
-    return E(_w("webRowSet"), metadata, data)
 
 
 def _parse_webrowset(element: XmlElement) -> Rowset:
@@ -394,21 +331,6 @@ def _csv_split(line: str) -> list[str]:
     return [text for text, _ in _csv_split_fields(line)]
 
 
-def _render_csv(rowset: Rowset) -> XmlElement:
-    lines = [",".join(_csv_escape(name) for name in rowset.columns)]
-    for row in rowset.rows:
-        lines.append(
-            ",".join(
-                _NULL_TOKEN if value is NULL else _csv_escape(value)
-                for value in row
-            )
-        )
-    root = E(_q("CsvRowset"), "\n".join(lines))
-    root.set("columns", len(rowset.columns))
-    _set_csv_types(root, rowset)
-    return root
-
-
 def _set_csv_types(element: XmlElement, rowset) -> None:
     """CSV bodies cannot carry type names, so they ride the container
     element as a CSV-escaped attribute (escaped because type names like
@@ -459,12 +381,6 @@ def _parse_csv(element: XmlElement) -> Rowset:
     return Rowset(columns, types, rows)
 
 
-_RENDERERS = {
-    SQLROWSET_FORMAT_URI: _render_sqlrowset,
-    WEBROWSET_FORMAT_URI: _render_webrowset,
-    CSV_FORMAT_URI: _render_csv,
-}
-
 _PARSERS = {
     SQLROWSET_FORMAT_URI: _parse_sqlrowset,
     WEBROWSET_FORMAT_URI: _parse_webrowset,
@@ -473,28 +389,51 @@ _PARSERS = {
 
 
 # ---------------------------------------------------------------------------
-# Incremental emitters
+# Emitters
 # ---------------------------------------------------------------------------
 #
-# Each emitter is the streaming twin of its renderer above: it wraps a
-# rowset in a StreamedElement whose chunk source serializes column
-# metadata as one chunk and then one chunk per row, so the serialized
-# dataset is byte-for-byte what serialize() produces for the eager tree
-# — but no tree and no full string ever exist.  The rowset may be a
-# materialized Rowset or a StreamingRowset; rows are pulled only when
-# the serializer (and so the transport) is ready to write them.
+# The one writer of each format.  An emitter wraps a rowset in a
+# StreamedElement whose chunk source serializes column metadata as one
+# chunk and then the rows, a batch to a chunk — no tree and no full
+# string ever exist.  The rowset may be a materialized Rowset or a
+# StreamingRowset; rows are pulled only when the serializer (and so the
+# transport) is ready to write them.  tests/dair/reference_render.py
+# states the same three documents as element trees and a fuzz holds the
+# two equal byte for byte.
 
 
 def stream_rowset(
     data_format_uri: str, rowset: Rowset | StreamingRowset
 ) -> StreamedElement:
-    """Streaming counterpart of :func:`render_rowset`."""
+    """Emit *rowset* in the requested format; faults on unknown URIs."""
     emitter = _EMITTERS.get(data_format_uri)
     if emitter is None:
         raise InvalidDatasetFormatFault(
             f"unsupported dataset format {data_format_uri!r}"
         )
     return emitter(rowset)
+
+
+class _Dataset(StreamedElement):
+    """What :func:`stream_rowset` returns: a streamed element that knows
+    its row source, and so whether rows are still to be pulled."""
+
+    __slots__ = ("rowset",)
+
+    def __init__(self, tag: QName, chunk_source, rowset, attributes=None) -> None:
+        super().__init__(tag, chunk_source, attributes=attributes)
+        self.rowset = rowset
+
+    @property
+    def lazy(self) -> bool:
+        """False for a materialized :class:`Rowset`: emitting it costs
+        no more memory than it already holds."""
+        return not isinstance(self.rowset, Rowset)
+
+    def copy(self) -> "_Dataset":
+        return _Dataset(
+            self.tag, self.chunk_source, self.rowset, dict(self.attributes)
+        )
 
 
 def _rows_of(rowset: Rowset | StreamingRowset) -> Iterator[tuple]:
@@ -515,6 +454,57 @@ def _type_of(rowset: Rowset | StreamingRowset, index: int) -> str:
 _ROW_BATCH = 64
 
 
+def _row_chunks(
+    rows: Iterator[tuple], row_tag: str, value_tag: str, null_v: str
+) -> Iterator[str]:
+    """The row loop of both element-per-value formats, which differ in
+    their tag names and in how a NULL is spelled, nothing else."""
+    # Static markup is rendered once; the row loop only escapes and
+    # joins.  Rows with no NULL/empty values — the common shape by
+    # far — become one join over the </Value><Value> seam.
+    open_r, close_r, empty_r = f"<{row_tag}>", f"</{row_tag}>", f"<{row_tag}/>"
+    open_v, close_v, empty_v = f"<{value_tag}>", f"</{value_tag}>", f"<{value_tag}/>"
+    pre_rv = open_r + open_v
+    post_vr = close_v + close_r
+    join_vv = (close_v + open_v).join
+    escape = escape_text
+    batch: list[str] = []
+    for row in rows:
+        if row and NULL not in row and "" not in row:
+            batch.append(
+                pre_rv
+                + join_vv(
+                    [
+                        v
+                        if "&" not in v and "<" not in v and ">" not in v
+                        else escape(v)
+                        for v in row
+                    ]
+                )
+                + post_vr
+            )
+        elif not row:
+            batch.append(empty_r)
+        else:
+            parts = [open_r]
+            for value in row:
+                if value is NULL:
+                    parts.append(null_v)
+                elif value == "":
+                    parts.append(empty_v)
+                else:
+                    parts.append(open_v)
+                    parts.append(escape(value))
+                    parts.append(close_v)
+            parts.append(close_r)
+            batch.append("".join(parts))
+        if len(batch) >= _ROW_BATCH:
+            yield "".join(batch)
+            batch.clear()
+    if batch:
+        yield "".join(batch)
+
+
 def _stream_sqlrowset(rowset: Rowset | StreamingRowset) -> StreamedElement:
     def chunks(q) -> Iterator[str]:
         metadata_tag = q(_q("ColumnMetadata"))
@@ -532,56 +522,11 @@ def _stream_sqlrowset(rowset: Rowset | StreamingRowset) -> StreamedElement:
                 parts.append("/>")
             parts.append(f"</{metadata_tag}>")
         yield "".join(parts)
-        row_tag = q(_q("Row"))
-        value_tag = q(_q("Value"))
-        null_tag = q(_q("Null"))
-        # Static markup is rendered once; the row loop only escapes and
-        # joins.  Rows with no NULL/empty values — the common shape by
-        # far — become one join over the </Value><Value> seam.
-        open_r, close_r, empty_r = f"<{row_tag}>", f"</{row_tag}>", f"<{row_tag}/>"
-        open_v, close_v, empty_v = f"<{value_tag}>", f"</{value_tag}>", f"<{value_tag}/>"
-        null_v = f"<{null_tag}/>"
-        pre_rv = open_r + open_v
-        post_vr = close_v + close_r
-        join_vv = (close_v + open_v).join
-        escape = escape_text
-        batch: list[str] = []
-        for row in _rows_of(rowset):
-            if row and NULL not in row and "" not in row:
-                batch.append(
-                    pre_rv
-                    + join_vv(
-                        [
-                            v
-                            if "&" not in v and "<" not in v and ">" not in v
-                            else escape(v)
-                            for v in row
-                        ]
-                    )
-                    + post_vr
-                )
-            elif not row:
-                batch.append(empty_r)
-            else:
-                parts = [open_r]
-                for value in row:
-                    if value is NULL:
-                        parts.append(null_v)
-                    elif value == "":
-                        parts.append(empty_v)
-                    else:
-                        parts.append(open_v)
-                        parts.append(escape(value))
-                        parts.append(close_v)
-                parts.append(close_r)
-                batch.append("".join(parts))
-            if len(batch) >= _ROW_BATCH:
-                yield "".join(batch)
-                batch.clear()
-        if batch:
-            yield "".join(batch)
+        yield from _row_chunks(
+            _rows_of(rowset), q(_q("Row")), q(_q("Value")), f"<{q(_q('Null'))}/>"
+        )
 
-    return StreamedElement(_q("SQLRowset"), chunks)
+    return _Dataset(_q("SQLRowset"), chunks, rowset)
 
 
 def _stream_webrowset(rowset: Rowset | StreamingRowset) -> StreamedElement:
@@ -609,56 +554,22 @@ def _stream_webrowset(rowset: Rowset | StreamingRowset) -> StreamedElement:
         yield "".join(parts)
 
         data_tag = q(_w("data"))
-        row_tag = q(_w("currentRow"))
         value_tag = q(_w("columnValue"))
-        open_r, close_r, empty_r = f"<{row_tag}>", f"</{row_tag}>", f"<{row_tag}/>"
-        open_v, close_v, empty_v = f"<{value_tag}>", f"</{value_tag}>", f"<{value_tag}/>"
-        null_v = f'<{value_tag} null="true"/>'
-        pre_rv = open_r + open_v
-        post_vr = close_v + close_r
-        join_vv = (close_v + open_v).join
-        escape = escape_text
-        opened = False
-        batch: list[str] = []
-        for row in _rows_of(rowset):
-            if not opened:
-                batch.append(f"<{data_tag}>")
-                opened = True
-            if row and NULL not in row and "" not in row:
-                batch.append(
-                    pre_rv
-                    + join_vv(
-                        [
-                            v
-                            if "&" not in v and "<" not in v and ">" not in v
-                            else escape(v)
-                            for v in row
-                        ]
-                    )
-                    + post_vr
-                )
-            elif not row:
-                batch.append(empty_r)
-            else:
-                parts = [open_r]
-                for value in row:
-                    if value is NULL:
-                        parts.append(null_v)
-                    elif value == "":
-                        parts.append(empty_v)
-                    else:
-                        parts.append(open_v)
-                        parts.append(escape(value))
-                        parts.append(close_v)
-                parts.append(close_r)
-                batch.append("".join(parts))
-            if len(batch) >= _ROW_BATCH:
-                yield "".join(batch)
-                batch.clear()
-        batch.append(f"</{data_tag}>" if opened else f"<{data_tag}/>")
-        yield "".join(batch)
+        rows = _row_chunks(
+            _rows_of(rowset),
+            q(_w("currentRow")),
+            value_tag,
+            f'<{value_tag} null="true"/>',
+        )
+        first = next(rows, None)
+        if first is None:
+            yield f"<{data_tag}/>"
+        else:
+            yield f"<{data_tag}>" + first
+            yield from rows
+            yield f"</{data_tag}>"
 
-    return StreamedElement(_w("webRowSet"), chunks)
+    return _Dataset(_w("webRowSet"), chunks, rowset)
 
 
 def _stream_csv(rowset: Rowset | StreamingRowset) -> StreamedElement:
@@ -679,7 +590,7 @@ def _stream_csv(rowset: Rowset | StreamingRowset) -> StreamedElement:
         if batch:
             yield "".join(batch)
 
-    element = StreamedElement(_q("CsvRowset"), chunks)
+    element = _Dataset(_q("CsvRowset"), chunks, rowset)
     element.set("columns", len(rowset.columns))
     _set_csv_types(element, rowset)
     return element

@@ -13,7 +13,7 @@
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterator, Optional
 
 from repro.core.faults import (
     DataResourceUnavailableFault,
@@ -31,7 +31,7 @@ from repro.core.properties import (
 )
 from repro.core.resource import DataResource
 from repro.cim import describe_catalog, render_cim_xml
-from repro.dair.datasets import ALL_FORMATS, Rowset, render_rowset
+from repro.dair.datasets import ALL_FORMATS, Rowset, stream_rowset
 from repro.dair.namespaces import (
     SQLROWSET_FORMAT_URI,
     WSDAIR_NS,
@@ -44,6 +44,20 @@ from repro.xmlutil import E, QName, XmlElement
 
 def _q(local: str) -> QName:
     return QName(WSDAIR_NS, local)
+
+
+def _invalid_expression(exc: SqlError) -> InvalidExpressionFault:
+    return InvalidExpressionFault(f"{type(exc).__name__} [{exc.sqlstate}]: {exc}")
+
+
+def _faulting(rows: Iterator[tuple]) -> Iterator[tuple]:
+    """A lazy result's rows: an engine error met while they are pulled —
+    a value a ``CAST`` refuses in the third row — is the typed fault
+    :meth:`SQLDataResource.sql_execute` raises for one met before."""
+    try:
+        yield from rows
+    except SqlError as exc:
+        raise _invalid_expression(exc) from exc
 
 
 class SQLPropertyDocument(CorePropertyDocument):
@@ -111,7 +125,9 @@ class SQLDataResource(DataResource):
         With ``stream=True`` a streamable SELECT returns a lazy result
         (see :meth:`repro.relational.engine.Session.execute`); its
         statement transaction completes when the row iterator does.
-        Plan and permission errors still surface here, eagerly.
+        Plan and permission errors still surface here, eagerly; an error
+        in a later row surfaces where the rows are pulled, as the same
+        typed fault.
         """
         self._require_available()
         if self.statement_rewriter is not None:
@@ -124,12 +140,12 @@ class SQLDataResource(DataResource):
                 expression, tuple(parameters or ()), stream=stream
             )
         except SqlError as exc:
-            raise InvalidExpressionFault(
-                f"{type(exc).__name__} [{exc.sqlstate}]: {exc}"
-            ) from exc
+            raise _invalid_expression(exc) from exc
         finally:
             session.close()
         self._enforce_permissions(result, configurable)
+        if result.is_streaming:
+            result.row_source = _faulting(result.row_source)
         return result
 
     @staticmethod
@@ -183,9 +199,7 @@ class SQLDataResource(DataResource):
         try:
             return session.execute(expression, tuple(parameters or ()))
         except SqlError as exc:
-            raise InvalidExpressionFault(
-                f"{type(exc).__name__} [{exc.sqlstate}]: {exc}"
-            ) from exc
+            raise _invalid_expression(exc) from exc
 
     def commit_transaction(self, context_id: str) -> None:
         session = self._contexts.pop(context_id, None)
@@ -226,7 +240,7 @@ class SQLDataResource(DataResource):
     ) -> list[XmlElement]:
         result = self.sql_execute(expression, parameters)
         rowset = Rowset.from_result(result)
-        return [render_rowset(SQLROWSET_FORMAT_URI, rowset)]
+        return [stream_rowset(SQLROWSET_FORMAT_URI, rowset)]
 
     # -- property document ----------------------------------------------------
 

@@ -26,7 +26,6 @@ from repro.dair.datasets import (
     ALL_FORMATS,
     Rowset,
     StreamingRowset,
-    render_rowset,
     stream_rowset,
 )
 from repro.dair.namespaces import (
@@ -111,7 +110,6 @@ class SQLRealisationService(DataService):
         port_types: Iterable[str] = tuple(PORT_TYPES),
         response_target: Optional["SQLRealisationService"] = None,
         rowset_target: Optional["SQLRealisationService"] = None,
-        stream_datasets: bool = True,
         **kwargs,
     ) -> None:
         from repro.core.namespaces import WSDAI_NS
@@ -121,10 +119,6 @@ class SQLRealisationService(DataService):
             {"wsdai": WSDAI_NS, "wsdair": WSDAIR_NS},
         )
         super().__init__(name, address, **kwargs)
-        #: Stream SQLExecute datasets (lazy rows + incremental emitter)
-        #: instead of materialising them; off reproduces the old
-        #: O(result)-memory path, which the fig-5 benchmark compares.
-        self.stream_datasets = stream_datasets
         self._rows_streamed = self.metrics.counter(
             "rowset.rows.streamed",
             "Rows emitted through streamed dataset responses",
@@ -236,7 +230,7 @@ class SQLRealisationService(DataService):
                 request.expression,
                 request.parameters,
                 binding.configurable,
-                stream=self.stream_datasets,
+                stream=True,
             )
         dataset = None
         communication_factory = None
@@ -259,7 +253,10 @@ class SQLRealisationService(DataService):
                     )
 
             else:
-                dataset = render_rowset(format_uri, Rowset.from_result(result))
+                # A pipeline breaker (or a statement inside a consumer's
+                # transaction) already holds its rows: same emitter,
+                # nothing left to pull, so the reply is framed by length.
+                dataset = stream_rowset(format_uri, Rowset.from_result(result))
         return msg.SQLExecuteResponse(
             dataset_format_uri=format_uri,
             dataset=dataset,
@@ -518,14 +515,14 @@ class SQLRealisationService(DataService):
         resource: SQLResponseResource = binding.resource
         format_uri = request.dataset_format_uri or SQLROWSET_FORMAT_URI
         rowset = resource.rowset()
-        if self.stream_datasets:
-            # The response rowset is already materialized, but emitting
-            # it incrementally lets the transport chunk the reply
-            # instead of buffering one giant serialized string.
-            dataset = stream_rowset(format_uri, rowset)
-            self._rows_streamed.inc(rowset.row_count)
-        else:
-            dataset = render_rowset(format_uri, rowset)
+        # The response rowset is already materialized, but handing its
+        # rows over as an iterator lets the transport chunk the reply
+        # instead of buffering one giant serialized string.
+        dataset = stream_rowset(
+            format_uri,
+            StreamingRowset(rowset.columns, rowset.types, rowset.rows),
+        )
+        self._rows_streamed.inc(rowset.row_count)
         return msg.GetSQLRowsetResponse(
             dataset_format_uri=format_uri,
             dataset=dataset,
@@ -640,7 +637,7 @@ class SQLRealisationService(DataService):
         window = resource.get_tuples(request.start_position, request.count)
         return msg.GetTuplesResponse(
             dataset_format_uri=resource.data_format_uri,
-            dataset=render_rowset(resource.data_format_uri, window),
+            dataset=stream_rowset(resource.data_format_uri, window),
             total_rows=resource.row_count,
         )
 

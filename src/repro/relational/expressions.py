@@ -399,10 +399,23 @@ def _run_subquery(
 # -- functions ----------------------------------------------------------------
 
 
-def _function(expr: ast.FunctionCall, scopes: Scopes) -> Compiled:
-    handler = _FUNCTIONS.get(expr.name)
-    if handler is None:
+def scalar_function(expr: ast.FunctionCall):
+    """The handler for a call, once its name and argument count are
+    known to be right — what can be refused before any row is."""
+    entry = _FUNCTIONS.get(expr.name)
+    if entry is None:
         raise SqlError(f"unknown function {expr.name}()")
+    handler, counts = entry
+    if counts is not None and len(expr.args) not in counts:
+        raise SqlError(
+            f"{expr.name}() takes {' or '.join(map(str, counts))} "
+            f"argument(s), not {len(expr.args)}"
+        )
+    return handler
+
+
+def _function(expr: ast.FunctionCall, scopes: Scopes) -> Compiled:
+    handler = scalar_function(expr)
     args = [compile_expression(arg, scopes) for arg in expr.args]
     return lambda row, ctx: handler([arg(row, ctx) for arg in args])
 
@@ -557,8 +570,6 @@ def _fn_coalesce(args):
 
 
 def _fn_nullif(args):
-    if len(args) != 2:
-        raise SqlError("NULLIF takes exactly two arguments")
     a, b = args
     comparison = compare_values(a, b)
     if comparison == 0:
@@ -567,11 +578,9 @@ def _fn_nullif(args):
 
 
 def _fn_substr(args):
-    if len(args) not in (2, 3):
-        raise SqlError("SUBSTR takes two or three arguments")
     text = _expect_str(args[0], "SUBSTR")
-    start = int(args[1])
-    length = int(args[2]) if len(args) == 3 else None
+    start = _expect_int(args[1], "SUBSTR")
+    length = _expect_int(args[2], "SUBSTR") if len(args) == 3 else None
     begin = max(start - 1, 0)
     if length is None:
         return text[begin:]
@@ -586,35 +595,52 @@ def _expect_str(value, fn):
     return value
 
 
-def _fn_round(args):
-    if len(args) not in (1, 2):
-        raise SqlError("ROUND takes one or two arguments")
-    digits = int(args[1]) if len(args) == 2 else 0
-    value = args[0]
+def _expect_number(value, fn):
     if not _is_number(value):
-        raise SqlTypeError("ROUND requires a numeric argument")
-    result = round(value, digits)
+        raise SqlTypeError(f"{fn} requires a numeric argument")
+    return value
+
+
+def _expect_int(value, fn) -> int:
+    """A position or a digit count: whatever ``int`` accepts ('2', 2.0)."""
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise SqlTypeError(f"{fn} requires an integer argument") from None
+
+
+def _fn_round(args):
+    digits = _expect_int(args[1], "ROUND") if len(args) == 2 else 0
+    value = _expect_number(args[0], "ROUND")
+    try:
+        result = round(value, digits)
+    except ArithmeticError:  # a Decimal asked for more digits than it can hold
+        raise SqlError(f"ROUND cannot keep {digits} digits") from None
     if digits == 0 and isinstance(value, float):
         return float(result)
     return result
 
 
+#: name → (handler, the argument counts it takes or None for any).  The
+#: count is checked once, where the call is compiled
+#: (:func:`scalar_function`); the handlers check each value.
 _FUNCTIONS = {
-    "UPPER": _null_propagating(lambda a: _expect_str(a[0], "UPPER").upper()),
-    "LOWER": _null_propagating(lambda a: _expect_str(a[0], "LOWER").lower()),
-    "LENGTH": _null_propagating(lambda a: len(_expect_str(a[0], "LENGTH"))),
-    "CHAR_LENGTH": _null_propagating(
-        lambda a: len(_expect_str(a[0], "CHAR_LENGTH"))
+    "UPPER": (_null_propagating(lambda a: _expect_str(a[0], "UPPER").upper()), (1,)),
+    "LOWER": (_null_propagating(lambda a: _expect_str(a[0], "LOWER").lower()), (1,)),
+    "LENGTH": (_null_propagating(lambda a: len(_expect_str(a[0], "LENGTH"))), (1,)),
+    "CHAR_LENGTH": (
+        _null_propagating(lambda a: len(_expect_str(a[0], "CHAR_LENGTH"))),
+        (1,),
     ),
-    "TRIM": _null_propagating(lambda a: _expect_str(a[0], "TRIM").strip()),
-    "LTRIM": _null_propagating(lambda a: _expect_str(a[0], "LTRIM").lstrip()),
-    "RTRIM": _null_propagating(lambda a: _expect_str(a[0], "RTRIM").rstrip()),
-    "ABS": _null_propagating(lambda a: abs(a[0])),
-    "MOD": _null_propagating(lambda a: _arithmetic("%", a[0], a[1])),
-    "ROUND": _null_propagating(_fn_round),
-    "SUBSTR": _null_propagating(_fn_substr),
-    "SUBSTRING": _null_propagating(_fn_substr),
-    "CONCAT": _null_propagating(lambda a: "".join(_stringify(x) for x in a)),
-    "COALESCE": _fn_coalesce,
-    "NULLIF": _fn_nullif,
+    "TRIM": (_null_propagating(lambda a: _expect_str(a[0], "TRIM").strip()), (1,)),
+    "LTRIM": (_null_propagating(lambda a: _expect_str(a[0], "LTRIM").lstrip()), (1,)),
+    "RTRIM": (_null_propagating(lambda a: _expect_str(a[0], "RTRIM").rstrip()), (1,)),
+    "ABS": (_null_propagating(lambda a: abs(_expect_number(a[0], "ABS"))), (1,)),
+    "MOD": (_null_propagating(lambda a: _arithmetic("%", a[0], a[1])), (2,)),
+    "ROUND": (_null_propagating(_fn_round), (1, 2)),
+    "SUBSTR": (_null_propagating(_fn_substr), (2, 3)),
+    "SUBSTRING": (_null_propagating(_fn_substr), (2, 3)),
+    "CONCAT": (_null_propagating(lambda a: "".join(_stringify(x) for x in a)), None),
+    "COALESCE": (_fn_coalesce, None),
+    "NULLIF": (_fn_nullif, (2,)),
 }

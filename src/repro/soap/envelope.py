@@ -9,7 +9,8 @@ XML-bytes round trip that every transport performs.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Optional
 
 from repro.soap.addressing import MessageHeaders
 from repro.soap.fault import FaultCode, SoapFault
@@ -98,6 +99,12 @@ class Envelope:
 
     headers: MessageHeaders
     payload: XmlElement
+    #: :meth:`is_streaming`'s answer, when whoever built the payload
+    #: recorded it (``DataService`` does: it knows which field can be
+    #: lazy); ``None`` = ask the payload.
+    known_streaming: Optional[bool] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def to_xml(self) -> XmlElement:
         """Render the full ``soapenv:Envelope``."""
@@ -157,11 +164,15 @@ class Envelope:
             return None
 
     def is_streaming(self) -> bool:
-        """True when the payload contains lazily rendered content
-        (a :class:`~repro.xmlutil.StreamedElement` anywhere in the
-        tree) — transports can then serialize incrementally via
-        :meth:`iter_bytes` instead of materializing the whole body."""
-        return _has_streamed_content(self.payload)
+        """True when the payload contains content still to be produced
+        (a lazy :class:`~repro.xmlutil.StreamedElement` anywhere in the
+        tree: rows not yet pulled from the engine) — transports can then
+        serialize incrementally via :meth:`iter_bytes` instead of
+        materializing the whole body.  A dataset emitted from rows
+        already in memory is not: :meth:`to_bytes` drains it inline."""
+        if self.known_streaming is not None:
+            return self.known_streaming
+        return _has_lazy_content(self.payload)
 
     def iter_bytes(self):
         """Serialize incrementally: an iterator of UTF-8 fragments whose
@@ -220,11 +231,13 @@ class Envelope:
         raise _specialize(fault)
 
 
-def _has_streamed_content(element: XmlElement) -> bool:
+def _has_lazy_content(element: XmlElement) -> bool:
+    """The walk behind :meth:`Envelope.is_streaming` for an envelope
+    nobody vouched for (a hand-built one)."""
     if isinstance(element, StreamedElement):
-        return True
+        return element.lazy
     return any(
-        _has_streamed_content(child) for child in element.element_children()
+        _has_lazy_content(child) for child in element.element_children()
     )
 
 

@@ -167,9 +167,6 @@ class DaisHttpServer:
         self._bytes_out = self.metrics.counter(
             "http.bytes.out", "response body bytes sent on the wire"
         )
-        #: Negotiated response compression (Accept-Encoding: gzip); off
-        #: reproduces the uncompressed wire for benchmarks.
-        self.compression = True
         self._core = EventLoopCore(
             "127.0.0.1",
             port,
@@ -259,7 +256,7 @@ class DaisHttpServer:
         self._bytes_in.inc(len(body))
         if not self._apply_fault_plan(conn, request, core):
             return
-        gzip_ok = self.compression and accepts_gzip(request.headers)
+        gzip_ok = accepts_gzip(request.headers)
         # The admitted decision rides the request span itself (a
         # separate admission span would be a second root and fragment
         # the consumer's trace — only *shed* decisions, which never
@@ -281,7 +278,6 @@ class DaisHttpServer:
                 span.set_attribute("response_bytes", len(payload))
             if status != 200:
                 span.mark_fault()
-        self._requests.inc(status=str(status))
         if streamed:
             # The lazy payload renders while it is written out; the
             # span above already closed, but exporters hold the span
@@ -289,12 +285,31 @@ class DaisHttpServer:
             # drained) still lands on it.
             try:
                 sent = self._send_chunked(conn, response, compress=gzip_ok)
+            except SoapFault as fault:
+                # Raised while nothing had been written (a row the
+                # statement cannot produce, met before the first flush):
+                # the status line is still ours to choose, so this is a
+                # fault envelope like any other, on the same connection.
+                status = 500
+                payload = Envelope(
+                    headers=MessageHeaders(
+                        to=response.headers.to,
+                        action=f"{SOAP_ENV_NS}/fault",
+                        relates_to=response.headers.relates_to,
+                    ),
+                    payload=fault.to_xml(),
+                ).to_bytes()
+                span.set_attributes(
+                    status=status, streamed=False, response_bytes=len(payload)
+                )
+                span.mark_fault()
             except (ConnectionError, BrokenPipeError, TimeoutError, OSError):
                 core.close(conn)
                 return
             except Exception as exc:
-                # The 200 status line is long gone, so a mid-stream
-                # producer failure cannot become a SOAP fault;
+                # Past the first write the 200 status line is gone, so
+                # a mid-stream producer failure cannot become a SOAP
+                # fault (and an untyped one has no fault to become);
                 # withholding the terminal chunk makes the consumer see
                 # an incomplete transfer instead of a truncated-but-
                 # parseable body.  The exception itself must not vanish
@@ -304,10 +319,12 @@ class DaisHttpServer:
                 self._errors.inc(where="stream")
                 span.record_exception(exc)
                 return
-            if span.recording:
-                span.set_attribute("response_bytes", sent)
-            core.finish(conn, keep_alive=request.keep_alive)
-            return
+            else:
+                if span.recording:
+                    span.set_attribute("response_bytes", sent)
+                core.finish(conn, keep_alive=request.keep_alive)
+                return
+        self._requests.inc(status=str(status))
         # Content negotiation: above the floor, a willing client gets
         # the body gzip-encoded.  Content-Length frames the *encoded*
         # bytes, so keep-alive framing is untouched.
@@ -499,8 +516,18 @@ class DaisHttpServer:
         size floor is reached — a stream that ends below it goes out
         uncompressed, exactly like a small eager body — and only then
         are the response headers (with ``Content-Encoding: gzip``)
-        committed.  Chunk framing wraps the *compressed* byte stream,
+        decided.  Chunk framing wraps the *compressed* byte stream,
         so the client's chunked decoder is oblivious.
+
+        Nothing is written before the first coalescing buffer is full
+        (or the stream has ended): the header block rides in front of
+        that first write and the terminal chunk behind the last, so a
+        reply that fits one buffer is one write.  It also makes the
+        first write the commit point: it is where the 200 is counted
+        in ``http.server.requests``, a ``SoapFault`` from the producer
+        before it propagates as itself and can still be answered with
+        a fault envelope, and one after it is the cause of a
+        ``RuntimeError``, handled like any other broken stream.
         """
         sock = conn.sock
         fragments = response.iter_bytes()
@@ -523,27 +550,40 @@ class DaisHttpServer:
         ]
         if compress:
             headers.append(("Content-Encoding", "gzip"))
-        sock.sendall(render_headers(200, headers))
+        #: Written in front of the first chunk; empty once committed.
+        unsent = render_headers(200, headers)
         sent = 0
         buffer = bytearray()
 
-        def flush() -> None:
-            nonlocal sent
-            if not buffer:
-                return
-            sock.sendall(chunk(bytes(buffer)))
-            self._chunks.inc()
-            self._response_bytes.inc(len(buffer))
-            self._bytes_out.inc(len(buffer))
-            sent += len(buffer)
-            buffer.clear()
+        def flush(last: bytes = b"") -> None:
+            # Accounted before the write: a consumer that has read the
+            # end of the reply finds the counters already moved.
+            nonlocal sent, unsent
+            wire = unsent
+            if unsent:
+                self._requests.inc(status="200")
+                unsent = b""
+            if buffer:
+                wire += chunk(bytes(buffer))
+                self._chunks.inc()
+                self._response_bytes.inc(len(buffer))
+                self._bytes_out.inc(len(buffer))
+                sent += len(buffer)
+                buffer.clear()
+            sock.sendall(wire + last)
 
-        for fragment in fragments:
-            buffer.extend(fragment)
-            if len(buffer) >= self.CHUNK_COALESCE_BYTES:
-                flush()
-        flush()
-        sock.sendall(TERMINAL_CHUNK)
+        try:
+            for fragment in fragments:
+                buffer.extend(fragment)
+                if len(buffer) >= self.CHUNK_COALESCE_BYTES:
+                    flush()
+        except SoapFault as fault:
+            if unsent:
+                raise
+            raise RuntimeError(
+                f"typed fault after the reply was committed: {fault}"
+            ) from fault
+        flush(TERMINAL_CHUNK)
         return sent
 
     # -- read-only exposition endpoints ---------------------------------------
@@ -673,8 +713,7 @@ class HttpTransport:
     write time and replaced with exactly one transparent reconnect; a
     connection that fails after the request went out is *poisoned* —
     closed, never re-pooled, and the failure surfaces to the caller,
-    because the service may already have acted on the request.  Pass
-    ``pooling=False`` for the old connection-per-request behaviour.
+    because the service may already have acted on the request.
 
     Every attempt runs under a socket timeout (default 10 s —
     configurable per transport, overridable per retry policy) that also
@@ -699,7 +738,6 @@ class HttpTransport:
         network: NetworkModel | None = None,
         timeout: float = 10.0,
         resilience=None,
-        pooling: bool = True,
         max_idle_per_host: int = 8,
         compression: bool = True,
     ) -> None:
@@ -734,15 +772,11 @@ class HttpTransport:
         self._bytes_in = self.metrics.counter(
             "http.bytes.in", "response body bytes received on the wire"
         )
-        #: The keep-alive pool (None = connection per request).  Its
-        #: ``rpc.client.connections.*`` counters live in :attr:`metrics`,
-        #: so pool behaviour shows up in ``obs:ServiceMetrics``.
-        self.pool = (
-            HttpConnectionPool(
-                max_idle_per_host=max_idle_per_host, metrics=self.metrics
-            )
-            if pooling
-            else None
+        #: The keep-alive pool.  Its ``rpc.client.connections.*``
+        #: counters live in :attr:`metrics`, so pool behaviour shows up
+        #: in ``obs:ServiceMetrics``.
+        self.pool = HttpConnectionPool(
+            max_idle_per_host=max_idle_per_host, metrics=self.metrics
         )
 
     def send(self, address: str, request: Envelope) -> Envelope:
@@ -752,8 +786,7 @@ class HttpTransport:
 
     def close(self) -> None:
         """Close every idle pooled connection."""
-        if self.pool is not None:
-            self.pool.close_all()
+        self.pool.close_all()
 
     def _effective_timeout(self) -> float:
         if self.resilience is not None:
@@ -823,7 +856,7 @@ class HttpTransport:
     def _exchange(
         self, address: str, action: str, body: bytes
     ) -> tuple[int, bytes, int]:
-        """One POST over a (possibly pooled) connection →
+        """One POST over a pooled connection →
         ``(status, decoded body, wire bytes)``.
 
         *wire bytes* is the response body size as read off the socket —
@@ -854,22 +887,18 @@ class HttpTransport:
         }
         if self.compression:
             headers["Accept-Encoding"] = "gzip"
-        if self.pool is None:
-            # Connection-per-request mode: tell the server not to hold
-            # the socket (and its handler thread) open for us.
-            headers["Connection"] = "close"
         reconnected = False
         while True:
-            conn, reused = self._checkout(host, port, timeout)
+            conn, reused = self.pool.acquire(host, port, timeout)
             try:
                 conn.request("POST", path, body=body, headers=headers)
             except TimeoutError as err:  # socket.timeout is an alias
-                self._checkin(conn, reusable=False)
+                self.pool.release(conn, reusable=False)
                 raise TransportFault(
                     f"request to {address} timed out after {timeout}s"
                 ) from err
             except (OSError, http.client.HTTPException) as err:
-                self._checkin(conn, reusable=False)
+                self.pool.release(conn, reusable=False)
                 if reused and not reconnected:
                     # Stale keep-alive died under the write; the server
                     # never received the request, so one fresh-connection
@@ -883,7 +912,7 @@ class HttpTransport:
                 reply = conn.getresponse()
                 response_bytes = self._read_body(reply, conn, timeout)
             except TimeoutError as err:
-                self._checkin(conn, reusable=False)
+                self.pool.release(conn, reusable=False)
                 raise TransportFault(
                     f"request to {address} timed out after {timeout}s"
                 ) from err
@@ -891,7 +920,7 @@ class HttpTransport:
                 # The request went out but no (complete) response came
                 # back: poison the connection and surface the break — the
                 # service may have acted, so no transparent resend.
-                self._checkin(conn, reusable=False)
+                self.pool.release(conn, reusable=False)
                 raise TransportFault(
                     f"connection to {address} broke mid-exchange: {err}"
                 ) from err
@@ -908,11 +937,11 @@ class HttpTransport:
                     # A truncated/garbled member is a broken exchange:
                     # the connection framing may still be fine, but the
                     # payload is not — poison it and surface the break.
-                    self._checkin(conn, reusable=False)
+                    self.pool.release(conn, reusable=False)
                     raise TransportFault(
                         f"undecodable gzip response from {address}: {err}"
                     ) from err
-            self._checkin(conn, reusable=not reply.will_close)
+            self.pool.release(conn, reusable=not reply.will_close)
             return reply.status, response_bytes, wire_bytes
 
     def _read_body(self, reply, conn, timeout: float) -> bytes:
@@ -945,14 +974,3 @@ class HttpTransport:
                 reply.close()
                 return b"".join(pieces)
             pieces.append(piece)
-
-    def _checkout(self, host: str, port: int, timeout: float):
-        if self.pool is not None:
-            return self.pool.acquire(host, port, timeout)
-        return http.client.HTTPConnection(host, port, timeout=timeout), False
-
-    def _checkin(self, conn, reusable: bool) -> None:
-        if self.pool is not None:
-            self.pool.release(conn, reusable=reusable)
-        else:
-            conn.close()

@@ -12,6 +12,7 @@ from repro.core.registry import ServiceRegistry
 from repro.obs import MetricsRegistry, get_tracer
 from repro.resilience import coerce_resilience
 from repro.soap.envelope import Envelope, fault_envelope
+from repro.soap.fault import SoapFault
 from repro.soap.tracecontext import inject
 from repro.transport.wire import CallRecord, NetworkModel, WireStats
 
@@ -78,7 +79,14 @@ class LoopbackTransport:
                 span.mark_fault()
             else:
                 response = service.dispatch(Envelope.from_bytes(request_bytes))
-            response_bytes = response.to_bytes()
+            try:
+                response_bytes = response.to_bytes()
+            except SoapFault as fault:
+                # A lazy payload faulted while it was drained (a row the
+                # statement cannot produce): no byte has left, so the
+                # consumer gets the fault envelope the HTTP binding sends.
+                response = fault_envelope(request.headers, fault)
+                response_bytes = response.to_bytes()
             modeled = self._network.transfer_time(
                 len(request_bytes)
             ) + self._network.transfer_time(len(response_bytes))

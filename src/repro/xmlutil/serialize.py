@@ -53,14 +53,27 @@ def _assign_prefixes(
 
 
 class _Writer:
-    def __init__(self, prefixes: dict[str, str], indent: str | None) -> None:
+    """Walks a tree once and flattens it.
+
+    What can be rendered is rendered: static markup accumulates as text.
+    What cannot — a :class:`StreamedElement`'s chunks, a
+    :class:`LazyText`'s value — does not exist yet, so the node itself is
+    kept, in document order, between the runs of text around it.
+    :meth:`chunks` then resolves those nodes one after the other, which
+    is why a value placed after a streamed region (the communication
+    area behind a dataset) still resolves after the region's last row.
+    """
+
+    def __init__(
+        self, prefixes: dict[str, str], indent: str | None, head: str = ""
+    ) -> None:
         self._prefixes = prefixes
         self._indent = indent
-        self._parts: list[str] = []
+        #: Text rendered since the last deferred node.
+        self._parts: list[str] = [head] if head else []
+        #: Runs of rendered text and, between them, the deferred nodes.
+        self._flat: list[str | StreamedElement | LazyText] = []
         self._qnames: dict[QName, str] = {}
-
-    def result(self) -> str:
-        return "".join(self._parts)
 
     def _qname(self, name: QName) -> str:
         rendered = self._qnames.get(name)
@@ -72,46 +85,37 @@ class _Writer:
             self._qnames[name] = rendered
         return rendered
 
+    def _defer(self, node: StreamedElement | LazyText) -> None:
+        if self._parts:
+            self._flat.append("".join(self._parts))
+            self._parts.clear()
+        self._flat.append(node)
+
     def write(self, node: XmlElement, depth: int, declare: dict[str, str] | None) -> None:
-        pad = "" if self._indent is None else "\n" + self._indent * depth
-        if depth > 0 or self._indent is not None:
-            if depth > 0 and self._indent is not None:
-                self._parts.append(pad)
-        self._parts.append(f"<{self._qname(node.tag)}")
+        parts = self._parts
+        if depth > 0 and self._indent is not None:
+            parts.append("\n" + self._indent * depth)
+        parts.append(f"<{self._qname(node.tag)}")
         if declare:
             for uri, prefix in declare.items():
-                self._parts.append(f' xmlns:{prefix}="{escape_attribute(uri)}"')
+                parts.append(f' xmlns:{prefix}="{escape_attribute(uri)}"')
         for attr, value in node.attributes.items():
-            self._parts.append(
-                f' {self._qname(attr)}="{escape_attribute(value)}"'
-            )
+            parts.append(f' {self._qname(attr)}="{escape_attribute(value)}"')
         if isinstance(node, StreamedElement):
-            # Drain the lazy content inline (the eager path still works on
-            # streamed trees; only memory behaviour differs from
-            # serialize_chunks).  Streamed content is always compact.
-            produced = False
-            for chunk in node.chunk_source(self._qname):
-                if not chunk:
-                    continue
-                if not produced:
-                    self._parts.append(">")
-                    produced = True
-                self._parts.append(chunk)
-            self._parts.append(
-                f"</{self._qname(node.tag)}>" if produced else "/>"
-            )
+            # Whether the element closes as ``</T>`` or collapses to
+            # ``<T/>`` is known only once its source has run: chunks().
+            self._defer(node)
             return
         if not node.children:
-            self._parts.append("/>")
+            parts.append("/>")
             return
-        self._parts.append(">")
-        parts = self._parts
+        parts.append(">")
         text_only = True
         for child in node.children:
             if isinstance(child, Text):
                 parts.append(escape_text(child.value))
             elif isinstance(child, LazyText):
-                parts.append(escape_text(child.value))
+                self._defer(child)
             elif isinstance(child, Comment):
                 text_only = False
                 parts.append(f"<!--{child.value}-->")
@@ -121,6 +125,54 @@ class _Writer:
         if not text_only and self._indent is not None:
             parts.append("\n" + self._indent * depth)
         parts.append(f"</{self._qname(node.tag)}>")
+
+    def chunks(self) -> Iterator[str]:
+        """The document as text chunks: everything rendered up to a
+        streamed region's next chunk is one chunk, and the region's own
+        chunks pass straight through (always compact), so peak memory is
+        the largest single chunk, not the document."""
+        buffer: list[str] = []
+        for item in (*self._flat, "".join(self._parts)):
+            if type(item) is str:
+                buffer.append(item)
+            elif isinstance(item, LazyText):
+                buffer.append(escape_text(item.value))
+            else:
+                produced = False
+                for chunk in item.chunk_source(self._qname):
+                    if not chunk:
+                        continue
+                    if not produced:
+                        buffer.append(">")
+                        produced = True
+                    if buffer:
+                        yield "".join(buffer)
+                        buffer.clear()
+                    yield chunk
+                buffer.append(
+                    f"</{self._qname(item.tag)}>" if produced else "/>"
+                )
+        text = "".join(buffer)
+        if text:
+            yield text
+
+
+_XML_DECLARATION = '<?xml version="1.0" encoding="UTF-8"?>\n'
+
+
+def _written(
+    root: XmlElement,
+    registry: NamespaceRegistry | None,
+    indent: str | None,
+    xml_declaration: bool,
+) -> _Writer:
+    """*root* walked as a document: every namespace declared on it."""
+    registry = registry if registry is not None else DEFAULT_REGISTRY
+    uris = _collect_namespaces(root)
+    prefixes = _assign_prefixes(uris, registry)
+    writer = _Writer(prefixes, indent, _XML_DECLARATION if xml_declaration else "")
+    writer.write(root, 0, {uri: prefixes[uri] for uri in uris})
+    return writer
 
 
 def serialize(
@@ -138,16 +190,7 @@ def serialize(
         compact output (the default) when round-trip fidelity matters.
     :param xml_declaration: prepend ``<?xml version="1.0" ...?>``.
     """
-    registry = registry if registry is not None else DEFAULT_REGISTRY
-    uris = _collect_namespaces(root)
-    prefixes = _assign_prefixes(uris, registry)
-    writer = _Writer(prefixes, indent)
-    declare = {uri: prefixes[uri] for uri in uris}
-    writer.write(root, 0, declare)
-    body = writer.result().lstrip("\n")
-    if xml_declaration:
-        return '<?xml version="1.0" encoding="UTF-8"?>\n' + body
-    return body
+    return "".join(_written(root, registry, indent, xml_declaration).chunks())
 
 
 def serialize_bytes(
@@ -180,73 +223,7 @@ def serialize_fragment(root: XmlElement, prefixes: dict[str, str]) -> str:
     *prefixes* (the enclosing document's map); compact mode only."""
     writer = _Writer(prefixes, None)
     writer.write(root, 0, None)
-    return writer.result()
-
-
-class _ChunkWriter:
-    """Generator twin of :class:`_Writer` (compact mode only).
-
-    Static markup accumulates in a buffer; the buffer is flushed as a
-    chunk whenever a :class:`StreamedElement` starts producing, so peak
-    memory is bounded by the largest single chunk, not the document.
-    """
-
-    def __init__(self, prefixes: dict[str, str]) -> None:
-        self._prefixes = prefixes
-        self._buffer: list[str] = []
-        self._qnames: dict[QName, str] = {}
-
-    def _qname(self, name: QName) -> str:
-        rendered = self._qnames.get(name)
-        if rendered is None:
-            if not name.namespace:
-                rendered = name.local
-            else:
-                rendered = f"{self._prefixes[name.namespace]}:{name.local}"
-            self._qnames[name] = rendered
-        return rendered
-
-    def flush(self) -> Iterator[str]:
-        if self._buffer:
-            text = "".join(self._buffer)
-            self._buffer.clear()
-            if text:
-                yield text
-
-    def write(
-        self, node: XmlElement, declare: dict[str, str] | None = None
-    ) -> Iterator[str]:
-        buffer = self._buffer
-        buffer.append(f"<{self._qname(node.tag)}")
-        if declare:
-            for uri, prefix in declare.items():
-                buffer.append(f' xmlns:{prefix}="{escape_attribute(uri)}"')
-        for attr, value in node.attributes.items():
-            buffer.append(f' {self._qname(attr)}="{escape_attribute(value)}"')
-        if isinstance(node, StreamedElement):
-            produced = False
-            for chunk in node.chunk_source(self._qname):
-                if not chunk:
-                    continue
-                if not produced:
-                    buffer.append(">")
-                    produced = True
-                yield from self.flush()
-                yield chunk
-            buffer.append(f"</{self._qname(node.tag)}>" if produced else "/>")
-            return
-        if not node.children:
-            buffer.append("/>")
-            return
-        buffer.append(">")
-        for child in node.children:
-            if isinstance(child, (Text, LazyText)):
-                buffer.append(escape_text(child.value))
-            elif isinstance(child, Comment):
-                buffer.append(f"<!--{child.value}-->")
-            else:
-                yield from self.write(child)
-        buffer.append(f"</{self._qname(node.tag)}>")
+    return "".join(writer.chunks())
 
 
 def serialize_chunks(
@@ -262,11 +239,4 @@ def serialize_chunks(
     holding the full document: markup before/after each streamed region
     is one chunk, and the region's own chunks pass straight through.
     """
-    registry = registry if registry is not None else DEFAULT_REGISTRY
-    uris = _collect_namespaces(root)
-    prefixes = _assign_prefixes(uris, registry)
-    writer = _ChunkWriter(prefixes)
-    if xml_declaration:
-        writer._buffer.append('<?xml version="1.0" encoding="UTF-8"?>\n')
-    yield from writer.write(root, {uri: prefixes[uri] for uri in uris})
-    yield from writer.flush()
+    yield from _written(root, registry, None, xml_declaration).chunks()

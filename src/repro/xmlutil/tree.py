@@ -255,6 +255,13 @@ class StreamedElement(XmlElement):
 
     __slots__ = ("chunk_source", "namespaces")
 
+    #: Whether the content is still to be produced by a source the
+    #: serializer cannot see — what an arbitrary chunk factory must be
+    #: assumed to be.  A subclass that knows its content already sits in
+    #: memory answers False, and a transport then frames the reply by
+    #: length instead of streaming it.
+    lazy = True
+
     def __init__(
         self,
         tag: QName | str,

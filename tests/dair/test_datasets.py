@@ -1,4 +1,5 @@
-"""Dataset format rendering/parsing tests."""
+"""Dataset format emitting/parsing tests: what ``stream_rowset`` writes,
+read back through real XML text."""
 
 import pytest
 from hypothesis import given, settings
@@ -11,13 +12,18 @@ from repro.dair import (
     WEBROWSET_FORMAT_URI,
     Rowset,
     parse_rowset,
-    render_rowset,
 )
+from repro.dair.datasets import stream_rowset
 from repro.relational import Database
 from repro.relational.types import NULL
 from repro.xmlutil import parse, serialize
 
 FORMATS = [SQLROWSET_FORMAT_URI, WEBROWSET_FORMAT_URI, CSV_FORMAT_URI]
+
+
+def _written(format_uri, rowset):
+    """The dataset as a consumer receives it: emitted, then parsed."""
+    return parse(serialize(stream_rowset(format_uri, rowset)))
 
 
 @pytest.fixture()
@@ -36,24 +42,21 @@ def rowset():
 class TestFormats:
     @pytest.mark.parametrize("format_uri", FORMATS)
     def test_round_trip(self, format_uri, rowset):
-        rendered = render_rowset(format_uri, rowset)
-        text = serialize(rendered)  # through real XML text
-        parsed = parse_rowset(format_uri, parse(text))
-        assert parsed == rowset
+        assert parse_rowset(format_uri, _written(format_uri, rowset)) == rowset
 
     def test_unknown_format_faults(self, rowset):
         with pytest.raises(InvalidDatasetFormatFault):
-            render_rowset("urn:fmt:nope", rowset)
+            stream_rowset("urn:fmt:nope", rowset)
         with pytest.raises(InvalidDatasetFormatFault):
-            parse_rowset("urn:fmt:nope", render_rowset(FORMATS[0], rowset))
+            parse_rowset("urn:fmt:nope", _written(FORMATS[0], rowset))
 
     def test_sqlrowset_structure(self, rowset):
-        rendered = render_rowset(SQLROWSET_FORMAT_URI, rowset)
+        rendered = _written(SQLROWSET_FORMAT_URI, rowset)
         assert rendered.tag.local == "SQLRowset"
         assert len(rendered.descendants("{%s}Row" % rendered.tag.namespace)) == 3
 
     def test_webrowset_structure(self, rowset):
-        rendered = render_rowset(WEBROWSET_FORMAT_URI, rowset)
+        rendered = _written(WEBROWSET_FORMAT_URI, rowset)
         assert rendered.tag.local == "webRowSet"
         ns = rendered.tag.namespace
         count = rendered.find("{%s}metadata" % ns).findtext(
@@ -62,16 +65,14 @@ class TestFormats:
         assert count == "3"
 
     def test_csv_is_compact(self, rowset):
-        csv_size = len(serialize(render_rowset(CSV_FORMAT_URI, rowset)))
-        web_size = len(serialize(render_rowset(WEBROWSET_FORMAT_URI, rowset)))
+        csv_size = len(serialize(stream_rowset(CSV_FORMAT_URI, rowset)))
+        web_size = len(serialize(stream_rowset(WEBROWSET_FORMAT_URI, rowset)))
         assert csv_size < web_size
 
     def test_empty_rowset_round_trips(self):
         empty = Rowset(columns=["a"], types=[""], rows=[])
         for format_uri in FORMATS:
-            parsed = parse_rowset(
-                format_uri, render_rowset(format_uri, empty)
-            )
+            parsed = parse_rowset(format_uri, _written(format_uri, empty))
             assert parsed.columns == ["a"]
             assert parsed.rows == []
 
@@ -123,5 +124,4 @@ class TestFormatProperties:
         columns, rows = data
         rowset = Rowset(columns, ["" for _ in columns], rows)
         for format_uri in FORMATS:
-            text = serialize(render_rowset(format_uri, rowset))
-            assert parse_rowset(format_uri, parse(text)) == rowset
+            assert parse_rowset(format_uri, _written(format_uri, rowset)) == rowset

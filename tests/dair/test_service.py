@@ -52,6 +52,34 @@ class TestSQLAccess:
         assert rowset.columns == ["id"]
         assert len(rowset.rows) == 10
 
+    def test_dispatch_records_whether_rows_are_still_to_be_pulled(self, single):
+        """The service knows which reply is lazy (only a dataset can
+        be) and says so on the envelope it builds, so no transport has
+        to walk the payload to choose a framing."""
+        from repro.soap import Envelope, MessageHeaders
+
+        def reply(sql):
+            request = dair_msg.SQLExecuteRequest(
+                abstract_name=single.name, expression=sql
+            )
+            return single.service.dispatch(
+                Envelope(
+                    MessageHeaders(to=single.address, action=request.action()),
+                    request.to_xml(),
+                )
+            )
+
+        streamed = reply("SELECT id FROM customers")
+        assert streamed.known_streaming is True and streamed.is_streaming()
+        for sql in (
+            "SELECT id FROM customers ORDER BY id",  # pipeline breaker
+            "UPDATE customers SET segment = segment",  # no dataset at all
+        ):
+            held = reply(sql)
+            assert held.known_streaming is False and not held.is_streaming()
+        fault = reply("SELECT nosuch FROM customers")
+        assert fault.is_fault() and not fault.is_streaming()
+
     def test_parameterised_query(self, single):
         rowset = single.client.sql_query_rowset(
             single.address,

@@ -20,10 +20,10 @@ from typing import Any, Callable, Optional
 from repro.relational import ast_nodes as ast
 from repro.relational.errors import CatalogError, SqlError, SqlTypeError
 from repro.relational.expressions import (
-    _FUNCTIONS,
     _arithmetic,
     _like_regex,
     _stringify,
+    scalar_function,
 )
 from repro.relational.types import NULL, coerce, compare_values
 
@@ -253,9 +253,7 @@ class ExpressionEvaluator:
     # -- functions ------------------------------------------------------------
 
     def _function(self, expr: ast.FunctionCall, env: RowEnvironment) -> Any:
-        handler = _FUNCTIONS.get(expr.name)
-        if handler is None:
-            raise SqlError(f"unknown function {expr.name}()")
+        handler = scalar_function(expr)
         args = [self.evaluate(arg, env) for arg in expr.args]
         return handler(args)
 

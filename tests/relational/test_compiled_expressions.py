@@ -19,11 +19,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.relational import Database, NULL, SqlTypeError
+from repro.relational import Database, NULL, SqlError, SqlTypeError
 from repro.relational import ast_nodes as ast
 from repro.relational.catalog import Catalog
 from repro.relational.executor import Executor, _sort_order, _walk
-from repro.relational.expressions import Context, compile_expression
+from repro.relational.expressions import _FUNCTIONS as _SCALARS
+from repro.relational.expressions import (
+    Context,
+    compile_expression,
+    scalar_function,
+)
+from repro.relational.parser import parse_expression
 from repro.relational.types import SqlType
 from tests.relational.reference_evaluator import (
     ExpressionEvaluator,
@@ -110,6 +116,22 @@ def _subquery(items, where):
     )
 
 
+def _bindable_call(children):
+    """A call with a number of arguments its function takes, so that the
+    two evaluators are compared on what it returns and not only on the
+    refusal every other count gets where the call is bound."""
+
+    def call(name):
+        counts = _SCALARS[name][1] or (0, 1, 2, 3)
+        return st.sampled_from(counts).flatmap(
+            lambda n: st.builds(
+                ast.FunctionCall, st.just(name), st.tuples(*[children] * n)
+            )
+        )
+
+    return st.sampled_from(_FUNCTIONS).flatmap(call)
+
+
 def _extend(children):
     pair = st.tuples(children, children)
     some = st.lists(children, min_size=0, max_size=3).map(tuple)
@@ -136,6 +158,7 @@ def _extend(children):
         st.builds(ast.Exists, query, negated),
         st.builds(ast.ScalarSubquery, query),
         st.builds(ast.FunctionCall, st.sampled_from(_FUNCTIONS), some),
+        _bindable_call(children),
         st.builds(
             ast.Case,
             st.lists(pair, min_size=1, max_size=2).map(tuple),
@@ -162,8 +185,20 @@ def _outcome(thunk):
     return ("value", type(value), value)
 
 
+def _refuse_bad_calls(*roots):
+    """What binding refuses before the first row, the reference being a
+    tree-walker that binds nothing: a call with the wrong number of
+    arguments anywhere in the expression, taken branch or not.  A
+    subquery binds its own expressions each time it runs."""
+    for root in roots:
+        for node in _walk(root):
+            if isinstance(node, ast.FunctionCall):
+                scalar_function(node)
+
+
 def _reference(expression, inner_row, outer_row, parameters):
     def run_subquery(query, env):
+        _refuse_bad_calls(*(item.expression for item in query.items), query.where)
         scope = RowEnvironment([], (), env)
         if query.where is not None and not evaluator.truthy(query.where, scope):
             return []
@@ -178,6 +213,7 @@ def _reference(expression, inner_row, outer_row, parameters):
         parent=RowEnvironment(list(OUTER), outer_row),
     )
     env.aggregates = dict(zip(AGGREGATES, inner_row[len(INNER) :]))
+    _refuse_bad_calls(expression)
     return evaluator.evaluate(expression, env)
 
 
@@ -236,6 +272,52 @@ class TestCompiledAgainstReference:
         row = (2, NULL, NULL, NULL, NULL, NULL, NULL, 0)
         assert fn(row, Context((10,), None, (OUTER,), ((3, NULL),))) == 16
         assert fn(row, Context((20,), None, (OUTER,), ((5, NULL),))) == 30
+
+
+#: Calls that used to escape as bare TypeError / IndexError / ValueError:
+#: (select item, the SQL error it is now, evaluated or only bound).
+_HOSTILE_CALLS = [
+    ("ABS(v)", SqlTypeError),
+    ("ABS()", SqlError),
+    ("UPPER()", SqlError),
+    ("MOD(5)", SqlError),
+    ("SUBSTR(v, 'x')", SqlTypeError),
+    ("ROUND(1.5, 'x')", SqlTypeError),
+]
+
+
+class TestHostileScalarCalls:
+    @pytest.mark.parametrize("call, error", _HOSTILE_CALLS)
+    def test_sql_error_naming_the_function(self, call, error):
+        database = Database()
+        database.execute("CREATE TABLE t (k INT, v VARCHAR(8))")
+        database.execute("INSERT INTO t VALUES (1, 'abc')")
+        name = call.partition("(")[0]
+        with pytest.raises(SqlError, match=name) as caught:
+            database.execute(f"SELECT {call} FROM t")
+        assert type(caught.value) is error
+        if error is SqlError:
+            # the wrong number of arguments is refused where the call is
+            # bound: no row is needed to find it
+            database.execute("DELETE FROM t")
+            with pytest.raises(SqlError, match=name):
+                database.execute(f"SELECT {call} FROM t")
+
+    @pytest.mark.parametrize("call, error", _HOSTILE_CALLS)
+    def test_compiled_and_reference_agree_on_the_class(self, call, error):
+        expression = parse_expression(call)
+        columns, row = [("t", "k"), ("t", "v")], (1, "abc")
+
+        def reference():
+            _refuse_bad_calls(expression)
+            return ExpressionEvaluator(()).evaluate(
+                expression, RowEnvironment(columns, row)
+            )
+
+        def compiled():
+            return compile_expression(expression, (tuple(columns),))(row, Context())
+
+        assert _outcome(compiled) == _outcome(reference) == ("raised", error)
 
 
 # -- ordering ---------------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 
 from repro.soap import Envelope, FaultCode, MessageHeaders, SoapFault
 from repro.soap.envelope import fault_envelope
-from repro.xmlutil import E, QName
+from repro.xmlutil import E, QName, StreamedElement, XmlElement
 
 
 def _headers(action="urn:dais/Op"):
@@ -66,3 +66,46 @@ class TestEnvelope:
         response = fault_envelope(request, SoapFault(FaultCode.SERVER, "x"))
         assert response.headers.relates_to == request.message_id
         assert response.is_fault()
+
+
+class TestIsStreaming:
+    """``is_streaming()`` walks a hand-built envelope; one whose builder
+    recorded the answer is taken at its word and not walked."""
+
+    @staticmethod
+    def _streamed():
+        return StreamedElement(QName("urn:x", "Rows"), lambda q: iter(["<r/>"]))
+
+    def test_hand_built_envelope_is_walked(self):
+        plain = Envelope(_headers(), E("Reply", E("Data", E("Row"))))
+        assert plain.known_streaming is None
+        assert not plain.is_streaming()
+        nested = Envelope(_headers(), E("Reply", E("Data", self._streamed())))
+        assert nested.is_streaming()
+
+    def test_streamed_content_that_is_not_lazy_does_not_stream(self):
+        class InMemory(StreamedElement):
+            lazy = False
+
+        held = InMemory(QName("urn:x", "Rows"), lambda q: iter(["<r/>"]))
+        assert not Envelope(_headers(), E("Reply", held)).is_streaming()
+
+    def test_recorded_answer_is_not_second_guessed(self):
+        class Unwalkable(XmlElement):
+            def element_children(self):
+                raise AssertionError("the payload was walked")
+
+        envelope = Envelope(_headers(), Unwalkable(QName("", "Reply")))
+        with pytest.raises(AssertionError):
+            envelope.is_streaming()
+        for recorded in (True, False):
+            envelope.known_streaming = recorded
+            assert envelope.is_streaming() is recorded
+
+    def test_record_is_not_part_of_the_message(self):
+        a = Envelope(_headers(), E("Reply"))
+        b = Envelope(a.headers, E("Reply"))
+        b.known_streaming = True
+        assert a == b
+        with pytest.raises(TypeError):
+            Envelope(_headers(), E("Reply"), known_streaming=True)

@@ -6,7 +6,7 @@ counters exactly; a stale keep-alive (server restarted under an idle
 connection) is detected and replaced; a write-time failure on a reused
 connection gets exactly one transparent reconnect; a dropped socket
 (chaos ``DropResponse``) poisons that one connection and leaves the
-pool clean; ``pooling=False`` restores connection-per-request.
+pool clean.
 """
 
 import http.client
@@ -106,15 +106,6 @@ class TestReuse:
         idle = transport.pool.idle_counts()
         assert len(idle) == 1 and list(idle.values()) == [1]
         transport.close()
-
-    def test_pooling_false_keeps_per_request_behaviour(self, deployment):
-        _, address, name = deployment
-        transport = HttpTransport(pooling=False)
-        client = SQLClient(transport)
-        for _ in range(3):
-            client.sql_execute(address, name, "SELECT v FROM t")
-        assert transport.pool is None
-        transport.close()  # no-op without a pool
 
 
 class TestStaleConnections:

@@ -2,7 +2,10 @@
 
 Content-Encoding is a *payload* property: the framing — Content-Length
 of the encoded bytes on the eager path, chunk framing of the compressed
-stream on the streamed path — is untouched.  These tests pin that:
+stream on the streamed path — is untouched.  Which path a reply takes is
+decided by the statement: the ``eager`` fixture asks the rows sorted (a
+pipeline breaker, emitted from memory), the ``chunked`` one as they
+come.  These tests pin that:
 
 * the compressed body decodes to exactly the bytes an uncompressed
   exchange produces (eager and chunked);
@@ -46,13 +49,16 @@ def _normalize(payload: bytes) -> bytes:
     return _UUID.sub(b"UUID", payload)
 
 
-def _deployment(stream_datasets: bool):
+#: The 200 rows as a streamable statement and as a pipeline breaker.
+STREAMED_SQL = "SELECT id, v FROM t"
+EAGER_SQL = "SELECT id, v FROM t ORDER BY id"
+
+
+def _deployment():
     registry = ServiceRegistry()
     server = DaisHttpServer(registry, port=0)
     address = server.url_for("/sql")
-    service = SQLRealisationService(
-        "gzip-sql", address, stream_datasets=stream_datasets
-    )
+    service = SQLRealisationService("gzip-sql", address)
     registry.register(service)
     database = Database("gzipdb")
     database.execute("CREATE TABLE t (id INT PRIMARY KEY, v VARCHAR(40))")
@@ -67,19 +73,19 @@ def _deployment(stream_datasets: bool):
 
 @pytest.fixture()
 def eager():
-    server, address, resource = _deployment(stream_datasets=False)
+    server, address, resource = _deployment()
     with server:
-        yield server, address, resource
+        yield server, address, resource, EAGER_SQL
 
 
 @pytest.fixture()
 def chunked():
-    server, address, resource = _deployment(stream_datasets=True)
+    server, address, resource = _deployment()
     with server:
-        yield server, address, resource
+        yield server, address, resource, STREAMED_SQL
 
 
-def _query_bytes(resource, expression="SELECT id, v FROM t"):
+def _query_bytes(resource, expression):
     return Envelope(
         headers=MessageHeaders(
             to="", action=msg.SQLExecuteRequest.action()
@@ -106,11 +112,12 @@ def _post(server, body, accept_gzip):
 
 class TestEagerPath:
     def test_gzip_body_decodes_byte_identically(self, eager):
-        server, address, resource = eager
-        body = _query_bytes(resource)
+        server, address, resource, sql = eager
+        body = _query_bytes(resource, sql)
         status, plain_headers, plain = _post(server, body, accept_gzip=False)
         assert status == 200
         assert plain_headers.get("Content-Encoding") is None
+        assert plain_headers.get("Transfer-Encoding") is None
 
         status, gz_headers, compressed = _post(server, body, accept_gzip=True)
         assert status == 200
@@ -133,30 +140,19 @@ class TestEagerPath:
         monkeypatch.setattr(
             "repro.transport.httpserver.GZIP_FLOOR_BYTES", 10_000
         )
-        server, address, resource = eager
-        body = _query_bytes(resource, "SELECT id FROM t WHERE id = -1")
+        server, address, resource, _ = eager
+        body = _query_bytes(resource, "SELECT id FROM t WHERE id = -1 ORDER BY id")
         status, headers, raw = _post(server, body, accept_gzip=True)
         assert status == 200
         assert headers.get("Content-Encoding") is None
         assert len(raw) < 10_000
         assert GZIP_FLOOR_BYTES < 10_000  # shipped floor untouched
 
-    def test_server_compression_kill_switch(self, eager):
-        server, address, resource = eager
-        server.compression = False
-        try:
-            body = _query_bytes(resource)
-            status, headers, raw = _post(server, body, accept_gzip=True)
-            assert status == 200
-            assert headers.get("Content-Encoding") is None
-        finally:
-            server.compression = True
-
 
 class TestChunkedPath:
     def test_chunked_gzip_decodes_byte_identically(self, chunked):
-        server, address, resource = chunked
-        body = _query_bytes(resource)
+        server, address, resource, sql = chunked
+        body = _query_bytes(resource, sql)
         status, plain_headers, plain = _post(server, body, accept_gzip=False)
         assert status == 200
         assert plain_headers.get("Transfer-Encoding") == "chunked"
@@ -177,7 +173,7 @@ class TestChunkedPath:
         monkeypatch.setattr(
             "repro.transport.httpserver.GZIP_FLOOR_BYTES", 1_000_000
         )
-        server, address, resource = chunked
+        server, address, resource, _ = chunked
         body = _query_bytes(resource, "SELECT id FROM t WHERE id = 0")
         status, headers, raw = _post(server, body, accept_gzip=True)
         assert status == 200
@@ -188,14 +184,11 @@ class TestChunkedPath:
 
 class TestTransportIntegration:
     def test_keep_alive_connection_reusable_after_gzip(self, eager):
-        server, address, resource = eager
+        server, address, resource, sql = eager
         transport = HttpTransport()
         client = SQLClient(transport)
         for _ in range(3):
-            rowset = client.sql_query_rowset(
-                address, resource.abstract_name,
-                "SELECT id, v FROM t",
-            )
+            rowset = client.sql_query_rowset(address, resource.abstract_name, sql)
             assert len(rowset.rows) == ROWS
         reused = transport.metrics.counter("rpc.client.connections.reused")
         assert reused.total() >= 2
@@ -208,28 +201,23 @@ class TestTransportIntegration:
         assert wire_in == decoded  # both count post-compression bytes
 
     def test_chunked_keep_alive_reusable_after_gzip(self, chunked):
-        server, address, resource = chunked
+        server, address, resource, sql = chunked
         transport = HttpTransport()
         client = SQLClient(transport)
         for _ in range(3):
-            rowset = client.sql_query_rowset(
-                address, resource.abstract_name,
-                "SELECT id, v FROM t",
-            )
+            rowset = client.sql_query_rowset(address, resource.abstract_name, sql)
             assert len(rowset.rows) == ROWS
         reused = transport.metrics.counter("rpc.client.connections.reused")
         assert reused.total() >= 2
 
     def test_client_compression_kill_switch(self, eager):
-        server, address, resource = eager
+        server, address, resource, sql = eager
         transport = HttpTransport(compression=False)
         client = SQLClient(transport)
-        client.sql_query_rowset(
-            address, resource.abstract_name, "SELECT id, v FROM t"
-        )
+        client.sql_query_rowset(address, resource.abstract_name, sql)
         compressed = HttpTransport()
         SQLClient(compressed).sql_query_rowset(
-            address, resource.abstract_name, "SELECT id, v FROM t"
+            address, resource.abstract_name, sql
         )
         plain_bytes = transport.metrics.counter("http.bytes.in").total()
         gzip_bytes = compressed.metrics.counter("http.bytes.in").total()

@@ -28,7 +28,7 @@ def deployment():
     registry = ServiceRegistry()
     server = DaisHttpServer(registry, port=0)
     address = server.url_for("/sql")
-    service = SQLRealisationService("err-sql", address, stream_datasets=True)
+    service = SQLRealisationService("err-sql", address)
     registry.register(service)
     database = Database("errdb")
     database.execute("CREATE TABLE t (id INT PRIMARY KEY, v VARCHAR(20))")
@@ -144,6 +144,44 @@ class TestStreamBoundary:
             "producer died mid-stream"
         )
         assert spans[0].status == "fault"
+
+    def test_typed_fault_after_the_first_write_is_a_broken_stream(
+        self, deployment
+    ):
+        """A row the statement cannot produce, met once more than a
+        coalescing buffer of good rows has been written: the 200 is out,
+        so the typed fault cannot be the reply — the transfer is cut
+        short (no terminal chunk) and the fault is on the span."""
+        server, address, resource = deployment
+        database = resource.database
+        database.execute("CREATE TABLE late (k INT PRIMARY KEY, v VARCHAR(8))")
+        database.execute(
+            "INSERT INTO late VALUES "
+            + ",".join(f"({i},'{i}')" for i in range(600))
+            + ",(600,'abc')"
+        )
+        request = Envelope(
+            headers=MessageHeaders(
+                to=address, action=msg.SQLExecuteRequest.action()
+            ),
+            payload=msg.SQLExecuteRequest(
+                abstract_name=resource.abstract_name,
+                expression="SELECT CAST(v AS INT) FROM late",
+            ).to_xml(),
+        )
+        with use_exporter() as exporter:
+            with pytest.raises(http.client.IncompleteRead) as cut:
+                _post(server, request.to_bytes())
+        assert b"<wsdair:Value>0</wsdair:Value>" in cut.value.partial
+        errors = server.metrics.counter("http.server.errors")
+        deadline = time.monotonic() + 5.0
+        while errors.value(where="stream") < 1 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert errors.value(where="stream") == 1
+        span = exporter.spans("http.server.request")[0]
+        assert span.status == "fault"
+        assert "after the reply was committed" in span.attributes["exception.message"]
+        assert "cannot coerce 'abc'" in span.attributes["exception.message"]
 
     def test_server_still_serves_after_stream_failure(self, deployment):
         server, address, resource = deployment
