@@ -96,7 +96,8 @@ bench-fig2:
 bench-fig4:
 	$(PYTHON) -m pytest benchmarks/test_fig4_cache.py \
 		tests/test_versioned_lru.py \
-		tests/core/test_propdoc_cache.py tests/dair/test_result_reuse.py -q -s
+		tests/core/test_propdoc_cache.py tests/core/test_propdoc_hits.py \
+		tests/dair/test_result_reuse.py -q -s
 
 # Streamed-delivery memory/throughput gate: streamed peak memory at
 # 100k rows must stay under 2x the 1k-row baseline, and streamed

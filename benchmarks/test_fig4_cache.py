@@ -24,10 +24,14 @@ stale:
   uncompressed p50 (the render saved pays for the deflate), with real
   cache hits;
 * an identical factory request is answered from the shared-result
-  cache at least as fast as a fresh evaluation.
+  cache at least as fast as a fresh evaluation;
+* in process, a cache hit's ``dispatch`` plus ``to_bytes()`` costs at
+  most **1/5** of a fill's: the reply splices the entry's stored
+  rendering in and builds only the volatile tail.
 
 ``BENCH_FIG4_SMOKE=1`` (wired into ``make test``) runs fewer rounds
-with a looser 3x bytes floor and no latency gate, so the everyday
+with a looser 3x bytes floor, a 1/4 hit-to-fill floor and no latency
+gate, so the everyday
 suite catches a disabled cache or compression path without inheriting
 benchmark noise.
 """
@@ -38,6 +42,8 @@ import time
 
 from repro.client.sql import SQLClient
 from repro.bench import Table
+from repro.core import messages as msg
+from repro.soap import Envelope, MessageHeaders
 from repro.transport import HttpTransport
 from repro.workload import RelationalWorkload, build_http_deployment
 
@@ -55,10 +61,30 @@ PER_ROUND = 4 if SMOKE else 12
 GATE_BYTES = 3.0 if SMOKE else 5.0
 #: Full tier only: optimized p50 must be no worse than baseline p50.
 GATE_P50 = None if SMOKE else 1.0
+#: A hit's dispatch + to_bytes p50 over a fill's must not exceed this.
+GATE_HIT = 1 / 4 if SMOKE else 1 / 5
 
 
 def _p50(samples):
     return statistics.median(samples)
+
+
+def _fig4_deployment():
+    deployment = build_http_deployment(WORKLOAD)
+    for index in range(EXTRA_TABLES):
+        deployment.database.execute(
+            f"CREATE TABLE extra_{index} "
+            "(id INT PRIMARY KEY, a VARCHAR(20), b FLOAT, c INT, d INT)"
+        )
+    return deployment
+
+
+def _make_stale(deployment):
+    # Any DDL bumps the catalog version the cached document is stamped
+    # with; creating and dropping leaves the schema — and so the
+    # document's size — as it was.
+    deployment.database.execute("CREATE TABLE fig4_probe (id INT)")
+    deployment.database.execute("DROP TABLE fig4_probe")
 
 
 def test_fig4_cache_and_gzip_wire_gate():
@@ -71,12 +97,7 @@ def test_fig4_cache_and_gzip_wire_gate():
     document is stale and the server renders; the optimized client
     negotiates gzip and reads the cached document.
     """
-    deployment = build_http_deployment(WORKLOAD)
-    for index in range(EXTRA_TABLES):
-        deployment.database.execute(
-            f"CREATE TABLE extra_{index} "
-            "(id INT PRIMARY KEY, a VARCHAR(20), b FLOAT, c INT, d INT)"
-        )
+    deployment = _fig4_deployment()
     server = deployment.server
     service = deployment.service
     name = deployment.resource.abstract_name
@@ -93,20 +114,13 @@ def test_fig4_cache_and_gzip_wire_gate():
         latencies[leg].append(time.perf_counter() - start)
         fetches[leg] += 1
 
-    def make_stale():
-        # Any DDL bumps the catalog version the cached document is
-        # stamped with; creating and dropping leaves the schema — and so
-        # the document's size — as it was.
-        deployment.database.execute("CREATE TABLE fig4_probe (id INT)")
-        deployment.database.execute("DROP TABLE fig4_probe")
-
     with server:
         # Warm both paths (TCP + first render) before timing.
         for client in (baseline, optimized):
             client.get_property_document(address, name)
         for _ in range(ROUNDS):
             for _ in range(PER_ROUND):
-                make_stale()
+                _make_stale(deployment)
                 fetch(baseline, "baseline")
             for _ in range(PER_ROUND):
                 fetch(optimized, "optimized")
@@ -154,6 +168,58 @@ def test_fig4_cache_and_gzip_wire_gate():
             f"optimized p50 {opt_p50 * 1e3:.2f}ms worse than baseline "
             f"{base_p50 * 1e3:.2f}ms"
         )
+
+
+def test_fig4_hit_is_served_from_the_stored_rendering():
+    """A property-document hit against a fill, server side only.
+
+    Each fill follows a DDL pair (the entry is stale, so the server
+    renders, serializes, parses and stores); each hit reads the entry
+    that fill left.  Legs alternate within every round; each sample is
+    ``dispatch`` plus ``to_bytes()`` of one request envelope.
+    """
+    deployment = _fig4_deployment()
+    service = deployment.service
+    request = msg.GetDataResourcePropertyDocumentRequest(
+        abstract_name=deployment.resource.abstract_name
+    )
+
+    def exchange() -> float:
+        envelope = Envelope(
+            MessageHeaders(
+                to=service.address,
+                action=request.action(),
+                message_id="urn:fig4:propdoc",
+            ),
+            request.to_xml(),
+        )
+        start = time.perf_counter()
+        service.dispatch(envelope).to_bytes()
+        return time.perf_counter() - start
+
+    latencies = {"fill": [], "hit": []}
+    exchange()  # warm
+    for _ in range(ROUNDS):
+        for _ in range(PER_ROUND):
+            _make_stale(deployment)
+            latencies["fill"].append(exchange())
+            latencies["hit"].append(exchange())
+    fill_p50, hit_p50 = _p50(latencies["fill"]), _p50(latencies["hit"])
+    table = Table(
+        "Figure 4 — property-document read in process: fill vs hit",
+        ["path", "dispatch + to_bytes p50 ms"],
+        note=(
+            f"{ROUNDS} rounds × {PER_ROUND} interleaved pairs; "
+            f"gate: hit ≤ {GATE_HIT:.2f} × fill"
+        ),
+    )
+    table.add("fill (after DDL)", f"{fill_p50 * 1e3:7.2f}")
+    table.add("hit", f"{hit_p50 * 1e3:7.2f}")
+    table.show()
+    assert hit_p50 <= fill_p50 * GATE_HIT, (
+        f"hit p50 {hit_p50 * 1e3:.2f}ms is more than {GATE_HIT:.2f} of "
+        f"the fill's {fill_p50 * 1e3:.2f}ms"
+    )
 
 
 def test_fig4_result_reuse_answers_from_cache():

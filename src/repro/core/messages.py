@@ -177,7 +177,7 @@ class GetDataResourcePropertyDocumentResponse(DaisMessage):
 
     document: Optional[XmlElement] = None
 
-    WIRE = (Element("document"),)
+    WIRE = (Element("document", copy=False),)
 
 
 # ---------------------------------------------------------------------------

@@ -86,10 +86,27 @@ class ResourceBinding:
 
         Only the resource's *own* document is cacheable (see
         :meth:`DataService._resource_document`); the metrics, journal,
-        resilience and job-set elements below are volatile and are
-        appended fresh on every read.
+        resilience and job-set elements are volatile and are appended
+        fresh on every read (:meth:`_volatile_properties`).
         """
-        document = self._service._resource_document(self)
+        document = self._service._resource_document(self, reply=False)
+        document.extend(self._volatile_properties())
+        return document
+
+    def reply_document(self) -> XmlElement:
+        """The same document for a ``Get*PropertyDocument`` reply.
+
+        Serialized, it is byte-identical to :meth:`property_document`;
+        on a cache hit its cached part is the entry's stored rendering
+        (a :class:`~repro.xmlutil.RenderedElement`) and only the
+        volatile properties are built, so nothing cached is walked or
+        copied.  Its tree API sees only those properties — it is meant
+        to be written, and readers use :meth:`property_document`."""
+        document = self._service._resource_document(self, reply=True)
+        document.extend(self._volatile_properties())
+        return document
+
+    def _volatile_properties(self) -> list[XmlElement]:
         journal = get_journal()
         extra = []
         exporter = get_tracer().exporter
@@ -99,18 +116,16 @@ class ResourceBinding:
             )
         if journal.dropped:
             extra.append(("obs.journal.dropped", {}, journal.dropped))
-        document.append(
-            metrics_element(self._service.metrics, extra_counters=extra)
-        )
-        document.append(
-            journal_element(journal.events(resource=self.abstract_name))
-        )
+        properties = [
+            metrics_element(self._service.metrics, extra_counters=extra),
+            journal_element(journal.events(resource=self.abstract_name)),
+        ]
         resilience = self._service.resilience
         if resilience is not None:
-            document.append(resilience.status_element())
+            properties.append(resilience.status_element())
         jobs = self._service.jobs
         if jobs is not None:
-            document.append(
+            properties.append(
                 jmsg.job_set_element(
                     [
                         job
@@ -119,7 +134,7 @@ class ResourceBinding:
                     ]
                 )
             )
-        return document
+        return properties
 
     def require_readable(self) -> None:
         if not self.configurable.readable:
@@ -217,7 +232,7 @@ class DataService:
         #: Per-service metrics (dispatch counts, latency, faults); exposed
         #: to consumers through the property document (ServiceMetrics).
         self.metrics = MetricsRegistry()
-        #: Rendered-bytes cache for resource property documents.
+        #: Cache of resource property documents (master + rendering).
         self.propdoc_cache = PropertyDocumentCache()
         self.propdoc_cache.bind_counters(
             self.metrics.counter(
@@ -366,15 +381,19 @@ class DataService:
 
     # -- property-document cache -------------------------------------------
 
-    def _resource_document(self, binding: ResourceBinding) -> XmlElement:
+    def _resource_document(
+        self, binding: ResourceBinding, reply: bool
+    ) -> XmlElement:
         """The resource's own property document, served from the cache.
 
-        The cache is filled with *rendered bytes*; its master tree is
-        parsed back from those bytes and every serve (the fill included)
-        is a deep copy of that master, so a hit and the fill it followed
-        are byte-identical and neither aliases mutable catalog state.  A
-        resource whose :meth:`~repro.core.resource.DataResource.property_version`
-        is ``None`` renders directly.
+        A miss renders the live document, serializes it and stores the
+        bytes; the entry's master tree is parsed back from them, so no
+        serve aliases mutable catalog state.  Every serve, the fill's
+        included, then comes from the entry: for a *reply* the stored
+        rendering, otherwise a deep copy of the master — the two write
+        the same bytes.  A resource whose
+        :meth:`~repro.core.resource.DataResource.property_version` is
+        ``None`` renders directly.
         """
         cache = self.propdoc_cache
         version = binding.resource.property_version()
@@ -383,13 +402,13 @@ class DataService:
                 binding.configurable
             ).to_xml()
         key = binding.abstract_name
-        served = cache.lookup_document(key, version)
-        if served is None:
+        entry = cache.lookup(key, version)
+        if entry is None:
             document = binding.resource.property_document(
                 binding.configurable
             ).to_xml()
-            served = cache.store(key, version, serialize_bytes(document))
-        return served
+            entry = cache.store(key, version, serialize_bytes(document))
+        return entry.served() if reply else entry.tree()
 
     def epr_for(self, abstract_name: str) -> EndpointReference:
         """The data resource address: service address + abstract name as a
@@ -583,7 +602,7 @@ class DataService:
     ) -> msg.GetDataResourcePropertyDocumentResponse:
         binding = self.binding(request.abstract_name)
         return msg.GetDataResourcePropertyDocumentResponse(
-            document=binding.property_document()
+            document=binding.reply_document()
         )
 
     # -- CoreResourceList handlers ----------------------------------------------

@@ -163,7 +163,7 @@ class GetSQLPropertyDocumentResponse(DaisMessage):
 
     document: Optional[XmlElement] = None
 
-    WIRE = (Element("document"),)
+    WIRE = (Element("document", copy=False),)
 
 
 # ---------------------------------------------------------------------------

@@ -270,7 +270,7 @@ class SQLRealisationService(DataService):
     ) -> msg.GetSQLPropertyDocumentResponse:
         binding = self._sql_binding(request.abstract_name)
         return msg.GetSQLPropertyDocumentResponse(
-            document=binding.property_document()
+            document=binding.reply_document()
         )
 
     # -- consumer-controlled transactions ------------------------------------
@@ -504,7 +504,7 @@ class SQLRealisationService(DataService):
     ) -> msg.GetSQLResponsePropertyDocumentResponse:
         binding = self._response_binding(request.abstract_name)
         return msg.GetSQLResponsePropertyDocumentResponse(
-            document=binding.property_document()
+            document=binding.reply_document()
         )
 
     def _handle_get_sql_rowset(
@@ -646,7 +646,7 @@ class SQLRealisationService(DataService):
     ) -> msg.GetRowsetPropertyDocumentResponse:
         binding = self._rowset_binding(request.abstract_name)
         return msg.GetRowsetPropertyDocumentResponse(
-            document=binding.property_document()
+            document=binding.reply_document()
         )
 
     # -- property document wiring (ConfigurationMap) ----------------------------

@@ -168,7 +168,7 @@ class GetCollectionPropertyDocumentResponse(DaisMessage):
 
     document: Optional[XmlElement] = None
 
-    WIRE = (Element("document"),)
+    WIRE = (Element("document", copy=False),)
 
 
 # ---------------------------------------------------------------------------

@@ -209,7 +209,7 @@ class XMLRealisationService(DataService):
     ) -> msg.GetCollectionPropertyDocumentResponse:
         binding = self._collection_binding(request.abstract_name)
         return msg.GetCollectionPropertyDocumentResponse(
-            document=binding.property_document()
+            document=binding.reply_document()
         )
 
     # -- query access ------------------------------------------------------

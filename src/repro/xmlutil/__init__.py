@@ -18,6 +18,7 @@ from repro.xmlutil.tree import (
     LazyText,
     Comment,
     StreamedElement,
+    RenderedElement,
     is_element,
 )
 from repro.xmlutil.builder import E, element
@@ -26,6 +27,7 @@ from repro.xmlutil.serialize import (
     serialize,
     serialize_bytes,
     serialize_chunks,
+    serialize_content,
     serialize_fragment,
 )
 from repro.xmlutil.parser import (
@@ -48,6 +50,7 @@ __all__ = [
     "LazyText",
     "Comment",
     "StreamedElement",
+    "RenderedElement",
     "is_element",
     "E",
     "element",
@@ -55,6 +58,7 @@ __all__ = [
     "serialize_bytes",
     "serialize_chunks",
     "serialize_fragment",
+    "serialize_content",
     "document_prefixes",
     "parse",
     "parse_bytes",

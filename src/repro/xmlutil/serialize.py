@@ -13,7 +13,14 @@ from typing import Iterator
 
 from repro.xmlutil.escape import escape_attribute, escape_text
 from repro.xmlutil.names import DEFAULT_REGISTRY, XML_NS, NamespaceRegistry, QName
-from repro.xmlutil.tree import Comment, LazyText, StreamedElement, Text, XmlElement
+from repro.xmlutil.tree import (
+    Comment,
+    LazyText,
+    RenderedElement,
+    StreamedElement,
+    Text,
+    XmlElement,
+)
 
 
 def _collect_namespaces(root: XmlElement) -> list[str]:
@@ -24,9 +31,12 @@ def _collect_namespaces(root: XmlElement) -> list[str]:
         for attr in node.attributes:
             if attr.namespace:
                 seen.setdefault(attr.namespace, None)
-        if isinstance(node, StreamedElement):
-            # Lazy content cannot be walked before it exists; the element
-            # declares its namespaces up front instead.
+        # Lazy or already-rendered content is not walked; the element
+        # declares its namespaces up front instead.  (The type test
+        # first: plain elements are nearly every node.)
+        if type(node) is not XmlElement and isinstance(
+            node, (StreamedElement, RenderedElement)
+        ):
             for uri in node.namespaces:
                 seen.setdefault(uri, None)
     seen.pop(XML_NS, None)
@@ -55,7 +65,8 @@ def _assign_prefixes(
 class _Writer:
     """Walks a tree once and flattens it.
 
-    What can be rendered is rendered: static markup accumulates as text.
+    What can be rendered is rendered: static markup accumulates as text,
+    and a :class:`RenderedElement`'s stored text joins it verbatim.
     What cannot — a :class:`StreamedElement`'s chunks, a
     :class:`LazyText`'s value — does not exist yet, so the node itself is
     kept, in document order, between the runs of text around it.
@@ -101,17 +112,31 @@ class _Writer:
                 parts.append(f' xmlns:{prefix}="{escape_attribute(uri)}"')
         for attr, value in node.attributes.items():
             parts.append(f' {self._qname(attr)}="{escape_attribute(value)}"')
-        if isinstance(node, StreamedElement):
-            # Whether the element closes as ``</T>`` or collapses to
-            # ``<T/>`` is known only once its source has run: chunks().
-            self._defer(node)
-            return
-        if not node.children:
+        rendered = ""
+        if type(node) is not XmlElement:
+            if isinstance(node, StreamedElement):
+                # Whether the element closes as ``</T>`` or collapses to
+                # ``<T/>`` is known only once its source has run: chunks().
+                self._defer(node)
+                return
+            if isinstance(node, RenderedElement):
+                rendered = node.rendering(self._prefixes)
+        if not node.children and not rendered:
             parts.append("/>")
             return
         parts.append(">")
+        if rendered:
+            parts.append(rendered)
+        text_only = self.write_content(node.children, depth + 1)
+        if (rendered or not text_only) and self._indent is not None:
+            parts.append("\n" + self._indent * depth)
+        parts.append(f"</{self._qname(node.tag)}>")
+
+    def write_content(self, children: list, depth: int) -> bool:
+        """Write *children* at *depth*; True when none was markup."""
+        parts = self._parts
         text_only = True
-        for child in node.children:
+        for child in children:
             if isinstance(child, Text):
                 parts.append(escape_text(child.value))
             elif isinstance(child, LazyText):
@@ -121,10 +146,8 @@ class _Writer:
                 parts.append(f"<!--{child.value}-->")
             else:
                 text_only = False
-                self.write(child, depth + 1, None)
-        if not text_only and self._indent is not None:
-            parts.append("\n" + self._indent * depth)
-        parts.append(f"</{self._qname(node.tag)}>")
+                self.write(child, depth, None)
+        return text_only
 
     def chunks(self) -> Iterator[str]:
         """The document as text chunks: everything rendered up to a
@@ -223,6 +246,18 @@ def serialize_fragment(root: XmlElement, prefixes: dict[str, str]) -> str:
     *prefixes* (the enclosing document's map); compact mode only."""
     writer = _Writer(prefixes, None)
     writer.write(root, 0, None)
+    return "".join(writer.chunks())
+
+
+def serialize_content(root: XmlElement, prefixes: dict[str, str]) -> str:
+    """Serialize what is inside *root* — its children, not its own tags
+    — as a fragment with fixed prefixes, like :func:`serialize_fragment`.
+
+    This is what a :class:`~repro.xmlutil.tree.RenderedElement`'s
+    rendering holds: spliced between the element's tags, it is
+    byte-identical to serializing the element with these children."""
+    writer = _Writer(prefixes, None)
+    writer.write_content(root.children, 0)
     return "".join(writer.chunks())
 
 

@@ -281,6 +281,48 @@ class StreamedElement(XmlElement):
         )
 
 
+class RenderedElement(XmlElement):
+    """An element whose leading content is already serialized.
+
+    ``rendering(prefixes)`` returns that content as XML text written
+    with the enclosing document's namespace→prefix map; the serializer
+    emits it verbatim right after the start tag, then writes
+    ``children`` — ordinary nodes — behind it.  This is how a cached
+    document rides in a reply without its cached part being walked,
+    copied or re-serialized: the owner of the rendering memoizes it per
+    prefix map.
+
+    ``namespaces`` declares every namespace URI the rendered text uses,
+    in document order, exactly as a :class:`StreamedElement` declares
+    its lazy content's, so the root can bind them without walking it.
+    The rendered text is not part of the tree API (``find``, ``iter``,
+    ``equals`` see only ``children``): callers that read a document
+    ask its owner for a real tree instead.
+    """
+
+    __slots__ = ("rendering", "namespaces")
+
+    def __init__(
+        self,
+        tag: QName | str,
+        rendering: Callable[[dict[str, str]], str],
+        namespaces: Iterable[str] = (),
+        attributes: dict | None = None,
+    ) -> None:
+        super().__init__(_coerce_tag(tag), dict(attributes or {}))
+        self.rendering = rendering
+        self.namespaces = tuple(namespaces)
+
+    def copy(self) -> "RenderedElement":
+        """Copy shares the rendering (immutable text) and deep-copies
+        the ordinary children."""
+        clone = RenderedElement(
+            self.tag, self.rendering, self.namespaces, self.attributes
+        )
+        clone.children = XmlElement.copy(self).children
+        return clone
+
+
 def _significant(children: list[Node], ignore_whitespace: bool) -> list[Node]:
     out: list[Node] = []
     for child in children:

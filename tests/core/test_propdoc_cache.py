@@ -1,15 +1,17 @@
 """The property-document cache: version discipline and no aliasing.
 
-The cache (PR-10) keeps *rendered bytes* keyed by abstract name and
-stamped with the resource's property version.  These tests pin the two
-contracts that make it safe:
+The cache keeps, per abstract name and stamped with the resource's
+property version, a master tree parsed from bytes rendered at fill
+time and the stored rendering replies are written from.  These tests
+pin the two contracts that make it safe:
 
 * **Version-check-at-lookup** — a document cached before DDL is dropped
   at the next lookup (invalidation + miss), never served stale; WSRF
   lifetime transitions and destroys invalidate explicitly.
-* **No aliasing** — entries are bytes rendered at fill time, so neither
-  mutating a served tree nor mutating the live catalog in place can
-  corrupt what the cache serves next.
+* **No aliasing** — entries are filled from bytes rendered at fill time
+  and serve deep copies or immutable text, so neither mutating a
+  served tree nor mutating the live catalog in place can corrupt what
+  the cache serves next.
 """
 
 import pytest
@@ -17,7 +19,7 @@ import pytest
 from repro.cim import parse_cim_xml
 from repro.core.propcache import PropertyDocumentCache
 from repro.workload import RelationalWorkload, build_single_service
-from repro.xmlutil import serialize_bytes
+from repro.xmlutil import E, parse_bytes as parse, serialize_bytes
 
 SMALL = RelationalWorkload(customers=5, orders_per_customer=1, items_per_order=1)
 
@@ -48,7 +50,9 @@ class TestCacheUnit:
         cache = PropertyDocumentCache()
         assert cache.lookup("r1", 0) is None
         cache.store("r1", 0, b"<doc/>")
-        assert cache.lookup("r1", 0) == b"<doc/>"
+        entry = cache.lookup("r1", 0)
+        assert entry is not None
+        assert serialize_bytes(entry.tree()) == serialize_bytes(parse(b"<doc/>"))
         assert cache.stats() == {
             "hits": 1, "misses": 1, "invalidations": 0, "size": 1,
         }
@@ -65,12 +69,20 @@ class TestCacheUnit:
     def test_served_documents_are_independent_copies(self):
         cache = PropertyDocumentCache()
         filled = cache.store("r1", 0, b'<doc kind="cached"><x/></doc>')
-        filled.set("kind", "vandalised")
-        served = cache.lookup_document("r1", 0)
-        assert served.get("kind") == "cached"
-        served.set("kind", "also-vandalised")
-        assert cache.lookup_document("r1", 0).get("kind") == "cached"
-        assert cache.lookup_document("r1", 1) is None  # stale → dropped
+        tree = filled.tree()
+        tree.set("kind", "vandalised")
+        tree.children.clear()
+        reply = filled.served()
+        reply.set("kind", "vandalised-too")
+        reply.append(E("y"))
+        served = cache.lookup("r1", 0)
+        assert served is filled
+        assert serialize_bytes(served.tree()) == serialize_bytes(
+            parse(b'<doc kind="cached"><x/></doc>')
+        )
+        assert served.served().get("kind") == "cached"
+        assert served.served().children == []
+        assert cache.lookup("r1", 1) is None  # stale → dropped
         assert cache.stats()["invalidations"] == 1
 
 
