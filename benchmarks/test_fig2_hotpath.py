@@ -16,6 +16,8 @@ Hard gate (``make bench-fig2``):
   classic recursive parser it replaced (``tests/xmlutil/
   reference_parser.py``), measured interleaved (min-of-rounds ×
   best-of-N) so machine noise cancels, and builds the same tree;
+* the same comparison on the benchmark's ~40 KB property-document
+  reply (general XML: attributes, no rowset lattice), **≥ 2.5x**;
 * wire output is **byte-identical**: templated ``to_bytes()`` vs
   generic tree serialization of the same response, and eager (a
   pipeline breaker, emitted from memory) vs streamed (chunked) delivery
@@ -24,9 +26,9 @@ Hard gate (``make bench-fig2``):
   stay green (they run in the same target).
 
 ``BENCH_FIG2_SMOKE=1`` (wired into ``make test``) runs a scaled-down
-tier: fewer rounds and a looser 1.8x floor, so the everyday suite
+tier: fewer rounds and looser floors (1.8x, 1.5x), so the everyday suite
 stays fast and immune to CI noise while still catching a regressed
-parser; the full 3x bar is enforced by ``make bench-fig2``.
+parser; the full bars are enforced by ``make bench-fig2``.
 """
 
 import os
@@ -35,7 +37,9 @@ import time
 
 import pytest
 
+from bench.deploy import build_deployment
 from repro.bench import Table
+from repro.core import messages as core_messages
 from repro.core import mint_abstract_name
 from repro.dair import SQLDataResource, SQLRealisationService
 from repro.dair import messages as msg
@@ -56,6 +60,7 @@ QUERY = "SELECT * FROM lineitems LIMIT 1000"
 ROUNDS = 2 if SMOKE else 6
 BEST_OF = 3 if SMOKE else 8
 GATE_RATIO = 1.8 if SMOKE else 3.0
+PROPDOC_GATE_RATIO = 1.5 if SMOKE else 2.5
 
 
 #: The same 1000 rows in the same order (``id`` is the key they are
@@ -119,16 +124,12 @@ def _normalize(wire: bytes) -> bytes:
     return _UUID.sub(b"urn:uuid:pinned", wire)
 
 
-def test_fig2_hotpath_gate(deploy):
-    """Parse rate on the 1000-row reply: shipped parser vs the oracle.
-
-    The reply is what a consumer of the repeat query receives; parsing
-    it is the largest single share of the figure-2 message layer.  The
-    two parsers alternate within every round and each number is the
-    min across rounds, so load spikes hit both legs alike.
-    """
-    service, resource = deploy
-    reply = _execute_bytes(service, resource).decode("utf-8")
+def _parse_gate(reply: str, title: str, floor: float) -> None:
+    """Shipped parser vs the oracle on *reply*: both must build the same
+    tree, and the oracle/shipped ratio of the min-of-rounds times must
+    reach *floor*.  The two parsers alternate within every round and
+    each number is the min across rounds, so load spikes hit both legs
+    alike."""
     assert serialize(parse(reply)) == serialize(reference_parser.parse(reply))
 
     legs = {"shipped": parse, "oracle": reference_parser.parse}
@@ -140,11 +141,11 @@ def test_fig2_hotpath_gate(deploy):
     ratio = best["oracle"] / best["shipped"]
 
     table = Table(
-        "Figure 2 — parsing the 1000-row reply, shipped parser vs oracle",
+        title,
         ["parser", "parse ms", "MB/s"],
         note=(
             f"{len(reply) / 1e3:.0f} KB reply; min of {ROUNDS} interleaved "
-            f"rounds × best-of-{BEST_OF}; gate: oracle/shipped ≥ {GATE_RATIO}x"
+            f"rounds × best-of-{BEST_OF}; gate: oracle/shipped ≥ {floor}x"
         ),
     )
     for leg in ("oracle", "shipped"):
@@ -156,10 +157,51 @@ def test_fig2_hotpath_gate(deploy):
     table.add("ratio", f"{ratio:8.2f}x", "")
     table.show()
 
-    assert ratio >= GATE_RATIO, (
-        f"parse speed-up {ratio:.2f}x below the {GATE_RATIO}x gate "
+    assert ratio >= floor, (
+        f"parse speed-up {ratio:.2f}x below the {floor}x gate "
         f"(oracle {best['oracle'] * 1e3:.2f}ms, "
         f"shipped {best['shipped'] * 1e3:.2f}ms)"
+    )
+
+
+def test_fig2_hotpath_gate(deploy):
+    """Parse rate on the 1000-row reply: shipped parser vs the oracle.
+
+    The reply is what a consumer of the repeat query receives; parsing
+    it is the largest single share of the figure-2 message layer.
+    """
+    service, resource = deploy
+    reply = _execute_bytes(service, resource).decode("utf-8")
+    _parse_gate(
+        reply,
+        "Figure 2 — parsing the 1000-row reply, shipped parser vs oracle",
+        GATE_RATIO,
+    )
+
+
+def test_fig2_general_document_gate():
+    """Parse rate on the benchmark's property-document reply (~40 KB of
+    CIM description: attribute-carrying elements, no rowset lattice),
+    the document every consumer interaction starts by reading.  The
+    sibling-run and row-run recognisers do not apply to it, so this leg
+    measures the one tokenizer alone."""
+    deployment = build_deployment("sql", extra_tables=True, seed=1)
+    request = Envelope(
+        headers=MessageHeaders(
+            to=deployment.address,
+            action=core_messages.GetDataResourcePropertyDocumentRequest.action(),
+        ),
+        payload=core_messages.GetDataResourcePropertyDocumentRequest(
+            abstract_name=deployment.name
+        ).to_xml(),
+    )
+    response = deployment.service.dispatch(Envelope.from_bytes(request.to_bytes()))
+    reply = response.to_bytes().decode("utf-8")
+    assert len(reply) > 30_000
+    _parse_gate(
+        reply,
+        "Figure 2 — parsing the property-document reply, shipped parser vs oracle",
+        PROPDOC_GATE_RATIO,
     )
 
 

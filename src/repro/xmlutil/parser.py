@@ -5,11 +5,21 @@ elements, attributes, namespace declarations (prefixed and default),
 character data with the predefined/numeric entities, CDATA sections,
 comments and processing instructions (skipped).  DTDs are rejected, which
 doubles as a defence against entity-expansion attacks.
+
+One tokenizer reads every document: a single compiled pattern
+(``_TOKEN_RE``) whose quantifiers are all possessive, so no match ever
+backtracks and any input is read in linear time.  What the pattern does
+not match — comments, CDATA, PIs and every error — goes to a cold path
+that re-scans only that construct.  Each distinct open-tag spelling is
+resolved once per namespace scope into a memo held by that scope; the
+memo grows by O(distinct spellings), whose total length is at most the
+document's, and is freed with the parse, like the QName cache.
 """
 
 from __future__ import annotations
 
 import re
+from typing import NoReturn
 
 from repro.xmlutil.escape import unescape
 from repro.xmlutil.names import XML_NS, QName
@@ -24,8 +34,32 @@ class XmlParseError(ValueError):
         self.position = position
 
 
-_NAME_RE = re.compile(r"[A-Za-z_:À-￿][\w.\-:·À-￿]*")
+#: A name starts with ``[A-Za-z_:À-￿]``, spelled as its complement so that
+#: compiling it does not walk 65 000 code points in Python (~4 ms a class).
+_NAME = r"[^\x00-9;-@\[-^`{-\xbf\U00010000-\U0010ffff][\w.\-:·À-￿]*+"
+_WS = r"[ \t\r\n]*+"
+_NAME_RE = re.compile(_NAME)
 _WS_RE = re.compile(r"[ \t\r\n]+")
+
+#: One attribute of a run ``_TOKEN_RE`` has checked, so a name is what
+#: stands before ``=``; the value is group 2 (``"…"``) or 3 (``'…'``).
+_ATTRIBUTE_RE = re.compile(
+    rf"""{_WS}([^ \t\r\n=]++){_WS}={_WS}(?:"([^"<]*+)"|'([^'<]*+)')"""
+)
+_ATTRIBUTES = rf"""(?:{_WS}{_NAME}{_WS}={_WS}(?:"[^"<]*+"|'[^'<]*+'))*+{_WS}"""
+
+#: Every token of element content, told apart by ``match.lastindex``: 1 an
+#: open tag (group 1 its spelling: raw name plus attribute run, group 2 the
+#: raw name), 3 an empty-element tag, 4 a text-only leaf ``<t …>chars</t>``
+#: (group 4 the chars), 5 an end tag (its raw name, only compared with the
+#: open one), 6 character data.  Possessive quantifiers cannot split one
+#: name into a tag plus an attribute, nor re-read an attribute run.
+_TOKEN_RE = re.compile(
+    rf"<(({_NAME}){_ATTRIBUTES})(?:(/>)|>(?:([^<]*+)</\2{_WS}>)?)"
+    rf"|</([^ \t\r\n>]++){_WS}>"
+    r"|([^<]++)"
+)
+_OPEN, _LEAF, _END, _CHARS = 1, 4, 5, 6
 
 
 class _Scanner:
@@ -159,74 +193,157 @@ def _resolve(
 
 
 class _NsContext:
-    """One namespace scope plus its raw-name resolution caches.
+    """One namespace scope plus its per-parse resolution caches.
 
-    Splitting ``wsa:MessageID`` on ``:`` and walking the prefix map is
-    pure repetition after the first occurrence: within one scope a raw
-    prefixed name always resolves to the same QName.  Each scope keeps
-    two single-level dicts (elements and attributes resolve unprefixed
-    names differently), so the per-tag cost on the hot path collapses to
-    one dict hit.  DAIS documents declare every namespace on the root,
-    so in practice one context serves the whole parse.
+    ``etags``/``attrs`` map raw element/attribute names (which resolve
+    unprefixed names differently) to QNames; ``opens`` maps an open-tag
+    spelling to its memo entry ``(scope, QName, attributes, raw name)``,
+    *scope* being the context its content is read in: this one, or the
+    child its ``xmlns`` attributes declare.  DAIS documents declare
+    every namespace on the root, so one context serves the parse.
     """
 
-    __slots__ = ("nsmap", "etags", "attrs")
+    __slots__ = ("nsmap", "etags", "attrs", "opens")
 
     def __init__(self, nsmap: dict[str, str]) -> None:
         self.nsmap = nsmap
         self.etags: dict[str, QName] = {}
         self.attrs: dict[str, QName] = {}
+        self.opens: dict[str, tuple] = {}
 
     def child(self, scope: dict[str, str]) -> "_NsContext":
         return _NsContext({**self.nsmap, **scope})
 
-    def element_qname(
-        self, raw: str, scanner: _Scanner, qcache: _QCache
+    def qname(
+        self, raw: str, scanner: _Scanner, qcache: _QCache, attribute: bool
     ) -> QName:
-        prefix, local = _split_prefixed(raw, scanner)
-        tag = _resolve(prefix, local, self.nsmap, scanner, False, qcache)
-        self.etags[raw] = tag
-        return tag
-
-    def attribute_qname(
-        self, raw: str, scanner: _Scanner, qcache: _QCache
-    ) -> QName:
-        prefix, local = _split_prefixed(raw, scanner)
-        name = _resolve(prefix, local, self.nsmap, scanner, True, qcache)
-        self.attrs[raw] = name
+        cache = self.attrs if attribute else self.etags
+        name = cache.get(raw)
+        if name is None:
+            prefix, local = _split_prefixed(raw, scanner)
+            name = cache[raw] = _resolve(
+                prefix, local, self.nsmap, scanner, attribute, qcache
+            )
         return name
 
 
-def _parse_attributes(scanner: _Scanner) -> dict[str, str]:
-    text = scanner.text
-    size = len(text)
-    attributes: dict[str, str] = {}
-    while True:
-        match = _WS_RE.match(text, scanner.pos)
-        if match:
-            scanner.pos = match.end()
-        pos = scanner.pos
-        ch = text[pos] if pos < size else ""
-        if ch == ">" or (ch == "/" and text.startswith("/>", pos)):
-            return attributes
-        raw_name = scanner.name()
+def _unescaped(raw: str, position: int, text: str = "", run_end: int = 0) -> str:
+    """*raw* with its references resolved.  For a value of a run over
+    *position*..*run_end*, the error names the first malformed leaf."""
+    try:
+        return unescape(raw)
+    except ValueError as exc:
+        for token in _TOKEN_RE.finditer(text, position, run_end):
+            if token.lastindex == _LEAF:
+                _unescaped(token.group(_LEAF), token.start(_LEAF))
+        raise XmlParseError(str(exc), position) from None
+
+
+def _open_tag(
+    scanner: _Scanner, ctx: _NsContext, match: re.Match, qcache: _QCache
+) -> tuple:
+    """Resolve a spelling seen for the first time in *ctx* into its memo
+    entry: split and unescape the attributes, check duplicates (raw and
+    resolved), apply ``xmlns`` and intern the names."""
+    ectx = ctx
+    plain: list[tuple[str, str, int]] = []
+    start, end = match.end(2), match.end(1)
+    if start != end:  # an attribute run
+        seen: set[str] = set()
+        scope: dict[str, str] = {}
+        for attr in _ATTRIBUTE_RE.finditer(scanner.text, start, end):
+            name = attr.group(1)
+            scanner.pos = attr.start(1)
+            if name in seen:
+                raise scanner.error(f"duplicate attribute {name!r}")
+            seen.add(name)
+            value = attr.group(attr.lastindex)
+            if "&" in value:
+                value = _unescaped(value, attr.start(attr.lastindex))
+            if name == "xmlns":
+                scope[""] = value
+            elif name.startswith("xmlns:"):
+                if not value:
+                    raise scanner.error("cannot undeclare a namespace prefix")
+                scope[name[6:]] = value
+            else:
+                plain.append((name, value, scanner.pos))
+        if scope:
+            ectx = ctx.child(scope)
+    raw = match.group(2)
+    scanner.pos = match.start(2)
+    tag = ectx.qname(raw, scanner, qcache, False)
+    attributes: dict[QName, str] = {}
+    for name, value, offset in plain:
+        scanner.pos = offset
+        aname = ectx.qname(name, scanner, qcache, True)
+        if aname in attributes:
+            raise scanner.error(f"duplicate attribute {aname.clark()}")
+        attributes[aname] = value
+    entry = ctx.opens[match.group(1)] = (ectx, tag, attributes, raw)
+    return entry
+
+
+def _diagnose(scanner: _Scanner, pos: int) -> NoReturn:
+    """Name what is wrong with the tag at *pos*, a ``<`` the token
+    pattern could not match, at the offset where it goes wrong.  The
+    document is already rejected; this only re-scans that construct."""
+    if scanner.text.startswith("<!DOCTYPE", pos):
+        raise XmlParseError("DTDs are not supported", pos)
+    scanner.pos = pos + 1
+    closing = scanner.accept("/")
+    scanner.name()
+    while not closing:  # walk the attributes up to the first bad one
+        scanner.skip_ws()
+        if scanner.eof() or scanner.peek(">") or scanner.peek("/>"):
+            break
+        if not _NAME_RE.match(scanner.text, scanner.pos):
+            raise scanner.error("expected an attribute name, '>' or '/>'")
+        scanner.name()
         scanner.skip_ws()
         scanner.expect("=")
         scanner.skip_ws()
-        quote = '"' if scanner.accept('"') else None
-        if quote is None:
-            if not scanner.accept("'"):
-                raise scanner.error("attribute value must be quoted")
-            quote = "'"
+        quote = scanner.text[scanner.pos : scanner.pos + 1]
+        if quote not in ('"', "'"):
+            raise scanner.error("attribute value must be quoted")
+        start = scanner.pos = scanner.pos + 1
         value = scanner.until(quote)
         if "<" in value:
+            scanner.pos = start + value.index("<")
             raise scanner.error("'<' not allowed in attribute values")
-        if raw_name in attributes:
-            raise scanner.error(f"duplicate attribute {raw_name!r}")
-        try:
-            attributes[raw_name] = unescape(value)
-        except ValueError as exc:
-            raise scanner.error(str(exc)) from None
+    scanner.skip_ws()
+    if scanner.eof():
+        raise scanner.error("unexpected end of input inside a tag")
+    scanner.expect(">")
+    raise XmlParseError("malformed markup", pos)
+
+
+def _flush(node: XmlElement, buffer: list[str]) -> None:
+    """Attach the character data collected since the last node."""
+    joined = "".join(buffer)
+    if joined:
+        node.children.append(Text(joined))
+    buffer.clear()
+
+
+def _markup(
+    scanner: _Scanner, pos: int, node: XmlElement | None, buffer: list[str]
+) -> int:
+    """The cold path at a ``<`` the token pattern did not match: skip a
+    comment, CDATA section or PI inside content, or diagnose the error."""
+    scanner.pos = pos
+    if node is not None:
+        if scanner.accept("<!--"):
+            _flush(node, buffer)
+            node.children.append(Comment(scanner.until("-->")))
+            return scanner.pos
+        if scanner.accept("<![CDATA["):
+            buffer.append(scanner.until("]]>"))
+            return scanner.pos
+        if scanner.accept("<?"):
+            scanner.until("?>")
+            return scanner.pos
+    _diagnose(scanner, pos)
 
 
 def _skip_misc(scanner: _Scanner) -> None:
@@ -235,8 +352,7 @@ def _skip_misc(scanner: _Scanner) -> None:
         scanner.skip_ws()
         if scanner.accept("<!--"):
             scanner.until("-->")
-        elif scanner.peek("<?"):
-            scanner.pos += 2
+        elif scanner.accept("<?"):
             scanner.until("?>")
         else:
             return
@@ -245,14 +361,11 @@ def _skip_misc(scanner: _Scanner) -> None:
 def parse(text: str) -> XmlElement:
     """Parse an XML document string and return its root element."""
     scanner = _Scanner(text)
-    if scanner.accept("﻿"):
-        pass  # tolerate a BOM that survived decoding
+    scanner.accept("﻿")  # tolerate a BOM that survived decoding
     _skip_misc(scanner)
-    if scanner.peek("<!DOCTYPE"):
-        raise scanner.error("DTDs are not supported")
-    if not scanner.peek("<"):
+    if not scanner.peek("<") or scanner.peek("</"):
         raise scanner.error("expected the root element")
-    root = _parse_element(scanner, _NsContext({}), {})
+    root = _parse_element(scanner, _NsContext({}))
     _skip_misc(scanner)
     if not scanner.eof():
         raise scanner.error("content after the root element")
@@ -264,387 +377,184 @@ def parse_bytes(data: bytes) -> XmlElement:
     return parse(data.decode("utf-8-sig"))
 
 
-def _parse_element(
-    scanner: _Scanner, ctx: _NsContext, qcache: _QCache
-) -> XmlElement:
-    """The hot-path parser: one iterative loop for the whole subtree.
-
-    A DAIS response is thousands of tiny elements; per-element Python
-    call frames are the dominant parse cost once tokenizing is cheap.
-    This loop keeps an explicit stack instead of recursing, resolves
-    raw names through the scope caches, remembers the two most recent
-    open-tag spellings (rowsets alternate between exactly two), takes a
-    ``<Tag>text</Tag>`` shortcut for simple content, and compares end
-    tags against the raw open-tag slice before paying for a name scan.
-    The scanner's ``pos`` is synced only around slow paths and errors.
+def _parse_element(scanner: _Scanner, ctx: _NsContext) -> XmlElement:
+    """The token loop: one ``_TOKEN_RE`` match per construct, one
+    explicit stack instead of recursion, open tags resolved through the
+    scope memo, text-only leaves built without a frame.  After a leaf,
+    the sibling-run and row-run recognisers hand the rest of a rowset
+    lattice to the regex engine.  The scanner's ``pos`` is synced only
+    around cold paths and errors.
     """
     text = scanner.text
-    size = len(text)
     pos = scanner.pos
     startswith = text.startswith
-    find = text.find
+    token = _TOKEN_RE.match
     element_new = XmlElement.__new__
     text_new = Text.__new__
+    qcache: _QCache = {}
+    rcache: dict = {}  # run patterns by value tag, or by (row, value) tags
 
-    # Frames of open elements; ``node is None`` means we are at the root
-    # level (about to open the root, or just closed it).
-    stack: list = []
-    node: XmlElement | None = None
+    stack: list = []  # frames of the open elements' parents
+    node: XmlElement | None = None  # the open element; None at the root level
     raw_tag = ""
-    buffer: list[str] | None = None
-    t1 = t2 = ""  # most-recently-seen raw open-tag spellings
-    rcache: dict = {}  # per-parse raw tag -> compiled sibling-run pattern
+    buffer: list[str] = []  # character data not yet attached to ``node``
 
     while True:
-        if node is not None:
-            # ---- content of the current open element -----------------
-            while True:
-                if pos >= size:
-                    scanner.pos = pos
-                    raise scanner.error(
-                        f"unexpected end of input inside <{node.tag.local}>"
-                    )
-                ch = text[pos]
-                if ch != "<":
-                    end = find("<", pos)
-                    if end < 0:
-                        scanner.pos = pos
-                        raise scanner.error(
-                            "unexpected end of input in character data"
-                        )
-                    raw = text[pos:end]
-                    pos = end
-                    if "&" in raw:
-                        scanner.pos = end
-                        try:
-                            raw = unescape(raw)
-                        except ValueError as exc:
-                            raise scanner.error(str(exc)) from None
-                    buffer.append(raw)
-                    continue
-                nxt = text[pos + 1] if pos + 1 < size else ""
-                if nxt == "/":
-                    pos += 2
-                    if buffer:
-                        joined = "".join(buffer)
-                        if joined:
-                            node.children.append(Text(joined))
-                    # End tags nearly always match byte-for-byte: compare
-                    # the raw slice before paying for a name scan.
-                    after = pos + len(raw_tag)
-                    if (
-                        startswith(raw_tag, pos)
-                        and after < size
-                        and text[after] == ">"
-                    ):
-                        pos = after + 1
-                    else:
-                        # longer name, whitespace or a mismatch: slow close
-                        scanner.pos = pos
-                        closing = scanner.name()
-                        if closing != raw_tag:
-                            raise scanner.error(
-                                "mismatched end tag: expected "
-                                f"</{raw_tag}>, got </{closing}>"
-                            )
-                        scanner.skip_ws()
-                        scanner.expect(">")
-                        pos = scanner.pos
-                    closed = node
-                    node, raw_tag, ctx, buffer = stack.pop()
-                    if node is None:
-                        scanner.pos = pos
-                        return closed
-                    node.children.append(closed)
-                    continue
-                if nxt == "?":
-                    scanner.pos = pos + 2
-                    scanner.until("?>")
-                    pos = scanner.pos
-                    continue
-                if nxt == "!":
-                    if startswith("<![CDATA[", pos):
-                        scanner.pos = pos + 9
-                        buffer.append(scanner.until("]]>"))
-                        pos = scanner.pos
-                        continue
-                    if startswith("<!--", pos):
-                        scanner.pos = pos + 4
-                        if buffer:
-                            joined = "".join(buffer)
-                            if joined:
-                                node.children.append(Text(joined))
-                            buffer.clear()
-                        node.children.append(Comment(scanner.until("-->")))
-                        pos = scanner.pos
-                        continue
-                    # any other "<!" falls through to element parsing,
-                    # which reports the usual malformed-name error
-                if buffer:
-                    joined = "".join(buffer)
-                    if joined:
-                        node.children.append(Text(joined))
-                    buffer.clear()
-                break  # a child element opens at ``pos``
+        match = token(text, pos)
+        if match is None:
+            if pos >= len(text):
+                raise XmlParseError(
+                    f"unexpected end of input inside <{node.tag.local}>", pos
+                )
+            pos = _markup(scanner, pos, node, buffer)
+            continue
+        kind = match.lastindex
+        if kind == _CHARS:
+            raw = match.group(_CHARS)
+            if "&" in raw:
+                raw = _unescaped(raw, pos)
+            buffer.append(raw)
+            pos = match.end()
+            continue
+        if kind == _END:
+            closing = match.group(_END)
+            if closing != raw_tag:
+                raise XmlParseError(
+                    f"mismatched end tag: expected </{raw_tag}>, got </{closing}>",
+                    pos,
+                )
+            pos = match.end()
+            if buffer:
+                _flush(node, buffer)
+            closed = node
+            node, raw_tag, ctx = stack.pop()
+            if node is None:
+                scanner.pos = pos
+                return closed
+            node.children.append(closed)
+            continue
 
-        # ---- an element open tag at ``pos`` --------------------------
-        if pos >= size or text[pos] != "<":
-            scanner.pos = pos
-            raise scanner.error("expected '<'")
-        pos += 1
-        nraw = None
-        if t1 and startswith(t1, pos):
-            after = pos + len(t1)
-            nc = text[after] if after < size else ""
-            if nc == ">" or nc == "/":
-                nraw = t1
-                pos = after
-        elif t2 and startswith(t2, pos):
-            after = pos + len(t2)
-            nc = text[after] if after < size else ""
-            if nc == ">" or nc == "/":
-                nraw = t2
-                t1, t2 = t2, t1
-                pos = after
-        if nraw is None:
-            scanner.pos = pos
-            nraw = scanner.name()
-            pos = scanner.pos
-            if nraw != t1:
-                t1, t2 = nraw, t1
-
-        plain: dict[str, str] | None = None
-        ectx = ctx
-        ch = text[pos] if pos < size else ""
-        if ch != ">" and not (ch == "/" and startswith("/>", pos)):
-            scanner.pos = pos
-            raw_attributes = _parse_attributes(scanner)
-            pos = scanner.pos
-            scope: dict[str, str] | None = None
-            for raw_name, value in raw_attributes.items():
-                if raw_name == "xmlns":
-                    if scope is None:
-                        scope = {}
-                    scope[""] = value
-                elif raw_name.startswith("xmlns:"):
-                    if not value:
-                        scanner.pos = pos
-                        raise scanner.error(
-                            "cannot undeclare a namespace prefix"
-                        )
-                    if scope is None:
-                        scope = {}
-                    scope[raw_name[6:]] = value
-                else:
-                    if plain is None:
-                        plain = {}
-                    plain[raw_name] = value
-            if scope:
-                ectx = ctx.child(scope)
-            ch = text[pos] if pos < size else ""
-
-        tag = ectx.etags.get(nraw)
-        if tag is None:
-            scanner.pos = pos
-            tag = ectx.element_qname(nraw, scanner, qcache)
+        entry = ctx.opens.get(match.group(1))
+        if entry is None:
+            entry = _open_tag(scanner, ctx, match, qcache)
+        ectx, tag, attributes, nraw = entry
+        pos = match.end()
         # Inline construction: the dataclass __init__ + __post_init__
         # re-validate what the parser already guarantees.
         elem = element_new(XmlElement)
         elem.tag = tag
-        elem.attributes = {}
+        elem.attributes = attributes.copy() if attributes else {}
         elem.children = []
-        if plain:
-            attrs = ectx.attrs
-            for raw_name, value in plain.items():
-                aname = attrs.get(raw_name)
-                if aname is None:
-                    scanner.pos = pos
-                    aname = ectx.attribute_qname(raw_name, scanner, qcache)
-                if aname in elem.attributes:
-                    scanner.pos = pos
-                    raise scanner.error(
-                        f"duplicate attribute {aname.clark()}"
-                    )
-                elem.attributes[aname] = value
-
-        simple = False
-        if ch == "/":
-            # _parse_attributes (and the fast check above) only stop at
-            # '>' or '/>', so '/' here is always the start of '/>'.
-            pos += 2
-        elif ch != ">":
-            scanner.pos = pos
-            raise scanner.error("expected '>'")
-        else:
-            pos += 1
-            # Simple-content shortcut: <Tag>chars</Tag> with no markup
-            # inside — the shape of every rowset value on a DAIS wire.
-            end = find("<", pos)
-            if (
-                end >= 0
-                and end + 1 < size
-                and text[end + 1] == "/"
-                and startswith(nraw, end + 2)
-                and end + 2 + len(nraw) < size
-                and text[end + 2 + len(nraw)] == ">"
-            ):
-                if end > pos:
-                    raw = text[pos:end]
-                    if "&" in raw:
-                        scanner.pos = end
-                        try:
-                            raw = unescape(raw)
-                        except ValueError as exc:
-                            raise scanner.error(str(exc)) from None
-                    if raw:
-                        elem.children.append(Text(raw))
-                pos = end + 3 + len(nraw)
-                simple = True
-            else:
-                # Descend: this element becomes the open node.
-                stack.append((node, raw_tag, ctx, buffer))
-                node, raw_tag, ctx, buffer = elem, nraw, ectx, []
-                continue
-
-        # The element closed without descending; attach it.
+        if buffer:
+            _flush(node, buffer)
+        if kind == _OPEN:
+            stack.append((node, raw_tag, ctx))
+            node, raw_tag, ctx = elem, nraw, ectx
+            continue
+        if kind == _LEAF:
+            raw = match.group(_LEAF)
+            if raw:
+                if "&" in raw:
+                    raw = _unescaped(raw, match.start(_LEAF))
+                tnode = text_new(Text)
+                tnode.value = raw
+                elem.children.append(tnode)
         if node is None:
             scanner.pos = pos
             return elem
         siblings = node.children
         siblings.append(elem)
+        if kind != _LEAF or ectx is not ctx:
+            continue
 
-        if simple and ectx is ctx:
-            # Sibling run: a simple-content element is nearly always
-            # followed by more spelled exactly the same way (the Value
-            # columns of a row).  A run of escape-free values is matched
-            # by one C-level regex and split on the close+open seam, so
-            # the Python loop only builds nodes; values carrying '&'
-            # (and the end of the run) fall to the probe loop below.
-            # Content cannot contain a raw '<', so the pattern cannot
-            # skip over markup.  The run reuses this element's QName, so
-            # it is skipped when the element declared a namespace itself
-            # (its attribute-free siblings resolve in the outer scope).
-            run = rcache.get(nraw)
-            if run is None:
+        # Sibling run: a text-only leaf is nearly always followed by more
+        # spelled exactly the same way (the Value columns of a row): one
+        # C-level match, split on the close+open seam, so the Python loop
+        # only builds nodes.  Content holds no raw '<', so the pattern
+        # cannot skip over markup.  The run reuses this element's QName,
+        # so it is skipped when the element declared a namespace itself.
+        probe = "<" + nraw + ">"
+        seam = "</" + nraw + ">" + probe
+        plen = len(probe)
+        if startswith(probe, pos):
+            run_re = rcache.get(nraw)
+            if run_re is None:
                 escaped = re.escape(nraw)
-                probe = "<" + nraw + ">"
-                close = "</" + nraw + ">"
-                run = (
-                    re.compile(f"(?:<{escaped}>[^<&]*</{escaped}>)+"),
-                    probe,
-                    close,
-                    close + probe,
-                    len(probe),
-                    len(close),
+                run_re = rcache[nraw] = re.compile(
+                    f"(?:<{escaped}>[^<]*+</{escaped}>)++"
                 )
-                rcache[nraw] = run
-            run_re, probe, close, seam, plen, clen = run
-            append_sibling = siblings.append
-            while True:
-                match = run_re.match(text, pos)
-                if match is not None:
-                    run_end = match.end()
-                    for raw in text[pos + plen : run_end - clen].split(seam):
-                        sib = element_new(XmlElement)
-                        sib.tag = tag
-                        sib.attributes = {}
-                        if raw:
-                            tnode = text_new(Text)
-                            tnode.value = raw
-                            sib.children = [tnode]
-                        else:
-                            sib.children = []
-                        append_sibling(sib)
-                    pos = run_end
-                # A value containing '&' (legal, just not regex-fast):
-                # unescape it by hand, then try the regex again.
-                if not startswith(probe, pos):
-                    break
-                vstart = pos + plen
-                end = find("<", vstart)
-                if end < 0 or text[end : end + clen] != close:
-                    break
-                raw = text[vstart:end]
-                if "&" in raw:
-                    scanner.pos = end
-                    try:
-                        raw = unescape(raw)
-                    except ValueError as exc:
-                        raise scanner.error(str(exc)) from None
-                sib = element_new(XmlElement)
-                sib.tag = tag
-                sib.attributes = {}
-                if raw:
-                    tnode = text_new(Text)
-                    tnode.value = raw
-                    sib.children = [tnode]
-                else:
-                    sib.children = []
-                append_sibling(sib)
-                pos = end + clen
+            match = run_re.match(text, pos)
+            if match is not None:
+                run_end = match.end()
+                for raw in text[pos + plen : run_end - plen - 1].split(seam):
+                    sib = element_new(XmlElement)
+                    sib.tag = tag
+                    sib.attributes = {}
+                    if raw:
+                        if "&" in raw:
+                            raw = _unescaped(raw, pos, text, run_end)
+                        tnode = text_new(Text)
+                        tnode.value = raw
+                        sib.children = [tnode]
+                    else:
+                        sib.children = []
+                    siblings.append(sib)
+                pos = run_end
 
-            # Row run: when the value run filled its parent to the brim
-            # (the parent's end tag starts right here), whole sibling
-            # rows of the same two-level lattice — <Row><Value>…</Value>
-            # …</Row> — are consumed by one C-level match and two split
-            # passes.  Attribute-free tags spelled identically resolve
-            # to the same QNames (a pattern row cannot introduce xmlns),
-            # so node construction is the only Python-loop work left —
-            # unless the first row declared a namespace of its own, in
-            # which case its siblings do not share its scope.
-            if node is not None and startswith("</" + raw_tag + ">", pos):
-                rraw = raw_tag
-                pos += len(rraw) + 3
-                closed = node
-                node, raw_tag, ctx, buffer = stack.pop()
-                if node is None:
-                    scanner.pos = pos
-                    return closed
-                node.children.append(closed)
-                # A row spelled like its values (<A><A>…</A></A>) has
-                # one seam for both levels: it cannot be split by text.
-                if ctx is not ectx or rraw == nraw:
-                    continue
-                rkey = (rraw, nraw)
-                row_re = rcache.get(rkey)
-                if row_re is None:
-                    er, ev = re.escape(rraw), re.escape(nraw)
-                    row_re = re.compile(
-                        f"(?:<{er}>(?:<{ev}>[^<&]*</{ev}>)*</{er}>)+"
-                    )
-                    rcache[rkey] = row_re
-                match = row_re.match(text, pos)
-                if match is not None:
-                    run_end = match.end()
-                    row_tag = closed.tag
-                    rplen = len(rraw) + 2
-                    rclen = rplen + 1
-                    rseam = "</" + rraw + "><" + rraw + ">"
-                    append_row = node.children.append
-                    for body in text[pos + rplen : run_end - rclen].split(
-                        rseam
-                    ):
-                        rowel = element_new(XmlElement)
-                        rowel.tag = row_tag
-                        rowel.attributes = {}
-                        if body:
-                            children = []
-                            append_value = children.append
-                            for raw in body[plen : len(body) - clen].split(
-                                seam
-                            ):
-                                sib = element_new(XmlElement)
-                                sib.tag = tag
-                                sib.attributes = {}
-                                if raw:
-                                    tnode = text_new(Text)
-                                    tnode.value = raw
-                                    sib.children = [tnode]
-                                else:
-                                    sib.children = []
-                                append_value(sib)
-                            rowel.children = children
-                        else:
-                            rowel.children = []
-                        append_row(rowel)
-                    pos = run_end
+        # Row run: when the value run filled its parent and the next row
+        # opens right after it (``</Row><Row>``), whole rows of the same
+        # two-level lattice are consumed by one C-level match and two
+        # split passes.  Identically spelled attribute-free tags resolve
+        # to the same QNames unless the first row declared a namespace
+        # itself; a row spelled like its values (<A><A>…</A></A>) has
+        # one seam for both levels and cannot be split by text.
+        rraw = raw_tag
+        rseam = "</" + rraw + "><" + rraw + ">"
+        if rraw == nraw or not startswith(rseam, pos):
+            continue
+        outer, _, outer_ctx = stack[-1]
+        if outer is None or outer_ctx is not ctx:
+            continue
+        rkey = (rraw, nraw)
+        row_re = rcache.get(rkey)
+        if row_re is None:
+            er, ev = re.escape(rraw), re.escape(nraw)
+            row_re = rcache[rkey] = re.compile(
+                f"(?:<{er}>(?:<{ev}>[^<]*+</{ev}>)*+</{er}>)++"
+            )
+        closed = node
+        node, raw_tag, ctx = stack.pop()
+        node.children.append(closed)
+        pos += len(rraw) + 3
+        match = row_re.match(text, pos)
+        if match is None:
+            continue
+        run_end = match.end()
+        row_tag = closed.tag
+        rplen = len(rraw) + 2
+        append_row = node.children.append
+        for body in text[pos + rplen : run_end - rplen - 1].split(rseam):
+            rowel = element_new(XmlElement)
+            rowel.tag = row_tag
+            rowel.attributes = {}
+            if body:
+                children = []
+                append_value = children.append
+                for raw in body[plen : len(body) - plen - 1].split(seam):
+                    sib = element_new(XmlElement)
+                    sib.tag = tag
+                    sib.attributes = {}
+                    if raw:
+                        if "&" in raw:
+                            raw = _unescaped(raw, pos, text, run_end)
+                        tnode = text_new(Text)
+                        tnode.value = raw
+                        sib.children = [tnode]
+                    else:
+                        sib.children = []
+                    append_value(sib)
+                rowel.children = children
+            else:
+                rowel.children = []
+            append_row(rowel)
+        pos = run_end

@@ -1,10 +1,11 @@
 """The classic recursive-descent parser, kept as a differential oracle.
 
 This is the parser ``repro.xmlutil`` shipped before the iterative,
-run-recognising one replaced it, moved here verbatim: one Python frame
-per element, no raw-name caches, no interned-vocabulary seeding, no
-simple-content shortcut, no sibling-run regexes.  It shares the
-tokenizer primitives (``_Scanner``, attribute and name resolution) with
+run-recognising one replaced it, moved here verbatim together with the
+character-by-character attribute scanner the token pattern replaced:
+one Python frame per element, no token pattern, no raw-name or
+open-tag memo, no interned-vocabulary seeding, no sibling-run regexes.
+It shares the scanner primitives (``_Scanner``, name resolution) with
 the shipped parser and none of its control flow, so
 ``test_parser_differential.py`` can fuzz one against the other, and
 ``make bench-fig2`` takes its "before" leg from here.
@@ -12,8 +13,8 @@ the shipped parser and none of its control flow, so
 
 from repro.xmlutil.escape import unescape
 from repro.xmlutil.parser import (
+    _WS_RE,
     XmlParseError,
-    _parse_attributes,
     _QCache,
     _resolve,
     _Scanner,
@@ -23,6 +24,38 @@ from repro.xmlutil.parser import (
 from repro.xmlutil.tree import Comment, Text, XmlElement
 
 __all__ = ["XmlParseError", "parse"]
+
+
+def _parse_attributes(scanner: _Scanner) -> dict[str, str]:
+    text = scanner.text
+    size = len(text)
+    attributes: dict[str, str] = {}
+    while True:
+        match = _WS_RE.match(text, scanner.pos)
+        if match:
+            scanner.pos = match.end()
+        pos = scanner.pos
+        ch = text[pos] if pos < size else ""
+        if ch == ">" or (ch == "/" and text.startswith("/>", pos)):
+            return attributes
+        raw_name = scanner.name()
+        scanner.skip_ws()
+        scanner.expect("=")
+        scanner.skip_ws()
+        quote = '"' if scanner.accept('"') else None
+        if quote is None:
+            if not scanner.accept("'"):
+                raise scanner.error("attribute value must be quoted")
+            quote = "'"
+        value = scanner.until(quote)
+        if "<" in value:
+            raise scanner.error("'<' not allowed in attribute values")
+        if raw_name in attributes:
+            raise scanner.error(f"duplicate attribute {raw_name!r}")
+        try:
+            attributes[raw_name] = unescape(value)
+        except ValueError as exc:
+            raise scanner.error(str(exc)) from None
 
 
 def parse(text: str) -> XmlElement:

@@ -141,6 +141,58 @@ class TestParser:
         assert serialize(tree) == serialize(reference_parser.parse(document))
         assert _shape(tree) == _et_shape(ElementTree.fromstring(document))
 
+    @pytest.mark.parametrize(
+        "document, fragment, construct",
+        [
+            ("<r><a k=v/></r>", "attribute value must be quoted", "<a k=v/>"),
+            ('<r><a k="x<y"/></r>', "'<' not allowed in attribute", '<a k="x<y"/>'),
+            ('<r><a k="1" k="2"/></r>', "duplicate attribute 'k'", '<a k="1" k="2"/>'),
+            (
+                '<r xmlns:p="urn:x" xmlns:q="urn:x"><a p:k="1" q:k="2"/></r>',
+                "duplicate attribute {urn:x}k",
+                '<a p:k="1" q:k="2"/>',
+            ),
+            ('<r><a xmlns:p=""/></r>', "cannot undeclare", '<a xmlns:p=""/>'),
+            ("<r><z:a/></r>", "undeclared namespace prefix 'z'", "<z:a/>"),
+            ("<r><a/ ></r>", "expected an attribute name", "<a/ >"),
+            ("<r><a:b:c/></r>", "malformed qualified name 'a:b:c'", "<a:b:c/>"),
+            ("<r>x & y</r>", "malformed entity", "x & y"),
+            ("<r><a>x &amp y</a></r>", "malformed entity", "x &amp y"),
+            (  # the third value of a sibling run
+                "<r><V>1</V><V>2</V><V>x &amp y</V></r>",
+                "malformed entity",
+                "x &amp y",
+            ),
+            (  # the last value of the second row of a row run
+                "<r><R><V>1</V><V>2</V></R><R><V>3</V><V>x &amp y</V></R></r>",
+                "malformed entity",
+                "x &amp y",
+            ),
+            ('<r k="&bogus;"/>', "unknown entity reference", "&bogus;"),
+            ("<r><!-- open</r>", "missing '-->'", "<!-- open</r>"),
+            ("<r><![CDATA[open</r>", "missing ']]>'", "<![CDATA[open</r>"),
+            ("<r><?pi open</r>", "missing '?>'", "<?pi open</r>"),
+            ("<r/><junk/>", "content after the root element", "<junk/>"),
+            ("<!DOCTYPE r><r/>", "DTDs are not supported", "<!DOCTYPE r>"),
+            ("<r><!DOCTYPE r></r>", "DTDs are not supported", "<!DOCTYPE r>"),
+            ("<r><a", "unexpected end of input", "<a"),
+        ],
+    )
+    def test_error_names_the_fault_inside_the_offending_construct(
+        self, document, fragment, construct
+    ):
+        """A document the token pattern cannot read is re-scanned only
+        where it failed: the error says what is wrong, at an offset
+        inside the construct that is wrong (a construct running to the
+        end of input may report the end)."""
+        with pytest.raises(XmlParseError) as err:
+            parse(document)
+        assert fragment in str(err.value)
+        start = document.index(construct)
+        assert start <= err.value.position <= start + len(construct)
+        with pytest.raises(XmlParseError):
+            reference_parser.parse(document)
+
     def test_mismatched_end_tag_after_an_inner_close_is_rejected(self):
         with pytest.raises(
             XmlParseError,

@@ -338,6 +338,10 @@ def _siblings(
 
 def _following(node: XPathNode, document: DocumentContext) -> list[XPathNode]:
     out: list[XPathNode] = []
+    if isinstance(node, AttributeNode):
+        # Attributes precede their owner's children in document order.
+        node = node.owner
+        out.extend(_descendants(node))
     current: XPathNode | None = node
     while current is not None and not isinstance(current, DocumentNode):
         for sibling in _siblings(current, document, forward=True):

@@ -8,7 +8,7 @@ Random trees are generated and the invariants checked on every node.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.xmlutil import E, QName, XmlElement
+from repro.xmlutil import E, QName, XmlElement, parse
 from repro.xpath import XPathEngine
 from repro.xpath.context import DocumentContext
 from repro.xpath.evaluator import (
@@ -18,6 +18,7 @@ from repro.xpath.evaluator import (
     _preceding,
     _siblings,
 )
+from tests.xpath.reference_evaluator import ReferenceXPathEngine
 
 _TAGS = ["a", "b", "c", "d"]
 
@@ -111,3 +112,13 @@ class TestAxisAlgebra:
             counted = engine.evaluate(f"count(//{tag})", root)
             selected = engine.select(f"//{tag}", root)
             assert counted == len(selected)
+
+
+def test_following_from_an_attribute_includes_its_owners_descendants():
+    """Attributes precede their owner's children in document order, so
+    ``following`` from ``@k`` starts with the owner's descendants."""
+    root = parse('<r><a k="1"><b/></a><c/></r>')
+    for engine in (XPathEngine(), ReferenceXPathEngine()):
+        found = engine.evaluate("//@k/following::*", root)
+        assert [node.tag.local for node in found] == ["b", "c"]
+        assert engine.evaluate("//@k/preceding::*", root) == []
