@@ -10,16 +10,18 @@ test: test-jobs test-xml
 	BENCH_FIG4_SMOKE=1 $(PYTHON) -m pytest benchmarks/test_fig4_cache.py -q
 
 # Event-loop server suites: c=100 load/soak with keep-alive reuse and
-# admission-control degradation, slow-loris reaping, client in-stream
-# deadlines and chunked-decode edge cases.  Runs once with the default
-# seed, then the load suite again under a fresh LOAD_SEED so workload
-# interleavings vary run to run (set LOAD_SEED to replay a failure).
+# admission-control degradation, slow-loris reaping, client response
+# deadlines, chunked-decode edge cases and the shared-codec round
+# trips.  Runs once with the default seed, then the load suite again
+# under a fresh LOAD_SEED so workload interleavings vary run to run
+# (set LOAD_SEED to replay a failure).
 test-server:
 	PYTHONFAULTHANDLER=1 $(PYTHON) -m pytest \
 		tests/transport/test_server_load.py \
 		tests/transport/test_server_slowloris.py \
 		tests/transport/test_stream_read_deadline.py \
-		tests/transport/test_lean_response_chunked.py -q
+		tests/transport/test_lean_response_chunked.py \
+		tests/transport/test_http11_codec.py -q
 	LOAD_SEED=$$($(PYTHON) -c 'import random; print(random.randrange(10**6))') \
 		PYTHONFAULTHANDLER=1 $(PYTHON) -m pytest tests/transport/test_server_load.py -q
 

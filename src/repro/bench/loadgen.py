@@ -2,31 +2,36 @@
 
 ``make bench-load`` needs to hold thousands of *open keep-alive
 connections* against one :class:`~repro.transport.DaisHttpServer` —
-far more than the pooled client transport (or ``http.client``) is
-shaped for.  This generator opens ``connections`` plain sockets up
-front, partitions them across ``threads`` driver threads, and drives
-one full request/response exchange at a time per connection, measuring
-wall latency per exchange.  A separate prober hits ``GET /healthz`` on
-its own connection throughout, so the loop-thread fast path is
-measured *under* the load, not beside it.
+far more than the pooled client transport is shaped for.  This
+generator opens ``connections`` plain client connections up front,
+partitions them across ``threads`` driver threads, and drives one full
+request/response exchange at a time per connection, measuring wall
+latency per exchange.  Replies are read with the codec both ends of the
+exchange share (:class:`~repro.transport.http11.ResponseParser`, through
+:meth:`~repro.transport.pool.ClientConnection.read_response`).  A
+separate prober hits ``GET /healthz`` on its own connection throughout,
+so the loop-thread fast path is measured *under* the load, not beside
+it.
 
 Responses are classified strictly: a 200 counts as served; a 503 must
 carry a parseable SOAP ``ServiceBusyFault`` envelope to count as a
 shed (anything else is an error); every other outcome — wrong status,
-truncated body, connection reset — is a lost response.  The benchmark
-gates on ``lost == 0``.
+truncated body, bytes after the reply, connection reset — is a lost
+response.  The benchmark gates on ``lost == 0``.
 """
 
 from __future__ import annotations
 
-import socket
 import threading
 import time
 from dataclasses import dataclass, field
 
+from repro.transport.http11 import HttpParseError, render_request
+from repro.transport.pool import ClientConnection
+
 __all__ = ["LoadReport", "percentile", "render_post", "run_load"]
 
-_RECV = 65536
+_HOST = "127.0.0.1"
 
 
 def percentile(values: list[float], q: float) -> float:
@@ -40,89 +45,23 @@ def percentile(values: list[float], q: float) -> float:
 
 def render_post(path: str, body: bytes) -> bytes:
     """One keep-alive SOAP POST as exact wire bytes."""
-    head = (
-        f"POST {path} HTTP/1.1\r\n"
-        f"Host: 127.0.0.1\r\n"
-        f"Content-Type: text/xml; charset=utf-8\r\n"
-        f"Content-Length: {len(body)}\r\n"
-        f"\r\n"
-    ).encode("ascii")
-    return head + body
+    return render_request(
+        "POST",
+        path,
+        [("Host", _HOST), ("Content-Type", "text/xml; charset=utf-8")],
+        body,
+    )
 
 
-class _WireError(Exception):
-    """The peer broke HTTP framing (or the socket died)."""
-
-
-class _Conn:
-    """A buffered raw connection that can read full HTTP responses."""
-
-    __slots__ = ("sock", "buf")
-
-    def __init__(self, sock: socket.socket) -> None:
-        self.sock = sock
-        self.buf = bytearray()
-
-    def close(self) -> None:
-        try:
-            self.sock.close()
-        except OSError:
-            pass
-
-    def _fill(self) -> None:
-        piece = self.sock.recv(_RECV)
-        if not piece:
-            raise _WireError("connection closed mid-response")
-        self.buf.extend(piece)
-
-    def _read_line(self) -> bytes:
-        while True:
-            index = self.buf.find(b"\r\n")
-            if index >= 0:
-                line = bytes(self.buf[:index])
-                del self.buf[: index + 2]
-                return line
-            self._fill()
-
-    def _read_exact(self, count: int) -> bytes:
-        while len(self.buf) < count:
-            self._fill()
-        data = bytes(self.buf[:count])
-        del self.buf[:count]
-        return data
-
-    def read_response(self) -> tuple[int, bytes]:
-        """Read one complete response → (status, body)."""
-        status_line = self._read_line()
-        parts = status_line.split(None, 2)
-        if len(parts) < 2 or not parts[1].isdigit():
-            raise _WireError(f"bad status line {status_line!r}")
-        status = int(parts[1])
-        headers: dict[bytes, bytes] = {}
-        while True:
-            line = self._read_line()
-            if not line:
-                break
-            key, _, value = line.partition(b":")
-            headers[key.strip().lower()] = value.strip()
-        if headers.get(b"transfer-encoding", b"").lower() == b"chunked":
-            body = bytearray()
-            while True:
-                size_token = self._read_line().split(b";", 1)[0].strip()
-                try:
-                    size = int(size_token, 16)
-                except ValueError as err:
-                    raise _WireError(f"bad chunk size {size_token!r}") from err
-                if size == 0:
-                    while self._read_line():  # drain trailers
-                        pass
-                    break
-                body.extend(self._read_exact(size))
-                if self._read_exact(2) != b"\r\n":
-                    raise _WireError("missing chunk CRLF")
-            return status, bytes(body)
-        length = int(headers.get(b"content-length", b"0"))
-        return status, self._read_exact(length)
+def _exchange(
+    conn: ClientConnection, request: bytes, timeout: float
+) -> tuple[int, bytes]:
+    """Send *request* and read its reply → ``(status, body)``."""
+    conn.send(request, timeout)
+    response = conn.read_response(timeout)
+    if conn.stray:
+        raise HttpParseError(f"{conn.stray} stray bytes after the response")
+    return response.status, response.body
 
 
 @dataclass
@@ -179,18 +118,16 @@ def run_load(
     """Open ``connections`` keep-alive sockets, drive them from
     ``threads`` driver threads, and probe ``/healthz`` throughout."""
     request = render_post(path, body)
-    conns: list[_Conn] = []
-    for _ in range(connections):
-        sock = socket.create_connection(("127.0.0.1", port), timeout=timeout)
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        conns.append(_Conn(sock))
+    conns = [
+        ClientConnection.open(_HOST, port, timeout) for _ in range(connections)
+    ]
 
     lock = threading.Lock()
     latencies: list[float] = []
     errors: list[str] = []
     counts = {"ok": 0, "shed": 0, "bad_shed": 0, "lost": 0}
 
-    def drive(partition: list[_Conn]) -> None:
+    def drive(partition: list[ClientConnection]) -> None:
         local_latencies = []
         local_counts = {"ok": 0, "shed": 0, "bad_shed": 0, "lost": 0}
         local_errors = []
@@ -198,9 +135,8 @@ def run_load(
             for conn in partition:
                 started = time.monotonic()
                 try:
-                    conn.sock.sendall(request)
-                    status, payload = conn.read_response()
-                except (OSError, _WireError) as err:
+                    status, payload = _exchange(conn, request, timeout)
+                except (OSError, HttpParseError) as err:
                     local_counts["lost"] += 1
                     local_errors.append(repr(err))
                     continue
@@ -226,25 +162,23 @@ def run_load(
     stop_probe = threading.Event()
 
     def probe() -> None:
-        sock = socket.create_connection(("127.0.0.1", port), timeout=timeout)
-        probe_conn = _Conn(sock)
-        wire = b"GET /healthz HTTP/1.1\r\nHost: 127.0.0.1\r\n\r\n"
+        probe_conn = ClientConnection.open(_HOST, port, timeout)
+        wire = render_request("GET", "/healthz", [("Host", _HOST)])
         try:
             while not stop_probe.is_set():
                 started = time.monotonic()
-                probe_conn.sock.sendall(wire)
-                status, _payload = probe_conn.read_response()
+                status, _payload = _exchange(probe_conn, wire, timeout)
                 healthz_latencies.append(time.monotonic() - started)
                 if status != 200:
                     errors.append(f"healthz status {status}")
                 stop_probe.wait(healthz_interval)
-        except (OSError, _WireError) as err:
+        except (OSError, HttpParseError) as err:
             errors.append(f"healthz probe died: {err!r}")
         finally:
             probe_conn.close()
 
     thread_count = max(1, min(threads, connections))
-    partitions: list[list[_Conn]] = [[] for _ in range(thread_count)]
+    partitions: list[list[ClientConnection]] = [[] for _ in range(thread_count)]
     for index, conn in enumerate(conns):
         partitions[index % thread_count].append(conn)
 

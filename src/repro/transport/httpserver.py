@@ -39,14 +39,12 @@ endpoints for operators:
 
 from __future__ import annotations
 
-import http.client
 import itertools
 import json
 import time
 from urllib.parse import urlsplit
 
 from repro.core.faults import ServiceBusyFault, ServiceNotFoundFault, TransportFault
-from repro.resilience import coerce_resilience
 from repro.core.registry import ServiceRegistry
 from repro.obs import MetricsRegistry, current_span, get_tracer
 from repro.obs.exporters import span_to_dict
@@ -71,14 +69,16 @@ from repro.transport.compression import (
     gzip_stream,
 )
 from repro.transport.http11 import (
+    HttpParseError,
     ParsedRequest,
     TERMINAL_CHUNK,
     chunk,
     render_headers,
+    render_request,
     render_response,
 )
 from repro.transport.pool import HttpConnectionPool
-from repro.transport.wire import CallRecord, NetworkModel, WireStats
+from repro.transport.wire import ClientTransport, NetworkModel
 
 
 def _transport_fault_headers(path: str) -> MessageHeaders:
@@ -394,13 +394,18 @@ class DaisHttpServer:
         payload = fault_envelope(
             _transport_fault_headers(request.target), fault
         ).to_bytes()
-        self._requests.inc(status="503")
+        return self._counted(request, 503, "text/xml; charset=utf-8", payload)
+
+    def _counted(
+        self, request: ParsedRequest, status: int, content_type: str, payload: bytes
+    ) -> bytes:
+        """A complete response to *request*, counted in
+        ``http.server.requests`` / ``response.bytes`` like every served
+        POST — sheds and injected chaos traffic included."""
+        self._requests.inc(status=str(status))
         self._response_bytes.inc(len(payload))
         return render_response(
-            503,
-            "text/xml; charset=utf-8",
-            payload,
-            keep_alive=request.keep_alive,
+            status, content_type, payload, keep_alive=request.keep_alive
         )
 
     def _apply_fault_plan(
@@ -437,13 +442,9 @@ class DaisHttpServer:
             core.close(conn)
             return False
         if isinstance(action, HttpStatus):
+            status, content_type = action.status, "text/plain; charset=utf-8"
             payload = b"injected fault: service unavailable"
-            self._respond_injected(
-                conn, core, request, action.status,
-                "text/plain; charset=utf-8", payload,
-            )
-            return False
-        if isinstance(action, (Busy, ExpireResource)):
+        elif isinstance(action, (Busy, ExpireResource)):
             if isinstance(action, Busy):
                 fault = ServiceBusyFault("service is busy [injected]")
             else:
@@ -452,37 +453,15 @@ class DaisHttpServer:
                 fault = ResourceUnknownFault(
                     "resource lifetime expired [injected]"
                 )
+            status, content_type = 500, "text/xml; charset=utf-8"
             payload = fault_envelope(
                 _transport_fault_headers(request.target), fault
             ).to_bytes()
-            self._respond_injected(
-                conn, core, request, 500, "text/xml; charset=utf-8", payload
-            )
-            return False
-        raise TypeError(f"unknown fault action {type(action).__name__}")
-
-    def _respond_injected(
-        self,
-        conn: Connection,
-        core,
-        request: ParsedRequest,
-        status: int,
-        content_type: str,
-        payload: bytes,
-    ) -> None:
-        """Send an injected response *through the metrics*: chaos traffic
-        must show up in ``http.server.requests`` / ``response.bytes``
-        exactly like organically served POSTs."""
-        self._requests.inc(status=str(status))
-        self._response_bytes.inc(len(payload))
-        self._write(
-            conn,
-            core,
-            render_response(
-                status, content_type, payload, keep_alive=request.keep_alive
-            ),
-            keep_alive=request.keep_alive,
-        )
+        else:
+            raise TypeError(f"unknown fault action {type(action).__name__}")
+        response = self._counted(request, status, content_type, payload)
+        self._write(conn, core, response, keep_alive=request.keep_alive)
+        return False
 
     def _write(
         self, conn: Connection, core, payload: bytes, keep_alive: bool
@@ -702,7 +681,7 @@ class DaisHttpServer:
         self.stop()
 
 
-class HttpTransport:
+class HttpTransport(ClientTransport):
     """Client side: POST envelopes to service URLs.
 
     Requests ride a thread-safe HTTP/1.1 keep-alive connection pool
@@ -715,54 +694,35 @@ class HttpTransport:
     closed, never re-pooled, and the failure surfaces to the caller,
     because the service may already have acted on the request.
 
-    Every attempt runs under a socket timeout (default 10 s —
-    configurable per transport, overridable per retry policy) that also
-    caps the *total* time spent draining the response body, so a server
-    that stalls or trickles mid-stream (a dropped connection during a
-    chunked response, a byte-per-second sender) surfaces as a
+    Replies are read with the server's own codec
+    (:class:`~repro.transport.http11.ResponseParser`).  Every attempt
+    runs under a timeout (default 10 s — configurable per transport,
+    overridable per retry policy) that bounds the connect, the write,
+    and then the *whole response* as one total deadline: status line,
+    headers and body.  A server that stalls or trickles at any point of
+    its reply (a dropped connection during a chunked response, headers
+    sent a byte at a time) surfaces as a
     :class:`~repro.core.faults.TransportFault` instead of blocking the
     caller indefinitely.  All transport-level failures — refused
-    connections, timeouts, dropped sockets, non-SOAP error bodies —
-    surface as that typed fault rather than raw
-    ``http.client``/``socket`` exceptions.  Install a
+    connections, timeouts, dropped sockets, malformed replies, non-SOAP
+    error bodies — surface as that typed fault rather than raw socket
+    or parse exceptions.  Install a
     :class:`~repro.resilience.Resilience` layer (or pass a bare
     ``RetryPolicy``) to retry them with backoff and breaker protection.
     """
-
-    #: Response bodies are drained in reads of this size so the total
-    #: read deadline can be enforced between reads.
-    READ_CHUNK_BYTES = 65536
 
     def __init__(
         self,
         network: NetworkModel | None = None,
         timeout: float = 10.0,
         resilience=None,
-        max_idle_per_host: int = 8,
         compression: bool = True,
     ) -> None:
-        self._network = network if network is not None else NetworkModel()
+        super().__init__(network, resilience)
         self._timeout = timeout
         #: Advertise ``Accept-Encoding: gzip`` and decode encoded
         #: responses; off reproduces the uncompressed wire.
         self.compression = compression
-        #: Optional retry/breaker layer; every ``send`` routes through it.
-        self.resilience = coerce_resilience(resilience)
-        self.stats = WireStats()
-        #: Client-side metrics: request counts and wire bytes per action.
-        self.metrics = MetricsRegistry()
-        self._requests = self.metrics.counter(
-            "rpc.client.requests", "requests sent per wsa:Action"
-        )
-        self._request_bytes = self.metrics.counter(
-            "rpc.client.request.bytes", "request bytes per wsa:Action"
-        )
-        self._response_bytes = self.metrics.counter(
-            "rpc.client.response.bytes", "response bytes per wsa:Action"
-        )
-        self._faults = self.metrics.counter(
-            "rpc.client.faults", "fault responses per wsa:Action"
-        )
         # Wire-truth byte counters (`in` is post-compression, as read
         # off the socket) — the client-side mirror of the server's
         # http.bytes.{in,out}.
@@ -775,14 +735,7 @@ class HttpTransport:
         #: The keep-alive pool.  Its ``rpc.client.connections.*``
         #: counters live in :attr:`metrics`, so pool behaviour shows up
         #: in ``obs:ServiceMetrics``.
-        self.pool = HttpConnectionPool(
-            max_idle_per_host=max_idle_per_host, metrics=self.metrics
-        )
-
-    def send(self, address: str, request: Envelope) -> Envelope:
-        if self.resilience is None:
-            return self._send_once(address, request)
-        return self.resilience.call(address, request, self._send_once)
+        self.pool = HttpConnectionPool(metrics=self.metrics)
 
     def close(self) -> None:
         """Close every idle pooled connection."""
@@ -814,12 +767,6 @@ class HttpTransport:
                         f"HTTP {status} from {address} with non-SOAP body",
                         status=status,
                     )
-            # Wire truth everywhere bytes are recorded: a gzip response
-            # is accounted at its compressed size (what the network
-            # carried), while the envelope parses the decoded body.
-            modeled = self._network.transfer_time(
-                len(request_bytes)
-            ) + self._network.transfer_time(wire_bytes)
             try:
                 response = Envelope.from_bytes(response_bytes)
             except Exception as err:
@@ -827,28 +774,17 @@ class HttpTransport:
                 raise TransportFault(
                     f"unparseable response from {address}: {err}"
                 ) from err
-            self._requests.inc(action=action)
-            self._request_bytes.inc(len(request_bytes), action=action)
-            self._response_bytes.inc(wire_bytes, action=action)
+            # Wire truth everywhere bytes are recorded: a gzip response
+            # is accounted at its compressed size (what the network
+            # carried), while the envelope parses the decoded body.
+            fault = response.is_fault()
+            self._account(
+                span, address, action, len(request_bytes), wire_bytes, fault
+            )
             self._bytes_out.inc(len(request_bytes))
             self._bytes_in.inc(wire_bytes)
-            if response.is_fault():
-                self._faults.inc(action=action)
+            if fault:
                 span.mark_fault()
-            span.set_attributes(
-                request_bytes=len(request_bytes),
-                response_bytes=wire_bytes,
-                modeled_seconds=modeled,
-            )
-            self.stats.record(
-                CallRecord(
-                    address=address,
-                    action=action,
-                    request_bytes=len(request_bytes),
-                    response_bytes=wire_bytes,
-                    modeled_seconds=modeled,
-                )
-            )
             return response
 
     # -- the wire exchange ----------------------------------------------------
@@ -862,7 +798,7 @@ class HttpTransport:
         *wire bytes* is the response body size as read off the socket —
         for a gzip-encoded response that is the compressed size, while
         the returned body is already decoded.  Decoding happens after
-        the body is fully drained, so framing (and therefore keep-alive
+        the body is de-framed, so framing (and therefore keep-alive
         reuse) is independent of the encoding.
 
         Raises :class:`TransportFault` for connect failures, timeouts and
@@ -880,57 +816,38 @@ class HttpTransport:
         if parts.query:
             path = f"{path}?{parts.query}"
         timeout = self._effective_timeout()
-        headers = {
-            "Content-Type": "text/xml; charset=utf-8",
-            "SOAPAction": action,
-            "Host": f"{host}:{port}",
-        }
+        headers = [
+            ("Content-Type", "text/xml; charset=utf-8"),
+            ("SOAPAction", action),
+            ("Host", f"{host}:{port}"),
+        ]
         if self.compression:
-            headers["Accept-Encoding"] = "gzip"
+            headers.append(("Accept-Encoding", "gzip"))
+        request = render_request("POST", path, headers, body)
         reconnected = False
         while True:
-            conn, reused = self.pool.acquire(host, port, timeout)
+            conn, sent = None, False
             try:
-                conn.request("POST", path, body=body, headers=headers)
-            except TimeoutError as err:  # socket.timeout is an alias
-                self.pool.release(conn, reusable=False)
-                raise TransportFault(
-                    f"request to {address} timed out after {timeout}s"
-                ) from err
-            except (OSError, http.client.HTTPException) as err:
-                self.pool.release(conn, reusable=False)
-                if reused and not reconnected:
-                    # Stale keep-alive died under the write; the server
-                    # never received the request, so one fresh-connection
-                    # retry is safe and invisible to the caller.
-                    reconnected = True
+                conn, reused = self.pool.acquire(host, port, timeout)
+                conn.send(request, timeout)
+                sent = True
+                response = conn.read_response(timeout)
+            except (OSError, HttpParseError) as err:
+                if conn is not None:
+                    self.pool.release(conn, reusable=False)
+                if isinstance(err, TimeoutError):  # socket.timeout too
+                    message = f"request to {address} timed out after {timeout}s"
+                elif sent:  # the service may have acted: no resend
+                    message = f"connection to {address} broke mid-exchange: {err}"
+                elif conn is not None and reused and not reconnected:
+                    reconnected = True  # a stale keep-alive: retry once
                     continue
-                raise TransportFault(
-                    f"connection to {address} failed: {err}"
-                ) from err
-            try:
-                reply = conn.getresponse()
-                response_bytes = self._read_body(reply, conn, timeout)
-            except TimeoutError as err:
-                self.pool.release(conn, reusable=False)
-                raise TransportFault(
-                    f"request to {address} timed out after {timeout}s"
-                ) from err
-            except (OSError, http.client.HTTPException) as err:
-                # The request went out but no (complete) response came
-                # back: poison the connection and surface the break — the
-                # service may have acted, so no transparent resend.
-                self.pool.release(conn, reusable=False)
-                raise TransportFault(
-                    f"connection to {address} broke mid-exchange: {err}"
-                ) from err
+                else:
+                    message = f"connection to {address} failed: {err}"
+                raise TransportFault(message) from err
+            response_bytes = response.body
             wire_bytes = len(response_bytes)
-            encoding = ""
-            if reply.headers is not None:
-                encoding = (
-                    reply.headers.get("content-encoding") or ""
-                ).lower()
-            if encoding == "gzip":
+            if response.headers.get("content-encoding", "").lower() == "gzip":
                 try:
                     response_bytes = gunzip(response_bytes)
                 except Exception as err:
@@ -941,36 +858,5 @@ class HttpTransport:
                     raise TransportFault(
                         f"undecodable gzip response from {address}: {err}"
                     ) from err
-            self.pool.release(conn, reusable=not reply.will_close)
-            return reply.status, response_bytes, wire_bytes
-
-    def _read_body(self, reply, conn, timeout: float) -> bytes:
-        """Drain one response body under a *total* deadline.
-
-        The socket timeout alone only bounds each individual ``recv`` —
-        a server that trickles a chunked body (or stalls after an
-        injected mid-stream drop) would keep a plain ``read()`` blocked
-        forever, one byte at a time.  ``read1`` performs at most one
-        underlying ``recv`` per call, so checking the remaining budget
-        between calls (and shrinking the socket timeout to it) makes
-        *timeout* the ceiling for the whole body.
-        """
-        deadline = time.monotonic() + timeout
-        pieces: list[bytes] = []
-        sock = getattr(conn, "sock", None)
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise TimeoutError(
-                    f"response body not drained within {timeout}s"
-                )
-            if sock is not None:
-                sock.settimeout(min(timeout, remaining))
-            piece = reply.read1(self.READ_CHUNK_BYTES)
-            if not piece:
-                # read1() does not mark a fully-drained Content-Length
-                # response as closed the way read() does; close it so
-                # the connection can be reused for the next exchange.
-                reply.close()
-                return b"".join(pieces)
-            pieces.append(piece)
+            self.pool.release(conn, reusable=response.keep_alive)
+            return response.status, response_bytes, wire_bytes

@@ -9,15 +9,14 @@ from __future__ import annotations
 
 from repro.core.faults import ServiceNotFoundFault
 from repro.core.registry import ServiceRegistry
-from repro.obs import MetricsRegistry, get_tracer
-from repro.resilience import coerce_resilience
+from repro.obs import get_tracer
 from repro.soap.envelope import Envelope, fault_envelope
 from repro.soap.fault import SoapFault
 from repro.soap.tracecontext import inject
-from repro.transport.wire import CallRecord, NetworkModel, WireStats
+from repro.transport.wire import ClientTransport, NetworkModel
 
 
-class LoopbackTransport:
+class LoopbackTransport(ClientTransport):
     """Dispatches envelopes through a :class:`ServiceRegistry` in-process."""
 
     def __init__(
@@ -26,41 +25,12 @@ class LoopbackTransport:
         network: NetworkModel | None = None,
         resilience=None,
     ) -> None:
+        super().__init__(network, resilience)
         self._registry = registry
-        self._network = network if network is not None else NetworkModel()
-        #: Optional retry/breaker layer (a ``Resilience`` or bare
-        #: ``RetryPolicy``); every ``send`` routes through it when set.
-        self.resilience = coerce_resilience(resilience)
-        self.stats = WireStats()
-        #: Client-side metrics: request counts and wire bytes per action.
-        self.metrics = MetricsRegistry()
-        self._requests = self.metrics.counter(
-            "rpc.client.requests", "requests sent per wsa:Action"
-        )
-        self._request_bytes = self.metrics.counter(
-            "rpc.client.request.bytes", "request bytes per wsa:Action"
-        )
-        self._response_bytes = self.metrics.counter(
-            "rpc.client.response.bytes", "response bytes per wsa:Action"
-        )
-        self._faults = self.metrics.counter(
-            "rpc.client.faults", "fault responses per wsa:Action"
-        )
 
     @property
     def registry(self) -> ServiceRegistry:
         return self._registry
-
-    def send(self, address: str, request: Envelope) -> Envelope:
-        """Send *request* to the service at *address*; returns the
-        response envelope (which may carry a fault — callers decide
-        whether to raise via :meth:`Envelope.raise_if_fault`).
-
-        With a :attr:`resilience` layer installed, the call is retried
-        and breaker-guarded per its policy."""
-        if self.resilience is None:
-            return self._send_once(address, request)
-        return self.resilience.call(address, request, self._send_once)
 
     def _send_once(self, address: str, request: Envelope) -> Envelope:
         action = request.headers.action
@@ -87,33 +57,12 @@ class LoopbackTransport:
                 # consumer gets the fault envelope the HTTP binding sends.
                 response = fault_envelope(request.headers, fault)
                 response_bytes = response.to_bytes()
-            modeled = self._network.transfer_time(
-                len(request_bytes)
-            ) + self._network.transfer_time(len(response_bytes))
-            self._record(
-                action, len(request_bytes), len(response_bytes), response
-            )
-            span.set_attributes(
-                request_bytes=len(request_bytes),
-                response_bytes=len(response_bytes),
-                modeled_seconds=modeled,
-            )
-            self.stats.record(
-                CallRecord(
-                    address=address,
-                    action=action,
-                    request_bytes=len(request_bytes),
-                    response_bytes=len(response_bytes),
-                    modeled_seconds=modeled,
-                )
+            self._account(
+                span,
+                address,
+                action,
+                len(request_bytes),
+                len(response_bytes),
+                response.is_fault(),
             )
             return Envelope.from_bytes(response_bytes)
-
-    def _record(
-        self, action: str, sent: int, received: int, response: Envelope
-    ) -> None:
-        self._requests.inc(action=action)
-        self._request_bytes.inc(sent, action=action)
-        self._response_bytes.inc(received, action=action)
-        if response.is_fault():
-            self._faults.inc(action=action)

@@ -2,20 +2,25 @@
 
 ``urllib`` opens (and tears down) one TCP connection per request — a tax
 the paper's many-consumers-one-service model cannot afford.  The pool
-keeps bounded per-host stacks of idle :class:`http.client.HTTPConnection`
-objects; :class:`~repro.transport.httpserver.HttpTransport` checks one
-out per request and returns it when the exchange completed cleanly.
+keeps bounded per-host stacks of idle :class:`ClientConnection`
+objects — a connected socket each, whose replies are read through the
+same codec the server speaks (:class:`~repro.transport.http11.ResponseParser`).
+:class:`~repro.transport.httpserver.HttpTransport` checks one out per
+request and returns it when the exchange completed cleanly.
 
 Rules the pool enforces:
 
 * a connection is owned by exactly one thread between checkout and
-  check-in (``http.client`` connections are not thread-safe);
+  check-in (a socket carries one exchange at a time);
 * idle connections are liveness-checked on checkout (a non-blocking
   ``MSG_PEEK``), so a server that closed its side is detected before a
   request is written into a dead socket;
 * any connection that saw a transport error is *discarded*, never
   returned — a dropped socket poisons exactly that connection;
-* the per-host idle stack is bounded; overflow connections are closed.
+* so is a connection whose reply was followed by bytes nobody asked
+  for (stray bytes): they would otherwise be read as the next reply;
+* the per-host idle stack is bounded (:data:`MAX_IDLE_PER_HOST`);
+  overflow connections are closed.
 
 Checkout/check-in activity feeds the ``rpc.client.connections.*``
 counters of the metrics registry the pool is built with, so pool
@@ -24,122 +29,92 @@ behaviour is visible in ``obs:ServiceMetrics`` and ``GET /metrics``.
 
 from __future__ import annotations
 
-import http.client
 import socket
 import threading
+import time
 
 from repro.obs import MetricsRegistry
+from repro.transport.http11 import ParsedResponse, ResponseParser
 
-__all__ = ["HttpConnectionPool"]
+__all__ = ["ClientConnection", "HttpConnectionPool", "MAX_IDLE_PER_HOST"]
 
 HostKey = tuple[str, int]
 
+#: Idle connections kept per host; one more is closed on check-in.
+MAX_IDLE_PER_HOST = 8
 
-class _LeanResponse(http.client.HTTPResponse):
-    """A lean HTTP response reader for the SOAP exchange profile.
-
-    The DAIS server frames bodies with ``Content-Length`` (materialized
-    responses) or ``Transfer-Encoding: chunked`` (streamed datasets) and
-    never sends 1xx continuations, so the general ``email.parser``
-    header machinery ``http.client`` runs per response (a measurable
-    share of a small SOAP round trip) buys nothing.  This reads the
-    status line and scans the few headers the exchange actually uses —
-    Content-Length, Transfer-Encoding and Connection — directly; chunked
-    bodies are decoded by the inherited ``read()`` machinery.
-    """
-
-    def begin(self) -> None:  # overrides the stdlib parser
-        if self.headers is not None:  # pragma: no cover - begin is once
-            return
-        line = self.fp.readline(65537)
-        if len(line) > 65536:
-            raise http.client.LineTooLong("status line")
-        if not line:
-            raise http.client.RemoteDisconnected(
-                "Remote end closed connection without response"
-            )
-        status_line = line.decode("iso-8859-1").rstrip("\r\n")
-        parts = status_line.split(None, 2)
-        if len(parts) < 2 or not parts[0].startswith("HTTP/"):
-            self._close_conn()
-            raise http.client.BadStatusLine(status_line)
-        version = parts[0]
-        try:
-            self.status = int(parts[1])
-        except ValueError:
-            self._close_conn()
-            raise http.client.BadStatusLine(status_line) from None
-        self.reason = parts[2].strip() if len(parts) > 2 else ""
-        self.version = 11 if version >= "HTTP/1.1" else 10
-
-        length: int | None = None
-        connection = ""
-        chunked = False
-        headers: dict[str, str] = {}
-        while True:
-            raw = self.fp.readline(65537)
-            if len(raw) > 65536:
-                raise http.client.LineTooLong("header line")
-            if raw in (b"\r\n", b"\n", b""):
-                break
-            key, _, value = raw.decode("iso-8859-1").partition(":")
-            key = key.strip().lower()
-            value = value.strip()
-            headers[key] = value
-            if key == "content-length":
-                try:
-                    length = int(value)
-                except ValueError:
-                    length = None
-            elif key == "transfer-encoding":
-                chunked = "chunked" in value.lower()
-            elif key == "connection":
-                connection = value.lower()
-
-        # Attributes HTTPResponse.read()/close() work from.  With
-        # chunked set (and length None, per RFC 9112 §6.3 Transfer-
-        # Encoding wins over Content-Length), the inherited read()
-        # decodes chunk framing for us.
-        self.headers = self.msg = headers
-        self.chunked = chunked
-        self.chunk_left = None
-        self.length = None if chunked else length
-        self.will_close = (
-            "close" in connection
-            or (self.version == 10 and "keep-alive" not in connection)
-            or (length is None and not chunked)
-        )
+#: Bytes asked of the socket per ``recv``.
+RECV_BYTES = 65536
 
 
-class _KeepAliveConnection(http.client.HTTPConnection):
-    """An ``HTTPConnection`` tuned for pooled SOAP exchanges.
+class ClientConnection:
+    """One keep-alive connection to ``host:port``: a connected socket."""
 
-    Disables Nagle on connect: without ``TCP_NODELAY`` a reused
-    connection pays the Nagle × delayed-ACK stall (~40 ms) whenever a
-    request or response spans two writes — which would erase the whole
-    point of pooling.
-    """
+    __slots__ = ("host", "port", "sock", "stray")
 
-    response_class = _LeanResponse
+    def __init__(self, host: str, port: int, sock: socket.socket) -> None:
+        self.host = host
+        self.port = port
+        self.sock: socket.socket | None = sock
+        #: Bytes that arrived after the last complete response.
+        self.stray = 0
 
-    def connect(self) -> None:
-        super().connect()
-        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    @classmethod
+    def open(cls, host: str, port: int, timeout: float) -> "ClientConnection":
+        """Connect within *timeout*, with Nagle off: without
+        ``TCP_NODELAY`` a reused connection pays the Nagle × delayed-ACK
+        stall (~40 ms) whenever a message spans two writes — which would
+        erase the whole point of pooling."""
+        sock = socket.create_connection((host, port), timeout=timeout)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        return cls(host, port, sock)
+
+    def send(self, request: bytes, timeout: float) -> None:
+        self.sock.settimeout(timeout)
+        self.sock.sendall(request)
+
+    def read_response(self, timeout: float) -> ParsedResponse:
+        """Read one complete response under one total deadline.
+
+        *timeout* bounds the whole response — status line, headers and
+        body — not each ``recv``: the socket timeout shrinks to the
+        remaining budget before every read, so a peer that trickles
+        bytes cannot outlast it.  Raises :class:`TimeoutError`,
+        :class:`OSError`, or :class:`~repro.transport.http11.HttpParseError`
+        for malformed input and for a close before the response is
+        complete.
+        """
+        parser = ResponseParser()
+        sock = self.sock
+        deadline = time.monotonic() + timeout
+        while parser.response is None:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise TimeoutError(f"response not complete within {timeout}s")
+            sock.settimeout(remaining)
+            data = sock.recv(RECV_BYTES)
+            if data:
+                parser.feed(data)
+            else:
+                parser.feed_eof()
+        self.stray = parser.buffered
+        return parser.response
+
+    def close(self) -> None:
+        sock, self.sock = self.sock, None
+        if sock is not None:
+            try:
+                sock.close()
+            except OSError:  # pragma: no cover - close is best-effort
+                pass
 
 
 class HttpConnectionPool:
     """Bounded per-host pools of reusable keep-alive connections."""
 
-    def __init__(
-        self,
-        max_idle_per_host: int = 8,
-        metrics: MetricsRegistry | None = None,
-    ) -> None:
-        if max_idle_per_host < 1:
-            raise ValueError("max_idle_per_host must be >= 1")
-        self.max_idle_per_host = max_idle_per_host
+    def __init__(self, metrics: MetricsRegistry | None = None) -> None:
         self._lock = threading.Lock()
-        self._idle: dict[HostKey, list[http.client.HTTPConnection]] = {}
+        self._idle: dict[HostKey, list[ClientConnection]] = {}
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._created = self.metrics.counter(
             "rpc.client.connections.created", "new TCP connections per host"
@@ -156,15 +131,15 @@ class HttpConnectionPool:
 
     def acquire(
         self, host: str, port: int, timeout: float
-    ) -> tuple[http.client.HTTPConnection, bool]:
-        """Check out a connection to ``host:port``.
+    ) -> tuple[ClientConnection, bool]:
+        """Check out a connection to ``host:port``, connecting a new one
+        (within *timeout*; :class:`OSError` if that fails) when no idle
+        one is alive.
 
         Returns ``(connection, reused)`` — *reused* is True when the
         connection already carried a previous exchange (the transport
         uses this to decide whether a send-time failure is a stale
-        keep-alive worth one transparent reconnect).  Fresh connections
-        are returned unconnected; ``http.client`` connects lazily on the
-        first request.
+        keep-alive worth one transparent reconnect).
         """
         key = (host, port)
         while True:
@@ -172,26 +147,24 @@ class HttpConnectionPool:
                 stack = self._idle.get(key)
                 conn = stack.pop() if stack else None
             if conn is None:
-                conn = _KeepAliveConnection(host, port, timeout=timeout)
+                conn = ClientConnection.open(host, port, timeout)
                 self._created.inc(host=f"{host}:{port}")
                 return conn, False
             if not self._alive(conn):
                 self._close(conn, reason="stale")
                 continue
-            conn.timeout = timeout
-            if conn.sock is not None:
-                conn.sock.settimeout(timeout)
             self._reused.inc(host=f"{host}:{port}")
             return conn, True
 
-    def release(self, conn: http.client.HTTPConnection, reusable: bool) -> None:
+    def release(self, conn: ClientConnection, reusable: bool) -> None:
         """Check a connection back in.
 
         ``reusable=False`` (a transport error, a ``Connection: close``
-        response) closes it — poisoned connections never re-enter the
-        pool.  A full idle stack also closes it.
+        response) closes it, and so do stray bytes after its reply —
+        poisoned connections never re-enter the pool.  A full idle stack
+        also closes it.
         """
-        if not reusable:
+        if not reusable or conn.stray:
             self._close(conn, reason="poisoned")
             return
         if conn.sock is None:
@@ -200,7 +173,7 @@ class HttpConnectionPool:
         key = (conn.host, conn.port)
         with self._lock:
             stack = self._idle.setdefault(key, [])
-            if len(stack) < self.max_idle_per_host:
+            if len(stack) < MAX_IDLE_PER_HOST:
                 stack.append(conn)
                 return
         self._close(conn, reason="overflow")
@@ -227,22 +200,16 @@ class HttpConnectionPool:
             self._idle = {}
         for stack in stacks:
             for conn in stack:
-                try:
-                    conn.close()
-                except OSError:  # pragma: no cover - close is best-effort
-                    pass
+                conn.close()
 
     # -- internals -------------------------------------------------------------
 
-    def _close(self, conn: http.client.HTTPConnection, reason: str) -> None:
+    def _close(self, conn: ClientConnection, reason: str) -> None:
         self._discarded.inc(reason=reason)
-        try:
-            conn.close()
-        except OSError:  # pragma: no cover - close is best-effort
-            pass
+        conn.close()
 
     @staticmethod
-    def _alive(conn: http.client.HTTPConnection) -> bool:
+    def _alive(conn: ClientConnection) -> bool:
         """Non-destructive liveness probe of an idle connection.
 
         A readable socket on an idle keep-alive connection means either

@@ -6,11 +6,16 @@ records exact request/response byte counts per call;
 :class:`NetworkModel` converts them into a modeled transfer time
 (latency + size/bandwidth) so benchmarks can report reproducible
 "transfer cost" series independent of host speed.
+:class:`ClientTransport` is what every client transport shares: the
+retry hook and that per-call account.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+from repro.obs import MetricsRegistry
+from repro.resilience import coerce_resilience
 
 
 @dataclass(frozen=True)
@@ -87,3 +92,58 @@ class WireStats:
         for record in self.calls:
             totals[record.action] = totals.get(record.action, 0) + record.total_bytes
         return totals
+
+
+class ClientTransport:
+    """The half every client transport shares.
+
+    :meth:`send` routes through the optional retry/breaker layer
+    (:attr:`resilience`, a ``Resilience`` or bare ``RetryPolicy``) into
+    the subclass's ``_send_once``, which calls :meth:`_account` once per
+    completed exchange: ``rpc.client.*`` counters per ``wsa:Action``,
+    the ``rpc.send`` span's byte attributes, and a :class:`CallRecord`
+    priced by the :class:`NetworkModel`.
+    """
+
+    def __init__(self, network: NetworkModel | None = None, resilience=None) -> None:
+        self._network = network if network is not None else NetworkModel()
+        self.resilience = coerce_resilience(resilience)
+        self.stats = WireStats()
+        #: Client-side metrics: request counts and wire bytes per action.
+        self.metrics = MetricsRegistry()
+        self._requests = self.metrics.counter(
+            "rpc.client.requests", "requests sent per wsa:Action"
+        )
+        self._request_bytes = self.metrics.counter(
+            "rpc.client.request.bytes", "request bytes per wsa:Action"
+        )
+        self._response_bytes = self.metrics.counter(
+            "rpc.client.response.bytes", "response bytes per wsa:Action"
+        )
+        self._faults = self.metrics.counter(
+            "rpc.client.faults", "fault responses per wsa:Action"
+        )
+
+    def send(self, address: str, request):
+        """Send *request* to the service at *address*; returns the
+        response envelope (which may carry a fault — callers decide
+        whether to raise via ``Envelope.raise_if_fault``)."""
+        if self.resilience is None:
+            return self._send_once(address, request)
+        return self.resilience.call(address, request, self._send_once)
+
+    def _account(
+        self, span, address: str, action: str, sent: int, received: int, fault: bool
+    ) -> None:
+        modeled = self._network.transfer_time(sent) + self._network.transfer_time(
+            received
+        )
+        self._requests.inc(action=action)
+        self._request_bytes.inc(sent, action=action)
+        self._response_bytes.inc(received, action=action)
+        if fault:
+            self._faults.inc(action=action)
+        span.set_attributes(
+            request_bytes=sent, response_bytes=received, modeled_seconds=modeled
+        )
+        self.stats.record(CallRecord(address, action, sent, received, modeled))

@@ -6,10 +6,11 @@ counters exactly; a stale keep-alive (server restarted under an idle
 connection) is detected and replaced; a write-time failure on a reused
 connection gets exactly one transparent reconnect; a dropped socket
 (chaos ``DropResponse``) poisons that one connection and leaves the
-pool clean.
+pool clean; a reply followed by bytes nobody asked for poisons its
+connection too.
 """
 
-import http.client
+import socket
 import threading
 
 import pytest
@@ -17,10 +18,20 @@ import pytest
 from repro.client.sql import SQLClient
 from repro.core import ServiceRegistry, TransportFault, mint_abstract_name
 from repro.dair import SQLDataResource, SQLRealisationService
+from repro.dair.messages import SQLExecuteRequest
 from repro.faultinject import DropResponse, FaultPlan
 from repro.relational import Database
+from repro.soap.addressing import MessageHeaders
+from repro.soap.envelope import Envelope
 from repro.transport import DaisHttpServer, HttpTransport
-from repro.transport.pool import HttpConnectionPool
+from repro.transport.http11 import render_response
+from repro.transport.pool import (
+    MAX_IDLE_PER_HOST,
+    ClientConnection,
+    HttpConnectionPool,
+)
+
+from tests.transport.stubserver import ScriptedServer, send
 
 
 def _make_registry() -> tuple[ServiceRegistry, Database]:
@@ -110,8 +121,6 @@ class TestReuse:
 
 class TestStaleConnections:
     def test_stale_idle_connection_detected_at_checkout(self, deployment):
-        import socket
-
         _, address, name = deployment
         transport = HttpTransport()
         client = SQLClient(transport)
@@ -136,20 +145,15 @@ class TestStaleConnections:
         client = SQLClient(transport)
 
         class _DeadSock:
+            # An idle socket whose peer silently went away: the
+            # liveness probe passes, the write blows up.
             def settimeout(self, value):
                 pass
 
             def recv(self, size, flags=0):
                 raise BlockingIOError  # the liveness probe says "fine"
 
-        class _StaleConn:
-            # Quacks like an idle HTTPConnection whose peer silently
-            # went away: the probe passes, the write blows up.
-            host, port = "127.0.0.1", 1
-            sock = _DeadSock()
-            timeout = 1.0
-
-            def request(self, *args, **kwargs):
+            def sendall(self, data):
                 raise BrokenPipeError("stale keep-alive")
 
             def close(self):
@@ -157,7 +161,9 @@ class TestStaleConnections:
 
         host_port = address.split("//", 1)[1].split("/", 1)[0]
         host, port = host_port.split(":")
-        transport.pool._idle[(host, int(port))] = [_StaleConn()]
+        transport.pool._idle[(host, int(port))] = [
+            ClientConnection(host, int(port), _DeadSock())
+        ]
 
         # The call must succeed anyway: one transparent reconnect.
         client.sql_execute(address, name, "SELECT v FROM t")
@@ -214,20 +220,48 @@ class TestPoisoning:
             garbage.shutdown()
         transport.close()
 
+    @pytest.mark.parametrize(
+        "stray",
+        [
+            b"JUNK",
+            b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nhi",
+        ],
+        ids=["junk", "unsolicited-response"],
+    )
+    def test_stray_bytes_after_reply_poison_connection(self, stray):
+        # The reply is complete and correct, so the call succeeds; the
+        # bytes behind it in the same segment were never asked for and
+        # would be read as the next reply — the connection must not be
+        # pooled.
+        request = Envelope(
+            headers=MessageHeaders(to="http://127.0.0.1/stub", action="urn:stub"),
+            payload=SQLExecuteRequest(
+                abstract_name="urn:dais:stub", expression="SELECT 1"
+            ).to_xml(),
+        )
+        reply = request.to_bytes()
+        wire = render_response(200, "text/xml; charset=utf-8", reply)
+        with ScriptedServer([send(wire + stray)]) as stub:
+            transport = HttpTransport(timeout=5.0)
+            assert transport.send(stub.url, request).to_bytes() == reply
+            assert transport.pool.idle_total() == 0
+            assert _counter(transport, "discarded").value(reason="poisoned") == 1
+            transport.close()
+
 
 class TestBounds:
     def test_idle_stack_is_bounded(self, deployment):
         _, address, _ = deployment
         host_port = address.split("//", 1)[1].split("/", 1)[0]
         host, port = host_port.split(":")[0], int(host_port.split(":")[1])
-        pool = HttpConnectionPool(max_idle_per_host=1)
-        first, _ = pool.acquire(host, port, timeout=5.0)
-        second, _ = pool.acquire(host, port, timeout=5.0)
-        first.connect()
-        second.connect()
-        pool.release(first, reusable=True)
-        pool.release(second, reusable=True)
-        assert pool.idle_total() == 1
+        pool = HttpConnectionPool()
+        conns = [
+            pool.acquire(host, port, timeout=5.0)[0]
+            for _ in range(MAX_IDLE_PER_HOST + 1)
+        ]
+        for conn in conns:
+            pool.release(conn, reusable=True)
+        assert pool.idle_total() == MAX_IDLE_PER_HOST
         assert pool.metrics.counter(
             "rpc.client.connections.discarded", ""
         ).value(reason="overflow") == 1
@@ -236,13 +270,10 @@ class TestBounds:
 
     def test_released_closed_connection_is_not_pooled(self):
         pool = HttpConnectionPool()
-        conn = http.client.HTTPConnection("127.0.0.1", 1, timeout=1.0)
-        pool.release(conn, reusable=True)  # never connected: sock is None
+        conn = ClientConnection("127.0.0.1", 1, socket.socket())
+        conn.close()
+        pool.release(conn, reusable=True)  # sock is None after close
         assert pool.idle_total() == 0
         assert pool.metrics.counter(
             "rpc.client.connections.discarded", ""
         ).value(reason="closed") == 1
-
-    def test_max_idle_must_be_positive(self):
-        with pytest.raises(ValueError):
-            HttpConnectionPool(max_idle_per_host=0)

@@ -1,11 +1,11 @@
-"""Chunked-encoding decode edge cases in the lean client response path.
+"""Chunked-encoding decode edge cases in the client response path.
 
-``_LeanResponse`` scans status line and headers itself and delegates
-chunk de-framing to the inherited ``http.client`` machinery; these
-tests pin the contract at the framing boundaries: chunk extension
-tokens are tolerated, a zero-length chunk terminates the body even
-when the server (wrongly) keeps sending, and a missing terminal CRLF
-surfaces as a typed ``TransportFault`` — never a hang.
+The client reads replies with the codec the server speaks
+(``repro.transport.http11.ResponseParser``), which de-frames chunked
+bodies itself; these tests pin the contract at the framing boundaries:
+chunk extension tokens are tolerated, a zero-length chunk terminates
+the body even when the server (wrongly) keeps sending, and a missing
+terminal CRLF surfaces as a typed ``TransportFault`` — never a hang.
 """
 
 import time

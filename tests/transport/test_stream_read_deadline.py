@@ -1,11 +1,13 @@
-"""The transport timeout must bound *in-stream* reads, not just connects.
+"""The transport timeout must bound the whole response, not just connects.
 
 Regression for the dropped-mid-stream gap: a server that vanished (or
 stalled, or trickled bytes) in the middle of a chunked streamed
 response used to leave the client parser blocked on a read whose
 socket timeout restarted with every byte — a slow trickle never timed
-out at all.  ``HttpTransport`` now drains response bodies under a
-*total* deadline equal to the configured transport timeout.
+out at all.  ``HttpTransport`` now reads each response — status line,
+headers and body alike — under one *total* deadline equal to the
+configured transport timeout, so a server that dribbles its headers is
+cut off as promptly as one that dribbles its body.
 """
 
 import time
@@ -75,6 +77,23 @@ class TestInStreamReadDeadline:
                 _send(stub, timeout=0.8)
         elapsed = time.monotonic() - started
         assert elapsed < 5.0, f"deadline did not bound the trickle ({elapsed:.1f}s)"
+
+    def test_trickled_headers_hit_total_deadline(self):
+        # The status line and headers themselves arrive one byte per
+        # 100 ms: the deadline covers the response from its first byte,
+        # not from the end of the headers.
+        head = (
+            b"HTTP/1.1 200 OK\r\n"
+            b"Content-Type: text/xml; charset=utf-8\r\n"
+            b"Content-Length: %d\r\n"
+            b"\r\n" % len(BODY)
+        )
+        started = time.monotonic()
+        with ScriptedServer([trickle(head + BODY, 0.1)]) as stub:
+            with pytest.raises(TransportFault, match="timed out"):
+                _send(stub, timeout=0.5)
+        elapsed = time.monotonic() - started
+        assert elapsed < 2.0, f"deadline did not bound the headers ({elapsed:.1f}s)"
 
     def test_drop_mid_chunk_fails_fast(self):
         # The connection dies inside a chunk: surfaced as a typed
