@@ -231,9 +231,13 @@ class _MessageParser:
             return None
         if not (raw.isascii() and raw.isdigit()):
             raise HttpParseError(f"bad Content-Length {raw!r}")
-        if int(raw) > self.max_body_bytes:
-            raise HttpParseError(f"body of {raw} bytes too large", 413)
-        return int(raw)
+        try:
+            length = int(raw)
+        except ValueError:  # past int()'s digit limit, so past any body limit
+            length = self.max_body_bytes + 1
+        if length > self.max_body_bytes:
+            raise HttpParseError(f"body of {len(raw)}-digit length too large", 413)
+        return length
 
     def _chunked(self) -> bool:
         return "chunked" in self._headers.get("transfer-encoding", "").lower()
@@ -267,9 +271,7 @@ class RequestParser(_MessageParser):
 
     def next_request(self) -> ParsedRequest | None:
         """The next complete request, or None when more bytes are needed."""
-        if self._ready:
-            return self._ready.pop(0)
-        return None
+        return self._ready.pop(0) if self._ready else None
 
     def _start(self, line: str) -> None:
         parts = line.split()

@@ -376,7 +376,7 @@ class DaisHttpServer:
             extract_context(request.headers.reference_parameters)
         )
         try:
-            service = self._registry.service_at(self.address_for_path(path))
+            service = self._registry.service_at(f"{self.base_url}{path}")
         except LookupError as exc:
             return (
                 fault_envelope(request.headers, ServiceNotFoundFault(str(exc))),
@@ -657,9 +657,6 @@ class DaisHttpServer:
     def base_url(self) -> str:
         return f"http://127.0.0.1:{self.port}"
 
-    def address_for_path(self, path: str) -> str:
-        return f"{self.base_url}{path}"
-
     def url_for(self, service_path: str) -> str:
         """The address a service should be constructed with, e.g.
         ``server.url_for('/relational')``."""
@@ -741,13 +738,6 @@ class HttpTransport(ClientTransport):
         """Close every idle pooled connection."""
         self.pool.close_all()
 
-    def _effective_timeout(self) -> float:
-        if self.resilience is not None:
-            override = self.resilience.policy.request_timeout
-            if override is not None:
-                return override
-        return self._timeout
-
     def _send_once(self, address: str, request: Envelope) -> Envelope:
         action = request.headers.action
         with get_tracer().span(
@@ -815,7 +805,8 @@ class HttpTransport(ClientTransport):
         path = parts.path or "/"
         if parts.query:
             path = f"{path}?{parts.query}"
-        timeout = self._effective_timeout()
+        override = self.resilience and self.resilience.policy.request_timeout
+        timeout = self._timeout if override is None else override
         headers = [
             ("Content-Type", "text/xml; charset=utf-8"),
             ("SOAPAction", action),

@@ -29,14 +29,21 @@ behaviour is visible in ``obs:ServiceMetrics`` and ``GET /metrics``.
 
 from __future__ import annotations
 
+import contextlib
 import socket
+import sys
 import threading
 import time
 
 from repro.obs import MetricsRegistry
 from repro.transport.http11 import ParsedResponse, ResponseParser
 
-__all__ = ["ClientConnection", "HttpConnectionPool", "MAX_IDLE_PER_HOST"]
+__all__ = [
+    "ClientConnection",
+    "HttpConnectionPool",
+    "MAX_IDLE_PER_HOST",
+    "REPLY_LIMITS",
+]
 
 HostKey = tuple[str, int]
 
@@ -45,6 +52,12 @@ MAX_IDLE_PER_HOST = 8
 
 #: Bytes asked of the socket per ``recv``.
 RECV_BYTES = 65536
+
+#: Looser than a request's limits: a 64 KiB line, as the stdlib client
+#: took, and no body cap — a streamed dataset is as large as its result.
+REPLY_LIMITS = dict(
+    max_line_bytes=1 << 16, max_header_bytes=1 << 20, max_body_bytes=sys.maxsize
+)
 
 
 class ClientConnection:
@@ -84,7 +97,7 @@ class ClientConnection:
         for malformed input and for a close before the response is
         complete.
         """
-        parser = ResponseParser()
+        parser = ResponseParser(**REPLY_LIMITS)
         sock = self.sock
         deadline = time.monotonic() + timeout
         while parser.response is None:
@@ -103,10 +116,8 @@ class ClientConnection:
     def close(self) -> None:
         sock, self.sock = self.sock, None
         if sock is not None:
-            try:
+            with contextlib.suppress(OSError):  # close is best-effort
                 sock.close()
-            except OSError:  # pragma: no cover - close is best-effort
-                pass
 
 
 class HttpConnectionPool:

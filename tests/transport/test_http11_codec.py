@@ -7,13 +7,24 @@ the socket happens to slice the stream: a response rendered with
 verdict — gzip bodies, ``Connection: close`` and HTTP/1.0 replies
 included — and a ``render_request`` comes out of ``RequestParser`` the
 same way.  A table of malformed inputs pins the other half of the
-contract: each one is an ``HttpParseError``, never a hang.
+contract: each one is an ``HttpParseError``, never a hang — on a live
+server it costs the offending connection, never the event loop, and on
+the client it is a ``TransportFault``.  The client reads replies under
+looser limits than the server reads requests (``pool.REPLY_LIMITS``);
+their boundaries are pinned here too.
 """
+
+import socket
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import ServiceRegistry, TransportFault
+from repro.soap.addressing import MessageHeaders
+from repro.soap.envelope import Envelope
+from repro.transport import DaisHttpServer, HttpTransport
 from repro.transport.compression import gzip_compress
 from repro.transport.http11 import (
     REASONS,
@@ -26,6 +37,10 @@ from repro.transport.http11 import (
     render_request,
     render_response,
 )
+from repro.transport.pool import REPLY_LIMITS
+from repro.xmlutil import E
+
+from tests.transport.stubserver import ScriptedServer, send
 
 _TOKEN = st.text(
     alphabet="abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-",
@@ -171,6 +186,8 @@ class TestRequestRoundTrip:
 
 
 _CHUNKED_HEAD = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+#: Past int()'s 4300-digit conversion limit: refused, never a ValueError.
+_HUGE_LENGTH = b"Content-Length: " + b"1" * 5000 + b"\r\n"
 
 MALFORMED = {
     "garbage status line": b"this is not HTTP\r\n\r\n",
@@ -188,6 +205,7 @@ MALFORMED = {
         + b"".join(b"X-H%d: %s\r\n" % (i, b"v" * 1000) for i in range(80))
         + b"\r\n"
     ),
+    "5000-digit Content-Length": b"HTTP/1.1 200 OK\r\n" + _HUGE_LENGTH + b"\r\n",
 }
 
 
@@ -204,3 +222,107 @@ def test_close_before_complete_is_parse_error():
     parser.feed(b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nshort")
     with pytest.raises(HttpParseError, match="closed before"):
         parser.feed_eof()
+
+
+def test_request_with_5000_digit_content_length_is_413():
+    parser = RequestParser()
+    with pytest.raises(HttpParseError) as caught:
+        parser.feed(b"POST /x HTTP/1.1\r\n" + _HUGE_LENGTH + b"\r\n")
+    assert caught.value.status == 413
+
+
+class TestReplyLimits:
+    """The client's limits: a reply line may be as long as 64 KiB, and
+    the body has no cap (a streamed dataset is as large as its result)."""
+
+    def test_header_line_over_the_request_limit_is_read(self):
+        value = b"v" * 20000  # over the server's 16 KiB request line
+        parser = ResponseParser(**REPLY_LIMITS)
+        parser.feed(
+            b"HTTP/1.1 200 OK\r\nX-Big: " + value + b"\r\n"
+            b"Content-Length: 2\r\n\r\nhi"
+        )
+        assert parser.response.headers["x-big"] == value.decode()
+        assert parser.response.body == b"hi"
+
+    def test_client_reads_a_reply_with_a_long_header_line(self):
+        request = Envelope(
+            headers=MessageHeaders(to="http://127.0.0.1/stub", action="urn:stub"),
+            payload=E("Ping"),
+        )
+        reply = request.to_bytes()
+        wire = render_response(
+            200, "text/xml", reply, extra_headers=[("X-Big", "v" * 20000)]
+        )
+        with ScriptedServer([send(wire)]) as stub:
+            transport = HttpTransport(timeout=5.0)
+            assert transport.send(stub.url, request).to_bytes() == reply
+            transport.close()
+
+    def test_header_line_over_64_kib_is_refused(self):
+        parser = ResponseParser(**REPLY_LIMITS)
+        with pytest.raises(HttpParseError, match="line too long"):
+            parser.feed(b"HTTP/1.1 200 OK\r\nX-Big: " + b"v" * 70000)
+
+    @pytest.mark.parametrize(
+        "framing",
+        [
+            b"Content-Length: 300000000\r\n\r\n",
+            b"Transfer-Encoding: chunked\r\n\r\n11e1a300\r\n",
+        ],
+        ids=["content-length", "chunk"],
+    )
+    def test_body_past_the_request_cap_is_framed(self, framing):
+        # 300 MB is over the 256 MB a request may carry; a reply may.
+        parser = ResponseParser(**REPLY_LIMITS)
+        parser.feed(b"HTTP/1.1 200 OK\r\n" + framing + b"partial")
+        assert parser.response is None
+
+    def test_5000_digit_content_length_is_refused(self):
+        parser = ResponseParser(**REPLY_LIMITS)
+        with pytest.raises(HttpParseError):
+            parser.feed(b"HTTP/1.1 200 OK\r\n" + _HUGE_LENGTH + b"\r\n")
+
+
+def _read_until_close(sock: socket.socket, overall: float = 5.0) -> bytes:
+    deadline = time.monotonic() + overall
+    data = bytearray()
+    while time.monotonic() < deadline:
+        sock.settimeout(max(0.01, deadline - time.monotonic()))
+        piece = sock.recv(65536)
+        if not piece:
+            break
+        data += piece
+    return bytes(data)
+
+
+class TestOverlongContentLengthOnTheWire:
+    def test_server_refuses_it_and_keeps_serving(self):
+        with DaisHttpServer(ServiceRegistry(), port=0) as server:
+            with socket.create_connection(("127.0.0.1", server.port)) as sock:
+                sock.sendall(
+                    b"POST /x HTTP/1.1\r\nHost: t\r\n" + _HUGE_LENGTH + b"\r\n"
+                )
+                assert _read_until_close(sock).startswith(b"HTTP/1.1 413 ")
+            # The event loop survived: the next connection is answered.
+            with socket.create_connection(("127.0.0.1", server.port)) as sock:
+                sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+                sock.settimeout(5.0)
+                assert sock.recv(65536).startswith(b"HTTP/1.1 200 ")
+
+    def test_client_surfaces_it_as_a_transport_fault(self):
+        request = Envelope(
+            headers=MessageHeaders(to="http://127.0.0.1/stub", action="urn:stub"),
+            payload=E("Ping"),
+        )
+        wire = b"HTTP/1.1 200 OK\r\n" + _HUGE_LENGTH + b"\r\n"
+        with ScriptedServer([send(wire)]) as stub:
+            transport = HttpTransport(timeout=5.0)
+            with pytest.raises(TransportFault, match="broke mid-exchange"):
+                transport.send(stub.url, request)
+            assert transport.pool.idle_total() == 0
+            discarded = transport.metrics.counter(
+                "rpc.client.connections.discarded", ""
+            )
+            assert discarded.value(reason="poisoned") == 1
+            transport.close()
