@@ -271,7 +271,9 @@ class RequestParser(_MessageParser):
 
     def next_request(self) -> ParsedRequest | None:
         """The next complete request, or None when more bytes are needed."""
-        return self._ready.pop(0) if self._ready else None
+        if self._ready:
+            return self._ready.pop(0)
+        return None
 
     def _start(self, line: str) -> None:
         parts = line.split()

@@ -376,7 +376,7 @@ class DaisHttpServer:
             extract_context(request.headers.reference_parameters)
         )
         try:
-            service = self._registry.service_at(f"{self.base_url}{path}")
+            service = self._registry.service_at(self.address_for_path(path))
         except LookupError as exc:
             return (
                 fault_envelope(request.headers, ServiceNotFoundFault(str(exc))),
@@ -656,6 +656,9 @@ class DaisHttpServer:
     @property
     def base_url(self) -> str:
         return f"http://127.0.0.1:{self.port}"
+
+    def address_for_path(self, path: str) -> str:
+        return f"{self.base_url}{path}"
 
     def url_for(self, service_path: str) -> str:
         """The address a service should be constructed with, e.g.
