@@ -11,8 +11,8 @@ test: test-jobs test-xml
 
 # Event-loop server suites: c=100 load/soak with keep-alive reuse and
 # admission-control degradation, slow-loris reaping, client response
-# deadlines, chunked-decode edge cases and the shared-codec round
-# trips.  Runs once with the default seed, then the load suite again
+# deadlines, chunked-decode edge cases, the shared-codec round trips
+# and HTTP/1.0 reply framing (never chunked).  Runs once with the default seed, then the load suite again
 # under a fresh LOAD_SEED so workload interleavings vary run to run
 # (set LOAD_SEED to replay a failure).
 test-server:
@@ -21,7 +21,8 @@ test-server:
 		tests/transport/test_server_slowloris.py \
 		tests/transport/test_stream_read_deadline.py \
 		tests/transport/test_lean_response_chunked.py \
-		tests/transport/test_http11_codec.py -q
+		tests/transport/test_http11_codec.py \
+		tests/transport/test_http10_framing.py -q
 	LOAD_SEED=$$($(PYTHON) -c 'import random; print(random.randrange(10**6))') \
 		PYTHONFAULTHANDLER=1 $(PYTHON) -m pytest tests/transport/test_server_load.py -q
 

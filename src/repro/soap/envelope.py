@@ -8,9 +8,9 @@ XML-bytes round trip that every transport performs.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
-from typing import Optional
+import functools
+from dataclasses import dataclass
+from typing import Iterator
 
 from repro.soap.addressing import MessageHeaders
 from repro.soap.fault import FaultCode, SoapFault
@@ -20,14 +20,14 @@ from repro.xmlutil import (
     E,
     QName,
     StreamedElement,
+    TemplateSlots,
     XmlElement,
     document_prefixes,
+    fragment_chunks,
     parse_bytes,
-    serialize_bytes,
     serialize_chunks,
-    serialize_fragment,
 )
-from repro.xmlutil.serialize import _collect_namespaces
+from repro.xmlutil.serialize import _XML_DECLARATION, _collect_namespaces
 
 _ENVELOPE = QName(SOAP_ENV_NS, "Envelope")
 _HEADER = QName(SOAP_ENV_NS, "Header")
@@ -38,22 +38,7 @@ _WSA_ACTION = QName(WSA_NS, "Action")
 _WSA_MESSAGE_ID = QName(WSA_NS, "MessageID")
 _WSA_RELATES_TO = QName(WSA_NS, "RelatesTo")
 
-
-class _EnvelopeTemplate:
-    """A compiled envelope skeleton plus the prefix map it was built with."""
-
-    __slots__ = ("template", "prefixes")
-
-    def __init__(self, template: ByteTemplate, prefixes: dict[str, str]) -> None:
-        self.template = template
-        self.prefixes = prefixes
-
-
-#: Compiled skeletons keyed by (payload namespace order, has RelatesTo).
-_TEMPLATES: dict[tuple, _EnvelopeTemplate] = {}
-_TEMPLATES_LOCK = threading.Lock()
-#: Bound on distinct shapes retained (a DAIS deployment has a handful).
-_TEMPLATES_CAP = 256
+_DECLARATION = _XML_DECLARATION.encode("utf-8")
 
 
 def _skeleton_builder(payload_ns: tuple[str, ...], has_relates_to: bool):
@@ -74,23 +59,18 @@ def _skeleton_builder(payload_ns: tuple[str, ...], has_relates_to: bool):
     return build
 
 
+#: One skeleton per (payload namespace order, has RelatesTo); a DAIS
+#: deployment has a handful, and the bound caps what odd traffic adds.
+@functools.lru_cache(maxsize=256)
 def _envelope_template(
     payload_ns: tuple[str, ...], has_relates_to: bool
-) -> _EnvelopeTemplate:
-    key = (payload_ns, has_relates_to)
-    entry = _TEMPLATES.get(key)
-    if entry is not None:
-        return entry
+) -> tuple[ByteTemplate, bytes, dict[str, str]]:
+    """The compiled skeleton cut at the payload: the head template (the
+    header values are its slots), the static tail, and the prefix map
+    the payload is written with."""
     build = _skeleton_builder(payload_ns, has_relates_to)
-    template = ByteTemplate.compile(build, xml_declaration=True)
-    from repro.xmlutil import TemplateSlots
-
-    prefixes = document_prefixes(build(TemplateSlots()))
-    entry = _EnvelopeTemplate(template, prefixes)
-    with _TEMPLATES_LOCK:
-        if len(_TEMPLATES) < _TEMPLATES_CAP:
-            _TEMPLATES.setdefault(key, entry)
-        return _TEMPLATES.get(key, entry)
+    head, tail = ByteTemplate.compile(build).split_at("payload")
+    return head, tail, document_prefixes(build(TemplateSlots()))
 
 
 @dataclass
@@ -99,12 +79,6 @@ class Envelope:
 
     headers: MessageHeaders
     payload: XmlElement
-    #: :meth:`is_streaming`'s answer, when whoever built the payload
-    #: recorded it (``DataService`` does: it knows which field can be
-    #: lazy); ``None`` = ask the payload.
-    known_streaming: Optional[bool] = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def to_xml(self) -> XmlElement:
         """Render the full ``soapenv:Envelope``."""
@@ -125,62 +99,70 @@ class Envelope:
         )
 
     def to_bytes(self) -> bytes:
-        """Serialize to UTF-8 wire bytes.
+        """Serialize to UTF-8 wire bytes: the XML declaration, then
+        :meth:`iter_bytes` joined."""
+        return _DECLARATION + b"".join(self.iter_bytes())
+
+    def iter_bytes(self) -> Iterator[bytes]:
+        """Serialize incrementally: UTF-8 fragments of the envelope
+        without an XML declaration — ``to_bytes()`` is the declaration
+        followed by their concatenation.
 
         Common-shape envelopes (the WS-Addressing trio, optionally
         RelatesTo, no reply-to/reference parameters) render through a
-        precompiled byte template: the fixed scaffolding is replayed
-        from bytes and only the header values and the payload fragment
-        are spliced in — byte-identical to tree serialization, which
-        remains the fallback for every other shape."""
-        fast = self._template_bytes()
-        if fast is not None:
-            return fast
-        return serialize_bytes(self._serial_view())
+        precompiled skeleton: its head with the header values spliced
+        in, the payload writer's chunks as they are pulled, its tail.
+        Every other shape walks the envelope tree, which the skeleton
+        was compiled from, so both give the same bytes.  Lazy payload
+        content renders as it is pulled either way, so a streamed
+        dataset never exists in memory as one string."""
+        skeleton = self._skeleton()
+        if skeleton is None:
+            for chunk in serialize_chunks(self._serial_view()):
+                yield chunk.encode("utf-8")
+            return
+        head, chunks, tail = skeleton
+        yield head
+        for chunk in chunks:
+            yield chunk.encode("utf-8")
+        yield tail
 
-    def _template_bytes(self) -> bytes | None:
+    def _skeleton(self) -> tuple[bytes, Iterator[str], bytes] | None:
+        """(head, payload chunks, tail) through the compiled skeleton,
+        or None when this shape needs the tree walk.  Decided before a
+        chunk is pulled: a lazy payload is one-shot, so nothing may
+        drain it unless the skeleton is certain to be used."""
         headers = self.headers
         if headers.reply_to is not None or headers.reference_parameters:
             return None
         if not (headers.to and headers.action and headers.message_id):
-            # Checked before the payload fragment is rendered: a lazy
-            # payload is one-shot, so nothing may drain it unless the
-            # template is certain to be used.
+            # An empty header collapses to <T/> in the tree: not the
+            # skeleton's shape.
             return None
+        values = {
+            "to": headers.to,
+            "action": headers.action,
+            "message_id": headers.message_id,
+        }
+        if headers.relates_to:
+            values["relates_to"] = headers.relates_to
         try:
-            payload_ns = tuple(_collect_namespaces(self.payload))
-            entry = _envelope_template(payload_ns, bool(headers.relates_to))
-            values = {
-                "to": headers.to,
-                "action": headers.action,
-                "message_id": headers.message_id,
-                "payload": serialize_fragment(self.payload, entry.prefixes),
-            }
-            if headers.relates_to:
-                values["relates_to"] = headers.relates_to
-            return entry.template.render(values)
+            head, tail, prefixes = _envelope_template(
+                tuple(_collect_namespaces(self.payload)), bool(headers.relates_to)
+            )
+            chunks = fragment_chunks(self.payload, prefixes)
         except (KeyError, ValueError):
             # Unbound prefix or odd shape: the tree path handles it.
             return None
+        return head.render(values), chunks, tail
 
     def is_streaming(self) -> bool:
         """True when the payload contains content still to be produced
         (a lazy :class:`~repro.xmlutil.StreamedElement` anywhere in the
-        tree: rows not yet pulled from the engine) — transports can then
-        serialize incrementally via :meth:`iter_bytes` instead of
-        materializing the whole body.  A dataset emitted from rows
-        already in memory is not: :meth:`to_bytes` drains it inline."""
-        if self.known_streaming is not None:
-            return self.known_streaming
+        tree: rows not yet pulled from the engine).  No transport reads
+        this — the HTTP server frames a reply by the bytes it has
+        written — and it walks the payload each time it is asked."""
         return _has_lazy_content(self.payload)
-
-    def iter_bytes(self):
-        """Serialize incrementally: an iterator of UTF-8 fragments whose
-        concatenation equals :meth:`to_bytes`.  Lazy payload content is
-        rendered as it is pulled, so a streamed dataset never exists in
-        memory as one string."""
-        for chunk in serialize_chunks(self._serial_view()):
-            yield chunk.encode("utf-8")
 
     @classmethod
     def from_xml(cls, root: XmlElement) -> "Envelope":
@@ -232,8 +214,7 @@ class Envelope:
 
 
 def _has_lazy_content(element: XmlElement) -> bool:
-    """The walk behind :meth:`Envelope.is_streaming` for an envelope
-    nobody vouched for (a hand-built one)."""
+    """The walk behind :meth:`Envelope.is_streaming`."""
     if isinstance(element, StreamedElement):
         return element.lazy
     return any(

@@ -2,12 +2,13 @@
 
 Figure 4 prices property documents at 10–92 KB per fetch and the rowset
 datasets are larger still — highly repetitive XML that deflates 5–20x.
-The client advertises ``Accept-Encoding: gzip``; the server compresses
-responses above :data:`GZIP_FLOOR_BYTES` (tiny bodies would pay the
-gzip header for nothing) on both the eager (``Content-Length``) and the
-streamed (``Transfer-Encoding: chunked``) paths.  Content-Encoding is a
-*payload* property — framing is untouched, so keep-alive connection
-reuse and the client's chunked decoder work unchanged; the transport
+The client advertises ``Accept-Encoding: gzip``; the server's one reply
+writer compresses replies above :data:`GZIP_FLOOR_BYTES` (tiny bodies
+would pay the gzip header for nothing) as a stream, and then frames the
+*compressed* bytes by what it wrote — ``Content-Length`` when they fit
+one write buffer, ``Transfer-Encoding: chunked`` when they outgrow it.
+Content-Encoding is a *payload* property — keep-alive connection reuse
+and the client's chunked decoder work unchanged; the transport
 decompresses after the body is fully drained.
 
 All compression goes through raw :mod:`zlib` with gzip wrapping

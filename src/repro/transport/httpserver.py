@@ -65,7 +65,6 @@ from repro.transport.compression import (
     GZIP_FLOOR_BYTES,
     accepts_gzip,
     gunzip,
-    gzip_compress,
     gzip_stream,
 )
 from repro.transport.http11 import (
@@ -256,7 +255,6 @@ class DaisHttpServer:
         self._bytes_in.inc(len(body))
         if not self._apply_fault_plan(conn, request, core):
             return
-        gzip_ok = accepts_gzip(request.headers)
         # The admitted decision rides the request span itself (a
         # separate admission span would be a second root and fragment
         # the consumer's trace — only *shed* decisions, which never
@@ -265,89 +263,54 @@ class DaisHttpServer:
             "http.server.request", path=request.target
         ) as span:
             response, status = self._handle(request.target, body)
-            streamed = status == 200 and response.is_streaming()
-            payload = None if streamed else response.to_bytes()
             span.set_attributes(
                 status=status,
                 request_bytes=len(body),
-                streamed=streamed,
                 admission="admitted",
                 queue_waited_seconds=round(waited, 6),
             )
-            if payload is not None:
-                span.set_attribute("response_bytes", len(payload))
             if status != 200:
                 span.mark_fault()
-        if streamed:
-            # The lazy payload renders while it is written out; the
-            # span above already closed, but exporters hold the span
-            # object, so the byte count (known only once the stream
-            # drained) still lands on it.
+        # A lazy payload renders while it is written out; the span above
+        # already closed, but exporters hold the span object, so what is
+        # known only once the reply drained still lands on it.
+        try:
             try:
-                sent = self._send_chunked(conn, response, compress=gzip_ok)
+                sent, keep_alive = self._send_reply(conn, request, response, status)
             except SoapFault as fault:
                 # Raised while nothing had been written (a row the
                 # statement cannot produce, met before the first flush):
                 # the status line is still ours to choose, so this is a
                 # fault envelope like any other, on the same connection.
-                status = 500
-                payload = Envelope(
+                span.set_attribute("status", 500)
+                span.mark_fault()
+                reply = Envelope(
                     headers=MessageHeaders(
                         to=response.headers.to,
                         action=f"{SOAP_ENV_NS}/fault",
                         relates_to=response.headers.relates_to,
                     ),
                     payload=fault.to_xml(),
-                ).to_bytes()
-                span.set_attributes(
-                    status=status, streamed=False, response_bytes=len(payload)
                 )
-                span.mark_fault()
-            except (ConnectionError, BrokenPipeError, TimeoutError, OSError):
-                core.close(conn)
-                return
-            except Exception as exc:
-                # Past the first write the 200 status line is gone, so
-                # a mid-stream producer failure cannot become a SOAP
-                # fault (and an untyped one has no fault to become);
-                # withholding the terminal chunk makes the consumer see
-                # an incomplete transfer instead of a truncated-but-
-                # parseable body.  The exception itself must not vanish
-                # with the connection: count it and pin it to the
-                # request span (exporters still hold the span object).
-                core.close(conn)
-                self._errors.inc(where="stream")
-                span.record_exception(exc)
-                return
-            else:
-                if span.recording:
-                    span.set_attribute("response_bytes", sent)
-                core.finish(conn, keep_alive=request.keep_alive)
-                return
-        self._requests.inc(status=str(status))
-        # Content negotiation: above the floor, a willing client gets
-        # the body gzip-encoded.  Content-Length frames the *encoded*
-        # bytes, so keep-alive framing is untouched.
-        extra_headers = None
-        if gzip_ok and len(payload) >= GZIP_FLOOR_BYTES:
-            payload = gzip_compress(payload)
-            extra_headers = [("Content-Encoding", "gzip")]
-            if span.recording:
-                span.set_attribute("response_bytes", len(payload))
-        self._response_bytes.inc(len(payload))
-        self._bytes_out.inc(len(payload))
-        self._write(
-            conn,
-            core,
-            render_response(
-                status,
-                "text/xml; charset=utf-8",
-                payload,
-                keep_alive=request.keep_alive,
-                extra_headers=extra_headers,
-            ),
-            keep_alive=request.keep_alive,
-        )
+                sent, keep_alive = self._send_reply(conn, request, reply, 500)
+        except OSError:
+            core.close(conn)
+            return
+        except Exception as exc:
+            # Past the first write the status line is gone, so a
+            # mid-stream producer failure cannot become a SOAP fault
+            # (and an untyped one has no fault to become); withholding
+            # the end of the body makes the consumer see an incomplete
+            # transfer instead of a truncated-but-parseable one.  The
+            # exception itself must not vanish with the connection:
+            # count it and pin it to the request span.
+            core.close(conn)
+            self._errors.inc(where="stream")
+            span.record_exception(exc)
+            return
+        if span.recording:
+            span.set_attribute("response_bytes", sent)
+        core.finish(conn, keep_alive=keep_alive)
 
     # -- request handling ------------------------------------------------------
 
@@ -476,94 +439,103 @@ class DaisHttpServer:
         core.finish(conn, keep_alive=keep_alive)
 
     #: Serializer fragments are coalesced to about this many bytes per
-    #: HTTP chunk — per-row fragments are tiny, and framing each one
+    #: write — per-row fragments are tiny, and framing each one
     #: separately would pay ~7 bytes and a syscall per row.
     CHUNK_COALESCE_BYTES = 8192
 
-    def _send_chunked(
-        self, conn: Connection, response: Envelope, compress: bool = False
-    ) -> int:
-        """Stream one response envelope as ``Transfer-Encoding: chunked``.
+    def _send_reply(
+        self, conn: Connection, request: ParsedRequest, response: Envelope, status: int
+    ) -> tuple[int, bool]:
+        """Write one reply envelope, framed by what it turned out to be.
 
-        Returns the total body bytes sent on the wire (sum of chunk
-        payloads — post-compression, not counting chunk framing).  Rows
-        are pulled from the lazy dataset as the serializer is drained,
-        so peak memory stays at one coalescing buffer regardless of
+        The fragments of ``response.iter_bytes()`` fill one coalescing
+        buffer.  A reply that ends before the buffer first fills goes
+        out as one write framed by ``Content-Length``.  A longer one
+        commits its status line with the first full buffer and goes on
+        ``Transfer-Encoding: chunked`` — or, to an HTTP/1.0 client,
+        which cannot read chunks, delimited by closing the connection
+        (RFC 9112 §6.1).  Rows are pulled from a lazy dataset as the
+        buffer drains, so peak memory stays at one buffer whatever the
         result size.
 
-        With *compress*, the first fragments are held back until the
-        size floor is reached — a stream that ends below it goes out
-        uncompressed, exactly like a small eager body — and only then
-        are the response headers (with ``Content-Encoding: gzip``)
-        decided.  Chunk framing wraps the *compressed* byte stream,
-        so the client's chunked decoder is oblivious.
+        With gzip negotiated, the first fragments are held back until
+        the size floor is reached — a reply that ends below it goes out
+        uncompressed — and only then is ``Content-Encoding: gzip``
+        decided; the buffer holds the *compressed* stream, so framing
+        wraps the encoded bytes and the client's decoder is oblivious.
 
-        Nothing is written before the first coalescing buffer is full
-        (or the stream has ended): the header block rides in front of
-        that first write and the terminal chunk behind the last, so a
-        reply that fits one buffer is one write.  It also makes the
-        first write the commit point: it is where the 200 is counted
-        in ``http.server.requests``, a ``SoapFault`` from the producer
-        before it propagates as itself and can still be answered with
-        a fault envelope, and one after it is the cause of a
+        The first write is the commit point: it is where the status is
+        counted in ``http.server.requests``.  A ``SoapFault`` from the
+        producer before it propagates as itself and can still be
+        answered with a fault envelope; one after it is the cause of a
         ``RuntimeError``, handled like any other broken stream.
+
+        Returns the body bytes sent (post-compression, framing not
+        counted) and whether the connection may carry another request.
         """
-        sock = conn.sock
         fragments = response.iter_bytes()
-        if compress:
+        headers = [("Content-Type", "text/xml; charset=utf-8")]
+        if accepts_gzip(request.headers):
             head: list[bytes] = []
             head_bytes = 0
             for fragment in fragments:
                 head.append(fragment)
                 head_bytes += len(fragment)
                 if head_bytes >= GZIP_FLOOR_BYTES:
+                    fragments = gzip_stream(itertools.chain(head, fragments))
+                    headers.append(("Content-Encoding", "gzip"))
                     break
             else:
-                compress = False
                 fragments = iter(head)
-            if compress:
-                fragments = gzip_stream(itertools.chain(head, fragments))
-        headers = [
-            ("Content-Type", "text/xml; charset=utf-8"),
-            ("Transfer-Encoding", "chunked"),
-        ]
-        if compress:
-            headers.append(("Content-Encoding", "gzip"))
-        #: Written in front of the first chunk; empty once committed.
-        unsent = render_headers(200, headers)
-        sent = 0
         buffer = bytearray()
+        ended = True
+        for fragment in fragments:
+            buffer.extend(fragment)
+            if len(buffer) >= self.CHUNK_COALESCE_BYTES:
+                ended = False
+                break
+        chunked = not ended and request.version == "HTTP/1.1"
+        keep_alive = request.keep_alive and (ended or chunked)
+        if ended:
+            headers.append(("Content-Length", str(len(buffer))))
+        elif chunked:
+            headers.append(("Transfer-Encoding", "chunked"))
+        if not keep_alive:
+            headers.append(("Connection", "close"))
+        sent = 0
 
-        def flush(last: bytes = b"") -> None:
+        def flush(head: bytes = b"", end: bytes = b"") -> None:
             # Accounted before the write: a consumer that has read the
             # end of the reply finds the counters already moved.
-            nonlocal sent, unsent
-            wire = unsent
-            if unsent:
-                self._requests.inc(status="200")
-                unsent = b""
+            nonlocal sent
+            wire = head
             if buffer:
-                wire += chunk(bytes(buffer))
-                self._chunks.inc()
+                if chunked:
+                    wire += chunk(bytes(buffer))
+                    self._chunks.inc()
+                else:
+                    wire += buffer
                 self._response_bytes.inc(len(buffer))
                 self._bytes_out.inc(len(buffer))
                 sent += len(buffer)
                 buffer.clear()
-            sock.sendall(wire + last)
+            conn.sock.sendall(wire + end)
 
+        self._requests.inc(status=str(status))
+        flush(head=render_headers(status, headers))
+        if ended:
+            return sent, keep_alive
         try:
             for fragment in fragments:
                 buffer.extend(fragment)
                 if len(buffer) >= self.CHUNK_COALESCE_BYTES:
                     flush()
         except SoapFault as fault:
-            if unsent:
-                raise
             raise RuntimeError(
                 f"typed fault after the reply was committed: {fault}"
             ) from fault
-        flush(TERMINAL_CHUNK)
-        return sent
+        flush(end=TERMINAL_CHUNK if chunked else b"")
+        return sent, keep_alive
 
     # -- read-only exposition endpoints ---------------------------------------
 

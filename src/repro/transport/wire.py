@@ -2,7 +2,7 @@
 
 The paper's figures make claims about *who moves how many bytes where*
 (direct vs indirect access, third-party delivery).  :class:`WireStats`
-records exact request/response byte counts per call;
+keeps exact request/response byte totals and the most recent calls;
 :class:`NetworkModel` converts them into a modeled transfer time
 (latency + size/bandwidth) so benchmarks can report reproducible
 "transfer cost" series independent of host speed.
@@ -12,7 +12,9 @@ retry hook and that per-call account.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import threading
+from collections import deque
+from dataclasses import dataclass
 
 from repro.obs import MetricsRegistry
 from repro.resilience import coerce_resilience
@@ -54,44 +56,53 @@ class CallRecord:
         return self.request_bytes + self.response_bytes
 
 
-@dataclass
 class WireStats:
-    """Accumulated wire activity for one transport."""
+    """Accumulated wire activity for one transport.
 
-    calls: list[CallRecord] = field(default_factory=list)
+    The totals are exact over every call since the last :meth:`reset`;
+    the records themselves are kept for the :attr:`RECENT_CALLS` most
+    recent calls only, so a long-lived transport holds a bounded
+    account however many calls it makes.  Safe to record from many
+    threads at once.
+    """
+
+    #: How many records :attr:`calls` retains.
+    RECENT_CALLS = 1024
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        #: The most recent calls, oldest first (``calls[-1]`` is the last).
+        self.calls: deque[CallRecord] = deque(maxlen=self.RECENT_CALLS)
+        self.reset()
 
     def record(self, record: CallRecord) -> None:
-        self.calls.append(record)
+        with self._lock:
+            self.calls.append(record)
+            self.call_count += 1
+            self.bytes_sent += record.request_bytes
+            self.bytes_received += record.response_bytes
+            self.modeled_seconds += record.modeled_seconds
+            self._by_action[record.action] = (
+                self._by_action.get(record.action, 0) + record.total_bytes
+            )
 
     def reset(self) -> None:
-        self.calls.clear()
-
-    @property
-    def call_count(self) -> int:
-        return len(self.calls)
-
-    @property
-    def bytes_sent(self) -> int:
-        return sum(record.request_bytes for record in self.calls)
-
-    @property
-    def bytes_received(self) -> int:
-        return sum(record.response_bytes for record in self.calls)
+        with self._lock:
+            self.calls.clear()
+            self.call_count = 0
+            self.bytes_sent = 0
+            self.bytes_received = 0
+            self.modeled_seconds = 0.0
+            self._by_action: dict[str, int] = {}
 
     @property
     def total_bytes(self) -> int:
         return self.bytes_sent + self.bytes_received
 
-    @property
-    def modeled_seconds(self) -> float:
-        return sum(record.modeled_seconds for record in self.calls)
-
     def by_action(self) -> dict[str, int]:
         """Total bytes per action URI (handy for per-operation tables)."""
-        totals: dict[str, int] = {}
-        for record in self.calls:
-            totals[record.action] = totals.get(record.action, 0) + record.total_bytes
-        return totals
+        with self._lock:
+            return dict(self._by_action)
 
 
 class ClientTransport:

@@ -24,11 +24,11 @@ from repro.xmlutil.tree import (
 from repro.xmlutil.builder import E, element
 from repro.xmlutil.serialize import (
     document_prefixes,
+    fragment_chunks,
     serialize,
     serialize_bytes,
     serialize_chunks,
     serialize_content,
-    serialize_fragment,
 )
 from repro.xmlutil.parser import (
     XmlParseError,
@@ -57,9 +57,9 @@ __all__ = [
     "serialize",
     "serialize_bytes",
     "serialize_chunks",
-    "serialize_fragment",
     "serialize_content",
     "document_prefixes",
+    "fragment_chunks",
     "parse",
     "parse_bytes",
     "XmlParseError",

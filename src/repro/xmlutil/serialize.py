@@ -231,7 +231,7 @@ def document_prefixes(
     """The namespace→prefix map :func:`serialize` would use for *root*.
 
     Exposed for byte-template callers that serialize a subtree
-    separately (with :func:`serialize_fragment`) and splice it into a
+    separately (with :func:`fragment_chunks`) and splice it into a
     precompiled skeleton: rendering the fragment with the skeleton's own
     prefix map keeps the spliced output byte-identical to a whole-tree
     serialization."""
@@ -239,19 +239,23 @@ def document_prefixes(
     return _assign_prefixes(_collect_namespaces(root), registry)
 
 
-def serialize_fragment(root: XmlElement, prefixes: dict[str, str]) -> str:
-    """Serialize *root* as a fragment: no declarations, fixed prefixes.
+def fragment_chunks(root: XmlElement, prefixes: dict[str, str]) -> Iterator[str]:
+    """Serialize *root* as a fragment — no declarations, fixed prefixes,
+    compact — in chunks, like :func:`serialize_chunks`.
 
     Every namespace used in the subtree must already be bound in
-    *prefixes* (the enclosing document's map); compact mode only."""
+    *prefixes* (the enclosing document's map).  The static markup is
+    laid out before this returns, so an unbound one raises ``KeyError``
+    here, before any chunk exists; lazy content renders as the chunks
+    are pulled."""
     writer = _Writer(prefixes, None)
     writer.write(root, 0, None)
-    return "".join(writer.chunks())
+    return writer.chunks()
 
 
 def serialize_content(root: XmlElement, prefixes: dict[str, str]) -> str:
     """Serialize what is inside *root* — its children, not its own tags
-    — as a fragment with fixed prefixes, like :func:`serialize_fragment`.
+    — as a fragment with fixed prefixes, like :func:`fragment_chunks`.
 
     This is what a :class:`~repro.xmlutil.tree.RenderedElement`'s
     rendering holds: spliced between the element's tags, it is

@@ -24,9 +24,10 @@ Slot kinds
             ``<T/>``, so the template shape no longer matches — callers
             fall back to the tree path).
 ``attr``    attribute value; escaped with :func:`escape_attribute`.
-``splice``  pre-serialized markup inserted verbatim (e.g. a payload
-            fragment rendered with the template's prefix map).  Empty
-            splices also return ``None``.
+``splice``  markup the caller writes itself (e.g. a payload fragment
+            rendered with the template's prefix map, as it streams): a
+            template ending in a splice is cut there with
+            :meth:`ByteTemplate.split_at`.
 """
 
 from __future__ import annotations
@@ -99,7 +100,6 @@ class ByteTemplate:
         cls,
         build: Callable[[TemplateSlots], XmlElement],
         registry: NamespaceRegistry | None = None,
-        xml_declaration: bool = False,
     ) -> "ByteTemplate":
         """Compile the skeleton *build* produces into a byte template.
 
@@ -111,7 +111,7 @@ class ByteTemplate:
         """
         slots = TemplateSlots()
         root = build(slots)
-        text = serialize(root, registry, xml_declaration=xml_declaration)
+        text = serialize(root, registry)
         parts: list[bytes] = []
         order: list[tuple[str, str]] = []
         pos = 0
@@ -132,13 +132,21 @@ class ByteTemplate:
     def slot_names(self) -> list[str]:
         return [name for name, _ in self._slots]
 
+    def split_at(self, name: str) -> tuple["ByteTemplate", bytes]:
+        """Cut the template at its last slot, the splice *name*: the
+        template of everything before it, and the static bytes after."""
+        if not self._slots or self._slots[-1] != (name, "splice"):
+            raise ValueError(f"{name!r} is not the template's last slot")
+        return ByteTemplate(self._parts[:-1], self._slots[:-1]), self._parts[-1]
+
     def render(self, values: dict[str, str]) -> Optional[bytes]:
         """Splice *values* into the skeleton; ``None`` on shape mismatch.
 
         ``None`` means the tree serializer would have produced different
-        markup shape for these values (empty text/splice spans) — the
-        caller must fall back to tree serialization.  Missing slot
-        values raise ``KeyError``.
+        markup shape for these values (an empty text span) — the caller
+        must fall back to tree serialization.  Missing slot values raise
+        ``KeyError``; a splice slot must first be cut off with
+        :meth:`split_at`.
         """
         parts = self._parts
         out = [parts[0]]
@@ -150,11 +158,7 @@ class ByteTemplate:
                 out.append(escape_text(value).encode("utf-8"))
             elif kind == "attr":
                 out.append(escape_attribute(value).encode("utf-8"))
-            else:  # splice
-                if not value:
-                    return None
-                out.append(
-                    value if isinstance(value, bytes) else value.encode("utf-8")
-                )
+            else:
+                raise ValueError(f"splice slot {name!r} is written by the caller")
             out.append(parts[index + 1])
         return b"".join(out)

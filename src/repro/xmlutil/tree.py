@@ -258,8 +258,8 @@ class StreamedElement(XmlElement):
     #: Whether the content is still to be produced by a source the
     #: serializer cannot see — what an arbitrary chunk factory must be
     #: assumed to be.  A subclass that knows its content already sits in
-    #: memory answers False, and a transport then frames the reply by
-    #: length instead of streaming it.
+    #: memory answers False.  Nothing on the wire depends on it: the
+    #: HTTP server frames a reply by the bytes it has written.
     lazy = True
 
     def __init__(

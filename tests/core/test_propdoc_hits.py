@@ -39,7 +39,7 @@ from repro.workload import RelationalWorkload, XmlCorpus
 from repro.workload.relational import populate_shop_database
 from repro.workload.xmlcorpus import populate_catalog_collection
 from repro.wsrf.clock import ManualClock
-from repro.xmlutil import E, QName, XmlElement, parse_bytes, serialize_bytes
+from repro.xmlutil import E, QName, XmlElement, parse_bytes, serialize, serialize_bytes
 from repro.xmlutil.serialize import _Writer
 
 SMALL = RelationalWorkload(customers=5, orders_per_customer=1, items_per_order=1)
@@ -188,12 +188,17 @@ def replies(monkeypatch):
 
 def _tree_path(service, name, response_cls, reply: bytes) -> bytes:
     """The reply as the tree path writes it: a real property-document
-    tree in an envelope with the reply's own headers."""
+    tree in an envelope with the reply's own headers — behind an XML
+    declaration where the reply has one (loopback sends ``to_bytes()``),
+    without where it has none (the HTTP server sends ``iter_bytes()``)."""
     headers = Envelope.from_bytes(reply).headers
     payload = response_cls(
         document=service.binding(name).property_document()
     ).to_xml()
-    return serialize_bytes(Envelope(headers, payload).to_xml())
+    return serialize(
+        Envelope(headers, payload).to_xml(),
+        xml_declaration=reply.startswith(b"<?xml"),
+    ).encode("utf-8")
 
 
 def _misses(service) -> float:

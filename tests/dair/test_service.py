@@ -53,9 +53,9 @@ class TestSQLAccess:
         assert len(rowset.rows) == 10
 
     def test_dispatch_records_whether_rows_are_still_to_be_pulled(self, single):
-        """The service knows which reply is lazy (only a dataset can
-        be) and says so on the envelope it builds, so no transport has
-        to walk the payload to choose a framing."""
+        """The reply's payload says whether rows are still to be pulled
+        (only a dataset can hold them): a streamable statement's does,
+        a pipeline breaker's, a write's and a fault's do not."""
         from repro.soap import Envelope, MessageHeaders
 
         def reply(sql):
@@ -70,13 +70,13 @@ class TestSQLAccess:
             )
 
         streamed = reply("SELECT id FROM customers")
-        assert streamed.known_streaming is True and streamed.is_streaming()
+        assert streamed.is_streaming()
         for sql in (
             "SELECT id FROM customers ORDER BY id",  # pipeline breaker
             "UPDATE customers SET segment = segment",  # no dataset at all
         ):
             held = reply(sql)
-            assert held.known_streaming is False and not held.is_streaming()
+            assert not held.is_streaming()
         fault = reply("SELECT nosuch FROM customers")
         assert fault.is_fault() and not fault.is_streaming()
 

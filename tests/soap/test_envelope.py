@@ -69,8 +69,8 @@ class TestEnvelope:
 
 
 class TestIsStreaming:
-    """``is_streaming()`` walks a hand-built envelope; one whose builder
-    recorded the answer is taken at its word and not walked."""
+    """``is_streaming()`` walks the payload every time it is asked; no
+    builder records an answer on the envelope, and no transport asks."""
 
     @staticmethod
     def _streamed():
@@ -78,7 +78,6 @@ class TestIsStreaming:
 
     def test_hand_built_envelope_is_walked(self):
         plain = Envelope(_headers(), E("Reply", E("Data", E("Row"))))
-        assert plain.known_streaming is None
         assert not plain.is_streaming()
         nested = Envelope(_headers(), E("Reply", E("Data", self._streamed())))
         assert nested.is_streaming()
@@ -90,22 +89,22 @@ class TestIsStreaming:
         held = InMemory(QName("urn:x", "Rows"), lambda q: iter(["<r/>"]))
         assert not Envelope(_headers(), E("Reply", held)).is_streaming()
 
-    def test_recorded_answer_is_not_second_guessed(self):
+    def test_every_answer_comes_from_the_walk(self):
         class Unwalkable(XmlElement):
             def element_children(self):
                 raise AssertionError("the payload was walked")
 
         envelope = Envelope(_headers(), Unwalkable(QName("", "Reply")))
-        with pytest.raises(AssertionError):
-            envelope.is_streaming()
-        for recorded in (True, False):
-            envelope.known_streaming = recorded
-            assert envelope.is_streaming() is recorded
+        for _ in range(2):
+            with pytest.raises(AssertionError):
+                envelope.is_streaming()
 
     def test_record_is_not_part_of_the_message(self):
+        """There is no record to carry: the envelope is its headers
+        and its payload, and nothing else can be set on it."""
         a = Envelope(_headers(), E("Reply"))
         b = Envelope(a.headers, E("Reply"))
-        b.known_streaming = True
         assert a == b
+        assert not hasattr(b, "known_streaming")
         with pytest.raises(TypeError):
             Envelope(_headers(), E("Reply"), known_streaming=True)

@@ -1,12 +1,13 @@
 """Byte-template envelope rendering must be invisible on the wire.
 
-``Envelope.to_bytes`` routes common-shape envelopes through a
-precompiled byte template.  These tests pin the contract from three
-directions: the template path must be *taken* for the hot shapes, its
-output must be byte-identical to tree serialization for every golden
-corpus envelope and for fuzzed header/payload combinations, and the
-shapes it cannot express must fall back to the tree path rather than
-render wrongly.
+``Envelope.iter_bytes`` — the one envelope writer; ``to_bytes`` is the
+XML declaration followed by its fragments — routes common-shape
+envelopes through a precompiled skeleton.  These tests pin the contract
+from three directions: the skeleton must be *taken* for the hot shapes
+(lazy payloads included), its output must be byte-identical to tree
+serialization for every golden corpus envelope and for fuzzed
+header/payload combinations, and the shapes it cannot express must fall
+back to the tree path rather than render wrongly.
 """
 
 import random
@@ -23,8 +24,21 @@ from tests.soap.test_golden_envelopes import GOLDEN_DIR, _build_envelopes
 pytestmark = []
 
 
+DECLARATION = b'<?xml version="1.0" encoding="UTF-8"?>\n'
+
+
 def _tree_bytes(envelope: Envelope) -> bytes:
     return serialize_bytes(envelope.to_xml())
+
+
+def _skeleton_bytes(envelope: Envelope) -> bytes | None:
+    """What the compiled skeleton alone renders (behind the
+    declaration), or None when the envelope's shape does not take it."""
+    skeleton = envelope._skeleton()
+    if skeleton is None:
+        return None
+    head, chunks, tail = skeleton
+    return DECLARATION + head + "".join(chunks).encode("utf-8") + tail
 
 
 class TestGoldenCorpus:
@@ -38,6 +52,11 @@ class TestGoldenCorpus:
         envelope = _build_envelopes()[key]
         assert envelope.to_bytes() == (GOLDEN_DIR / f"{key}.xml").read_bytes()
 
+    @pytest.mark.parametrize("key", sorted(_build_envelopes()))
+    def test_to_bytes_is_the_declaration_and_iter_bytes(self, key):
+        envelope = _build_envelopes()[key]
+        assert envelope.to_bytes() == DECLARATION + b"".join(envelope.iter_bytes())
+
 
 class TestTemplatePathTaken:
     def test_common_shape_uses_template(self):
@@ -45,7 +64,7 @@ class TestTemplatePathTaken:
             headers=MessageHeaders(to="http://h/s", action="urn:a"),
             payload=E(QName("urn:x", "Req"), "body"),
         )
-        fast = envelope._template_bytes()
+        fast = _skeleton_bytes(envelope)
         assert fast is not None
         assert fast == _tree_bytes(envelope)
 
@@ -56,7 +75,7 @@ class TestTemplatePathTaken:
             ),
             payload=E(QName("urn:x", "Resp"), "body"),
         )
-        fast = envelope._template_bytes()
+        fast = _skeleton_bytes(envelope)
         assert fast is not None
         assert fast == _tree_bytes(envelope)
 
@@ -71,7 +90,7 @@ class TestFallbackShapes:
             ),
             payload=E(QName("urn:x", "Req")),
         )
-        assert envelope._template_bytes() is None
+        assert envelope._skeleton() is None
         assert envelope.to_bytes() == _tree_bytes(envelope)
 
     def test_reference_parameters_fall_back(self):
@@ -83,7 +102,7 @@ class TestFallbackShapes:
             ),
             payload=E(QName("urn:x", "Req")),
         )
-        assert envelope._template_bytes() is None
+        assert envelope._skeleton() is None
         assert envelope.to_bytes() == _tree_bytes(envelope)
 
     def test_empty_header_value_falls_back(self):
@@ -91,7 +110,7 @@ class TestFallbackShapes:
             headers=MessageHeaders(to="", action="urn:a"),
             payload=E(QName("urn:x", "Req")),
         )
-        assert envelope._template_bytes() is None
+        assert envelope._skeleton() is None
         assert envelope.to_bytes() == _tree_bytes(envelope)
 
 
@@ -144,7 +163,8 @@ def test_fuzzed_envelopes_template_and_tree_agree(seed):
     envelope = Envelope(headers=headers, payload=_fuzz_payload(rng))
     tree = _tree_bytes(envelope)
     assert envelope.to_bytes() == tree
-    fast = envelope._template_bytes()
+    assert DECLARATION + b"".join(envelope.iter_bytes()) == tree
+    fast = _skeleton_bytes(envelope)
     assert fast is not None, f"seed {seed}: template path not taken"
     assert fast == tree, f"seed {seed}: template output drifted"
 
@@ -178,3 +198,41 @@ class TestStreamedPayloads:
         envelope, rows = self._streamed_envelope()
         joined = b"".join(envelope.iter_bytes())
         assert joined.count(rows[0].encode("utf-8")) == 1
+
+    def test_lazy_payload_takes_the_skeleton(self, monkeypatch):
+        """A one-shot lazy payload renders through the compiled skeleton
+        — no envelope tree is built or walked — and to_bytes is still
+        the declaration followed by iter_bytes."""
+
+        def one_shot():
+            rows = iter([f"<r>row-{index}</r>" for index in range(10)])
+            payload = E(
+                QName("urn:fuzz:stream", "Wrapper"),
+                StreamedElement(
+                    QName("urn:fuzz:stream", "Data"),
+                    lambda q: rows,
+                    namespaces=("urn:fuzz:stream",),
+                ),
+            )
+            return Envelope(
+                headers=MessageHeaders(
+                    to="http://h/s",
+                    action="urn:a",
+                    message_id="urn:msg:2",
+                    relates_to="urn:msg:1",
+                ),
+                payload=payload,
+            )
+
+        tree = _tree_bytes(one_shot())
+        assert one_shot().is_streaming()
+
+        def no_tree(*args, **kwargs):
+            raise AssertionError("the envelope tree was serialized")
+
+        monkeypatch.setattr("repro.soap.envelope.serialize_chunks", no_tree)
+        assert one_shot()._skeleton() is not None
+        fragments = list(one_shot().iter_bytes())
+        assert len(fragments) > 2  # head, the chunks as they came, tail
+        assert DECLARATION + b"".join(fragments) == tree
+        assert one_shot().to_bytes() == tree

@@ -1,9 +1,10 @@
 """Golden wire snapshots for negotiated gzip (PR-10).
 
 Content-Encoding is a *payload* property: the framing — Content-Length
-of the encoded bytes on the eager path, chunk framing of the compressed
-stream on the streamed path — is untouched.  Which path a reply takes is
-decided by the statement: the ``eager`` fixture asks the rows sorted (a
+of the encoded bytes when they fit one write buffer, chunk framing of
+the compressed stream when they outgrow it — is untouched, and follows
+the bytes actually sent: a reply that is chunked plain can fit one
+buffer compressed.  The ``eager`` fixture asks the rows sorted (a
 pipeline breaker, emitted from memory), the ``chunked`` one as they
 come.  These tests pin that:
 
@@ -16,6 +17,7 @@ come.  These tests pin that:
 * bodies under the size floor are sent uncompressed.
 """
 
+import hashlib
 import http.client
 import re
 
@@ -117,7 +119,7 @@ class TestEagerPath:
         status, plain_headers, plain = _post(server, body, accept_gzip=False)
         assert status == 200
         assert plain_headers.get("Content-Encoding") is None
-        assert plain_headers.get("Transfer-Encoding") is None
+        assert plain_headers.get("Transfer-Encoding") == "chunked"
 
         status, gz_headers, compressed = _post(server, body, accept_gzip=True)
         assert status == 200
@@ -159,9 +161,34 @@ class TestChunkedPath:
 
         status, gz_headers, compressed = _post(server, body, accept_gzip=True)
         assert status == 200
-        assert gz_headers.get("Transfer-Encoding") == "chunked"
+        assert gz_headers.get("Transfer-Encoding") is None
+        assert gz_headers.get("Content-Length") == str(len(compressed))
         assert gz_headers.get("Content-Encoding") == "gzip"
         assert len(compressed) < len(plain)
+        assert _normalize(gunzip(compressed)) == _normalize(plain)
+
+    def test_compressed_stream_longer_than_a_buffer_is_chunked(self, chunked):
+        """Rows that deflate poorly keep the compressed stream above one
+        write buffer: the gzip bytes themselves are chunk-framed, and
+        decode to the uncompressed reply."""
+        server, address, resource, _ = chunked
+        resource.database.execute(
+            "CREATE TABLE noise (id INT PRIMARY KEY, v VARCHAR(40))"
+        )
+        resource.database.execute(
+            "INSERT INTO noise VALUES "
+            + ",".join(
+                f"({i},'{hashlib.sha1(str(i).encode()).hexdigest()}')"
+                for i in range(1500)
+            )
+        )
+        body = _query_bytes(resource, "SELECT id, v FROM noise")
+        status, plain_headers, plain = _post(server, body, accept_gzip=False)
+        status, gz_headers, compressed = _post(server, body, accept_gzip=True)
+        assert status == 200
+        assert gz_headers.get("Transfer-Encoding") == "chunked"
+        assert gz_headers.get("Content-Encoding") == "gzip"
+        assert len(compressed) > server.CHUNK_COALESCE_BYTES
         assert _normalize(gunzip(compressed)) == _normalize(plain)
 
     def test_short_stream_under_floor_stays_uncompressed(

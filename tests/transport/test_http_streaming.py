@@ -1,10 +1,11 @@
 """Chunked transfer of streamed datasets over the real HTTP binding.
 
-Which reply is chunked is decided by what is asked, not by a setting:
-rows still to be pulled from the engine (a streamable ``SELECT``) or
-handed over as an iterator (``GetSQLRowset``) stream; rows the engine
-had to hold anyway (a pipeline breaker) or a page cut from a rowset
-resource (``GetTuples``) are emitted from memory and framed by length.
+Which reply is chunked is decided by the bytes the server has written,
+not by a setting or by what kind of statement was asked: every reply is
+drained into one coalescing buffer, and a reply that ends before the
+buffer first fills goes out in one write framed by ``Content-Length``;
+a longer one — streamed from the engine or emitted from memory alike —
+is ``Transfer-Encoding: chunked`` in buffer-sized writes.
 """
 
 import http.client
@@ -136,21 +137,21 @@ def _get_sql_rowset(client, address, name):
     return msg.GetSQLRowsetRequest(abstract_name=response.abstract_name)
 
 
-#: (what is asked, the request, chunked?, rows in the reply)
+#: (what is asked, the request, fits one buffer?, rows in the reply)
 FRAMING = [
-    ("streamable SELECT", _select("SELECT k, v FROM t"), True, ROWS),
+    ("streamable SELECT", _select("SELECT k, v FROM t"), False, ROWS),
     ("the same, sorted", _select("SELECT k, v FROM t ORDER BY k"), False, ROWS),
-    ("GetTuples page", _get_tuples, False, 50),
-    ("GetSQLRowset", _get_sql_rowset, True, ROWS),
+    ("GetTuples page", _get_tuples, True, 50),
+    ("GetSQLRowset", _get_sql_rowset, False, ROWS),
     ("streamable SELECT of one row", _select("SELECT k, v FROM t WHERE k = 7"), True, 1),
 ]
 
 
 class TestFramingByWhatIsAsked:
     @pytest.mark.parametrize(
-        "build, chunked, rows", [row[1:] for row in FRAMING], ids=[row[0] for row in FRAMING]
+        "build, fits, rows", [row[1:] for row in FRAMING], ids=[row[0] for row in FRAMING]
     )
-    def test_framing(self, http_setup, server_sends, build, chunked, rows):
+    def test_framing(self, http_setup, server_sends, build, fits, rows):
         server, address, name, _ = http_setup
         transport = HttpTransport()
         try:
@@ -163,7 +164,8 @@ class TestFramingByWhatIsAsked:
         written = chunks.total() - before
         assert reply.status == 200
         assert body.count(b"<wsdair:Row>") == rows
-        if not chunked:
+        if fits:
+            # headers and the whole body: one write
             assert reply.getheader("Transfer-Encoding") is None
             assert int(reply.getheader("Content-Length")) == len(body)
             assert written == 0
@@ -171,17 +173,11 @@ class TestFramingByWhatIsAsked:
         else:
             assert reply.getheader("Transfer-Encoding") == "chunked"
             assert reply.getheader("Content-Length") is None
-            assert written >= 1
-            if rows == 1:
-                # headers, the one chunk and the terminal chunk: one write
-                assert written == 1
-                assert len(server_sends) == 1
-            else:
-                # longer than a coalescing buffer: still 8 KiB writes,
-                # the headers in front of the first, the end behind the last
-                assert written > 1
-                assert written <= len(server_sends) <= written + 1
-                assert max(server_sends) < 2 * server.CHUNK_COALESCE_BYTES
+            # longer than a coalescing buffer: still 8 KiB writes,
+            # the headers in front of the first, the end behind the last
+            assert written > 1
+            assert written <= len(server_sends) <= written + 1
+            assert max(server_sends) < 2 * server.CHUNK_COALESCE_BYTES
 
 
 class TestChunkedResponses:
@@ -195,13 +191,16 @@ class TestChunkedResponses:
         assert not envelope.is_fault()
 
     def test_pipeline_breaker_stays_content_length(self, http_setup):
+        """A pipeline breaker's rows are emitted from memory, but its
+        framing follows its size like any other reply's: 300 rows
+        outgrow one buffer, so it is chunked."""
         server, address, name, _ = http_setup
         reply, body = _raw_exchange(
             server, address, name, "SELECT v FROM t ORDER BY k"
         )
         assert reply.status == 200
-        assert reply.getheader("Transfer-Encoding") is None
-        assert int(reply.getheader("Content-Length")) == len(body)
+        assert reply.getheader("Transfer-Encoding") == "chunked"
+        assert reply.getheader("Content-Length") is None
 
     def test_chunk_counter_increments(self, http_setup):
         server, address, name, _ = http_setup
@@ -246,7 +245,8 @@ class TestChunkedResponses:
         eager_reply, eager_body = _raw_exchange(
             server, address, name, sql + " ORDER BY k"
         )
-        assert streamed_reply.getheader("Transfer-Encoding") == "chunked"
+        # 25 rows fit one buffer either way: both framed by length.
+        assert streamed_reply.getheader("Transfer-Encoding") is None
         assert eager_reply.getheader("Transfer-Encoding") is None
 
         streamed = Envelope.from_bytes(streamed_body)
@@ -265,9 +265,9 @@ class TestChunkedResponses:
         )
 
     def test_streaming_disabled_service_uses_content_length(self):
-        """What disables streaming is the statement: on a service that
-        has only ever been asked pipeline breakers, every reply is
-        framed by length and not one chunk is written."""
+        """No statement disables streaming: on a service that has only
+        ever been asked pipeline breakers, a reply that outgrows one
+        buffer is still chunked."""
         registry = ServiceRegistry()
         server = DaisHttpServer(registry, port=0)
         address, name, _ = _build(registry, server)
@@ -275,7 +275,7 @@ class TestChunkedResponses:
             reply, body = _raw_exchange(
                 server, address, name, "SELECT DISTINCT v FROM t"
             )
-            assert reply.getheader("Transfer-Encoding") is None
-            assert int(reply.getheader("Content-Length")) == len(body)
+            assert reply.getheader("Transfer-Encoding") == "chunked"
+            assert reply.getheader("Content-Length") is None
             assert not Envelope.from_bytes(body).is_fault()
-            assert server.metrics.counter("http.server.chunks").total() == 0
+            assert server.metrics.counter("http.server.chunks").total() > 1

@@ -107,12 +107,12 @@ class TestStreamBoundary:
         self, deployment
     ):
         server, address, resource = deployment
-        original = server._send_chunked
+        original = server._send_reply
 
-        def explode(conn, response, compress=False):
+        def explode(conn, request, response, status):
             raise RuntimeError("producer died mid-stream")
 
-        server._send_chunked = explode
+        server._send_reply = explode
         request = Envelope(
             headers=MessageHeaders(
                 to=address, action=msg.SQLExecuteRequest.action()
@@ -129,7 +129,7 @@ class TestStreamBoundary:
                 ):
                     _post(server, request.to_bytes())
         finally:
-            server._send_chunked = original
+            server._send_reply = original
         # The worker thread records the error after the client already
         # saw its connection die — poll briefly instead of racing it.
         errors = server.metrics.counter("http.server.errors")

@@ -59,3 +59,28 @@ class TestWireStats:
         stats.reset()
         assert stats.call_count == 0
         assert stats.total_bytes == 0
+
+    def test_records_are_bounded_and_totals_exact(self):
+        """A long-lived transport keeps the recent calls only, while
+        every total still counts each call ever made."""
+        stats = WireStats()
+        bound = WireStats.RECENT_CALLS
+        for index in range(bound + 10):
+            stats.record(
+                self._record(action=f"urn:{index % 2}", req=index, resp=1)
+            )
+        assert len(stats.calls) == bound
+        assert stats.calls[0].request_bytes == 10
+        assert stats.calls[-1].request_bytes == bound + 9
+        assert stats.call_count == bound + 10
+        assert stats.bytes_sent == sum(range(bound + 10))
+        assert stats.bytes_received == bound + 10
+        assert stats.modeled_seconds == pytest.approx(0.001 * (bound + 10))
+        assert stats.by_action() == {
+            "urn:0": sum(i + 1 for i in range(0, bound + 10, 2)),
+            "urn:1": sum(i + 1 for i in range(1, bound + 10, 2)),
+        }
+        stats.reset()
+        assert list(stats.calls) == [] and stats.by_action() == {}
+        stats.record(self._record())
+        assert stats.calls[-1] == self._record() and stats.call_count == 1
