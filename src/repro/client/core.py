@@ -1,4 +1,5 @@
-"""Consumer proxy for the WS-DAI core operations."""
+"""Consumer proxy for the WS-DAI core operations, and the request/
+response machinery every client shares."""
 
 from __future__ import annotations
 
@@ -6,17 +7,23 @@ import random
 import time
 from typing import Callable, Optional
 
-from repro.client.base import DaisClient
 from repro.core import messages as msg
 from repro.core import wsrf_messages as wmsg
-from repro.core.faults import InvalidResourceNameFault, ServiceNotFoundFault
-from repro.core.messages import DaisMessage
+from repro.core.faults import (
+    InvalidResourceNameFault,
+    ServiceNotFoundFault,
+    TransportFault,
+)
+from repro.core.messages import DaisMessage, response_class
 from repro.wsrf.faults import ResourceUnknownFault
 from repro.jobs import messages as jmsg
 from repro.jobs.model import ERROR, TERMINAL_PHASES
 from repro.lru import VersionedLRU
+from repro.resilience import coerce_resilience
 from repro.resilience.policy import RetryPolicy
-from repro.soap.addressing import EndpointReference
+from repro.soap.addressing import EndpointReference, MessageHeaders
+from repro.soap.envelope import Envelope
+from repro.soap.fault import SoapFault
 from repro.xmlutil import QName, XmlElement
 
 #: Default pacing for :meth:`CoreClient.wait_for_job`: frequent early
@@ -52,8 +59,15 @@ class JobTimeoutError(TimeoutError):
         self.status = status
 
 
-class CoreClient(DaisClient):
+class CoreClient:
     """CoreDataAccess + CoreResourceList + WSRF property/lifetime calls.
+
+    Every proxy (WS-DAI core, WS-DAIR, WS-DAIX, files) descends from
+    this class, so all of them accept a *resilience* layer — either a
+    :class:`repro.resilience.Resilience` instance or a bare
+    :class:`~repro.resilience.RetryPolicy` — which is installed on the
+    transport: retries, backoff and circuit breaking then apply to every
+    call made through it.
 
     :meth:`resolve` results are cached per ``(address, abstract_name)``
     in a :class:`~repro.lru.VersionedLRU` of
@@ -67,7 +81,10 @@ class CoreClient(DaisClient):
     """
 
     def __init__(self, transport, resilience=None) -> None:
-        super().__init__(transport, resilience)
+        self._transport = transport
+        layer = coerce_resilience(resilience)
+        if layer is not None:
+            transport.resilience = layer
         self._resolved = VersionedLRU(RESOLVE_CACHE_CAPACITY)
         metrics = getattr(transport, "metrics", None)
         if metrics is not None:  # every shipped transport has metrics
@@ -83,6 +100,69 @@ class CoreClient(DaisClient):
                     "cached EPRs dropped by a typed fault or a refresh",
                 ),
             )
+
+    @property
+    def transport(self):
+        return self._transport
+
+    @property
+    def resilience(self):
+        """The resilience layer active on this client's transport."""
+        return getattr(self._transport, "resilience", None)
+
+    def call(
+        self, target: str | EndpointReference, request: DaisMessage
+    ) -> DaisMessage:
+        """One request/response round trip; raises typed DAIS faults.
+
+        *target* is a service address or a data resource address (EPR).
+        An EPR's reference parameters (carrying the abstract name) are
+        echoed in the SOAP header, per WS-Addressing — while the
+        abstract name also travels in the body, per DAIS.  The reply is
+        decoded as :func:`~repro.core.messages.response_class` of the
+        request; a reply whose body element is any other is a
+        :class:`TransportFault`.
+        """
+        if isinstance(target, EndpointReference):
+            address, parameters = target.address, target.reference_parameters
+        else:
+            address, parameters = target, ()
+        envelope = Envelope(
+            headers=MessageHeaders(
+                to=address,
+                action=type(request).action(),
+                reference_parameters=parameters,
+            ),
+            payload=request.to_xml(),
+        )
+        response = self._transport.send(address, envelope)
+        try:
+            response.raise_if_fault()
+        except SoapFault as fault:
+            # Drop the cached EPRs the fault contradicts.  The call may
+            # have travelled through a cached EPR (so *address* is the
+            # EPR's own) or named the resource directly: either way the
+            # stale entries match on the key's or the EPR's address.
+            name = getattr(request, "abstract_name", None)
+            if isinstance(fault, ServiceNotFoundFault):
+                name = None  # every entry for the address
+            elif name is None or not isinstance(
+                fault, (InvalidResourceNameFault, ResourceUnknownFault)
+            ):
+                raise
+            for key, epr in self._resolved.items():
+                if (name is None or key[1] == name) and (
+                    key[0] == address or epr.address == address
+                ):
+                    self._resolved.invalidate(key)
+            raise
+        response_cls = response_class(type(request))
+        if response.payload.tag != response_cls.TAG:
+            raise TransportFault(
+                f"{request.TAG.clark()} was answered by "
+                f"{response.payload.tag.clark()}, not {response_cls.TAG.clark()}"
+            )
+        return response_cls.from_xml(response.payload)
 
     # -- CoreDataAccess ------------------------------------------------------
 
@@ -102,37 +182,24 @@ class CoreClient(DaisClient):
             parameters=list(parameters or []),
             dataset_format_uri=dataset_format_uri,
         )
-        return self.call(address, request, msg.GenericQueryResponse)
+        return self.call(address, request)
 
     def destroy(self, address: str, abstract_name: str) -> str:
-        response = self.call(
-            address,
-            msg.DestroyDataResourceRequest(abstract_name=abstract_name),
-            msg.DestroyDataResourceResponse,
-        )
-        return response.destroyed
+        request = msg.DestroyDataResourceRequest(abstract_name=abstract_name)
+        return self.call(address, request).destroyed
 
     def get_property_document(
         self, address: str, abstract_name: str
     ) -> XmlElement:
-        response = self.call(
-            address,
-            msg.GetDataResourcePropertyDocumentRequest(
-                abstract_name=abstract_name
-            ),
-            msg.GetDataResourcePropertyDocumentResponse,
+        request = msg.GetDataResourcePropertyDocumentRequest(
+            abstract_name=abstract_name
         )
-        if response.document is None:
-            raise ValueError("service returned an empty property document")
-        return response.document
+        return document_of(self.call(address, request))
 
     # -- CoreResourceList ---------------------------------------------------
 
     def list_resources(self, address: str) -> list[str]:
-        response = self.call(
-            address, msg.GetResourceListRequest(), msg.GetResourceListResponse
-        )
-        return response.names
+        return self.call(address, msg.GetResourceListRequest()).names
 
     def resolve(
         self, address: str, abstract_name: str, refresh: bool = False
@@ -148,36 +215,11 @@ class CoreClient(DaisClient):
         cached = self._resolved.lookup(key)
         if cached is not None:
             return cached
-        response = self.call(
-            address,
-            msg.ResolveRequest(abstract_name=abstract_name),
-            msg.ResolveResponse,
-        )
-        if response.address is None:
+        request = msg.ResolveRequest(abstract_name=abstract_name)
+        epr = self.call(address, request).address
+        if epr is None:
             raise ValueError(f"service could not resolve {abstract_name!r}")
-        return self._resolved.store(key, None, response.address)
-
-    def _on_call_fault(self, address: str, request: DaisMessage, exc) -> None:
-        """Drop cached EPRs contradicted by a typed fault.
-
-        The faulting call may have travelled through a cached EPR (so
-        *address* is the EPR's own address) or named the resource
-        directly — either way the stale entries are found by matching
-        both the cache key's address and the cached EPR's address.
-        """
-        if isinstance(exc, ServiceNotFoundFault):
-            name = None  # every entry for the address
-        elif isinstance(exc, (InvalidResourceNameFault, ResourceUnknownFault)):
-            name = getattr(request, "abstract_name", None)
-            if name is None:
-                return
-        else:
-            return
-        for key, epr in self._resolved.items():
-            if (name is None or key[1] == name) and (
-                key[0] == address or epr.address == address
-            ):
-                self._resolved.invalidate(key)
+        return self._resolved.store(key, None, epr)
 
     # -- asynchronous jobs ----------------------------------------------------
 
@@ -186,19 +228,11 @@ class CoreClient(DaisClient):
     ) -> jmsg.GetJobStatusResponse:
         """One GetJobStatus round trip (the job id rides the abstract-
         name slot, like every other DAIS request)."""
-        return self.call(
-            address,
-            jmsg.GetJobStatusRequest(abstract_name=job_id),
-            jmsg.GetJobStatusResponse,
-        )
+        return self.call(address, jmsg.GetJobStatusRequest(abstract_name=job_id))
 
     def cancel_job(self, address: str, job_id: str) -> jmsg.CancelJobResponse:
         """Request cancellation; the response's phase says what won."""
-        return self.call(
-            address,
-            jmsg.CancelJobRequest(abstract_name=job_id),
-            jmsg.CancelJobResponse,
-        )
+        return self.call(address, jmsg.CancelJobRequest(abstract_name=job_id))
 
     def wait_for_job(
         self,
@@ -247,26 +281,18 @@ class CoreClient(DaisClient):
     def get_resource_property(
         self, address: str, abstract_name: str, property_qname: QName
     ) -> list[XmlElement]:
-        response = self.call(
-            address,
-            wmsg.GetResourcePropertyRequest(
-                abstract_name=abstract_name, property_qname=property_qname
-            ),
-            wmsg.GetResourcePropertyResponse,
+        request = wmsg.GetResourcePropertyRequest(
+            abstract_name=abstract_name, property_qname=property_qname
         )
-        return response.properties
+        return self.call(address, request).properties
 
     def get_multiple_resource_properties(
         self, address: str, abstract_name: str, property_qnames: list[QName]
     ) -> list[XmlElement]:
-        response = self.call(
-            address,
-            wmsg.GetMultipleResourcePropertiesRequest(
-                abstract_name=abstract_name, property_qnames=property_qnames
-            ),
-            wmsg.GetMultipleResourcePropertiesResponse,
+        request = wmsg.GetMultipleResourcePropertiesRequest(
+            abstract_name=abstract_name, property_qnames=property_qnames
         )
-        return response.properties
+        return self.call(address, request).properties
 
     def query_resource_properties(
         self,
@@ -280,10 +306,7 @@ class CoreClient(DaisClient):
         )
         if dialect is not None:
             request.dialect = dialect
-        response = self.call(
-            address, request, wmsg.QueryResourcePropertiesResponse
-        )
-        return response.properties
+        return self.call(address, request).properties
 
     def set_termination_time(
         self,
@@ -291,11 +314,15 @@ class CoreClient(DaisClient):
         abstract_name: str,
         termination_time: Optional[float],
     ) -> wmsg.SetTerminationTimeResponse:
-        return self.call(
-            address,
-            wmsg.SetTerminationTimeRequest(
-                abstract_name=abstract_name,
-                requested_termination_time=termination_time,
-            ),
-            wmsg.SetTerminationTimeResponse,
+        request = wmsg.SetTerminationTimeRequest(
+            abstract_name=abstract_name,
+            requested_termination_time=termination_time,
         )
+        return self.call(address, request)
+
+
+def document_of(response: DaisMessage) -> XmlElement:
+    """The document a ``Get*PropertyDocument`` reply carries."""
+    if response.document is None:
+        raise ValueError(f"empty property document in {response.TAG.local}")
+    return response.document

@@ -16,11 +16,8 @@ class FilesClient(CoreClient):
     def list_files(
         self, address: str, abstract_name: str, path: str = ""
     ) -> msg.ListFilesResponse:
-        return self.call(
-            address,
-            msg.ListFilesRequest(abstract_name=abstract_name, path=path),
-            msg.ListFilesResponse,
-        )
+        request = msg.ListFilesRequest(abstract_name=abstract_name, path=path)
+        return self.call(address, request)
 
     def get_file(
         self,
@@ -30,36 +27,24 @@ class FilesClient(CoreClient):
         offset: int = 0,
         length: Optional[int] = None,
     ) -> msg.GetFileResponse:
-        return self.call(
-            address,
-            msg.GetFileRequest(
-                abstract_name=abstract_name,
-                path=path,
-                offset=offset,
-                length=length,
-            ),
-            msg.GetFileResponse,
+        request = msg.GetFileRequest(
+            abstract_name=abstract_name, path=path, offset=offset, length=length
         )
+        return self.call(address, request)
 
     def put_file(
         self, address: str, abstract_name: str, path: str, content: bytes
     ) -> msg.PutFileResponse:
-        return self.call(
-            address,
-            msg.PutFileRequest(
-                abstract_name=abstract_name, path=path, content=content
-            ),
-            msg.PutFileResponse,
+        request = msg.PutFileRequest(
+            abstract_name=abstract_name, path=path, content=content
         )
+        return self.call(address, request)
 
     def delete_file(
         self, address: str, abstract_name: str, path: str
     ) -> msg.DeleteFileResponse:
-        return self.call(
-            address,
-            msg.DeleteFileRequest(abstract_name=abstract_name, path=path),
-            msg.DeleteFileResponse,
-        )
+        request = msg.DeleteFileRequest(abstract_name=abstract_name, path=path)
+        return self.call(address, request)
 
     def file_selection_factory(
         self,
@@ -69,16 +54,13 @@ class FilesClient(CoreClient):
         configuration: Optional[XmlElement] = None,
         execution_mode: str = "",
     ) -> msg.FileSelectionFactoryResponse:
-        return self.call(
-            address,
-            msg.FileSelectionFactoryRequest(
-                abstract_name=abstract_name,
-                expression=pattern,
-                configuration_document=configuration,
-                execution_mode=execution_mode,
-            ),
-            msg.FileSelectionFactoryResponse,
+        request = msg.FileSelectionFactoryRequest(
+            abstract_name=abstract_name,
+            expression=pattern,
+            configuration_document=configuration,
+            execution_mode=execution_mode,
         )
+        return self.call(address, request)
 
     def get_fileset_members(
         self,
@@ -87,13 +69,10 @@ class FilesClient(CoreClient):
         start_position: int,
         count: int,
     ) -> tuple[list[str], int]:
-        response = self.call_epr(
-            epr,
-            msg.GetFileSetMembersRequest(
-                abstract_name=abstract_name,
-                start_position=start_position,
-                count=count,
-            ),
-            msg.GetFileSetMembersResponse,
+        request = msg.GetFileSetMembersRequest(
+            abstract_name=abstract_name,
+            start_position=start_position,
+            count=count,
         )
+        response = self.call(epr, request)
         return response.members, response.total_members

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.client.core import CoreClient
+from repro.client.core import CoreClient, document_of
+from repro.core.namespaces import WSDAI_NS
+from repro.core.properties import CONFIGURABLE_ELEMENTS, configurable_element
 from repro.dair import messages as msg
 from repro.dair.datasets import Rowset, parse_rowset
 from repro.relational import SqlCommunicationArea
 from repro.soap.addressing import EndpointReference
 from repro.xmlutil import E, QName, XmlElement
-from repro.core.namespaces import WSDAI_NS
 
 
 def configuration_document(**overrides) -> XmlElement:
@@ -28,28 +29,28 @@ def configuration_document(**overrides) -> XmlElement:
     ``transaction_initiation``, ``transaction_isolation``,
     ``sensitivity`` (enum values or their strings).
     """
-    mapping = {
-        "description": "DataResourceDescription",
-        "readable": "Readable",
-        "writeable": "Writeable",
-        "transaction_initiation": "TransactionInitiation",
-        "transaction_isolation": "TransactionIsolation",
-        "sensitivity": "Sensitivity",
-    }
     document = E(QName(WSDAI_NS, "ConfigurationDocument"))
     for key, value in overrides.items():
         try:
-            local = mapping[key]
+            name = _KEYWORDS[key]
         except KeyError:
             raise ValueError(f"unknown configurable property {key!r}") from None
-        if isinstance(value, bool):
-            text = "true" if value else "false"
-        elif hasattr(value, "value"):
-            text = value.value
-        else:
-            text = str(value)
-        document.append(E(QName(WSDAI_NS, local), text))
+        document.append(configurable_element(name, value))
     return document
+
+
+#: Keyword → configurable property: the field names, the description's
+#: without its ``data_resource_`` prefix.
+_KEYWORDS = {
+    name.removeprefix("data_resource_"): name for name in CONFIGURABLE_ELEMENTS
+}
+
+
+def rowset_of(response) -> Rowset:
+    """The dataset a reply carries, decoded; none is an empty rowset."""
+    if response.dataset is None:
+        return Rowset([], [], [])
+    return parse_rowset(response.dataset_format_uri, response.dataset)
 
 
 class SQLClient(CoreClient):
@@ -74,7 +75,7 @@ class SQLClient(CoreClient):
             dataset_format_uri=dataset_format_uri,
             transaction_context=transaction_context,
         )
-        return self.call(address, request, msg.SQLExecuteResponse)
+        return self.call(address, request)
 
     # -- consumer-controlled transactions ------------------------------------
 
@@ -82,40 +83,28 @@ class SQLClient(CoreClient):
         self, address: str, abstract_name: str, isolation: str | None = None
     ) -> str:
         """Open a consumer transaction context; returns its id."""
-        response = self.call(
-            address,
-            msg.BeginTransactionRequest(
-                abstract_name=abstract_name, isolation=isolation
-            ),
-            msg.BeginTransactionResponse,
+        request = msg.BeginTransactionRequest(
+            abstract_name=abstract_name, isolation=isolation
         )
-        return response.transaction_context
+        return self.call(address, request).transaction_context
 
     def commit_transaction(
         self, address: str, abstract_name: str, transaction_context: str
     ) -> str:
-        response = self.call(
-            address,
-            msg.CommitTransactionRequest(
-                abstract_name=abstract_name,
-                transaction_context=transaction_context,
-            ),
-            msg.TransactionOutcomeResponse,
+        request = msg.CommitTransactionRequest(
+            abstract_name=abstract_name,
+            transaction_context=transaction_context,
         )
-        return response.outcome
+        return self.call(address, request).outcome
 
     def rollback_transaction(
         self, address: str, abstract_name: str, transaction_context: str
     ) -> str:
-        response = self.call(
-            address,
-            msg.RollbackTransactionRequest(
-                abstract_name=abstract_name,
-                transaction_context=transaction_context,
-            ),
-            msg.TransactionOutcomeResponse,
+        request = msg.RollbackTransactionRequest(
+            abstract_name=abstract_name,
+            transaction_context=transaction_context,
         )
-        return response.outcome
+        return self.call(address, request).outcome
 
     def sql_query_rowset(
         self,
@@ -126,24 +115,17 @@ class SQLClient(CoreClient):
         dataset_format_uri: str | None = None,
     ) -> Rowset:
         """SQLExecute + decode the dataset into a :class:`Rowset`."""
-        response = self.sql_execute(
-            address, abstract_name, expression, parameters, dataset_format_uri
+        return rowset_of(
+            self.sql_execute(
+                address, abstract_name, expression, parameters, dataset_format_uri
+            )
         )
-        if response.dataset is None:
-            return Rowset([], [], [])
-        return parse_rowset(response.dataset_format_uri, response.dataset)
 
     def get_sql_property_document(
         self, address: str, abstract_name: str
     ) -> XmlElement:
-        response = self.call(
-            address,
-            msg.GetSQLPropertyDocumentRequest(abstract_name=abstract_name),
-            msg.GetSQLPropertyDocumentResponse,
-        )
-        if response.document is None:
-            raise ValueError("empty SQL property document")
-        return response.document
+        request = msg.GetSQLPropertyDocumentRequest(abstract_name=abstract_name)
+        return document_of(self.call(address, request))
 
     # -- SQLFactory ----------------------------------------------------------
 
@@ -168,7 +150,7 @@ class SQLClient(CoreClient):
             configuration_document=configuration,
             execution_mode=execution_mode,
         )
-        return self.call(address, request, msg.SQLExecuteFactoryResponse)
+        return self.call(address, request)
 
     # -- ResponseAccess (EPR-addressed) ---------------------------------------
 
@@ -178,83 +160,50 @@ class SQLClient(CoreClient):
         abstract_name: str,
         dataset_format_uri: str | None = None,
     ) -> Rowset:
-        response = self.call_epr(
-            epr,
-            msg.GetSQLRowsetRequest(
-                abstract_name=abstract_name,
-                dataset_format_uri=dataset_format_uri,
-            ),
-            msg.GetSQLRowsetResponse,
+        request = msg.GetSQLRowsetRequest(
+            abstract_name=abstract_name, dataset_format_uri=dataset_format_uri
         )
-        if response.dataset is None:
-            return Rowset([], [], [])
-        return parse_rowset(response.dataset_format_uri, response.dataset)
+        return rowset_of(self.call(epr, request))
 
     def get_sql_update_count(
         self, epr: EndpointReference, abstract_name: str
     ) -> int:
-        response = self.call_epr(
-            epr,
-            msg.GetSQLUpdateCountRequest(abstract_name=abstract_name),
-            msg.GetSQLUpdateCountResponse,
-        )
-        return response.update_count
+        request = msg.GetSQLUpdateCountRequest(abstract_name=abstract_name)
+        return self.call(epr, request).update_count
 
     def get_sql_communication_area(
         self, epr: EndpointReference, abstract_name: str
     ) -> SqlCommunicationArea:
-        response = self.call_epr(
-            epr,
-            msg.GetSQLCommunicationAreaRequest(abstract_name=abstract_name),
-            msg.GetSQLCommunicationAreaResponse,
-        )
-        return response.communication
+        request = msg.GetSQLCommunicationAreaRequest(abstract_name=abstract_name)
+        return self.call(epr, request).communication
 
     def get_sql_return_value(
         self, epr: EndpointReference, abstract_name: str
     ) -> Optional[str]:
-        response = self.call_epr(
-            epr,
-            msg.GetSQLReturnValueRequest(abstract_name=abstract_name),
-            msg.GetSQLReturnValueResponse,
-        )
-        return response.value
+        request = msg.GetSQLReturnValueRequest(abstract_name=abstract_name)
+        return self.call(epr, request).value
 
     def get_sql_output_parameter(
         self, epr: EndpointReference, abstract_name: str, parameter_name: str
     ) -> Optional[str]:
-        response = self.call_epr(
-            epr,
-            msg.GetSQLOutputParameterRequest(
-                abstract_name=abstract_name, parameter_name=parameter_name
-            ),
-            msg.GetSQLOutputParameterResponse,
+        request = msg.GetSQLOutputParameterRequest(
+            abstract_name=abstract_name, parameter_name=parameter_name
         )
-        return response.value
+        return self.call(epr, request).value
 
     def get_sql_response_items(
         self, epr: EndpointReference, abstract_name: str
     ) -> list[str]:
-        response = self.call_epr(
-            epr,
-            msg.GetSQLResponseItemRequest(abstract_name=abstract_name),
-            msg.GetSQLResponseItemResponse,
-        )
-        return response.items
+        request = msg.GetSQLResponseItemRequest(abstract_name=abstract_name)
+        return self.call(epr, request).items
 
     def get_sql_response_property_document(
         self, epr: EndpointReference, abstract_name: str
     ) -> XmlElement:
-        response = self.call_epr(
-            epr,
-            msg.GetSQLResponsePropertyDocumentRequest(
-                abstract_name=abstract_name
-            ),
-            msg.GetSQLResponsePropertyDocumentResponse,
+        request = msg.GetSQLResponsePropertyDocumentRequest(
+            abstract_name=abstract_name
         )
-        if response.document is None:
-            raise ValueError("empty SQL response property document")
-        return response.document
+        return document_of(self.call(epr, request))
 
     # -- ResponseFactory -------------------------------------------------------
 
@@ -272,7 +221,7 @@ class SQLClient(CoreClient):
             port_type_qname=port_type_qname,
             configuration_document=configuration,
         )
-        return self.call_epr(epr, request, msg.SQLRowsetFactoryResponse)
+        return self.call(epr, request)
 
     # -- RowsetAccess ------------------------------------------------------------
 
@@ -288,33 +237,19 @@ class SQLClient(CoreClient):
         ``count=None`` omits the ``Count`` element on the wire, which
         per the spec means the rest of the rowset; an explicit ``0``
         requests an empty window (useful to learn ``total_rows``)."""
-        response = self.call_epr(
-            epr,
-            msg.GetTuplesRequest(
-                abstract_name=abstract_name,
-                start_position=start_position,
-                count=count,
-            ),
-            msg.GetTuplesResponse,
+        request = msg.GetTuplesRequest(
+            abstract_name=abstract_name,
+            start_position=start_position,
+            count=count,
         )
-        if response.dataset is None:
-            return Rowset([], [], []), response.total_rows
-        return (
-            parse_rowset(response.dataset_format_uri, response.dataset),
-            response.total_rows,
-        )
+        response = self.call(epr, request)
+        return rowset_of(response), response.total_rows
 
     def get_rowset_property_document(
         self, epr: EndpointReference, abstract_name: str
     ) -> XmlElement:
-        response = self.call_epr(
-            epr,
-            msg.GetRowsetPropertyDocumentRequest(abstract_name=abstract_name),
-            msg.GetRowsetPropertyDocumentResponse,
-        )
-        if response.document is None:
-            raise ValueError("empty rowset property document")
-        return response.document
+        request = msg.GetRowsetPropertyDocumentRequest(abstract_name=abstract_name)
+        return document_of(self.call(epr, request))
 
     def rowset_reader(
         self,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.client.core import CoreClient
+from repro.client.core import CoreClient, document_of
 from repro.daix import messages as msg
 from repro.soap.addressing import EndpointReference
 from repro.xmlutil import QName, XmlElement
@@ -22,82 +22,54 @@ class XMLClient(CoreClient):
         documents: list[tuple[str, XmlElement]],
         replace: bool = False,
     ) -> list[tuple[str, str]]:
-        response = self.call(
-            address,
-            msg.AddDocumentsRequest(
-                abstract_name=abstract_name,
-                documents=documents,
-                replace=replace,
-            ),
-            msg.AddDocumentsResponse,
+        request = msg.AddDocumentsRequest(
+            abstract_name=abstract_name, documents=documents, replace=replace
         )
-        return response.results
+        return self.call(address, request).results
 
     def get_documents(
         self, address: str, abstract_name: str, names: list[str]
     ) -> list[tuple[str, XmlElement]]:
-        response = self.call(
-            address,
-            msg.GetDocumentsRequest(abstract_name=abstract_name, names=names),
-            msg.GetDocumentsResponse,
-        )
-        return response.documents
+        request = msg.GetDocumentsRequest(abstract_name=abstract_name, names=names)
+        return self.call(address, request).documents
 
     def remove_documents(
         self, address: str, abstract_name: str, names: list[str]
     ) -> int:
-        response = self.call(
-            address,
-            msg.RemoveDocumentsRequest(abstract_name=abstract_name, names=names),
-            msg.RemoveDocumentsResponse,
+        request = msg.RemoveDocumentsRequest(
+            abstract_name=abstract_name, names=names
         )
-        return response.removed
+        return self.call(address, request).removed
 
     def list_documents(
         self, address: str, abstract_name: str
     ) -> msg.ListDocumentsResponse:
-        return self.call(
-            address,
-            msg.ListDocumentsRequest(abstract_name=abstract_name),
-            msg.ListDocumentsResponse,
-        )
+        request = msg.ListDocumentsRequest(abstract_name=abstract_name)
+        return self.call(address, request)
 
     def create_subcollection(
         self, address: str, abstract_name: str, collection_name: str
     ) -> msg.CreateSubcollectionResponse:
-        return self.call(
-            address,
-            msg.CreateSubcollectionRequest(
-                abstract_name=abstract_name, collection_name=collection_name
-            ),
-            msg.CreateSubcollectionResponse,
+        request = msg.CreateSubcollectionRequest(
+            abstract_name=abstract_name, collection_name=collection_name
         )
+        return self.call(address, request)
 
     def remove_subcollection(
         self, address: str, abstract_name: str, collection_name: str
     ) -> str:
-        response = self.call(
-            address,
-            msg.RemoveSubcollectionRequest(
-                abstract_name=abstract_name, collection_name=collection_name
-            ),
-            msg.RemoveSubcollectionResponse,
+        request = msg.RemoveSubcollectionRequest(
+            abstract_name=abstract_name, collection_name=collection_name
         )
-        return response.removed
+        return self.call(address, request).removed
 
     def get_collection_property_document(
         self, address: str, abstract_name: str
     ) -> XmlElement:
-        response = self.call(
-            address,
-            msg.GetCollectionPropertyDocumentRequest(
-                abstract_name=abstract_name
-            ),
-            msg.GetCollectionPropertyDocumentResponse,
+        request = msg.GetCollectionPropertyDocumentRequest(
+            abstract_name=abstract_name
         )
-        if response.document is None:
-            raise ValueError("empty collection property document")
-        return response.document
+        return document_of(self.call(address, request))
 
     # -- query access --------------------------------------------------------
 
@@ -108,16 +80,12 @@ class XMLClient(CoreClient):
         expression: str,
         document_name: Optional[str] = None,
     ) -> list[XmlElement]:
-        response = self.call(
-            address,
-            msg.XPathExecuteRequest(
-                abstract_name=abstract_name,
-                expression=expression,
-                document_name=document_name,
-            ),
-            msg.XPathExecuteResponse,
+        request = msg.XPathExecuteRequest(
+            abstract_name=abstract_name,
+            expression=expression,
+            document_name=document_name,
         )
-        return response.items
+        return self.call(address, request).items
 
     def xquery_execute(
         self,
@@ -126,16 +94,12 @@ class XMLClient(CoreClient):
         query: str,
         document_name: Optional[str] = None,
     ) -> list[XmlElement]:
-        response = self.call(
-            address,
-            msg.XQueryExecuteRequest(
-                abstract_name=abstract_name,
-                expression=query,
-                document_name=document_name,
-            ),
-            msg.XQueryExecuteResponse,
+        request = msg.XQueryExecuteRequest(
+            abstract_name=abstract_name,
+            expression=query,
+            document_name=document_name,
         )
-        return response.items
+        return self.call(address, request).items
 
     def xupdate_execute(
         self,
@@ -144,16 +108,12 @@ class XMLClient(CoreClient):
         modifications: XmlElement,
         document_name: Optional[str] = None,
     ) -> int:
-        response = self.call(
-            address,
-            msg.XUpdateExecuteRequest(
-                abstract_name=abstract_name,
-                modifications=modifications,
-                document_name=document_name,
-            ),
-            msg.XUpdateExecuteResponse,
+        request = msg.XUpdateExecuteRequest(
+            abstract_name=abstract_name,
+            modifications=modifications,
+            document_name=document_name,
         )
-        return response.modified
+        return self.call(address, request).modified
 
     # -- factories + SequenceAccess ---------------------------------------------
 
@@ -167,18 +127,15 @@ class XMLClient(CoreClient):
         configuration: Optional[XmlElement] = None,
         execution_mode: str = "",
     ) -> msg.XPathExecuteFactoryResponse:
-        return self.call(
-            address,
-            msg.XPathExecuteFactoryRequest(
-                abstract_name=abstract_name,
-                expression=expression,
-                document_name=document_name,
-                port_type_qname=port_type_qname,
-                configuration_document=configuration,
-                execution_mode=execution_mode,
-            ),
-            msg.XPathExecuteFactoryResponse,
+        request = msg.XPathExecuteFactoryRequest(
+            abstract_name=abstract_name,
+            expression=expression,
+            document_name=document_name,
+            port_type_qname=port_type_qname,
+            configuration_document=configuration,
+            execution_mode=execution_mode,
         )
+        return self.call(address, request)
 
     def xquery_execute_factory(
         self,
@@ -190,18 +147,15 @@ class XMLClient(CoreClient):
         configuration: Optional[XmlElement] = None,
         execution_mode: str = "",
     ) -> msg.XQueryExecuteFactoryResponse:
-        return self.call(
-            address,
-            msg.XQueryExecuteFactoryRequest(
-                abstract_name=abstract_name,
-                expression=query,
-                document_name=document_name,
-                port_type_qname=port_type_qname,
-                configuration_document=configuration,
-                execution_mode=execution_mode,
-            ),
-            msg.XQueryExecuteFactoryResponse,
+        request = msg.XQueryExecuteFactoryRequest(
+            abstract_name=abstract_name,
+            expression=query,
+            document_name=document_name,
+            port_type_qname=port_type_qname,
+            configuration_document=configuration,
+            execution_mode=execution_mode,
         )
+        return self.call(address, request)
 
     def get_items(
         self,
@@ -210,13 +164,10 @@ class XMLClient(CoreClient):
         start_position: int,
         count: int,
     ) -> tuple[list[XmlElement], int]:
-        response = self.call_epr(
-            epr,
-            msg.GetItemsRequest(
-                abstract_name=abstract_name,
-                start_position=start_position,
-                count=count,
-            ),
-            msg.GetItemsResponse,
+        request = msg.GetItemsRequest(
+            abstract_name=abstract_name,
+            start_position=start_position,
+            count=count,
         )
+        response = self.call(epr, request)
         return response.items, response.total_items

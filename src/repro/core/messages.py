@@ -7,11 +7,15 @@ knows its body tag and its ``wsa:Action`` URI and declares its body as
 ``WIRE``, a tuple of :mod:`repro.core.codec` fields in wire order;
 realisations subclass the request/response templates and extend them
 with ``WIRE = Base.WIRE + (...)`` — exactly how WS-DAIR/WS-DAIX extend
-the core message patterns.
+the core message patterns.  A message is what its body element says it
+is: every concrete class registers under its ``TAG``, and
+:func:`response_class` finds the reply to a request by the spec's
+naming rule.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import ClassVar, Optional
 
@@ -57,6 +61,9 @@ DATASET_FORMAT = Scalar("dataset_format_uri", _q("DatasetFormatURI"))
 # synchronous wire format is byte-identical to the pre-jobs one.
 _JOBS_NS = "http://www.ggf.org/namespaces/2005/05/WS-DAI-Jobs"
 
+#: Every concrete message class by its body element.
+_BY_TAG: dict[QName, type["DaisMessage"]] = {}
+
 
 @dataclass
 class DaisMessage:
@@ -67,6 +74,14 @@ class DaisMessage:
     WIRE: ClassVar[tuple[Field, ...]] = ()
     #: Dataclass fields that deliberately never travel.
     NON_WIRE: ClassVar[frozenset[str]] = frozenset()
+    #: The reply class of a request the naming rule does not cover
+    #: (see :func:`response_class`).
+    RESPONSE: ClassVar[Optional[type["DaisMessage"]]] = None
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "TAG" in cls.__dict__:
+            _BY_TAG[cls.TAG] = cls
 
     @classmethod
     def action(cls) -> str:
@@ -101,6 +116,23 @@ class DaisRequest(DaisMessage):
         return cls(
             abstract_name=AbstractName(text), **decode_fields(cls.WIRE, element)
         )
+
+
+@functools.cache
+def response_class(request_cls: type[DaisMessage]) -> type[DaisMessage]:
+    """The message class that answers *request_cls*.
+
+    The spec's naming rule: the reply's body element is the request's
+    with a trailing ``Request`` replaced by ``Response`` (appended to
+    the bare WSRF operation names), in the same namespace.  A request
+    the rule does not cover names its reply as ``RESPONSE``.
+    """
+    if request_cls.RESPONSE is not None:
+        return request_cls.RESPONSE
+    tag = request_cls.TAG
+    return _BY_TAG[
+        QName(tag.namespace, tag.local.removesuffix("Request") + "Response")
+    ]
 
 
 # ---------------------------------------------------------------------------

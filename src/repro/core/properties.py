@@ -97,25 +97,15 @@ class ConfigurableProperties:
                 raise InvalidConfigurationDocumentFault(
                     f"foreign element {child.tag.clark()}"
                 )
-            value = child.text.strip()
             local = child.tag.local
             try:
-                if local == "DataResourceDescription":
-                    updated.data_resource_description = child.text
-                elif local == "Readable":
-                    updated.readable = _parse_bool(value)
-                elif local == "Writeable":
-                    updated.writeable = _parse_bool(value)
-                elif local == "TransactionInitiation":
-                    updated.transaction_initiation = TransactionInitiation(value)
-                elif local == "TransactionIsolation":
-                    updated.transaction_isolation = TransactionIsolation(value)
-                elif local == "Sensitivity":
-                    updated.sensitivity = Sensitivity(value)
-                else:
-                    raise InvalidConfigurationDocumentFault(
-                        f"unknown configurable property {local!r}"
-                    )
+                name, kind = _BY_ELEMENT[local]
+            except KeyError:
+                raise InvalidConfigurationDocumentFault(
+                    f"unknown configurable property {local!r}"
+                ) from None
+            try:
+                setattr(updated, name, _read(kind, child.text))
             except ValueError as exc:
                 raise InvalidConfigurationDocumentFault(
                     f"bad value for {local}: {exc}"
@@ -124,13 +114,45 @@ class ConfigurableProperties:
 
     def to_elements(self) -> list[XmlElement]:
         return [
-            E(_q("DataResourceDescription"), self.data_resource_description),
-            E(_q("Readable"), _bool_text(self.readable)),
-            E(_q("Writeable"), _bool_text(self.writeable)),
-            E(_q("TransactionInitiation"), self.transaction_initiation.value),
-            E(_q("TransactionIsolation"), self.transaction_isolation.value),
-            E(_q("Sensitivity"), self.sensitivity.value),
+            configurable_element(name, getattr(self, name))
+            for name in CONFIGURABLE_ELEMENTS
         ]
+
+
+#: The configurable properties in document order: dataclass field →
+#: (element local name, what its text reads back as).
+CONFIGURABLE_ELEMENTS: dict[str, tuple[str, type]] = {
+    "data_resource_description": ("DataResourceDescription", str),
+    "readable": ("Readable", bool),
+    "writeable": ("Writeable", bool),
+    "transaction_initiation": ("TransactionInitiation", TransactionInitiation),
+    "transaction_isolation": ("TransactionIsolation", TransactionIsolation),
+    "sensitivity": ("Sensitivity", Sensitivity),
+}
+_BY_ELEMENT = {
+    local: (name, kind) for name, (local, kind) in CONFIGURABLE_ELEMENTS.items()
+}
+
+
+def configurable_element(name: str, value) -> XmlElement:
+    """The configuration-document element setting the configurable
+    property *name* (a :class:`ConfigurableProperties` field) to
+    *value*: a bool, an enum member or its string."""
+    if isinstance(value, bool):
+        text = _bool_text(value)
+    elif isinstance(value, enum.Enum):
+        text = value.value
+    else:
+        text = str(value)
+    return E(_q(CONFIGURABLE_ELEMENTS[name][0]), text)
+
+
+def _read(kind: type, text: str):
+    if kind is str:
+        return text  # the description keeps its whitespace
+    if kind is bool:
+        return _parse_bool(text)
+    return kind(text.strip())
 
 
 @dataclass

@@ -444,6 +444,18 @@ class DataService:
                     request_cls,
                 )
 
+    def install_own_port_types(self, port_types: Iterable[str] | None) -> None:
+        """Install a realisation's own port types — the :attr:`OPERATIONS`
+        keys the core table lacks — as :attr:`port_types`: those named,
+        or all of them when *port_types* is None.  Any other name is a
+        ``ValueError``."""
+        own = self.OPERATIONS.keys() - DataService.OPERATIONS.keys()
+        self.port_types = own if port_types is None else set(port_types)
+        unknown = self.port_types - own
+        if unknown:
+            raise ValueError(f"unknown port types {sorted(unknown)}")
+        self.install_port_types(self.port_types)
+
     def supports_action(self, action: str) -> bool:
         return action in self._handlers
 
@@ -532,6 +544,13 @@ class DataService:
                 # malformed body is a fault envelope like any other.
                 message = request.payload
                 if request_cls is not None:
+                    if message.tag != request_cls.TAG:
+                        raise SoapFault(
+                            FaultCode.CLIENT,
+                            f"wsa:Action {action!r} takes a "
+                            f"{request_cls.TAG.clark()} body, not "
+                            f"{message.tag.clark()}",
+                        )
                     message = request_cls.from_xml(message)
                 response_message = handler(message, request.headers)
             return Envelope(

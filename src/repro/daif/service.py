@@ -18,8 +18,6 @@ from repro.jobs.namespaces import MODE_ASYNCHRONOUS
 from repro.soap.addressing import MessageHeaders
 from repro.xmlutil import parse, serialize
 
-PORT_TYPES = {"collection_access", "selection_factory", "fileset_access"}
-
 
 class FileRealisationService(DataService):
     """A data service exposing the files realisation port types."""
@@ -44,7 +42,7 @@ class FileRealisationService(DataService):
         self,
         name: str,
         address: str,
-        port_types: Iterable[str] = tuple(sorted(PORT_TYPES)),
+        port_types: Iterable[str] | None = None,
         fileset_target: Optional["FileRealisationService"] = None,
         **kwargs,
     ) -> None:
@@ -54,13 +52,8 @@ class FileRealisationService(DataService):
             "property_namespaces", {"wsdai": WSDAI_NS, "wsdaif": WSDAIF_NS}
         )
         super().__init__(name, address, **kwargs)
-        self.port_types = set(port_types)
-        unknown = self.port_types - PORT_TYPES
-        if unknown:
-            raise ValueError(f"unknown port types {sorted(unknown)}")
         self.fileset_target = fileset_target or self
-
-        self.install_port_types(self.port_types)
+        self.install_own_port_types(port_types)
 
     # -- typed lookups -------------------------------------------------------
 

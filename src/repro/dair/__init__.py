@@ -31,7 +31,7 @@ from repro.dair.resources import (
     SQLResponseResource,
     SQLRowsetResource,
 )
-from repro.dair.service import SQLRealisationService, PORT_TYPES
+from repro.dair.service import SQLRealisationService
 
 __all__ = [
     "WSDAIR_NS",
@@ -44,5 +44,4 @@ __all__ = [
     "SQLResponseResource",
     "SQLRowsetResource",
     "SQLRealisationService",
-    "PORT_TYPES",
 ]

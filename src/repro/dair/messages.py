@@ -190,7 +190,20 @@ class BeginTransactionResponse(DaisMessage):
 
 
 @dataclass
+class TransactionOutcomeResponse(DaisMessage):
+    TAG: ClassVar[QName] = _q("TransactionOutcomeResponse")
+
+    transaction_context: str = ""
+    outcome: str = ""  # "Committed" | "RolledBack"
+
+    WIRE = (_CONTEXT, Scalar("outcome", _q("Outcome")))
+
+
+@dataclass
 class _TransactionContextRequest(DaisRequest):
+    #: Commit and rollback share one reply, outside the naming rule.
+    RESPONSE = TransactionOutcomeResponse
+
     transaction_context: str = ""
 
     WIRE = (_CONTEXT,)
@@ -204,16 +217,6 @@ class CommitTransactionRequest(_TransactionContextRequest):
 @dataclass
 class RollbackTransactionRequest(_TransactionContextRequest):
     TAG: ClassVar[QName] = _q("RollbackTransactionRequest")
-
-
-@dataclass
-class TransactionOutcomeResponse(DaisMessage):
-    TAG: ClassVar[QName] = _q("TransactionOutcomeResponse")
-
-    transaction_context: str = ""
-    outcome: str = ""  # "Committed" | "RolledBack"
-
-    WIRE = (_CONTEXT, Scalar("outcome", _q("Outcome")))
 
 
 # ---------------------------------------------------------------------------

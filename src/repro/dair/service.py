@@ -29,10 +29,7 @@ from repro.dair.datasets import (
     stream_rowset,
 )
 from repro.dair.namespaces import (
-    SQL_ACCESS_PT,
-    SQL_FACTORY_PT,
     SQL_RESPONSE_ACCESS_PT,
-    SQL_RESPONSE_FACTORY_PT,
     SQL_ROWSET_ACCESS_PT,
     SQLROWSET_FORMAT_URI,
     WSDAIR_NS,
@@ -47,15 +44,6 @@ from repro.jobs.namespaces import MODE_ASYNCHRONOUS
 from repro.relational import SqlCommunicationArea
 from repro.soap.addressing import MessageHeaders
 from repro.xmlutil import parse, serialize
-
-#: The five WS-DAIR port types, by short name.
-PORT_TYPES = {
-    "sql_access": SQL_ACCESS_PT,
-    "sql_factory": SQL_FACTORY_PT,
-    "response_access": SQL_RESPONSE_ACCESS_PT,
-    "response_factory": SQL_RESPONSE_FACTORY_PT,
-    "rowset_access": SQL_ROWSET_ACCESS_PT,
-}
 
 
 class SQLRealisationService(DataService):
@@ -107,7 +95,7 @@ class SQLRealisationService(DataService):
         self,
         name: str,
         address: str,
-        port_types: Iterable[str] = tuple(PORT_TYPES),
+        port_types: Iterable[str] | None = None,
         response_target: Optional["SQLRealisationService"] = None,
         rowset_target: Optional["SQLRealisationService"] = None,
         **kwargs,
@@ -156,16 +144,11 @@ class SQLRealisationService(DataService):
                 "Shared-result entries dropped (version moved or destroyed)",
             ),
         )
-        self.port_types = set(port_types)
-        unknown = self.port_types - set(PORT_TYPES)
-        if unknown:
-            raise ValueError(f"unknown port types {sorted(unknown)}")
         #: Where SQLExecuteFactory registers derived responses (default: here).
         self.response_target = response_target or self
         #: Where SQLRowsetFactory registers derived rowsets (default: here).
         self.rowset_target = rowset_target or self
-
-        self.install_port_types(self.port_types)
+        self.install_own_port_types(port_types)
 
     def add_resource(self, resource, configurable=None, lifetime_seconds=None):
         binding = super().add_resource(resource, configurable, lifetime_seconds)

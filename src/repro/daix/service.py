@@ -23,17 +23,6 @@ from repro.soap.addressing import MessageHeaders
 from repro.xmldb.errors import XmlDbError
 from repro.xmlutil import parse, serialize
 
-#: Short names of the WS-DAIX port types.
-PORT_TYPES = {
-    "collection_access",
-    "xpath_access",
-    "xquery_access",
-    "xupdate_access",
-    "xpath_factory",
-    "xquery_factory",
-    "sequence_access",
-}
-
 
 class XMLRealisationService(DataService):
     """A data service exposing a configurable set of WS-DAIX port types."""
@@ -70,7 +59,7 @@ class XMLRealisationService(DataService):
         self,
         name: str,
         address: str,
-        port_types: Iterable[str] = tuple(sorted(PORT_TYPES)),
+        port_types: Iterable[str] | None = None,
         sequence_target: Optional["XMLRealisationService"] = None,
         **kwargs,
     ) -> None:
@@ -80,13 +69,8 @@ class XMLRealisationService(DataService):
             "property_namespaces", {"wsdai": WSDAI_NS, "wsdaix": WSDAIX_NS}
         )
         super().__init__(name, address, **kwargs)
-        self.port_types = set(port_types)
-        unknown = self.port_types - PORT_TYPES
-        if unknown:
-            raise ValueError(f"unknown port types {sorted(unknown)}")
         self.sequence_target = sequence_target or self
-
-        self.install_port_types(self.port_types)
+        self.install_own_port_types(port_types)
 
     # -- typed binding lookups ----------------------------------------------
 

@@ -3,7 +3,7 @@
 ``CoreClient.resolve`` caches the EPR per ``(address, abstract_name)``
 — an EPR is stable for the resource's lifetime, so re-resolving per
 interaction only burns round trips.  The cache self-corrects through
-the typed-fault hook on ``DaisClient.call``: a resource-name fault
+the typed-fault handling in ``CoreClient.call``: a resource-name fault
 drops the entry it names, a :class:`ServiceNotFoundFault` drops every
 entry for the address.
 """
@@ -56,12 +56,11 @@ class TestResolveCache:
         # stale EPR: the typed fault must evict the cached entry.
         single.service.destroy_resource(single.name)
         with pytest.raises(InvalidResourceNameFault):
-            single.client.call_epr(
+            single.client.call(
                 epr,
                 cmsg.GetDataResourcePropertyDocumentRequest(
                     abstract_name=single.name
                 ),
-                cmsg.GetDataResourcePropertyDocumentResponse,
             )
         assert (
             _counter(single.client, "cache.resolve.invalidations").total()
@@ -107,12 +106,11 @@ class TestResolveCache:
     def test_cached_epr_usable_for_calls(self, single):
         epr = single.client.resolve(single.address, single.name)
         epr_again = single.client.resolve(single.address, single.name)
-        document = single.client.call_epr(
+        document = single.client.call(
             epr_again,
             cmsg.GetDataResourcePropertyDocumentRequest(
                 abstract_name=single.name
             ),
-            cmsg.GetDataResourcePropertyDocumentResponse,
         ).document
         assert document is not None
         assert epr.address == epr_again.address

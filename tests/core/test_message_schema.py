@@ -7,7 +7,6 @@ answers, a handler name with a typo).
 """
 
 import dataclasses
-import importlib
 import json
 import pathlib
 
@@ -15,7 +14,7 @@ import pytest
 
 from repro.core import DataService
 from repro.core.codec import Elements
-from repro.core.messages import DaisRequest
+from repro.core.messages import DaisRequest, response_class
 from repro.daif import FileRealisationService
 from repro.dair import SQLRealisationService
 from repro.daix import XMLRealisationService
@@ -105,13 +104,33 @@ def test_every_row_names_a_handler_and_each_action_once(key):
 
 @pytest.mark.parametrize("key", ["sql", "xml", "files"])
 def test_port_type_names_are_the_table_keys(key):
-    """``PORT_TYPES`` (what a constructor accepts) and the realisation's
-    own ``OPERATIONS`` keys (what it can install) are one vocabulary."""
+    """What a realisation's constructor accepts as ``port_types``, and
+    installs by default, is its own ``OPERATIONS`` keys."""
     service_cls = SERVICES[key]
-    port_types = importlib.import_module(service_cls.__module__).PORT_TYPES
-    assert set(port_types) == set(service_cls.OPERATIONS) - set(
-        DataService.OPERATIONS
-    )
+    own = set(service_cls.OPERATIONS) - set(DataService.OPERATIONS)
+    assert service_cls(key, f"dais://{key}").port_types == own
+    with pytest.raises(ValueError, match="no_such_port_type"):
+        service_cls(key, f"dais://{key}", port_types=["no_such_port_type"])
+
+
+def test_every_tag_names_one_class():
+    classes = message_classes()
+    assert len({cls.TAG for cls in classes}) == len(classes)
+
+
+def test_every_served_request_has_one_reply_and_every_reply_a_request():
+    """The reply class is the request's by naming rule or declaration;
+    every concrete response answers some served request."""
+    concrete = set(message_classes())
+    answered = set()
+    for service_cls in SERVICES.values():
+        for request_cls, *_ in _own_rows(service_cls):
+            reply = response_class(request_cls)
+            assert reply in concrete, request_cls.__name__
+            assert reply.TAG.local.endswith("Response"), reply.__name__
+            answered.add(reply)
+    responses = {cls for cls in concrete if cls.TAG.local.endswith("Response")}
+    assert responses == answered
 
 
 @pytest.mark.parametrize("jobs", [False, True], ids=["nojobs", "jobs"])

@@ -16,10 +16,13 @@ from repro.core import (
     ServiceRegistry,
     mint_abstract_name,
 )
+from repro.core.messages import DestroyDataResourceRequest, ResolveRequest
 from repro.core.namespaces import WSDAI_NS
 from repro.soap import Envelope, MessageHeaders, SoapFault
+from repro.soap.fault import FaultCode
 from repro.transport import LoopbackTransport
 from repro.wsrf import ManualClock
+from repro.wsrf.namespaces import WSRF_RL_NS
 from repro.xmlutil import E, QName
 
 
@@ -137,6 +140,53 @@ class TestDispatch:
         )
         response = transport.send("dais://svc", request)
         assert response.headers.relates_to == request.headers.message_id
+
+    @pytest.mark.parametrize(
+        "action",
+        [DestroyDataResourceRequest.action(), f"{WSRF_RL_NS}/Destroy"],
+        ids=["dais", "wsrf-alias"],
+    )
+    def test_body_of_another_operation_is_refused(
+        self, registry, service, resource, action
+    ):
+        """The action picks the row, the body must be that row's
+        request: a ResolveRequest sent under a destroy action is a
+        Client fault naming both elements, and destroys nothing."""
+        body = ResolveRequest(abstract_name=resource.abstract_name).to_xml()
+        response = LoopbackTransport(registry).send(
+            "dais://svc",
+            Envelope(
+                headers=MessageHeaders(to="dais://svc", action=action),
+                payload=body,
+            ),
+        )
+        assert response.is_fault()
+        with pytest.raises(SoapFault) as err:
+            response.raise_if_fault()
+        assert err.value.code is FaultCode.CLIENT
+        assert "DestroyDataResourceRequest" in str(err.value)
+        assert "ResolveRequest" in str(err.value)
+        assert service.has_resource(resource.abstract_name)
+        assert not resource.destroyed
+
+    def test_wsrf_destroy_alias_takes_the_dais_destroy_body(
+        self, registry, service, resource
+    ):
+        body = DestroyDataResourceRequest(
+            abstract_name=resource.abstract_name
+        ).to_xml()
+        response = LoopbackTransport(registry).send(
+            "dais://svc",
+            Envelope(
+                headers=MessageHeaders(
+                    to="dais://svc", action=f"{WSRF_RL_NS}/Destroy"
+                ),
+                payload=body,
+            ),
+        )
+        response.raise_if_fault()
+        assert not service.has_resource(resource.abstract_name)
+        assert resource.destroyed
 
 
 class TestResourceManagement:

@@ -184,7 +184,6 @@ class TestSelectionFactory:
                 msg.GetFileSetMembersRequest(
                     abstract_name=resource.abstract_name, count=1
                 ),
-                msg.GetFileSetMembersResponse,
             )
 
     def test_empty_selection(self, setup):

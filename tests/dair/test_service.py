@@ -371,13 +371,12 @@ class TestRowsetAccess:
         )
         before = fig5.service3.resource_names()
         with pytest.raises(InvalidConfigurationDocumentFault) as err:
-            fig5.client.call_epr(
+            fig5.client.call(
                 factory.address,
                 dair_msg.SQLRowsetFactoryRequest(
                     abstract_name=factory.abstract_name,
                     execution_mode=MODE_ASYNCHRONOUS,
                 ),
-                dair_msg.SQLRowsetFactoryResponse,
             )
         assert "asynchronous" in str(err.value)
         assert not isinstance(err.value, RETRYABLE_FAULTS)

@@ -204,7 +204,6 @@ class TestQueryAccess:
             deploy.client.call(
                 deploy.address,
                 msg.XUpdateExecuteRequest(abstract_name=deploy.name),
-                msg.XUpdateExecuteResponse,
             )
 
     def test_xupdate_blocked_when_not_writeable(self, deploy):
@@ -329,5 +328,4 @@ class TestFactoriesAndSequences:
             deploy.client.call(
                 deploy.address,
                 msg.GetItemsRequest(abstract_name=deploy.name, count=1),
-                msg.GetItemsResponse,
             )

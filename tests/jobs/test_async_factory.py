@@ -58,14 +58,13 @@ def _streamed_pages(client, response_epr, response_name) -> list[bytes]:
     pages: list[bytes] = []
     position = 0
     while True:
-        page = client.call_epr(
+        page = client.call(
             rowset.address,
             dmsg.GetTuplesRequest(
                 abstract_name=rowset.abstract_name,
                 start_position=position,
                 count=PAGE,
             ),
-            dmsg.GetTuplesResponse,
         )
         if page.dataset is None:
             return pages

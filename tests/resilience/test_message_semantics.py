@@ -19,7 +19,7 @@ class RecordingTransport:
     """Snapshots every attempt's request as wire bytes, then forwards it
     into the (possibly faulty) fabric.  Shaped like the real transports:
     a settable ``resilience`` attribute that ``send`` routes through, so
-    ``DaisClient(transport, resilience=...)`` wires it the normal way."""
+    ``CoreClient(transport, resilience=...)`` wires it the normal way."""
 
     def __init__(self, inner):
         self.inner = inner
