@@ -12,11 +12,15 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Callable, Iterable, Optional
+from functools import partial
+from typing import Any, Callable, Iterable, NamedTuple, Optional
 
 from repro.core import messages as msg
 from repro.core import wsrf_messages as wmsg
 from repro.core.faults import (
+    DataResourceUnavailableFault,
+    InvalidConfigurationDocumentFault,
+    InvalidPortTypeQNameFault,
     InvalidResourceNameFault,
     NotAuthorizedFault,
     ServiceBusyFault,
@@ -26,6 +30,7 @@ from repro.core.propcache import PropertyDocumentCache
 from repro.core.properties import ConfigurableProperties
 from repro.core.resource import DataResource
 from repro.jobs import messages as jmsg
+from repro.jobs.namespaces import MODE_ASYNCHRONOUS
 from repro.obs import MetricsRegistry, get_tracer
 from repro.obs.journal import get_journal, journal_element, record_event
 from repro.obs.properties import metrics_element
@@ -38,7 +43,7 @@ from repro.wsrf.faults import WsrfFault
 from repro.wsrf.lifetime import LifetimeManager
 from repro.wsrf.namespaces import WSRF_RL_NS
 from repro.wsrf.properties import PropertyAccess
-from repro.xmlutil import E, QName, XmlElement, serialize_bytes
+from repro.xmlutil import E, QName, XmlElement, parse, serialize, serialize_bytes
 from repro.core.namespaces import WSDAI_NS
 
 #: The reference-parameter tag DAIS puts in data resource EPRs.
@@ -47,6 +52,26 @@ RESOURCE_REFERENCE_PARAMETER = QName(WSDAI_NS, "DataResourceAbstractName")
 #: A handler takes the decoded request message — or, registered without
 #: a request class, the raw payload element — and the message headers.
 Handler = Callable[[Any, MessageHeaders], msg.DaisMessage]
+
+
+class Factory(NamedTuple):
+    """One indirect-access factory (paper §3, Figure 3) as data: a value
+    of a realisation's :attr:`DataService.FACTORIES` table."""
+
+    #: The typed binding lookup for the parent resource (method name).
+    binding: str
+    #: The attribute naming the service the derived resource lives on.
+    target: str
+    #: The access port type the target must expose, and its QName.
+    port_type: str
+    port_type_qname: QName
+    #: Whether deriving needs a readable parent.
+    readable: bool
+    #: ``derive(binding, target, configurable, request) -> name`` (method
+    #: name): make the derived resource and register it on *target*.
+    derive: str
+    #: The job kind under ``ExecutionMode=asynchronous``; None refuses it.
+    kind: Optional[str]
 
 
 class ResourceBinding:
@@ -190,6 +215,9 @@ class DataService:
             (jmsg.CancelJobRequest, "_handle_cancel_job"),
         ),
     }
+    #: The factories, as data: request class → :class:`Factory`.  Each
+    #: one's :attr:`OPERATIONS` row names :meth:`_handle_factory`.
+    FACTORIES: dict[type[msg.FactoryRequest], Factory] = {}
 
     def __init__(
         self,
@@ -634,23 +662,112 @@ class DataService:
         record_event("resolved", request.abstract_name, service=self.name)
         return msg.ResolveResponse(address=address)
 
+    # -- indirect access: the factories ---------------------------------------
+
+    def _admit_factory(self, request: msg.FactoryRequest):
+        """Admission, the same in both execution modes: parent binding,
+        permission, requested port type, target and configuration — an
+        asynchronous submission faults here, synchronously; only the
+        derivation is deferred."""
+        factory = self.FACTORIES[type(request)]
+        binding = getattr(self, factory.binding)(request.abstract_name)
+        if factory.readable:
+            binding.require_readable()
+        requested = request.port_type_qname or factory.port_type_qname
+        if requested != factory.port_type_qname:
+            raise InvalidPortTypeQNameFault(
+                f"{type(request).__name__} can wire up "
+                f"{factory.port_type_qname.clark()}, not {requested.clark()}"
+            )
+        target = getattr(self, factory.target)
+        if factory.port_type not in target.port_types:
+            raise InvalidPortTypeQNameFault(
+                f"target service {target.name!r} lacks "
+                f"{factory.port_type_qname.local}"
+            )
+        configurable = binding.configurable.copy()
+        if request.configuration_document is not None:
+            configurable = configurable.apply_configuration_document(
+                request.configuration_document
+            )
+        return factory, binding, target, configurable
+
+    def _handle_factory(
+        self, request: msg.FactoryRequest, headers: MessageHeaders
+    ) -> msg.FactoryResponse:
+        """Every factory operation: admit, then derive now or submit the
+        request itself as a job that derives later."""
+        factory, binding, target, configurable = self._admit_factory(request)
+        reply = msg.response_class(type(request))
+        if request.execution_mode == MODE_ASYNCHRONOUS:
+            if factory.kind is None:
+                raise InvalidConfigurationDocumentFault(
+                    f"{type(request).__name__} has no asynchronous "
+                    "execution mode"
+                )
+            if self.jobs is None:
+                raise DataResourceUnavailableFault(
+                    f"service {self.name!r} does not accept asynchronous "
+                    "factory requests (no job queue attached)"
+                )
+            job = self.jobs.submit(
+                f"{self.name}:{factory.kind}",
+                {
+                    "resource": str(request.abstract_name),
+                    "request": serialize(request.to_xml()),
+                },
+            )
+            return reply(job_id=job.job_id)
+        name = getattr(self, factory.derive)(binding, target, configurable, request)
+        try:
+            return reply(address=target.epr_for(name), abstract_name=name)
+        except BaseException:
+            # A failure after registration must not leave the name (or a
+            # shared result's extra claim) behind.
+            target.destroy_resource(name)
+            raise
+
+    def _execute_factory_job(self, request_cls, job) -> dict:
+        """Run one deferred factory request: the synchronous admission
+        and derivation, on the decoded request."""
+        request = request_cls.from_xml(parse(job.payload["request"]))
+        factory, binding, target, configurable = self._admit_factory(request)
+        name = getattr(self, factory.derive)(binding, target, configurable, request)
+        return {"abstract_name": str(name), "address": target.address}
+
+    def _rollback_factory_job(self, request_cls, job, result: dict) -> None:
+        """Undo a derivation whose completion lost the terminal race
+        (duplicate run, expired lease, cancel-vs-complete)."""
+        target = getattr(self, self.FACTORIES[request_cls].target)
+        name = result.get("abstract_name")
+        if name and target.has_resource(name):
+            target.destroy_resource(name)
+
     # -- asynchronous jobs ----------------------------------------------------
 
     def enable_jobs(self, jobs, terminal_ttl: float | None = None) -> None:
-        """Attach a :class:`repro.jobs.JobManager` and install the
-        ``GetJobStatus``/``CancelJob`` operations.
+        """Attach a :class:`repro.jobs.JobManager`, install the
+        ``GetJobStatus``/``CancelJob`` operations and register the job
+        executor for each installed factory's kind
+        (``<service>:<kind>``, so deployments sharing one manager route
+        each job back to the service that accepted it).
 
-        Factories on this service then honour
-        ``ExecutionMode=asynchronous`` (realisations override this to
-        register their executors).  Under the WSRF profile,
-        *terminal_ttl* gives finished job records a soft-state
-        termination time via the service's LifetimeManager, so the job
-        table does not grow without bound.
+        Those factories then honour ``ExecutionMode=asynchronous``.
+        Under the WSRF profile, *terminal_ttl* gives finished job
+        records a soft-state termination time via the service's
+        LifetimeManager, so the job table does not grow without bound.
         """
         self.jobs = jobs
         if self.lifetime is not None and terminal_ttl is not None:
             jobs.attach_lifetime(self.lifetime, terminal_ttl)
         self.install_port_types(["jobs"])
+        for request_cls, factory in self.FACTORIES.items():
+            if factory.kind and self.supports_action(request_cls.action()):
+                jobs.register_executor(
+                    f"{self.name}:{factory.kind}",
+                    partial(self._execute_factory_job, request_cls),
+                    rollback=partial(self._rollback_factory_job, request_cls),
+                )
 
     def _job_or_fault(self, job_id: str):
         from repro.core.faults import UnknownJobFault

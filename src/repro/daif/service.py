@@ -4,19 +4,13 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from repro.core.faults import (
-    DataResourceUnavailableFault,
-    InvalidPortTypeQNameFault,
-    InvalidResourceNameFault,
-)
+from repro.core.faults import InvalidResourceNameFault
 from repro.core.names import mint_abstract_name
-from repro.core.service import DataService, ResourceBinding
+from repro.core.service import DataService, Factory, ResourceBinding
 from repro.daif import messages as msg
 from repro.daif.namespaces import FILE_SET_ACCESS_PT, WSDAIF_NS
 from repro.daif.resources import FileCollectionResource, FileSetResource
-from repro.jobs.namespaces import MODE_ASYNCHRONOUS
 from repro.soap.addressing import MessageHeaders
-from repro.xmlutil import parse, serialize
 
 
 class FileRealisationService(DataService):
@@ -31,10 +25,21 @@ class FileRealisationService(DataService):
             (msg.DeleteFileRequest, "_handle_delete_file"),
         ),
         "selection_factory": (
-            (msg.FileSelectionFactoryRequest, "_handle_selection_factory"),
+            (msg.FileSelectionFactoryRequest, "_handle_factory"),
         ),
         "fileset_access": (
             (msg.GetFileSetMembersRequest, "_handle_get_members"),
+        ),
+    }
+    FACTORIES = {
+        msg.FileSelectionFactoryRequest: Factory(
+            binding="_collection_binding",
+            target="fileset_target",
+            port_type="fileset_access",
+            port_type_qname=FILE_SET_ACCESS_PT,
+            readable=True,
+            derive="_derive_fileset",
+            kind="file-selection-factory",
         ),
     }
 
@@ -116,105 +121,17 @@ class FileRealisationService(DataService):
 
     # -- FileSelectionFactory ----------------------------------------------------
 
-    def _handle_selection_factory(
-        self, request: msg.FileSelectionFactoryRequest, headers: MessageHeaders
-    ) -> msg.FileSelectionFactoryResponse:
-        binding = self._collection_binding(request.abstract_name)
-        binding.require_readable()
+    def _derive_fileset(
+        self, binding, target, configurable, request: msg.FileSelectionFactoryRequest
+    ) -> str:
         resource: FileCollectionResource = binding.resource
-
-        requested_pt = request.port_type_qname or FILE_SET_ACCESS_PT
-        if requested_pt != FILE_SET_ACCESS_PT:
-            raise InvalidPortTypeQNameFault(
-                f"FileSelectionFactory wires up {FILE_SET_ACCESS_PT.clark()}"
-            )
-        target = self.fileset_target
-        if "fileset_access" not in target.port_types:
-            raise InvalidPortTypeQNameFault(
-                f"target service {target.name!r} lacks FileSetAccess"
-            )
-
-        configurable = binding.configurable.copy()
-        if request.configuration_document is not None:
-            configurable = configurable.apply_configuration_document(
-                request.configuration_document
-            )
-
-        if request.execution_mode == MODE_ASYNCHRONOUS:
-            if self.jobs is None:
-                raise DataResourceUnavailableFault(
-                    f"service {self.name!r} does not accept asynchronous "
-                    "factory requests (no job queue attached)"
-                )
-            job = self.jobs.submit(
-                self._selection_factory_kind(),
-                {
-                    "resource": str(request.abstract_name),
-                    "expression": request.expression,
-                    "configuration": serialize(request.configuration_document)
-                    if request.configuration_document is not None
-                    else "",
-                },
-            )
-            return msg.FileSelectionFactoryResponse(job_id=job.job_id)
-
         derived = FileSetResource(
             mint_abstract_name("fileset"),
             resource,
             resource.select(request.expression),
         )
         target.add_resource(derived, configurable)
-        try:
-            return msg.FileSelectionFactoryResponse(
-                address=target.epr_for(derived.abstract_name),
-                abstract_name=derived.abstract_name,
-            )
-        except BaseException:
-            # A failure after the name was reserved must not leave the
-            # registry entry dangling.
-            target.destroy_resource(derived.abstract_name)
-            raise
-
-    # -- asynchronous factory execution ------------------------------------
-
-    def _selection_factory_kind(self) -> str:
-        return f"{self.name}:file-selection-factory"
-
-    def enable_jobs(self, jobs, terminal_ttl: float | None = None) -> None:
-        super().enable_jobs(jobs, terminal_ttl)
-        if "selection_factory" in self.port_types:
-            jobs.register_executor(
-                self._selection_factory_kind(),
-                self._execute_selection_factory_job,
-                rollback=self._rollback_selection_factory_job,
-            )
-
-    def _execute_selection_factory_job(self, job) -> dict:
-        """Run one deferred FileSelectionFactory request."""
-        binding = self._collection_binding(job.payload["resource"])
-        binding.require_readable()
-        resource: FileCollectionResource = binding.resource
-        configurable = binding.configurable.copy()
-        if job.payload.get("configuration"):
-            configurable = configurable.apply_configuration_document(
-                parse(job.payload["configuration"])
-            )
-        derived = FileSetResource(
-            mint_abstract_name("fileset"),
-            resource,
-            resource.select(job.payload["expression"]),
-        )
-        target = self.fileset_target
-        target.add_resource(derived, configurable)
-        return {
-            "abstract_name": str(derived.abstract_name),
-            "address": target.address,
-        }
-
-    def _rollback_selection_factory_job(self, job, result: dict) -> None:
-        name = result.get("abstract_name")
-        if name and self.fileset_target.has_resource(name):
-            self.fileset_target.destroy_resource(name)
+        return derived.abstract_name
 
     # -- FileSetAccess -----------------------------------------------------------
 

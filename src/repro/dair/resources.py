@@ -37,6 +37,7 @@ from repro.dair.namespaces import (
     WSDAIR_NS,
 )
 from repro.relational import Database, SqlCommunicationArea, SqlError
+from repro.relational.errors import ReadOnlyViolation
 from repro.relational.engine import ResultSet
 from repro.relational.transactions import IsolationLevel
 from repro.xmlutil import E, QName, XmlElement
@@ -135,27 +136,24 @@ class SQLDataResource(DataResource):
         session = self.database.create_session()
         configurable = configurable or ConfigurableProperties()
         session.default_isolation = _isolation_for(configurable)
+        # A write is refused before it runs: refused after, its
+        # autocommitted change would already be in the table.
+        session.read_only = not configurable.writeable
         try:
             result = session.execute(
                 expression, tuple(parameters or ()), stream=stream
             )
+        except ReadOnlyViolation as exc:
+            raise NotAuthorizedFault("resource is not writeable") from exc
         except SqlError as exc:
             raise _invalid_expression(exc) from exc
         finally:
             session.close()
-        self._enforce_permissions(result, configurable)
+        if result.is_query and not configurable.readable:
+            raise NotAuthorizedFault("resource is not readable")
         if result.is_streaming:
             result.row_source = _faulting(result.row_source)
         return result
-
-    @staticmethod
-    def _enforce_permissions(
-        result: ResultSet, configurable: ConfigurableProperties
-    ) -> None:
-        if result.is_query and not configurable.readable:
-            raise NotAuthorizedFault("resource is not readable")
-        if not result.is_query and not configurable.writeable:
-            raise NotAuthorizedFault("resource is not writeable")
 
     # -- consumer-controlled transactions (TransactionInitiation=Consumer) --
 

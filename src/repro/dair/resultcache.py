@@ -21,8 +21,8 @@ Correctness contract
   pre-commit data.  Stamping before evaluation is deliberately
   conservative: a write racing the snapshot at worst costs one extra
   miss, never a stale hit.
-* Reuse is offered only for insensitive, synchronous,
-  unconfigured requests (a configuration document or ``SENSITIVE``
+* Reuse is offered only for insensitive, unconfigured requests, in
+  either execution mode (a configuration document or ``SENSITIVE``
   sensitivity makes the derived resource consumer-specific).
 * A destroyed derived resource calls :meth:`forget` through its destroy
   listener, so the cache can never hand out the name of a resource

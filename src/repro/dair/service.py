@@ -11,16 +11,10 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from repro.core.faults import (
-    DataResourceUnavailableFault,
-    InvalidConfigurationDocumentFault,
-    InvalidDatasetFormatFault,
-    InvalidPortTypeQNameFault,
-    InvalidResourceNameFault,
-)
+from repro.core.faults import InvalidDatasetFormatFault, InvalidResourceNameFault
 from repro.core.names import mint_abstract_name
-from repro.core.properties import ConfigurationMapEntry, Sensitivity
-from repro.core.service import DataService, ResourceBinding
+from repro.core.properties import Sensitivity
+from repro.core.service import DataService, Factory, ResourceBinding
 from repro.dair import messages as msg
 from repro.dair.datasets import (
     ALL_FORMATS,
@@ -43,7 +37,6 @@ from repro.dair.resultcache import SharedResultCache
 from repro.jobs.namespaces import MODE_ASYNCHRONOUS
 from repro.relational import SqlCommunicationArea
 from repro.soap.addressing import MessageHeaders
-from repro.xmlutil import parse, serialize
 
 
 class SQLRealisationService(DataService):
@@ -61,9 +54,7 @@ class SQLRealisationService(DataService):
             (msg.CommitTransactionRequest, "_handle_commit_transaction"),
             (msg.RollbackTransactionRequest, "_handle_rollback_transaction"),
         ),
-        "sql_factory": (
-            (msg.SQLExecuteFactoryRequest, "_handle_sql_execute_factory"),
-        ),
+        "sql_factory": ((msg.SQLExecuteFactoryRequest, "_handle_factory"),),
         "response_access": (
             (
                 msg.GetSQLResponsePropertyDocumentRequest,
@@ -79,15 +70,33 @@ class SQLRealisationService(DataService):
             (msg.GetSQLOutputParameterRequest, "_handle_get_output_parameter"),
             (msg.GetSQLResponseItemRequest, "_handle_get_response_item"),
         ),
-        "response_factory": (
-            (msg.SQLRowsetFactoryRequest, "_handle_sql_rowset_factory"),
-        ),
+        "response_factory": ((msg.SQLRowsetFactoryRequest, "_handle_factory"),),
         "rowset_access": (
             (msg.GetTuplesRequest, "_handle_get_tuples"),
             (
                 msg.GetRowsetPropertyDocumentRequest,
                 "_handle_get_rowset_property_document",
             ),
+        ),
+    }
+    FACTORIES = {
+        msg.SQLExecuteFactoryRequest: Factory(
+            binding="_sql_binding",
+            target="response_target",
+            port_type="response_access",
+            port_type_qname=SQL_RESPONSE_ACCESS_PT,
+            readable=False,
+            derive="_derive_response",
+            kind="sql-execute-factory",
+        ),
+        msg.SQLRowsetFactoryRequest: Factory(
+            binding="_response_binding",
+            target="rowset_target",
+            port_type="rowset_access",
+            port_type_qname=SQL_ROWSET_ACCESS_PT,
+            readable=False,
+            derive="_derive_rowset",
+            kind=None,
         ),
     }
 
@@ -307,66 +316,21 @@ class SQLRealisationService(DataService):
 
     # -- SQLFactory --------------------------------------------------------
 
-    def _validate_sql_factory(self, request: msg.SQLExecuteFactoryRequest):
-        """Shared factory admission: binding, target and configuration.
+    def _derive_response(
+        self, binding, target, configurable, request: msg.SQLExecuteFactoryRequest
+    ) -> str:
+        """Derive the SQL response resource of an ``SQLExecuteFactory``.
 
-        Runs for both execution modes, so an asynchronous submission
-        faults *synchronously* on a bad port type or configuration
-        document — only the execution itself is deferred.
+        Shared-result reuse: an identical insensitive, unconfigured
+        request against the same parent at the same catalog + data
+        version answers with the existing derived resource, adding one
+        refcount claim.  The stamp is taken *before* evaluation, so a
+        write racing the snapshot costs a miss, never a stale hit.
         """
-        binding = self._sql_binding(request.abstract_name)
-        requested_pt = request.port_type_qname or SQL_RESPONSE_ACCESS_PT
-        if requested_pt != SQL_RESPONSE_ACCESS_PT:
-            raise InvalidPortTypeQNameFault(
-                f"SQLExecuteFactory can wire up {SQL_RESPONSE_ACCESS_PT.clark()}"
-                f", not {requested_pt.clark()}"
-            )
-        target = self.response_target
-        if "response_access" not in target.port_types:
-            raise InvalidPortTypeQNameFault(
-                f"target service {target.name!r} lacks ResponseAccess"
-            )
-        configurable = binding.configurable.copy()
-        if request.configuration_document is not None:
-            configurable = configurable.apply_configuration_document(
-                request.configuration_document
-            )
-        return binding, target, configurable
-
-    def _handle_sql_execute_factory(
-        self, request: msg.SQLExecuteFactoryRequest, headers: MessageHeaders
-    ) -> msg.SQLExecuteFactoryResponse:
-        binding, target, configurable = self._validate_sql_factory(request)
-
-        if request.execution_mode == MODE_ASYNCHRONOUS:
-            if self.jobs is None:
-                raise DataResourceUnavailableFault(
-                    f"service {self.name!r} does not accept asynchronous "
-                    "factory requests (no job queue attached)"
-                )
-            job = self.jobs.submit(
-                self._sql_factory_kind(),
-                {
-                    "resource": str(request.abstract_name),
-                    "expression": request.expression,
-                    "parameters": list(request.parameters),
-                    "configuration": serialize(request.configuration_document)
-                    if request.configuration_document is not None
-                    else "",
-                },
-            )
-            return msg.SQLExecuteFactoryResponse(job_id=job.job_id)
-
-        # Shared-result reuse: an identical insensitive, unconfigured
-        # request against the same parent at the same catalog + data
-        # version answers with the existing derived resource, adding one
-        # refcount claim.  The stamp is taken *before* evaluation, so a
-        # write racing the snapshot costs a miss, never a stale hit.
         cache = self.result_cache
         reusable = (
             request.configuration_document is None
             and configurable.sensitivity is Sensitivity.INSENSITIVE
-            and isinstance(binding.resource, SQLDataResource)
         )
         if reusable:
             database = binding.resource.database
@@ -381,10 +345,7 @@ class SQLRealisationService(DataService):
             )
             shared = cache.lookup(key, stamp, target.acquire_resource)
             if shared is not None:
-                return msg.SQLExecuteFactoryResponse(
-                    address=target.epr_for(shared),
-                    abstract_name=shared,
-                )
+                return shared
 
         derived = SQLResponseResource(
             abstract_name=mint_abstract_name("sqlresponse"),
@@ -396,87 +357,21 @@ class SQLRealisationService(DataService):
             # the configuration document governs the derived resource.
             configurable=binding.configurable,
         )
+        if (
+            request.execution_mode == MODE_ASYNCHRONOUS
+            and configurable.sensitivity is Sensitivity.SENSITIVE
+        ):
+            # Asynchronous means the work happens *now*, not at first
+            # access: force one evaluation so a faulting expression
+            # surfaces as the job outcome instead of at fetch time.
+            derived.communication_area()
         target.add_resource(derived, configurable)
-        try:
-            if reusable:
-                derived.set_destroy_listener(
-                    lambda resource: cache.forget(resource.abstract_name)
-                )
-                cache.store(key, stamp, derived.abstract_name)
-            return msg.SQLExecuteFactoryResponse(
-                address=target.epr_for(derived.abstract_name),
-                abstract_name=derived.abstract_name,
+        if reusable:
+            derived.set_destroy_listener(
+                lambda resource: cache.forget(resource.abstract_name)
             )
-        except BaseException:
-            # A failure after the name was reserved must not leave the
-            # registry entry dangling.
-            target.destroy_resource(derived.abstract_name)
-            raise
-
-    # -- asynchronous factory execution ------------------------------------
-
-    def _sql_factory_kind(self) -> str:
-        """Executor-registry key; service-scoped so deployments sharing
-        one JobManager across services route each job back to the
-        service that accepted it."""
-        return f"{self.name}:sql-execute-factory"
-
-    def enable_jobs(self, jobs, terminal_ttl: float | None = None) -> None:
-        super().enable_jobs(jobs, terminal_ttl)
-        if "sql_factory" in self.port_types:
-            jobs.register_executor(
-                self._sql_factory_kind(),
-                self._execute_sql_factory_job,
-                rollback=self._rollback_sql_factory_job,
-            )
-
-    def _execute_sql_factory_job(self, job) -> dict:
-        """Run one deferred SQLExecuteFactory: materialize the derived
-        response resource and return its coordinates.
-
-        Ordering mirrors the reservation-leak contract: the derived name
-        is reserved (``add_resource``), then the expression is forced —
-        a fault after the reservation destroys the entry before it
-        propagates, so an ERROR job never strands a registry entry.
-        """
-        payload = job.payload
-        binding = self._sql_binding(payload["resource"])
-        configurable = binding.configurable.copy()
-        if payload.get("configuration"):
-            configurable = configurable.apply_configuration_document(
-                parse(payload["configuration"])
-            )
-        sensitivity = configurable.sensitivity
-        derived = SQLResponseResource(
-            abstract_name=mint_abstract_name("sqlresponse"),
-            parent=binding.resource,
-            expression=payload["expression"],
-            parameters=list(payload.get("parameters") or ()),
-            sensitivity=sensitivity,
-            configurable=binding.configurable,
-        )
-        target = self.response_target
-        target.add_resource(derived, configurable)
-        try:
-            if sensitivity is Sensitivity.SENSITIVE:
-                # Asynchronous means the work happens *now*, not at first
-                # access: force one evaluation so a faulting expression
-                # surfaces as the job outcome instead of at fetch time.
-                derived.communication_area()
-        except BaseException:
-            target.destroy_resource(derived.abstract_name)
-            raise
-        return {
-            "abstract_name": str(derived.abstract_name),
-            "address": target.address,
-        }
-
-    def _rollback_sql_factory_job(self, job, result: dict) -> None:
-        """Undo a materialization whose completion lost the terminal
-        race (duplicate run, expired lease, cancel-vs-complete)."""
-        name = result.get("abstract_name")
-        if name and self.response_target.has_resource(name):
-            self.response_target.destroy_resource(name)
+            cache.store(key, stamp, derived.abstract_name)
+        return derived.abstract_name
 
     # -- ResponseAccess ----------------------------------------------------
 
@@ -555,59 +450,22 @@ class SQLRealisationService(DataService):
 
     # -- ResponseFactory -------------------------------------------------------
 
-    def _handle_sql_rowset_factory(
-        self, request: msg.SQLRowsetFactoryRequest, headers: MessageHeaders
-    ) -> msg.SQLRowsetFactoryResponse:
-        binding = self._response_binding(request.abstract_name)
-        resource: SQLResponseResource = binding.resource
-
-        if request.execution_mode == MODE_ASYNCHRONOUS:
-            # There is no deferred rowset factory (the response it pages
-            # over is already materialized); say so rather than silently
-            # answering synchronously.  Not a retryable fault.
-            raise InvalidConfigurationDocumentFault(
-                "SQLRowsetFactory has no asynchronous execution mode"
-            )
-
-        requested_pt = request.port_type_qname or SQL_ROWSET_ACCESS_PT
-        if requested_pt != SQL_ROWSET_ACCESS_PT:
-            raise InvalidPortTypeQNameFault(
-                f"SQLRowsetFactory can wire up {SQL_ROWSET_ACCESS_PT.clark()}"
-                f", not {requested_pt.clark()}"
-            )
-        target = self.rowset_target
-        if "rowset_access" not in target.port_types:
-            raise InvalidPortTypeQNameFault(
-                f"target service {target.name!r} lacks RowsetAccess"
-            )
-
+    def _derive_rowset(
+        self, binding, target, configurable, request: msg.SQLRowsetFactoryRequest
+    ) -> str:
         format_uri = request.dataset_format_uri or SQLROWSET_FORMAT_URI
         if format_uri not in ALL_FORMATS:
             raise InvalidDatasetFormatFault(
                 f"format {format_uri!r} not supported for rowset resources"
             )
-
-        configurable = binding.configurable.copy()
-        if request.configuration_document is not None:
-            configurable = configurable.apply_configuration_document(
-                request.configuration_document
-            )
-
         derived = SQLRowsetResource(
             abstract_name=mint_abstract_name("sqlrowset"),
-            parent=resource,
+            parent=binding.resource,
             data_format_uri=format_uri,
-            rowset=resource.rowset(),
+            rowset=binding.resource.rowset(),
         )
         target.add_resource(derived, configurable)
-        try:
-            return msg.SQLRowsetFactoryResponse(
-                address=target.epr_for(derived.abstract_name),
-                abstract_name=derived.abstract_name,
-            )
-        except BaseException:
-            target.destroy_resource(derived.abstract_name)
-            raise
+        return derived.abstract_name
 
     # -- RowsetAccess ----------------------------------------------------------
 
@@ -631,21 +489,3 @@ class SQLRealisationService(DataService):
         return msg.GetRowsetPropertyDocumentResponse(
             document=binding.reply_document()
         )
-
-    # -- property document wiring (ConfigurationMap) ----------------------------
-
-    def configuration_map(self) -> list[ConfigurationMapEntry]:
-        entries = []
-        if "sql_factory" in self.port_types:
-            entries.append(
-                ConfigurationMapEntry(
-                    msg.SQLExecuteFactoryRequest.TAG, SQL_RESPONSE_ACCESS_PT
-                )
-            )
-        if "response_factory" in self.port_types:
-            entries.append(
-                ConfigurationMapEntry(
-                    msg.SQLRowsetFactoryRequest.TAG, SQL_ROWSET_ACCESS_PT
-                )
-            )
-        return entries

@@ -4,24 +4,18 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from repro.core.faults import (
-    DataResourceUnavailableFault,
-    InvalidExpressionFault,
-    InvalidPortTypeQNameFault,
-    InvalidResourceNameFault,
-)
+from repro.core.faults import InvalidExpressionFault, InvalidResourceNameFault
 from repro.core.names import mint_abstract_name
-from repro.core.service import DataService, ResourceBinding
+from repro.core.properties import Sensitivity
+from repro.core.service import DataService, Factory, ResourceBinding
 from repro.daix import messages as msg
 from repro.daix.namespaces import (
     WSDAIX_NS,
     XML_SEQUENCE_ACCESS_PT,
 )
 from repro.daix.resources import XMLCollectionResource, XMLSequenceResource
-from repro.jobs.namespaces import MODE_ASYNCHRONOUS
 from repro.soap.addressing import MessageHeaders
 from repro.xmldb.errors import XmlDbError
-from repro.xmlutil import parse, serialize
 
 
 class XMLRealisationService(DataService):
@@ -46,13 +40,22 @@ class XMLRealisationService(DataService):
         "xupdate_access": (
             (msg.XUpdateExecuteRequest, "_handle_xupdate_execute"),
         ),
-        "xpath_factory": (
-            (msg.XPathExecuteFactoryRequest, "_handle_xpath_factory"),
-        ),
-        "xquery_factory": (
-            (msg.XQueryExecuteFactoryRequest, "_handle_xquery_factory"),
-        ),
+        "xpath_factory": ((msg.XPathExecuteFactoryRequest, "_handle_factory"),),
+        "xquery_factory": ((msg.XQueryExecuteFactoryRequest, "_handle_factory"),),
         "sequence_access": ((msg.GetItemsRequest, "_handle_get_items"),),
+    }
+    _SEQUENCE_FACTORY = Factory(
+        binding="_collection_binding",
+        target="sequence_target",
+        port_type="sequence_access",
+        port_type_qname=XML_SEQUENCE_ACCESS_PT,
+        readable=True,
+        derive="_derive_sequence",
+        kind="xml-factory",
+    )
+    FACTORIES = {
+        msg.XPathExecuteFactoryRequest: _SEQUENCE_FACTORY,
+        msg.XQueryExecuteFactoryRequest: _SEQUENCE_FACTORY,
     }
 
     def __init__(
@@ -234,154 +237,25 @@ class XMLRealisationService(DataService):
 
     # -- factories ------------------------------------------------------------
 
-    def _handle_xpath_factory(
-        self, request: msg.XPathExecuteFactoryRequest, headers: MessageHeaders
-    ) -> msg.XPathExecuteFactoryResponse:
-        return msg.XPathExecuteFactoryResponse(
-            **self._run_factory(request, use_xquery=False)
-        )
-
-    def _handle_xquery_factory(
-        self, request: msg.XQueryExecuteFactoryRequest, headers: MessageHeaders
-    ) -> msg.XQueryExecuteFactoryResponse:
-        return msg.XQueryExecuteFactoryResponse(
-            **self._run_factory(request, use_xquery=True)
-        )
-
-    def _run_factory(
-        self, request: msg.XPathExecuteFactoryRequest, use_xquery: bool
-    ) -> dict:
-        binding = self._collection_binding(request.abstract_name)
-        binding.require_readable()
-        resource: XMLCollectionResource = binding.resource
-
-        requested_pt = request.port_type_qname or XML_SEQUENCE_ACCESS_PT
-        if requested_pt != XML_SEQUENCE_ACCESS_PT:
-            raise InvalidPortTypeQNameFault(
-                f"XML factories wire up {XML_SEQUENCE_ACCESS_PT.clark()}, "
-                f"not {requested_pt.clark()}"
-            )
-        target = self.sequence_target
-        if "sequence_access" not in target.port_types:
-            raise InvalidPortTypeQNameFault(
-                f"target service {target.name!r} lacks SequenceAccess"
-            )
-
-        configurable = binding.configurable.copy()
-        if request.configuration_document is not None:
-            configurable = configurable.apply_configuration_document(
-                request.configuration_document
-            )
-
-        if request.execution_mode == MODE_ASYNCHRONOUS:
-            if self.jobs is None:
-                raise DataResourceUnavailableFault(
-                    f"service {self.name!r} does not accept asynchronous "
-                    "factory requests (no job queue attached)"
-                )
-            job = self.jobs.submit(
-                self._xml_factory_kind(),
-                {
-                    "resource": str(request.abstract_name),
-                    "expression": request.expression,
-                    "document_name": request.document_name,
-                    "use_xquery": use_xquery,
-                    "configuration": serialize(request.configuration_document)
-                    if request.configuration_document is not None
-                    else "",
-                },
-            )
-            return {"job_id": job.job_id}
-
-        derived = self._materialize_sequence(
-            binding,
-            configurable,
-            request.expression,
-            request.document_name,
-            use_xquery,
-        )
-        target.add_resource(derived, configurable)
-        try:
-            return {
-                "address": target.epr_for(derived.abstract_name),
-                "abstract_name": derived.abstract_name,
-            }
-        except BaseException:
-            # A failure after the name was reserved must not leave the
-            # registry entry dangling.
-            target.destroy_resource(derived.abstract_name)
-            raise
-
-    def _materialize_sequence(
-        self,
-        binding: ResourceBinding,
-        configurable,
-        expression: str,
-        document_name: Optional[str],
-        use_xquery: bool,
-    ) -> XMLSequenceResource:
+    def _derive_sequence(
+        self, binding, target, configurable, request: msg.XPathExecuteFactoryRequest
+    ) -> str:
         """Evaluate an XPath/XQuery factory expression into the derived
-        sequence resource (not yet registered)."""
-        from repro.core.properties import Sensitivity
-
+        sequence resource."""
         resource: XMLCollectionResource = binding.resource
-        if use_xquery:
-            items = resource.xquery_execute(expression, document_name)
-        else:
-            items = resource.xpath_execute(expression, document_name)
-        return XMLSequenceResource(
+        use_xquery = isinstance(request, msg.XQueryExecuteFactoryRequest)
+        execute = resource.xquery_execute if use_xquery else resource.xpath_execute
+        derived = XMLSequenceResource(
             mint_abstract_name("xmlsequence"),
             resource,
-            items,
-            query=expression,
+            execute(request.expression, request.document_name),
+            query=request.expression,
             use_xquery=use_xquery,
-            document_name=document_name,
+            document_name=request.document_name,
             sensitive=configurable.sensitivity is Sensitivity.SENSITIVE,
         )
-
-    # -- asynchronous factory execution ------------------------------------
-
-    def _xml_factory_kind(self) -> str:
-        """Executor-registry key, service-scoped (see the WS-DAIR twin)."""
-        return f"{self.name}:xml-factory"
-
-    def enable_jobs(self, jobs, terminal_ttl: float | None = None) -> None:
-        super().enable_jobs(jobs, terminal_ttl)
-        if {"xpath_factory", "xquery_factory"} & self.port_types:
-            jobs.register_executor(
-                self._xml_factory_kind(),
-                self._execute_xml_factory_job,
-                rollback=self._rollback_xml_factory_job,
-            )
-
-    def _execute_xml_factory_job(self, job) -> dict:
-        """Run one deferred XPath/XQuery factory request."""
-        payload = job.payload
-        binding = self._collection_binding(payload["resource"])
-        binding.require_readable()
-        configurable = binding.configurable.copy()
-        if payload.get("configuration"):
-            configurable = configurable.apply_configuration_document(
-                parse(payload["configuration"])
-            )
-        derived = self._materialize_sequence(
-            binding,
-            configurable,
-            payload["expression"],
-            payload.get("document_name"),
-            bool(payload.get("use_xquery")),
-        )
-        target = self.sequence_target
         target.add_resource(derived, configurable)
-        return {
-            "abstract_name": str(derived.abstract_name),
-            "address": target.address,
-        }
-
-    def _rollback_xml_factory_job(self, job, result: dict) -> None:
-        name = result.get("abstract_name")
-        if name and self.sequence_target.has_resource(name):
-            self.sequence_target.destroy_resource(name)
+        return derived.abstract_name
 
     # -- SequenceAccess -----------------------------------------------------------
 

@@ -25,6 +25,7 @@ from repro.relational.catalog import (
 from repro.relational.communication import SqlCommunicationArea
 from repro.relational.errors import (
     CatalogError,
+    ReadOnlyViolation,
     SqlError,
     TransactionError,
 )
@@ -112,6 +113,11 @@ class ResultSet:
         return len(self.rows)
 
 
+#: What a read-only session runs: the statements that only read (the
+#: statements inside a ``CALL`` are checked as they run).
+_READ_STATEMENTS = (ast.Select, ast.Explain, ast.Call)
+
+
 def _constant(expression: ast.Expression) -> Any:
     """A row-less, parameter-less expression's value (DEFAULTs, CALL
     arguments); a column reference or subquery in one is an error."""
@@ -174,6 +180,9 @@ class Session:
         self._database = database
         self._transaction: Optional[Transaction] = None
         self.default_isolation = IsolationLevel.READ_COMMITTED
+        #: Refuse every statement but a query (``SELECT``/``EXPLAIN``/a
+        #: ``CALL`` whose body only reads) before it runs.
+        self.read_only = False
 
     # -- public API ---------------------------------------------------------
 
@@ -346,6 +355,10 @@ class Session:
         stream: bool = False,
         plan: Optional[PlanEntry] = None,
     ) -> ResultSet:
+        if self.read_only and not isinstance(statement, _READ_STATEMENTS):
+            raise ReadOnlyViolation(
+                f"{type(statement).__name__} refused: the session is read-only"
+            )
         if isinstance(statement, ast.Select):
             if plan is not None:
                 # Memoize the catalog-derived planning facts on the

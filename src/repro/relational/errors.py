@@ -55,6 +55,12 @@ class TransactionError(SqlError):
     sqlstate = "25000"
 
 
+class ReadOnlyViolation(TransactionError):
+    """A statement that writes, refused by a read-only session."""
+
+    sqlstate = "25006"
+
+
 class SerializationConflict(TransactionError):
     """Two concurrent transactions touched conflicting data."""
 

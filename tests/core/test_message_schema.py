@@ -14,7 +14,7 @@ import pytest
 
 from repro.core import DataService
 from repro.core.codec import Elements
-from repro.core.messages import DaisRequest, response_class
+from repro.core.messages import DaisRequest, FactoryRequest, response_class
 from repro.daif import FileRealisationService
 from repro.dair import SQLRealisationService
 from repro.daix import XMLRealisationService
@@ -111,6 +111,26 @@ def test_port_type_names_are_the_table_keys(key):
     assert service_cls(key, f"dais://{key}").port_types == own
     with pytest.raises(ValueError, match="no_such_port_type"):
         service_cls(key, f"dais://{key}", port_types=["no_such_port_type"])
+
+
+@pytest.mark.parametrize("key", sorted(SERVICES))
+def test_every_factory_row_is_served_by_the_one_factory_path(key):
+    """A factory operation is a :attr:`FACTORIES` entry, not a handler:
+    every row whose request is a ``FactoryRequest`` names
+    ``_handle_factory``, and every entry names a row, methods the
+    service has and a port type of its own table."""
+    service_cls = SERVICES[key]
+    rows = {
+        request_cls: handler
+        for request_cls, handler, *_ in _own_rows(service_cls)
+        if issubclass(request_cls, FactoryRequest)
+    }
+    assert set(rows.values()) <= {"_handle_factory"}
+    assert set(service_cls.FACTORIES) == set(rows)
+    for factory in service_cls.FACTORIES.values():
+        assert callable(getattr(service_cls, factory.binding, None))
+        assert callable(getattr(service_cls, factory.derive, None))
+        assert factory.port_type in service_cls.OPERATIONS
 
 
 def test_every_tag_names_one_class():

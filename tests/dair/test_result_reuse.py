@@ -137,3 +137,29 @@ class TestRefcountedDestroy:
             single.address, single.name, QUERY
         )
         assert second.abstract_name != first.abstract_name
+
+    def test_failed_reply_on_a_hit_releases_the_claim_it_acquired(
+        self, single, monkeypatch
+    ):
+        """A cache hit adds a claim before the reply is built; when the
+        reply then fails, the claim goes back — one destroy still ends
+        the resource."""
+        from repro.soap.fault import SoapFault
+
+        first = single.client.sql_execute_factory(
+            single.address, single.name, QUERY
+        )
+        shared = first.abstract_name
+        assert single.service.binding(shared).refcount == 1
+
+        def explode(abstract_name):
+            raise RuntimeError("epr minting failed after the hit")
+
+        monkeypatch.setattr(single.service, "epr_for", explode)
+        with pytest.raises(SoapFault):
+            single.client.sql_execute_factory(single.address, single.name, QUERY)
+        monkeypatch.undo()
+        assert _counter(single.service, "cache.result.hits").total() == 1
+        assert single.service.binding(shared).refcount == 1
+        single.client.destroy(single.address, shared)
+        assert not single.service.has_resource(shared)

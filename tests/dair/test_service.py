@@ -381,3 +381,65 @@ class TestRowsetAccess:
         assert "asynchronous" in str(err.value)
         assert not isinstance(err.value, RETRYABLE_FAULTS)
         assert fig5.service3.resource_names() == before  # nothing derived
+
+
+class TestNonWriteableBinding:
+    """A write a non-writeable binding refuses is refused before it
+    runs: the fault comes back and the table is as it was."""
+
+    INSERT = "INSERT INTO customers VALUES (999, 'new', 'emea', 'retail')"
+
+    @pytest.fixture()
+    def read_only(self, single):
+        from repro.core import ConfigurableProperties, mint_abstract_name
+        from repro.dair import SQLDataResource
+
+        resource = SQLDataResource(mint_abstract_name("readonly"), single.database)
+        single.service.add_resource(
+            resource, ConfigurableProperties(writeable=False)
+        )
+        return resource.abstract_name
+
+    @pytest.mark.parametrize(
+        "statement",
+        [
+            INSERT,
+            "UPDATE customers SET segment = 'vip'",
+            "DELETE FROM customers WHERE id = 1",
+        ],
+    )
+    def test_sql_execute_write_is_refused_and_not_committed(
+        self, single, read_only, statement
+    ):
+        before = single.database.execute(
+            "SELECT id, segment FROM customers ORDER BY id"
+        ).rows
+        with pytest.raises(NotAuthorizedFault, match="not writeable"):
+            single.client.sql_execute(single.address, read_only, statement)
+        after = single.database.execute(
+            "SELECT id, segment FROM customers ORDER BY id"
+        ).rows
+        assert after == before
+
+    def test_sql_execute_ddl_is_refused_before_it_runs(self, single, read_only):
+        with pytest.raises(NotAuthorizedFault):
+            single.client.sql_execute(
+                single.address, read_only, "CREATE TABLE scratch (id INT)"
+            )
+        with pytest.raises(InvalidExpressionFault):  # no such table
+            single.client.sql_query_rowset(
+                single.address, single.name, "SELECT id FROM scratch"
+            )
+
+    def test_factory_write_is_refused_and_not_committed(self, single, read_only):
+        before = single.database.row_count("customers")
+        with pytest.raises(NotAuthorizedFault):
+            single.client.sql_execute_factory(
+                single.address, read_only, self.INSERT
+            )
+        assert single.database.row_count("customers") == before
+        # Reads through the same binding are still served.
+        rowset = single.client.sql_query_rowset(
+            single.address, read_only, "SELECT COUNT(*) FROM customers"
+        )
+        assert int(rowset.rows[0][0]) == before

@@ -7,16 +7,22 @@ executed synchronously — the job spine changes when work happens, never
 what the consumer reads.
 """
 
+import dataclasses
+
 import pytest
 
+from repro.client.sql import configuration_document
 from repro.core.faults import (
     DataResourceUnavailableFault,
+    InvalidConfigurationDocumentFault,
     InvalidExpressionFault,
     InvalidResourceNameFault,
+    NotAuthorizedFault,
     UnknownJobFault,
 )
 from repro.dair import SQLDataResource
 from repro.dair import messages as dmsg
+from repro.daix import messages as xmsg
 from repro.dair.datasets import parse_rowset
 from repro.jobs import (
     CANCELLED,
@@ -78,14 +84,22 @@ def _streamed_pages(client, response_epr, response_name) -> list[bytes]:
 
 
 def test_async_results_byte_identical_to_sync(deployment):
-    """The acceptance test: async vs sync, paged GetTuples, same bytes."""
-    client, address, name = deployment.client, deployment.address, deployment.name
+    """The acceptance test: async vs sync, paged GetTuples, same bytes.
 
-    sync = client.sql_execute_factory(address, name, QUERY)
+    Both requests carry a (empty) configuration document, which turns
+    shared-result reuse off: the job derives its own resource, and the
+    pages compared are two independent derivations."""
+    client, address, name = deployment.client, deployment.address, deployment.name
+    configuration = configuration_document()
+
+    sync = client.sql_execute_factory(
+        address, name, QUERY, configuration=configuration
+    )
     assert sync.address is not None and not sync.job_id
 
     submitted = client.sql_execute_factory(
-        address, name, QUERY, execution_mode=MODE_ASYNCHRONOUS
+        address, name, QUERY, configuration=configuration,
+        execution_mode=MODE_ASYNCHRONOUS,
     )
     assert submitted.job_id and submitted.address is None
     assert deployment.jobs.get(submitted.job_id).phase == "PENDING"
@@ -95,6 +109,7 @@ def test_async_results_byte_identical_to_sync(deployment):
     assert status.phase == COMPLETED
     assert status.attempts == 1
     assert status.address is not None and status.result_name
+    assert status.result_name != sync.abstract_name
 
     sync_pages = _streamed_pages(client, sync.address, sync.abstract_name)
     async_pages = _streamed_pages(client, status.address, status.result_name)
@@ -115,10 +130,7 @@ def test_async_results_byte_identical_to_sync(deployment):
 
 
 def test_async_xml_factory_matches_sync(tmp_path):
-    deployment = build_xml_deployment()
-    manager = JobManager()
-    deployment.service.enable_jobs(manager)
-    runner = JobRunner(manager, workers=1)
+    deployment, manager, runner = _xml_deployment()
     client, address, name = deployment.client, deployment.address, deployment.name
     expression = "//product/name"
 
@@ -145,7 +157,8 @@ def test_async_xml_factory_matches_sync(tmp_path):
     ]
 
 
-def test_async_file_selection_factory_matches_sync():
+def _files_deployment():
+    """A files service over ``data/{a,b}.csv`` + ``notes.md``, with jobs."""
     from repro.client.files import FilesClient
     from repro.core import ServiceRegistry, mint_abstract_name
     from repro.daif import FileCollectionResource, FileRealisationService
@@ -168,6 +181,18 @@ def test_async_file_selection_factory_matches_sync():
     service.enable_jobs(manager)
     runner = JobRunner(manager, workers=1)
     client = FilesClient(LoopbackTransport(registry))
+    return service, resource, manager, runner, client
+
+
+def _xml_deployment():
+    deployment = build_xml_deployment()
+    manager = JobManager()
+    deployment.service.enable_jobs(manager)
+    return deployment, manager, JobRunner(manager, workers=1)
+
+
+def test_async_file_selection_factory_matches_sync():
+    service, resource, manager, runner, client = _files_deployment()
 
     sync = client.file_selection_factory(
         "dais://files", resource.abstract_name, "*.csv"
@@ -331,3 +356,177 @@ def test_crash_restart_recovers_submitted_job(tmp_path):
         rowset.address, rowset.abstract_name, page_size=2
     ).read_all()
     assert rows.rows == baseline.rows
+
+
+# -- every factory, both modes ------------------------------------------------
+
+
+def _sql_case():
+    deployment = build_jobs_deployment(RelationalWorkload(customers=6))
+    client, address = deployment.client, deployment.address
+    # A configuration document turns shared-result reuse off, so each
+    # mode derives its own response resource.
+    request = dmsg.SQLExecuteFactoryRequest(
+        abstract_name=deployment.name,
+        expression=QUERY,
+        configuration_document=configuration_document(),
+    )
+    return client, address, deployment.runner, request, client.get_sql_rowset
+
+
+def _rowset_case():
+    client, address, runner, request, _ = _sql_case()
+    response = client.call(address, request)
+    request = dmsg.SQLRowsetFactoryRequest(abstract_name=response.abstract_name)
+    return client, response.address, runner, request, None
+
+
+def _sequence_case(request_cls, expression):
+    deployment, manager, runner = _xml_deployment()
+    request = request_cls(abstract_name=deployment.name, expression=expression)
+
+    def read(address, name):
+        items, total = deployment.client.get_items(address, name, 0, 1_000)
+        return total, [serialize_bytes(item) for item in items]
+
+    return deployment.client, deployment.address, runner, request, read
+
+
+def _fileset_case():
+    from repro.daif import messages as fmsg
+
+    service, resource, manager, runner, client = _files_deployment()
+    request = fmsg.FileSelectionFactoryRequest(
+        abstract_name=resource.abstract_name, expression="*.csv"
+    )
+
+    def read(address, name):
+        return client.get_fileset_members(address, name, 0, 100)
+
+    return client, service.address, runner, request, read
+
+
+#: Each factory request: (client, address, runner, request, read), where
+#: ``read(address, name)`` fetches the derived resource's data and None
+#: means the factory has no asynchronous mode.
+FACTORY_CASES = {
+    "SQLExecuteFactory": _sql_case,
+    "SQLRowsetFactory": _rowset_case,
+    "XPathExecuteFactory": lambda: _sequence_case(
+        xmsg.XPathExecuteFactoryRequest, "//product/name"
+    ),
+    "XQueryExecuteFactory": lambda: _sequence_case(
+        xmsg.XQueryExecuteFactoryRequest,
+        "for $p in /product order by $p/price return $p/price",
+    ),
+    "FileSelectionFactory": _fileset_case,
+}
+
+
+@pytest.mark.parametrize("case", sorted(FACTORY_CASES))
+def test_async_equals_sync_for_every_factory(case):
+    """The same request in both modes derives the same data; only when
+    the work runs differs.  A factory without an asynchronous mode
+    refuses it at submit and queues nothing."""
+    client, address, runner, request, read = FACTORY_CASES[case]()
+    deferred = dataclasses.replace(request, execution_mode=MODE_ASYNCHRONOUS)
+    if read is None:
+        with pytest.raises(InvalidConfigurationDocumentFault, match="asynchronous"):
+            client.call(address, deferred)
+        assert runner.manager.jobs() == []
+        return
+    sync = client.call(address, request)
+    submitted = client.call(address, deferred)
+    assert submitted.job_id and submitted.address is None
+    assert runner.drain() == 1
+    status = client.wait_for_job(address, submitted.job_id, sleep=lambda _: None)
+    assert status.phase == COMPLETED
+    assert status.result_name != sync.abstract_name  # two derivations
+    assert read(status.address, status.result_name) == read(
+        sync.address, sync.abstract_name
+    )
+
+
+def test_async_sql_factory_is_answered_by_the_shared_result(deployment):
+    """An asynchronous SQLExecuteFactory derives exactly as the
+    synchronous one would, shared-result reuse included."""
+    client, address, name = deployment.client, deployment.address, deployment.name
+    sync = client.sql_execute_factory(address, name, QUERY)
+    submitted = client.sql_execute_factory(
+        address, name, QUERY, execution_mode=MODE_ASYNCHRONOUS
+    )
+    deployment.runner.drain()
+    status = _wait(deployment, submitted.job_id)
+    assert status.result_name == sync.abstract_name
+    assert deployment.service.binding(sync.abstract_name).refcount == 2
+
+
+@pytest.mark.parametrize("realisation", ["xml", "files"])
+def test_async_admission_of_unreadable_collection_faults_at_submit(realisation):
+    if realisation == "xml":
+        deployment, manager, _ = _xml_deployment()
+        service, client = deployment.service, deployment.client
+        request = xmsg.XPathExecuteFactoryRequest(
+            abstract_name=deployment.name,
+            expression="//product/name",
+            execution_mode=MODE_ASYNCHRONOUS,
+        )
+    else:
+        from repro.daif import messages as fmsg
+
+        service, resource, manager, _, client = _files_deployment()
+        request = fmsg.FileSelectionFactoryRequest(
+            abstract_name=resource.abstract_name,
+            expression="*.csv",
+            execution_mode=MODE_ASYNCHRONOUS,
+        )
+    service.binding(request.abstract_name).configurable.readable = False
+    with pytest.raises(NotAuthorizedFault):
+        client.call(service.address, request)
+    assert manager.jobs() == []
+
+
+def test_async_sensitive_sql_response_is_evaluated_once_before_completion(
+    deployment, monkeypatch
+):
+    """A SENSITIVE response is evaluated on access; asynchronously the
+    work happens in the job, so the job forces one evaluation — and a
+    faulting expression ends the job in ERROR, not at fetch time."""
+    from repro.core import Sensitivity
+    from repro.dair.resources import SQLResponseResource
+
+    client, address, name = deployment.client, deployment.address, deployment.name
+    sensitive = configuration_document(sensitivity=Sensitivity.SENSITIVE)
+    evaluations = []
+    evaluate = SQLResponseResource._evaluate
+
+    def counted(resource):
+        evaluations.append(resource.abstract_name)
+        return evaluate(resource)
+
+    monkeypatch.setattr(SQLResponseResource, "_evaluate", counted)
+    client.sql_execute_factory(address, name, QUERY, configuration=sensitive)
+    assert evaluations == []  # synchronously: not before first access
+
+    submitted = client.sql_execute_factory(
+        address, name, QUERY, configuration=sensitive,
+        execution_mode=MODE_ASYNCHRONOUS,
+    )
+    deployment.runner.drain()
+    status = _wait(deployment, submitted.job_id)
+    assert evaluations == [status.result_name]
+
+    bad = "SELECT broken FROM nowhere"
+    assert client.sql_execute_factory(
+        address, name, bad, configuration=sensitive
+    ).abstract_name  # the synchronous EPR defers the fault to access
+    before = set(deployment.service.resource_names())
+    failing = client.sql_execute_factory(
+        address, name, bad, configuration=sensitive,
+        execution_mode=MODE_ASYNCHRONOUS,
+    )
+    deployment.runner.drain()
+    status = _wait(deployment, failing.job_id, raise_on_error=False)
+    assert status.phase == ERROR
+    assert status.fault_type == "InvalidExpressionFault"
+    assert set(deployment.service.resource_names()) == before

@@ -147,3 +147,51 @@ class TestCallThroughDais:
         )
         assert rowset.columns == ["id", "balance"]
         assert len(rowset.rows) == 2
+
+
+def test_read_only_session_refuses_writes_before_they_run(db):
+    """Reads run; a write — DML, DDL or one inside a procedure — is
+    refused before it touches anything."""
+    from repro.relational.errors import ReadOnlyViolation
+
+    session = db.create_session()
+    session.read_only = True
+    for sql in (
+        "UPDATE accounts SET balance = 0",
+        "DELETE FROM accounts",
+        "CREATE TABLE scratch (id INT)",
+        "DROP TABLE accounts",
+        "CALL transfer(1, 2, 10)",
+    ):
+        with pytest.raises(ReadOnlyViolation) as refused:
+            session.execute(sql)
+        assert refused.value.sqlstate == "25006"
+    assert session.execute("CALL top_accounts(5)").rows == [(1, 100), (2, 50)]
+    assert db.execute("SELECT id, balance FROM accounts ORDER BY id").rows == [
+        (1, 100),
+        (2, 50),
+    ]
+
+
+def test_non_writeable_resource_serves_a_call_that_only_reads(db):
+    """Writeability is the read-only session's one check: a CALL whose
+    body only reads is served even when it returns no rows, and one
+    whose body writes is refused before the write."""
+    from repro.core import ConfigurableProperties, mint_abstract_name
+    from repro.core.faults import NotAuthorizedFault
+    from repro.dair import SQLDataResource
+
+    def audit(execute):
+        execute("SELECT COUNT(*) FROM accounts")
+        return ProcedureResult(update_count=0)
+
+    db.register_procedure("audit", audit)
+    resource = SQLDataResource(mint_abstract_name("proc"), db)
+    read_only = ConfigurableProperties(writeable=False)
+    assert not resource.sql_execute("CALL audit()", [], read_only).is_query
+    with pytest.raises(NotAuthorizedFault, match="not writeable"):
+        resource.sql_execute("CALL transfer(1, 2, 10)", [], read_only)
+    assert db.execute("SELECT balance FROM accounts ORDER BY id").rows == [
+        (100,),
+        (50,),
+    ]

@@ -188,48 +188,55 @@ class TestOverloadDegradation:
         assert resilience.metrics.counter("resilience.giveups").total() == 0
 
     def test_shed_is_parseable_fault_and_keeps_connection_alive(self):
-        # Saturate worker + queue, then probe on a raw keep-alive
-        # socket: the 503 must carry a SOAP ServiceBusyFault envelope
-        # and must NOT cost us the connection.
+        # Pin the one worker and fill the one queue slot, then probe
+        # once on a raw keep-alive socket: the 503 must carry a SOAP
+        # ServiceBusyFault envelope and must NOT cost us the connection.
         server, address, name = _make_server(
             workers=1, queue_depth=1, queue_deadline=None
         )
-        server.fault_plan = FaultPlan().always(Latency(0.3))
+        server.fault_plan = FaultPlan().always(Latency(1.0))
         body = _request_bytes(address, name)
+        admitted = server.metrics.counter("http.server.queue.admitted")
+        dequeued = server.metrics.histogram("http.server.queue.wait.seconds")
+        served = server.metrics.counter("http.server.requests")
 
-        def saturate() -> None:
+        def occupy() -> None:
             conn = http.client.HTTPConnection(
                 "127.0.0.1", server.port, timeout=60
             )
             try:
-                for _ in range(4):
-                    _post(conn, body)
+                _post(conn, body)
             finally:
                 conn.close()
 
-        saturators = [threading.Thread(target=saturate) for _ in range(4)]
+        def wait_for(condition, what: str) -> None:
+            deadline = time.monotonic() + 20
+            while not condition():
+                assert time.monotonic() < deadline, what
+                time.sleep(0.002)
+
+        occupiers = [threading.Thread(target=occupy) for _ in range(2)]
         with server:
-            for thread in saturators:
-                thread.start()
+            # The server's own counters say when the shed is certain.
+            # One request at a time (two arriving together would shed
+            # the second before the worker took the first): the first
+            # is taken by the worker, which then sleeps the injected
+            # latency; the second fills the queue; none is answered yet.
+            occupiers[0].start()
+            wait_for(lambda: dequeued.stats().count == 1, "worker never busy")
+            occupiers[1].start()
+            wait_for(lambda: admitted.total() == 2, "queue never full")
+            assert served.total() == 0
             conn = http.client.HTTPConnection(
                 "127.0.0.1", server.port, timeout=60
             )
             try:
-                # Keep probing the saturated server until a shed lands
-                # (exact interleaving is scheduler-dependent).
-                deadline = time.monotonic() + 20
-                payload = b""
-                while time.monotonic() < deadline:
-                    status, payload = _post(conn, body)
-                    if status == 503:
-                        break
-                else:  # pragma: no cover - diagnostic
-                    pytest.fail("no shed observed under saturation")
+                status, payload = _post(conn, body)
                 assert status == 503
                 reply = Envelope.from_bytes(payload)
                 with pytest.raises(ServiceBusyFault, match="shed at admission"):
                     reply.raise_if_fault()
-                for thread in saturators:
+                for thread in occupiers:
                     thread.join(timeout=60)
                 # Same socket, next request: served normally — the shed
                 # did not cost us the keep-alive connection.
