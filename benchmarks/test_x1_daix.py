@@ -11,6 +11,7 @@ factory (sequence) vs direct access byte shape.
 
 from repro.bench import Table
 from repro.bench.harness import measure_wall
+from repro.obs import use_exporter
 from repro.workload import XmlCorpus, build_xml_deployment
 from repro.workload.xmlcorpus import XML_QUERY_MIX
 
@@ -54,6 +55,25 @@ def test_x1_query_mix_scaling(benchmark):
     # Shape: the scan-style query returns more items on bigger corpora.
     filter_rows = [r for r in table.rows if r[1] == "xpath_filter"]
     assert filter_rows[-1][4] >= filter_rows[0][4]
+
+
+def test_x1_point_read_evaluates_one_document():
+    """Shape: the value index hands the point read the one document it
+    selects at every corpus size; the aggregate, a value per document,
+    still evaluates them all."""
+    for size in CORPUS_SIZES:
+        deployment = build_xml_deployment(XmlCorpus(documents=size))
+        with use_exporter() as exporter:
+            for label in ("xpath_point", "xpath_agg"):
+                deployment.client.xpath_execute(
+                    deployment.address, deployment.name, XML_QUERY_MIX[label][1]
+                )
+        point, aggregate = (
+            (s.attributes["documents"], s.attributes["documents_evaluated"])
+            for s in exporter.spans("xpath.evaluate")
+        )
+        assert point == (size, 1)
+        assert aggregate == (size, size)
 
 
 def test_x1_direct_vs_factory_bytes(benchmark, xml_deploy):

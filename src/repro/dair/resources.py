@@ -139,18 +139,26 @@ class SQLDataResource(DataResource):
         # A write is refused before it runs: refused after, its
         # autocommitted change would already be in the table.
         session.read_only = not configurable.writeable
+        # Whether a CALL returns rows shows only once it has run, so a
+        # non-readable binding runs each statement in a transaction it
+        # commits only when no rows came back; close() rolls back.
+        guarded = not configurable.readable
         try:
+            if guarded:
+                session.execute("BEGIN")
             result = session.execute(
                 expression, tuple(parameters or ()), stream=stream
             )
+            if guarded:
+                if result.is_query:
+                    raise NotAuthorizedFault("resource is not readable")
+                session.execute("COMMIT")
         except ReadOnlyViolation as exc:
             raise NotAuthorizedFault("resource is not writeable") from exc
         except SqlError as exc:
             raise _invalid_expression(exc) from exc
         finally:
             session.close()
-        if result.is_query and not configurable.readable:
-            raise NotAuthorizedFault("resource is not readable")
         if result.is_streaming:
             result.row_source = _faulting(result.row_source)
         return result

@@ -96,11 +96,15 @@ class XMLCollectionResource(DataResource):
     def xpath_execute(
         self, expression: str, document_name: str | None = None
     ) -> list[XmlElement]:
-        """Evaluate XPath over one document or every document in turn."""
+        """Evaluate XPath over one document or every document in turn;
+        over the whole collection, a statement with a root filter runs
+        only on the documents the collection's value index returns."""
         try:
             roots = [d.root for d in self._documents(document_name)]
             results: list[XmlElement] = []
-            for value in self._xpath.evaluate_each(expression, roots):
+            for value in self._xpath.evaluate_each(
+                expression, roots, index=self._index(document_name)
+            ):
                 results.extend(value_to_items(value))
             return results
         except XPathError as exc:
@@ -112,11 +116,15 @@ class XMLCollectionResource(DataResource):
         """Evaluate an XQuery (FLWOR-lite) over the collection.
 
         The outermost ``for`` ranges across every document, so ``where``
-        and ``order by`` apply globally (collection semantics).
+        and ``order by`` apply globally (collection semantics).  A query
+        with a root filter runs only on the documents the value index
+        returns.
         """
         try:
             roots = [d.root for d in self._documents(document_name)]
-            value = self._xquery.execute(query, roots)
+            value = self._xquery.execute(
+                query, roots, index=self._index(document_name)
+            )
             return value_to_items(value)
         except XQueryError as exc:
             raise InvalidExpressionFault(f"XQuery error: {exc}") from exc
@@ -124,7 +132,11 @@ class XMLCollectionResource(DataResource):
     def xupdate_execute(
         self, modifications: XmlElement, document_name: str | None = None
     ) -> int:
-        """Apply XUpdate modifications; returns total nodes modified."""
+        """Apply XUpdate modifications; returns total nodes modified.
+
+        The collection's version moves once the documents have changed
+        (also when a later document fails), so no value index built
+        before the update answers a query after it."""
         try:
             total = 0
             for document in self._documents(document_name):
@@ -132,11 +144,16 @@ class XMLCollectionResource(DataResource):
             return total
         except XmlDbError as exc:
             raise InvalidExpressionFault(f"XUpdate error: {exc}") from exc
+        finally:
+            self.collection.touch()
 
     def _documents(self, document_name: str | None):
         if document_name:
             return [self.collection.get(document_name)]
         return self.collection.documents()
+
+    def _index(self, document_name: str | None):
+        return None if document_name else self.collection.select
 
     # -- generic query (core spec) ----------------------------------------------
 

@@ -74,6 +74,24 @@ class XMLRealisationService(DataService):
         super().__init__(name, address, **kwargs)
         self.sequence_target = sequence_target or self
         self.install_own_port_types(port_types)
+        self._index_counters = (
+            self.metrics.counter(
+                "xmldb.index.hits", "Collection statements served by a live value index"
+            ),
+            self.metrics.counter(
+                "xmldb.index.misses", "Collection value indexes built (none was live)"
+            ),
+            self.metrics.counter(
+                "xmldb.index.invalidations",
+                "Collection value indexes dropped because the collection changed",
+            ),
+        )
+
+    def add_resource(self, resource, configurable=None, lifetime_seconds=None):
+        binding = super().add_resource(resource, configurable, lifetime_seconds)
+        if isinstance(resource, XMLCollectionResource):
+            resource.collection.indexes.bind_counters(*self._index_counters)
+        return binding
 
     # -- typed binding lookups ----------------------------------------------
 

@@ -20,6 +20,11 @@ every ``for``/``let``/``where``/``order by``/enclosed expression is a
 compiled closure and the constructor is a pre-parsed template.  A run
 keeps one :class:`DocumentContext` per document for the whole statement,
 so a node bound by one clause is the same object in every later one.
+
+A plan also carries the query's :class:`RootFilter`, when it has one: a
+bare XPath's own, or ``for $v in /T where $v/operand op literal`` folded
+into one (the ``for`` first, the ``where`` right behind it, ``$v`` bound
+by no later clause), or else a first ``for`` over ``/T[…]``'s own.
 """
 
 from __future__ import annotations
@@ -35,7 +40,12 @@ from repro.xmlutil import QName, XmlElement
 from repro.xmlutil.tree import Text
 from repro.xpath import XPathEngine, XPathError
 from repro.xpath.context import DocumentContext, string_value
-from repro.xpath.evaluator import compile_prefix, compile_xpath
+from repro.xpath.evaluator import (
+    RootFilter,
+    compile_prefix,
+    compile_xpath,
+    flwor_filter,
+)
 from repro.xpath.functions import to_boolean, to_number, to_string
 
 _KEYWORD_RE = re.compile(r"\s*(for|let|where|order\s+by|return)(?![\w\-])", re.I)
@@ -64,6 +74,7 @@ class _Plan:
     clauses: tuple | None  # of (kind, variable, _Expr); None: bare XPath
     order: tuple  # of (_Expr, ascending)
     result: _Expr | _Constructor
+    root_filter: RootFilter | None = None
 
 
 def _expr(text: str, namespaces: tuple) -> _Expr:
@@ -78,7 +89,8 @@ def _plan(query: str, namespaces: tuple) -> _Plan:
     """Parse *query* once: clause by clause, each body ending where the
     XPath parser stops, which is the only place a keyword can start."""
     if not re.match(r"(for|let)\b", query, re.IGNORECASE):
-        return _Plan(None, (), _expr(query, namespaces))
+        bare = _expr(query, namespaces)
+        return _Plan(None, (), bare, bare.run.root_filter)
     clauses: list[tuple] = []
     order: list[tuple] = []
     pos = 0
@@ -92,7 +104,10 @@ def _plan(query: str, namespaces: tuple) -> _Plan:
         pos = keyword.end()
         if kind == "return":
             return _Plan(
-                tuple(clauses), tuple(order), _parse_return(query[pos:], namespaces)
+                tuple(clauses),
+                tuple(order),
+                _parse_return(query[pos:], namespaces),
+                _clauses_filter(clauses, namespaces),
             )
         variable = None
         if kind in ("for", "let"):
@@ -121,6 +136,20 @@ def _plan(query: str, namespaces: tuple) -> _Plan:
             )
 
 
+def _clauses_filter(clauses: list, namespaces: tuple) -> RootFilter | None:
+    """The root filter of a FLWOR's clauses (module docstring), or None."""
+    kind, variable, binding = clauses[0]
+    if kind != "for" or any(
+        later[1] == variable for later in clauses[1:] if later[0] != "where"
+    ):
+        return None
+    if len(clauses) > 1 and clauses[1][0] == "where":
+        folded = flwor_filter(binding.text, variable, clauses[1][2].text, namespaces)
+        if folded is not None:
+            return folded
+    return binding.run.root_filter
+
+
 def _parse_return(text: str, namespaces: tuple) -> _Expr | _Constructor:
     text = text.strip()
     if text.startswith("<"):
@@ -144,6 +173,7 @@ class XQueryEngine:
         query: str,
         root: XmlElement | list[XmlElement],
         variables: dict | None = None,
+        index: Callable | None = None,
     ) -> list:
         """Run *query* against one document or a collection of documents.
 
@@ -151,7 +181,10 @@ class XQueryEngine:
         every document (collection semantics: ``where``/``order by``
         apply globally across documents).  A query without FLWOR clauses
         is evaluated as a bare XPath expression per document.  One
-        statement is one ``xpath.evaluate`` span.
+        statement is one ``xpath.evaluate`` span.  *index* is as for
+        :meth:`XPathEngine.evaluate_each`: a query with a root filter
+        runs on the roots it returns, which are the only ones whose
+        bindings can reach the ``return``.
         """
         roots = root if isinstance(root, list) else [root]
         if not roots:
@@ -160,6 +193,12 @@ class XQueryEngine:
             "xpath.evaluate", expression=query, documents=len(roots)
         ) as span:
             plan = _plan(query.strip(), self._xpath.namespace_key)
+            how = "scan"
+            if index is not None and plan.root_filter is not None:
+                roots, how = index(plan.root_filter)
+            span.set_attributes(documents_evaluated=len(roots), index=how)
+            if not roots:
+                return []
             documents = [DocumentContext(r) for r in roots]
             variables = dict(variables or {})
             if plan.clauses is None:

@@ -11,17 +11,24 @@ nested, and only where order cannot be proven does a step call
 ``sort_document_order`` (which builds the document maps).  Per-run state
 — the document, variables, extension functions, predicate focus — rides
 the :class:`XPathContext`, so one closure serves every thread.
+
+A statement of the shape ``/T[operand op literal]…`` also yields, at
+compile time, a :class:`RootFilter`: the one test a document's root
+element must pass for the statement to select anything in it, which a
+collection answers from a value index instead of running the closure on
+every document.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
 from repro.obs import get_tracer
-from repro.xmlutil import XmlElement
+from repro.xmlutil import QName, XmlElement
 from repro.xmlutil.tree import Comment, Text
 from repro.xpath import ast
 from repro.xpath.context import (
@@ -46,14 +53,156 @@ def compile_xpath(expression: str, namespaces: tuple = ()) -> Callable:
 
     *namespaces* is the prefix → URI binding as a tuple of pairs (it is
     part of the cache key: name tests are resolved against it here).
+    The closure carries ``root_filter``: the statement's
+    :class:`RootFilter`, or None.
     """
-    return _compile(parse(expression), dict(namespaces))[0]
+    return _compile_statement(parse(expression), dict(namespaces))
 
 
 def compile_prefix(text: str, start: int, namespaces: tuple = ()) -> tuple[Callable, int]:
     """Compile the longest expression at ``text[start:]`` → (fn, end offset)."""
     tree, end = parse_prefix(text, start)
-    return _compile(tree, dict(namespaces))[0], end
+    return _compile_statement(tree, dict(namespaces)), end
+
+
+def _compile_statement(tree: ast.Expr, namespaces: dict) -> Callable:
+    run = _compile(tree, namespaces)[0]
+    run.root_filter = _root_filter(tree, namespaces)
+    return run
+
+
+@dataclass(frozen=True)
+class RootFilter:
+    """The test a document's root element must pass for a statement to
+    select anything in that document.
+
+    The statement's value is ``/T[operand op literal]…`` (or a FLWOR
+    ranging over ``/T`` whose ``where`` is that comparison on the bound
+    variable), *operand* being one attribute or child of ``T``.  A
+    document whose root is not ``T``, or whose operand values all fail
+    the comparison, evaluates to an empty node-set.  ``op`` has the
+    literal on its right.  The comparison is made as :func:`_compare`
+    makes it: by number when ``literal`` is a float (a number literal,
+    or a string literal under ``<``/``<=``/``>``/``>=``, already
+    converted; NaN matches nothing), else by string equality.
+    """
+
+    root: QName
+    axis: str  # "attribute" or "child"
+    operand: QName
+    op: str  # = < <= > >=
+    literal: float | str
+
+    @property
+    def numeric(self) -> bool:
+        return isinstance(self.literal, float)
+
+    @property
+    def key(self) -> tuple:
+        """What an index of the operand's values is built for: every
+        filter with this key probes the same index."""
+        return (self.root, self.axis, self.operand, self.numeric)
+
+    def keys(self, root: XmlElement) -> list:
+        """The index keys of the document rooted at *root*: the
+        operand's string-values, or, when numeric, those that are
+        numbers (NaN never matches)."""
+        name, operand = self.root, self.operand
+        if root.tag.local != name.local or root.tag.namespace != name.namespace:
+            return []
+        if self.axis == "attribute":
+            values = [
+                value
+                for attribute, value in root.attributes.items()
+                if attribute.local == operand.local
+                and attribute.namespace == operand.namespace
+            ]
+        else:
+            values = [
+                string_value(child)
+                for child in root.children
+                if isinstance(child, XmlElement)
+                and child.tag.local == operand.local
+                and child.tag.namespace == operand.namespace
+            ]
+        if not self.numeric:
+            return values
+        return [number for number in map(to_number, values) if number == number]
+
+
+_PROBED = {"=", "<", "<=", ">", ">="}
+
+
+def _root_step(tree: ast.Expr) -> ast.Step | None:
+    """The first step of an absolute path when it is ``child::T``."""
+    if not isinstance(tree, ast.LocationPath) or not tree.absolute or not tree.steps:
+        return None
+    first = tree.steps[0]
+    return first if first.axis == "child" and first.test.kind == "name" else None
+
+
+def _root_filter(tree: ast.Expr, namespaces: dict) -> RootFilter | None:
+    """``/T[operand op literal]…`` → its filter; any other shape → None."""
+    step = _root_step(tree)
+    if step is None or not step.predicates:
+        return None
+    return _value_filter(step.test, step.predicates[0], namespaces, None)
+
+
+def flwor_filter(
+    binding: str, variable: str, condition: str, namespaces: tuple = ()
+) -> RootFilter | None:
+    """The filter of ``for $variable in binding where condition``: the
+    binding is ``/T`` and the condition compares ``$variable/operand``
+    with a literal; otherwise None."""
+    tree = parse(binding)
+    step = _root_step(tree)
+    if step is None or step.predicates or len(tree.steps) != 1:
+        return None
+    return _value_filter(step.test, parse(condition), dict(namespaces), variable)
+
+
+def _value_filter(
+    test: ast.NodeTest, tree: ast.Expr, namespaces: dict, variable: str | None
+) -> RootFilter | None:
+    """*tree* as ``operand op literal`` (either order) on the element
+    named by *test* — the context node, or ``$variable`` when given."""
+    if not isinstance(tree, ast.ComparisonExpr) or tree.op not in _PROBED:
+        return None
+    op, operand, literal = tree.op, tree.left, tree.right
+    if isinstance(operand, (ast.StringLiteral, ast.NumberLiteral)):
+        op, operand, literal = _FLIPPED.get(op, op), literal, operand
+    if not isinstance(literal, (ast.StringLiteral, ast.NumberLiteral)):
+        return None
+    if variable is not None:
+        if (
+            not isinstance(operand, ast.PathExpr)
+            or operand.start != ast.VariableRef(variable)
+            or operand.descendant_glue
+        ):
+            return None
+        operand = operand.path
+    if (
+        not isinstance(operand, ast.LocationPath)
+        or operand.absolute
+        or len(operand.steps) != 1
+    ):
+        return None
+    step = operand.steps[0]
+    if step.axis not in ("attribute", "child") or step.test.kind != "name":
+        return None
+    if step.predicates:
+        return None
+    value = literal.value
+    if op != "=" and isinstance(value, str):
+        value = to_number(value)
+    return RootFilter(
+        _resolve(test, namespaces), step.axis, _resolve(step.test, namespaces), op, value
+    )
+
+
+def _resolve(test: ast.NodeTest, namespaces: dict) -> QName:
+    return QName(namespaces[test.prefix] if test.prefix else "", test.local)
 
 
 class XPathEngine:
@@ -105,13 +254,26 @@ class XPathEngine:
         roots: list[XmlElement],
         context_node: XPathNode | None = None,
         variables: dict | None = None,
+        index: Callable | None = None,
     ) -> list:
         """One statement over many documents: compile once, run the
-        closure per root, one ``xpath.evaluate`` span; a value per root."""
+        closure per root, one ``xpath.evaluate`` span; a value per root.
+
+        *index*, ``fn(root_filter) -> (roots, how)``, answers a
+        statement that has a :class:`RootFilter` with the roots, in
+        order, that can pass it: the closure runs on those only, and the
+        values are theirs (every other root's is an empty node-set).
+        The span records ``documents`` (all roots),
+        ``documents_evaluated`` and ``index``: ``how``, or ``scan``.
+        """
         with get_tracer().span(
             "xpath.evaluate", expression=expression, documents=len(roots)
         ) as span:
             run = compile_xpath(expression, self.namespace_key)
+            how = "scan"
+            if index is not None and run.root_filter is not None:
+                roots, how = index(run.root_filter)
+            span.set_attributes(documents_evaluated=len(roots), index=how)
             variables = dict(variables or {})
             results = []
             for root in roots:
@@ -322,8 +484,25 @@ _COMPILERS = {
 # -- steps -------------------------------------------------------------------
 
 
+_DESCENDANT_OR_SELF_NODE = ast.Step("descendant-or-self", ast.NodeTest("node"))
+
+
 def _steps(steps, namespaces: dict) -> list[tuple[Callable, str]]:
-    return [(_step(step, namespaces), step.axis) for step in steps]
+    # `//T` is descendant-or-self::node()/child::T: without a predicate
+    # on T (whose positions would count per parent) that is exactly
+    # descendant::T, which keeps a flat input ordered without a sort.
+    folded: list[ast.Step] = []
+    for step in steps:
+        if (
+            step.axis == "child"
+            and not step.predicates
+            and folded
+            and folded[-1] == _DESCENDANT_OR_SELF_NODE
+        ):
+            folded[-1] = ast.Step("descendant", step.test)
+        else:
+            folded.append(step)
+    return [(_step(step, namespaces), step.axis) for step in folded]
 
 
 def _chain(compiled: list, order: int) -> tuple[Callable, int]:

@@ -195,3 +195,32 @@ def test_non_writeable_resource_serves_a_call_that_only_reads(db):
         (100,),
         (50,),
     ]
+
+
+def test_non_readable_resource_refuses_a_call_that_returns_rows_unchanged(db):
+    """Whether a CALL returns rows shows only after it ran: on a
+    non-readable, writeable binding the refusal rolls the statement back,
+    so the procedure's insert is not committed."""
+    from repro.core import ConfigurableProperties, mint_abstract_name
+    from repro.core.faults import NotAuthorizedFault
+    from repro.dair import SQLDataResource
+
+    db.execute("CREATE TABLE audit_log (id INT)")
+
+    def log_and_list(execute):
+        execute("INSERT INTO audit_log VALUES (1)")
+        result = execute("SELECT id FROM audit_log")
+        return ProcedureResult(columns=result.columns, rows=result.rows)
+
+    db.register_procedure("log_and_list", log_and_list)
+    resource = SQLDataResource(mint_abstract_name("proc"), db)
+    write_only = ConfigurableProperties(readable=False, writeable=True)
+    assert db.execute("SELECT COUNT(*) FROM audit_log").rows == [(0,)]
+    with pytest.raises(NotAuthorizedFault, match="not readable"):
+        resource.sql_execute("CALL log_and_list()", [], write_only)
+    assert db.execute("SELECT COUNT(*) FROM audit_log").rows == [(0,)]
+    # A write that returns no rows is still committed.
+    assert resource.sql_execute(
+        "INSERT INTO audit_log VALUES (2)", [], write_only
+    ).update_count == 1
+    assert db.execute("SELECT id FROM audit_log").rows == [(2,)]

@@ -1,0 +1,474 @@
+"""The collection value index against the scan it stands in for.
+
+A statement whose compiled form has a root filter (``/T[operand op
+literal]…``, or a FLWOR over ``/T`` whose first ``where`` is that
+comparison) runs only on the documents the collection's value index
+returns.  That is right only while the index agrees with the documents,
+so the generative guard interleaves indexed statements with every way a
+collection changes — add, replace, remove, XUpdate — and checks each
+answer against the same closure run over *all* roots.  The threaded case
+checks the ordering promise: once an XUpdate has returned, no query
+answers from an index built before it.
+"""
+
+import sys
+import threading
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import mint_abstract_name
+from repro.daix import XMLCollectionResource
+from repro.daix.resources import value_to_items
+from repro.obs import use_exporter
+from repro.obs.exposition import prometheus_text
+from repro.xmldb import CollectionManager, XQueryEngine
+from repro.xmldb.collection import INDEX_CAPACITY
+from repro.xmldb.xquery import _plan
+from repro.xmlutil import E, QName, XmlElement, parse, serialize
+from repro.xpath import XPathEngine, compile_xpath
+from repro.xpath.evaluator import RootFilter
+
+NAMESPACES = {"n": "urn:n"}
+XPATH = XPathEngine(namespaces=NAMESPACES)
+XQUERY = XQueryEngine(namespaces=NAMESPACES)
+XUPDATE = "http://www.xmldb.org/xupdate"
+
+# -- documents ---------------------------------------------------------------------
+
+_ROOTS = [QName("", "item")] * 4 + [QName("urn:n", "item"), QName("", "other")]
+# Numbers, numbers in XPath's lexical form only with whitespace, and
+# strings that are NaN as numbers; repeated values make equal keys.
+_VALUES = ["1", "2", "2.5", "10", "-3", " 7 ", "x", "", "NaN", "1e3", "2"]
+
+
+def _document():
+    def build(tag, code, q, prices, names):
+        attributes = {}
+        if code is not None:
+            attributes[QName("", "code")] = code
+        if q is not None:
+            attributes[QName("urn:n", "q")] = q
+        element = XmlElement(tag, attributes)
+        for price in prices:  # zero, one or several: missing and repeated operands
+            element.append(E("price", price))
+        for name in names:
+            element.append(E("name", name))
+        return element
+
+    value = st.sampled_from(_VALUES)
+    return st.builds(
+        build,
+        st.sampled_from(_ROOTS),
+        st.none() | value,
+        st.none() | value,
+        st.lists(value, max_size=3),
+        st.lists(st.sampled_from(["bolt", "1", "2.5"]), max_size=2),
+    )
+
+
+# -- statements --------------------------------------------------------------------
+
+_OPERANDS = ["@code", "@n:q", "price", "name"]
+_OPS = ["=", "<", "<=", ">", ">="]
+_LITERALS = ["'1'", "'2.5'", "'x'", "''", "'NaN'", "'1e3'", "'-3'", "2", "2.5", "0", "10",
+             "7"]
+
+
+def _comparison(operands, operand_prefix: str = ""):
+    def render(operand, op, literal, flipped):
+        operand = operand_prefix + operand
+        return f"{literal} {op} {operand}" if flipped else f"{operand} {op} {literal}"
+
+    return st.builds(
+        render,
+        st.sampled_from(operands),
+        st.sampled_from(_OPS),
+        st.sampled_from(_LITERALS),
+        st.booleans(),
+    )
+
+
+_ROOT_TESTS = st.sampled_from(["item", "item", "item", "n:item", "other"])
+_SECOND = st.sampled_from(["", "", "[name]", "[price > 1]", "[1]", "[last()]"])
+_TAILS = st.sampled_from(["", "/name", "/price", "/@code", "/price[. > 1]", "/*[2]",
+                          "//text()"])
+
+
+def _statements(operands=_OPERANDS):
+    xpaths = st.builds(
+        "/{}[{}]{}{}".format, _ROOT_TESTS, _comparison(operands), _SECOND, _TAILS
+    )
+    flwors = st.builds(
+        lambda root, where, order, result: (
+            f"for $v in /{root} where {where} {order} return {result}"
+        ),
+        _ROOT_TESTS,
+        _comparison(operands, "$v/"),
+        st.sampled_from(["", "order by $v/price", "order by $v/@code descending"]),
+        st.sampled_from(["$v/name", '<r c="{$v/@code}">{$v/price}</r>', "$v"]),
+    )
+    return st.one_of(
+        xpaths.map(lambda text: ("xpath", text)),
+        flwors.map(lambda text: ("xquery", text)),
+        xpaths.map(lambda text: ("xquery", text)),  # a bare XPath as a query
+    )
+
+
+_STATEMENTS = _statements()
+#: One statement per operand, asked after every step.
+_WATCHED = st.tuples(*[_statements([operand]) for operand in _OPERANDS]).map(list)
+
+
+# -- the two ways to answer ------------------------------------------------------------
+
+
+def _indexed(resource, language: str, text: str) -> tuple[list[str], str]:
+    """The resource's answer and how the span says it found its roots
+    (an XQuery over no documents at all opens no span)."""
+    run = resource.xpath_execute if language == "xpath" else resource.xquery_execute
+    with use_exporter() as exporter:
+        items = run(text)
+    spans = exporter.spans("xpath.evaluate")
+    how = spans[0].attributes["index"] if spans else "build"
+    return [serialize(item) for item in items], how
+
+
+def _scanned(resource, language: str, text: str) -> list[str]:
+    """The same statement over every root, with no index (nor the
+    collection's kept document list)."""
+    collection = resource.collection
+    roots = [collection.get(name).root for name in collection.document_names()]
+    if language == "xpath":
+        items = []
+        for value in XPATH.evaluate_each(text, roots):
+            items.extend(value_to_items(value))
+    else:
+        items = value_to_items(XQUERY.execute(text, roots)) if roots else []
+    return [serialize(item) for item in items]
+
+
+def _modifications(*operations: str) -> XmlElement:
+    return parse(
+        f'<xu:modifications xmlns:xu="{XUPDATE}" xmlns:n="urn:n">'
+        + "".join(operations)
+        + "</xu:modifications>"
+    )
+
+
+# (modification, the root and operand whose values it sets, if any)
+_XUPDATES = st.sampled_from(
+    [
+        ('<xu:update select="/item/price">{}</xu:update>', "item", "price"),
+        ('<xu:update select="/item/@code">{}</xu:update>', "item", "@code"),
+        ('<xu:update select="/n:item/@n:q">{}</xu:update>', "n:item", "@n:q"),
+        ('<xu:remove select="/item/price[1]"/>', None, None),
+        ('<xu:remove select="/*/@code"/>', None, None),
+        ('<xu:append select="/*"><xu:element name="price">{}</xu:element></xu:append>',
+         "item", "price"),
+        ('<xu:append select="/item"><xu:attribute name="code">{}</xu:attribute>'
+         "</xu:append>", "item", "@code"),
+    ]
+)
+
+
+def _probes(step) -> list:
+    """For an XUpdate that sets values: statements selecting exactly the
+    value it sets, by string and by number — asked before it (building
+    the indexes) and after it, when a stale index would miss the
+    documents it changed."""
+    if step[0] != "xupdate" or step[1][1] is None:
+        return []
+    _, (_, root, operand), value, _ = step
+    return [
+        ("xpath", f"/{root}[{operand} = '{value}']"),
+        ("xquery", f"for $v in /{root} where '{value}' <= $v/{operand} return $v"),
+    ]
+
+_STEPS = st.one_of(
+    _STATEMENTS.map(lambda statement: ("query",) + statement),
+    st.tuples(st.just("add"), _document()),
+    st.tuples(st.just("replace"), st.integers(0, 7), _document()),
+    st.tuples(st.just("remove"), st.integers(0, 7)),
+    st.tuples(
+        st.just("xupdate"),
+        _XUPDATES,
+        st.sampled_from(_VALUES),
+        st.none() | st.integers(0, 7),  # one document, or all of them
+    ),
+)
+
+
+def _resource(documents) -> XMLCollectionResource:
+    collection = CollectionManager().create_path("items")
+    for ordinal, root in enumerate(documents):
+        collection.add(f"d{ordinal:02d}", root)
+    return XMLCollectionResource(mint_abstract_name("items"), collection, NAMESPACES)
+
+
+def _apply(resource, step, counter: list) -> None:
+    collection = resource.collection
+    names = collection.document_names()
+    if step[0] == "add":
+        counter[0] += 1
+        collection.add(f"e{counter[0]:03d}", step[1])
+    elif step[0] == "replace" and names:
+        collection.add(names[step[1] % len(names)], step[2], replace=True)
+    elif step[0] == "remove" and names:
+        collection.remove(names[step[1] % len(names)])
+    elif step[0] == "xupdate":
+        _, (template, _, _), value, pick = step
+        target = None if pick is None or not names else names[pick % len(names)]
+        resource.xupdate_execute(_modifications(template.format(value)), target)
+
+
+class TestIndexedEqualsScanned:
+    @given(
+        st.lists(_document(), min_size=1, max_size=6),
+        st.lists(_STEPS, min_size=1, max_size=12),
+        _WATCHED,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_interleaved_with_every_mutation(self, documents, steps, watched):
+        """*watched* statements are asked again after every step, so an
+        index built before a change is probed after it."""
+        resource = _resource(documents)
+        counter = [0]
+
+        def ask(statements):
+            for language, text in statements:
+                got, how = _indexed(resource, language, text)
+                assert how in ("probe", "build"), text
+                assert got == _scanned(resource, language, text), (language, text)
+
+        ask(watched)
+        for step in steps:
+            if step[0] == "query":
+                ask([step[1:]])
+            else:
+                ask(_probes(step))
+                _apply(resource, step, counter)
+                ask(_probes(step) + watched)
+
+    def test_every_mutation_moves_the_answer(self):
+        """Literal mutation arm: each way of changing the collection is
+        seen by the very next probe of an index built before it."""
+        resource = _resource(
+            [E("item", E("price", "1"), code="a"), E("item", E("price", "5"), code="b")]
+        )
+        cheap = "/item[price < 3]/@code"
+
+        def codes():
+            got, how = _indexed(resource, "xpath", cheap)
+            assert got == _scanned(resource, "xpath", cheap)
+            return [item.split(">")[1].split("<")[0] for item in got], how
+
+        assert codes() == (["a"], "build")
+        assert codes() == (["a"], "probe")
+        resource.collection.add("d02", E("item", E("price", "2"), code="c"))
+        assert codes() == (["a", "c"], "build")
+        resource.collection.add("d00", E("item", E("price", "9"), code="z"), replace=True)
+        assert codes() == (["c"], "build")
+        resource.collection.remove("d02")
+        assert codes() == ([], "build")
+        resource.xupdate_execute(
+            _modifications('<xu:update select="/item/price">0</xu:update>'), "d01"
+        )
+        assert codes() == (["b"], "build")
+        assert codes() == (["b"], "probe")
+
+    def test_a_failing_xupdate_still_moves_the_version(self):
+        """The first document is changed before the second one faults:
+        the change must not hide behind a stale index."""
+        from repro.core.faults import InvalidExpressionFault
+
+        resource = _resource([E("item", E("price", "1")), E("other", "text")])
+        assert _indexed(resource, "xpath", "/item[price = 1]")[0] != []
+        version = resource.collection.version
+        with pytest.raises(InvalidExpressionFault):
+            resource.xupdate_execute(
+                _modifications(
+                    '<xu:update select="/item/price">4</xu:update>',
+                    '<xu:append select="/other/text()">'
+                    '<xu:element name="x"/></xu:append>',
+                )
+            )
+        assert resource.collection.version > version
+        assert _indexed(resource, "xpath", "/item[price = 1]") == ([], "build")
+
+    def test_an_index_built_during_an_update_is_stale_after_it(self):
+        """The version moves after the last document changed: an index a
+        query builds half-way through an XUpdate carries the version from
+        before it, so the first query after the update builds anew."""
+        resource = _resource([E("item", v="0") for _ in range(3)])
+        apply = resource._xupdate.apply
+
+        def apply_then_query(modifications, root):
+            count = apply(modifications, root)
+            resource.xpath_execute("/item[@v >= 1]")  # a reader lands mid-update
+            return count
+
+        resource._xupdate.apply = apply_then_query
+        resource.xupdate_execute(_modifications('<xu:update select="/item/@v">1</xu:update>'))
+        assert len(resource.xpath_execute("/item[@v >= 1]")) == 3
+
+
+class TestShapes:
+    @pytest.mark.parametrize(
+        "expression, expected",
+        [
+            ("/item[@code = '3']/name", ("item", "attribute", "code", "=", "3")),
+            ("/item['3' = @code]", ("item", "attribute", "code", "=", "3")),
+            ("/item[price > 250]/name", ("item", "child", "price", ">", 250.0)),
+            ("/item[250 > price][name]", ("item", "child", "price", "<", 250.0)),
+            ("/item[price >= '2.5']", ("item", "child", "price", ">=", 2.5)),
+            ("/item[price = 7]", ("item", "child", "price", "=", 7.0)),
+            ("/n:item[@n:q <= 1]", ("{urn:n}item", "attribute", "{urn:n}q", "<=", 1.0)),
+        ],
+    )
+    def test_filtered(self, expression, expected):
+        root, axis, operand, op, literal = expected
+        assert compile_xpath(expression, XPATH.namespace_key).root_filter == RootFilter(
+            QName.parse(root), axis, QName.parse(operand), op, literal
+        )
+
+    @pytest.mark.parametrize(
+        "expression",
+        [
+            "count(/item[@code = '3'])",  # one value per document: a scan
+            "/item[@code != '3']",
+            "/item[@code = $x]",
+            "/item/price[. > 1]",  # the predicate is past the first step
+            "//item[@code = '3']",
+            "/*[@code = '3']",
+            "/item[1][@code = '3']",
+            "/item[price > 1 and name]",
+            "/item[price + 1 > 2]",
+            "/item[price/x = 1]",
+            "/item[price[1] = 1]",
+            "/item[. = 1]",
+            "/item[price = name]",
+            "/item[@code = '3'] | /item",
+            "(/item[@code = '3'])/name",
+        ],
+    )
+    def test_scanned(self, expression):
+        assert compile_xpath(expression, XPATH.namespace_key).root_filter is None
+
+    @pytest.mark.parametrize(
+        "query, filtered",
+        [
+            ("for $v in /item where $v/price < 5 return $v", True),
+            ("for $v in /item where 5 > $v/@code order by $v/price return $v", True),
+            ("for $v in /item where $v/price < 5 let $w := $v/name return $w", True),
+            ("for $v in /item[@code = 'a'] let $w := 1 return $v", True),
+            ("/item[@code = 'a']/name", True),
+            ("let $w := 1 for $v in /item where $v/price < 5 return $v", False),
+            ("for $v in /item let $w := 1 where $v/price < 5 return $v", False),
+            ("for $v in /item where $v/price < 5 for $v in $v/name return $v", False),
+            ("for $v in /item where $w/price < 5 return $v", False),
+            ("for $v in /item where $v/price < 5 and $v/name return $v", False),
+            ("for $v in /item where $v/price != 5 return $v", False),
+            ("for $v in /item/price where $v/x < 5 return $v", False),
+            ("for $v in //item where $v/price < 5 return $v", False),
+            ("count(/item[@code = 'a'])", False),
+        ],
+    )
+    def test_flwor_folding(self, query, filtered):
+        assert (_plan(query, XPATH.namespace_key).root_filter is not None) is filtered
+
+    def test_a_scan_shape_evaluates_every_document(self):
+        resource = _resource([E("item", E("price", str(i))) for i in range(5)])
+        with use_exporter() as exporter:
+            assert len(resource.xpath_execute("count(/item[price > 2])")) == 5
+            assert len(resource.xpath_execute("/item[price > 2]")) == 2
+            assert len(resource.xpath_execute("/item[price > 2]", "d04")) == 1
+        assert [
+            (s.attributes["documents"], s.attributes["documents_evaluated"],
+             s.attributes["index"])
+            for s in exporter.spans("xpath.evaluate")
+        ] == [(5, 5, "scan"), (5, 2, "build"), (1, 1, "scan")]
+
+
+class TestCollectionState:
+    def test_sorted_documents_are_kept_until_the_version_moves(self):
+        collection = CollectionManager().create_path("c")
+        for name in ("b", "a", "c"):
+            collection.add(name, E("x"))
+        first = collection.documents()
+        assert [d.name for d in first] == ["a", "b", "c"]
+        first.clear()  # a copy: the kept list is not the caller's
+        assert collection._snapshot()[1] is collection._snapshot()[1]
+        version = collection.version
+        collection.remove("b")
+        assert collection.version == version + 1
+        assert [d.name for d in collection.documents()] == ["a", "c"]
+
+    def test_indexes_are_bounded_and_counted(self):
+        from repro.daix import XMLRealisationService
+
+        service = XMLRealisationService("xml", "dais://xml")
+        resource = _resource([E("item", E(f"f{i}", "1")) for i in range(3)])
+        service.add_resource(resource)
+        for i in range(INDEX_CAPACITY + 2):
+            resource.xpath_execute(f"/item[f{i} = 1]")
+        resource.xpath_execute("/item[f0 = 2]")  # evicted: built again
+        resource.xpath_execute(f"/item[f{INDEX_CAPACITY + 1} = 2]")  # a hit
+        resource.collection.add("d00", E("item"), replace=True)
+        resource.xpath_execute(f"/item[f{INDEX_CAPACITY + 1} = 2]")  # stale
+        assert len(resource.collection.indexes) == INDEX_CAPACITY
+        exposition = prometheus_text([({"service": "xml"}, service.metrics)])
+        for name, value in (("hits", 1), ("misses", INDEX_CAPACITY + 2 + 1 + 1),
+                            ("invalidations", 1)):
+            assert f'xmldb_index_{name}_total{{service="xml"}} {value}' in exposition
+
+
+class TestConcurrentXUpdate:
+    def test_no_answer_from_before_a_returned_update(self):
+        """A writer raises every document's generation attribute step by
+        step; readers ask for the documents at least as new as the last
+        generation whose XUpdate had *returned* when they asked.  An
+        index built before that update would leave documents out.  (The
+        generation is an attribute because updating an attribute is one
+        assignment: an element's text is briefly empty while XUpdate
+        replaces it, which a concurrent scan sees too.)"""
+        documents = 60
+        resource = _resource([E("item", v="0") for _ in range(documents)])
+        returned = [0]
+        wrong: list = []
+        stop = threading.Event()
+
+        def writer():
+            for generation in range(1, 81):
+                resource.xupdate_execute(
+                    _modifications(f'<xu:update select="/item/@v">{generation}</xu:update>')
+                )
+                returned[0] = generation
+            stop.set()
+
+        def reader():
+            while not stop.is_set():
+                floor = returned[0]
+                for run, text in (
+                    (resource.xpath_execute, f"/item[@v >= {floor}]"),
+                    (resource.xquery_execute,
+                     f"for $p in /item where $p/@v >= {floor} return $p"),
+                ):
+                    got = [float(item.children[0].get("v")) for item in run(text)]
+                    if len(got) != documents or min(got) < floor:
+                        wrong.append((floor, text, got))
+
+        threads = [threading.Thread(target=reader) for _ in range(3)]
+        threads.append(threading.Thread(target=writer))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []

@@ -166,7 +166,8 @@ def _expressions():
     atoms = st.sampled_from(
         ["1", "2", "0.5", "'x'", "'1'", "''", "$n", "$s", "$missing", "true()",
          "false()", "position()", "last()", "string()", "name()", "number('1e3')",
-         "count('x')", ".", "*", "@k", "//a", "//*[@k]/@k", "//text()"]
+         "count('x')", ".", "*", "@k", "//a", "//*[@k]/@k", "//text()",
+         "$v//b[1]//node()"]
     )
     return st.recursive(atoms, extend, max_leaves=6)
 
@@ -462,6 +463,17 @@ class TestLazyDocumentContext:
         document = DocumentContext(root)
         run = compile_xpath("count(/r/a[@k = '1']/b[. > 1]) + count(/r/descendant::b)")
         assert run(document.document, XPathEngine().context(document, {})) == 2.0
+        assert document._parents is None
+
+    def test_descendant_glue_builds_no_maps(self):
+        """`//b` is compiled as descendant::b: over 8 000 siblings it
+        needs neither a sort nor the parent/order maps."""
+        root = E("r", *[E("b" if i % 2 else "a", E("b")) for i in range(8000)])
+        document = DocumentContext(root)
+        got = compile_xpath("//b")(document.document, XPathEngine().context(document, {}))
+        assert len(got) == 8000 + 4000
+        assert got[:3] == [root.children[0].children[0], root.children[1],
+                           root.children[1].children[0]]
         assert document._parents is None
 
     def test_attributes_minted_before_the_maps_keep_their_order(self):
