@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal
+from functools import reduce
+from operator import add
 from typing import Any, Iterator
 
 from repro.obs import add_to_current_span, get_tracer
@@ -390,9 +392,13 @@ class Executor:
         columns the select list drops.
         """
         where_parts = tuple(conjuncts(select.where))
-        relation = self._evaluate_from(select, where_parts, ctx)
-        if where_parts:
-            relation = self._filter(relation, where_parts, ctx)
+        ordered = self._ordered_path(select, where_parts)
+        if ordered is not None:
+            relation = self._ordered_walk(select, ordered, where_parts, window, ctx)
+        else:
+            relation = self._evaluate_from(select, where_parts, ctx)
+            if where_parts:
+                relation = self._filter(relation, where_parts, ctx)
 
         source = relation.bindings  # what * expands to
         aggregates = _collect_aggregates(select)
@@ -419,6 +425,88 @@ class Executor:
 
         rows = [project(row, ctx) for row in rows]
         return columns, _distinct(rows) if select.distinct else rows
+
+    # -- ordered top-k --------------------------------------------------------
+
+    def _ordered_path(self, select: ast.Select, where_parts: tuple) -> RangeLookup | None:
+        """The access path when ``ORDER BY … LIMIT`` can take its rows
+        from an in-order walk of the first ORDER BY column's index: one
+        base table, no grouping, aggregates, DISTINCT or UNION, and a
+        lead term that is that table's column, not an output alias of
+        another expression, whose index the planner ranges over."""
+        item = select.from_item
+        if (
+            select.limit is None
+            or not select.order_by
+            or select.group_by
+            or select.distinct
+            or select.union is not None
+            or not isinstance(item, ast.TableRef)
+            or self._catalog.has_view(item.name)
+        ):
+            return None
+        lead = select.order_by[0].expression
+        qualifier = (item.alias or item.name).lower()
+        if not isinstance(lead, ast.ColumnRef):
+            return None
+        if lead.table is not None and lead.table.lower() != qualifier:
+            return None
+        if lead.table is None and _shadowed(select.items, lead.column, qualifier):
+            return None
+        storage = self._storage(item.name)
+        if not storage.schema.has_column(lead.column) or _collect_aggregates(select):
+            return None
+        path = choose_access_path(storage, qualifier, where_parts, self._parameters)
+        if not isinstance(path, RangeLookup):
+            return None
+        if path.index.position != storage.schema.column_index(lead.column):
+            return None
+        return path
+
+    def _ordered_walk(
+        self,
+        select: ast.Select,
+        path: RangeLookup,
+        where_parts: tuple,
+        need: int,
+        ctx: Context,
+    ) -> Relation:
+        """The rows the sort needs: walk *path*'s index in the lead
+        term's direction, run the whole WHERE on each row, and stop once
+        *need* rows have passed and every row tied with the last of them
+        on the index key has been read.  Every row of the sorted first
+        *need* is among them, and they come back in row-id order, as a
+        scan gives them, so the one stable sort orders ties the same."""
+        ref = select.from_item
+        schema = self._catalog.table(ref.name)
+        self._on_table_read(schema.name.lower())
+        storage = self._storage(ref.name)
+        bindings = _table_bindings(schema, (ref.alias or ref.name).lower())
+        passes = self._bind(compile_filter, where_parts, bindings, ctx)
+        add_to_current_span("index_lookups")
+        entries = path.index.walk(
+            path.low,
+            path.high,
+            path.low_inclusive,
+            path.high_inclusive,
+            descending=not select.order_by[0].ascending,
+        )
+        chosen: dict[int, tuple] = {}
+        visited = 0
+        last = _UNSET  # the need-th row's key as the sort compares it
+        for key, row_id in entries:
+            if len(chosen) >= need and comparison_key(key)[1] != last:
+                break
+            visited += 1
+            row = storage.get(row_id)
+            if row is None or not passes(row, ctx):
+                continue
+            chosen[row_id] = row
+            if len(chosen) == need:
+                last = comparison_key(key)[1]
+        add_to_current_span("rows_scanned", visited)
+        add_to_current_span("rows_filtered_out", visited - len(chosen))
+        return Relation(bindings, [chosen[row_id] for row_id in sorted(chosen)])
 
     # -- FROM -------------------------------------------------------------
 
@@ -675,11 +763,22 @@ class Executor:
     def explain_select(self, select: ast.Select) -> list[str]:
         """A one-line-per-source description of the chosen access paths."""
         lines: list[str] = []
-        where_parts = conjuncts(select.where)
-        self._explain_from(select.from_item, where_parts, lines)
+        where_parts = tuple(conjuncts(select.where))
+        ordered = self._ordered_path(select, where_parts)
+        if ordered is not None:
+            table = self._catalog.table(select.from_item.name).name
+            line = f"INDEX ORDERED SCAN {table} ({ordered.index.name})"
+            try:
+                offset, limit = self._window(select, self._ctx)
+                line += f" LIMIT {offset + limit}"
+            except SqlError:  # EXPLAIN was not given the window's parameters
+                pass
+            lines.append(line)
+        else:
+            self._explain_from(select.from_item, where_parts, lines)
         if select.group_by or _collect_aggregates(select):
             lines.append("AGGREGATE")
-        if select.order_by:
+        if select.order_by and ordered is None:
             lines.append(f"SORT ({len(select.order_by)} key(s))")
         if select.limit is not None:
             lines.append("LIMIT")
@@ -955,6 +1054,10 @@ class Executor:
 # ---------------------------------------------------------------------------
 
 
+#: No key yet: unequal to every key the ordered walk compares with it.
+_UNSET = object()
+
+
 def _output_name(item: ast.SelectItem) -> str:
     if item.alias:
         return item.alias
@@ -1018,6 +1121,23 @@ def _collect_aggregates(select: ast.Select) -> list[ast.Aggregate]:
     return list(found)
 
 
+def _shadowed(items: tuple, column: str, qualifier: str) -> bool:
+    """True when an output column named *column* is not that column of
+    the table bound as *qualifier*: ``ORDER BY column`` then sorts on it."""
+    column = column.lower()
+    for item in items:
+        expression = item.expression
+        if isinstance(expression, ast.Star) or _output_name(item).lower() != column:
+            continue
+        if not (
+            isinstance(expression, ast.ColumnRef)
+            and expression.column.lower() == column
+            and (expression.table or qualifier).lower() == qualifier
+        ):
+            return True
+    return False
+
+
 def _is_ordinal(expression: ast.Expression) -> bool:
     return isinstance(expression, ast.Literal) and type(expression.value) is int
 
@@ -1071,6 +1191,9 @@ def _fold_aggregate(name: str, values: list) -> Any:
 
 
 def _numeric_sum(values: list) -> Any:
+    if set(map(type, values)) <= {int, float}:
+        # the loop's additions in its order: sum() compensates floats (3.12+)
+        return reduce(add, values)
     total = values[0]
     if not isinstance(total, (int, float, Decimal)) or isinstance(total, bool):
         raise SqlTypeError("SUM/AVG require numeric values")
@@ -1118,6 +1241,8 @@ def _distinct_values(values: list) -> list:
 
 
 def _group_key(value: Any) -> Any:
+    if type(value) is str:
+        return value
     if value is NULL:
         return ("\0null",)
     if isinstance(value, bool):

@@ -29,13 +29,18 @@ def conjuncts(expression: Optional[ast.Expression]) -> list[ast.Expression]:
 
 
 def _constant_value(expr: ast.Expression, parameters: tuple) -> tuple[bool, Any]:
-    """(is_constant, value) for literals and bound parameters."""
+    """(is_constant, value) for literals, bound parameters and a unary
+    minus over a numeric one (``-5`` parses as ``Unary('-', 5)``)."""
     if isinstance(expr, ast.Literal):
         return True, expr.value
     if isinstance(expr, ast.Parameter):
         if expr.index < len(parameters):
             value = parameters[expr.index]
             return True, (NULL if value is None else value)
+    if isinstance(expr, ast.Unary) and expr.op == "-":
+        constant, value = _constant_value(expr.operand, parameters)
+        if constant and type(value) in (int, float):
+            return True, -value
     return False, None
 
 

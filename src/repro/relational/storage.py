@@ -115,6 +115,29 @@ class OrderedIndex:
         high_inclusive: bool = True,
     ) -> list[int]:
         """Row ids whose key falls in [low, high] (open-ended when None)."""
+        lo, hi = self._bounds(low, high, low_inclusive, high_inclusive)
+        return self._ids[lo:hi]
+
+    def walk(
+        self,
+        low: Any = None,
+        high: Any = None,
+        low_inclusive: bool = True,
+        high_inclusive: bool = True,
+        descending: bool = False,
+    ) -> Iterator[tuple[Any, int]]:
+        """(key, row id) for :meth:`range`'s entries in key order, highest
+        first when *descending*.  Each list is sliced in one C-level copy,
+        so a writer that takes no lock cannot shift them mid-walk."""
+        lo, hi = self._bounds(low, high, low_inclusive, high_inclusive)
+        keys, ids = self._keys[lo:hi], self._ids[lo:hi]
+        if descending:
+            return zip(reversed(keys), reversed(ids))
+        return zip(keys, ids)
+
+    def _bounds(
+        self, low: Any, high: Any, low_inclusive: bool, high_inclusive: bool
+    ) -> tuple[int, int]:
         lo = 0
         hi = len(self._keys)
         if low is not None:
@@ -127,7 +150,7 @@ class OrderedIndex:
             hi = bisect_right(self._keys, key) if high_inclusive else bisect_left(
                 self._keys, key
             )
-        return self._ids[lo:hi]
+        return lo, hi
 
 
 def _hashable(key: tuple) -> tuple:

@@ -173,9 +173,8 @@ class XUpdateProcessor:
             if isinstance(node, AttributeNode):
                 node.owner.set(node.name, new_text)
             elif isinstance(node, XmlElement):
-                node.children = []
-                if new_text:
-                    node.append(Text(new_text))
+                # one assignment: a concurrent reader sees old or new text
+                node.children = [Text(new_text)] if new_text else []
             else:
                 raise XUpdateError("update target must be an element or attribute")
             count += 1

@@ -404,7 +404,9 @@ class TestKeyedSortAgainstComparator:
     def test_engine_order_by_limit_offset(self, data):
         """Through ``Database.execute``: every way of naming a term
         (qualified source column, output alias, ordinal) and the
-        LIMIT/OFFSET window, against the comparator on the unsorted rows."""
+        LIMIT/OFFSET window, against the comparator on the unsorted rows.
+        With an index on ``k0`` and a range on it, a ``t.k0`` lead term
+        with a LIMIT takes its rows from the ordered walk."""
         types = data.draw(st.lists(st.sampled_from(sorted(self._TYPED)), min_size=1, max_size=3))
         count = data.draw(st.integers(min_value=0, max_value=20))
         database = Database()
@@ -413,6 +415,11 @@ class TestKeyedSortAgainstComparator:
             + ", ".join(f"k{i} {t}" for i, t in enumerate(types))
             + ")"
         )
+        where, parameters = "", ()
+        if types[0] != "DATE" and data.draw(st.booleans()):  # a date compares with no parameter
+            database.execute("CREATE INDEX ix_k0 ON t (k0)")
+            op = data.draw(st.sampled_from(["<", "<=", ">", ">="]))
+            where, parameters = f" WHERE t.k0 {op} ?", (data.draw(self._TYPED[types[0]]),)
         for row_id in range(count):
             keys = [data.draw(st.one_of(st.none(), self._TYPED[t])) for t in types]
             database.execute(
@@ -430,11 +437,13 @@ class TestKeyedSortAgainstComparator:
         offset = data.draw(st.integers(min_value=0, max_value=5))
         window = "" if limit is None else f" LIMIT {limit} OFFSET {offset}"
 
-        unsorted = database.execute(f"{select} FROM t").rows
+        unsorted = database.execute(f"{select} FROM t{where}", parameters).rows
         expected = sort_by_keys(unsorted, [list(r[1:]) for r in unsorted], tuple(order_by))
         if limit is not None:
             expected = expected[offset : offset + limit]
-        got = database.execute(f"{select} FROM t ORDER BY {', '.join(spellings)}{window}")
+        got = database.execute(
+            f"{select} FROM t{where} ORDER BY {', '.join(spellings)}{window}", parameters
+        )
         assert got.rows == expected
 
 

@@ -18,11 +18,14 @@ _LABELS = st.sampled_from(["red", "green", "blue", "cyan"])
 _ROWS = st.lists(st.tuples(_INTS, _INTS, _LABELS), min_size=0, max_size=30)
 
 
-def _build_both(rows):
+def _build_both(rows, indexed=False):
     ours = Database()
     ours.execute("CREATE TABLE t (a INT, b INT, label VARCHAR(10))")
     reference = sqlite3.connect(":memory:")
     reference.execute("CREATE TABLE t (a INT, b INT, label TEXT)")
+    if indexed:  # an ordered index on a: comparisons become range scans
+        for engine in (ours, reference):
+            engine.execute("CREATE INDEX ix_t_a ON t (a)")
     for a, b, label in rows:
         ours.execute(
             "INSERT INTO t VALUES (?, ?, ?)",
@@ -60,10 +63,11 @@ def _compare_unordered(ours_rows, ref_rows):
 
 
 class TestDifferentialQueries:
-    @given(_ROWS, st.integers(min_value=-100, max_value=100))
+    @given(_ROWS, st.integers(min_value=-100, max_value=100), st.booleans())
     @settings(max_examples=40, deadline=None)
-    def test_where_comparisons(self, rows, pivot):
-        ours, reference = _build_both(rows)
+    def test_where_comparisons(self, rows, pivot, indexed):
+        # a negative pivot is ``Unary('-', literal)``: sargable too
+        ours, reference = _build_both(rows, indexed)
         for op in ("<", "<=", "=", ">=", ">", "<>"):
             query = f"SELECT a, b FROM t WHERE a {op} {pivot}"
             _compare_unordered(
@@ -323,6 +327,24 @@ def _same_rows_in_order(ours, reference, query, parameters=()):
     )
 
 
+#: ``ORDER BY total … LIMIT k`` over a range on the indexed ``total`` reads
+#: the index in order and stops at the k-th passing row and its ties.
+_TIED_ORDERS = st.lists(
+    st.tuples(
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=0, max_value=6).map(lambda q: q * 0.25),
+    ),
+    min_size=0,
+    max_size=40,
+)
+_TIED_PIVOT = st.integers(min_value=0, max_value=6).map(lambda q: q * 0.25)
+_DIRECTION = st.sampled_from(["ASC", "DESC"])
+
+
+def _plan(ours, query, parameters=()):
+    return [row[0] for row in ours.execute("EXPLAIN " + query, parameters).rows]
+
+
 class TestBenchmarkShapes:
     @given(_ORDERS, _PIVOT, st.booleans())
     @settings(max_examples=40, deadline=None)
@@ -385,3 +407,91 @@ class TestBenchmarkShapes:
             "HAVING SUM(o.total) > 5 ORDER BY 2 DESC, 1 LIMIT 2",
         ):
             _same_rows_in_order(ours, reference, query)
+
+    # -- the ordered walk's edges: few distinct totals put every LIMIT
+    # inside a tie group, and the walk must read the whole group
+
+    @pytest.mark.parametrize("lead", ["ASC", "DESC"])
+    @pytest.mark.parametrize("tiebreak", ["ASC", "DESC"])
+    def test_tie_group_straddles_the_kth_row(self, lead, tiebreak):
+        # index order within the 0.50 group is insertion order (1, 3, 4, 6);
+        # LIMIT 2 ends inside it (ASC) and LIMIT 3 ends inside it (DESC)
+        orders = [(1, 0.5), (2, 0.25), (3, 0.5), (4, 0.5), (5, 0.75), (6, 0.5)]
+        ours, reference = _build_shop(orders, indexed=True)
+        for limit in (1, 2, 3, 4):
+            query = (
+                "SELECT id, total FROM orders WHERE total >= 0 "
+                f"ORDER BY total {lead}, id {tiebreak} LIMIT {limit}"
+            )
+            assert _plan(ours, query)[0].startswith("INDEX ORDERED SCAN")
+            _same_rows_in_order(ours, reference, query)
+
+    @given(_TIED_ORDERS, _TIED_PIVOT, st.sampled_from(["<", "<=", ">", ">="]),
+           st.booleans(), _DIRECTION, _DIRECTION,
+           st.integers(min_value=0, max_value=8), st.integers(min_value=0, max_value=45))
+    @settings(max_examples=80, deadline=None)
+    def test_ties_at_any_limit_and_offset(
+        self, orders, pivot, op, indexed, lead, tiebreak, limit, offset
+    ):
+        # LIMIT 0, and OFFSET past every row the walk could pass
+        ours, reference = _build_shop(orders, indexed)
+        query = (
+            f"SELECT id, total FROM orders WHERE total {op} {pivot:.2f} "
+            f"ORDER BY total {lead}, id {tiebreak} LIMIT {limit} OFFSET {offset}"
+        )
+        _same_rows_in_order(ours, reference, query)
+
+    @given(_TIED_ORDERS, _TIED_PIVOT, _DIRECTION, st.integers(min_value=0, max_value=8))
+    @settings(max_examples=60, deadline=None)
+    def test_ties_keep_the_scan_order(self, orders, pivot, lead, limit):
+        # no engine promises an order among ties, so this one is checked
+        # against itself: the walk must give the full scan's row-id order
+        indexed, _ = _build_shop(orders, indexed=True)
+        scanned, _ = _build_shop(orders, indexed=False)
+        for order_by in (f"total {lead}", f"total {lead}, customer_id"):
+            query = (
+                "SELECT id, customer_id, total FROM orders "
+                f"WHERE total >= {pivot:.2f} ORDER BY {order_by} LIMIT {limit}"
+            )
+            assert indexed.execute(query).rows == scanned.execute(query).rows
+
+    @given(_TIED_ORDERS, _TIED_PIVOT, st.booleans(), _DIRECTION,
+           st.integers(min_value=1, max_value=8))
+    @settings(max_examples=60, deadline=None)
+    def test_a_conjunct_off_the_index_rejects_rows_mid_walk(
+        self, orders, pivot, indexed, lead, limit
+    ):
+        ours, reference = _build_shop(orders, indexed)
+        query = (
+            f"SELECT id, customer_id, total FROM orders WHERE total <= {pivot:.2f} "
+            f"AND customer_id <> 2 ORDER BY total {lead}, id LIMIT {limit}"
+        )
+        _same_rows_in_order(ours, reference, query)
+
+    @given(_TIED_ORDERS, _TIED_PIVOT, st.integers(min_value=1, max_value=8))
+    @settings(max_examples=40, deadline=None)
+    def test_an_output_alias_shadowing_the_lead_term_takes_the_sort(
+        self, orders, pivot, limit
+    ):
+        # ORDER BY total names the output 2 - total: the reverse of the index
+        ours, reference = _build_shop(orders, indexed=True)
+        query = (
+            f"SELECT id, 2 - total AS total FROM orders WHERE total >= {pivot:.2f} "
+            f"ORDER BY total, id LIMIT {limit}"
+        )
+        assert _plan(ours, query)[:2] == [
+            "INDEX RANGE SCAN orders (ix_orders_total__ord)",
+            "SORT (2 key(s))",
+        ]
+        _same_rows_in_order(ours, reference, query)
+
+    @given(_TIED_ORDERS, _TIED_PIVOT, st.booleans(), _DIRECTION,
+           st.integers(min_value=0, max_value=8))
+    @settings(max_examples=40, deadline=None)
+    def test_parameter_bound_and_limit(self, orders, pivot, indexed, lead, limit):
+        ours, reference = _build_shop(orders, indexed)
+        query = (
+            "SELECT o.id, o.total FROM orders o WHERE o.total <= ? "
+            f"ORDER BY o.total {lead}, o.id LIMIT ?"
+        )
+        _same_rows_in_order(ours, reference, query, (pivot, limit))

@@ -1,5 +1,9 @@
 """Transaction semantics: atomicity, isolation levels, lock conflicts."""
 
+import random
+import sys
+import threading
+
 import pytest
 
 from repro.relational import Database, IsolationLevel, TransactionError
@@ -109,6 +113,81 @@ class TestIsolation:
         assert dirty == 999
         writer.execute("ROLLBACK")
         reader.execute("COMMIT")
+
+    def test_read_uncommitted_top_k_beside_a_writer(self):
+        """A READ UNCOMMITTED reader takes no lock, so its ordered walk of
+        the ``total`` index runs while a writer inserts, moves and deletes
+        the rows it walks.  It must never raise, and never return a row
+        outside its predicate or more rows than its LIMIT."""
+        database = Database()
+        database.execute("CREATE TABLE orders (id INT PRIMARY KEY, total FLOAT)")
+        database.execute("CREATE INDEX ix_orders_total ON orders (total)")
+        for order_id in range(1, 301):
+            database.execute(
+                "INSERT INTO orders VALUES (?, ?)", (order_id, order_id * 7 % 100 * 0.5)
+            )
+        # (text, test every row must pass): a downward walk from the middle
+        # of the index, and an upward one that reads to its top end
+        queries = (
+            ("SELECT o.id, o.total FROM orders o WHERE o.total <= 25 "
+             "ORDER BY o.total DESC, o.id LIMIT 10", lambda total: total <= 25),
+            ("SELECT id, total FROM orders WHERE total >= 49 "
+             "ORDER BY total, id LIMIT 10", lambda total: total >= 49),
+        )
+        for query, _ in queries:
+            plan = database.execute("EXPLAIN " + query).rows
+            assert plan[0][0].startswith("INDEX ORDERED SCAN")
+        stop = threading.Event()
+        wrong: list = []
+        answers = [0]
+
+        def writer():
+            session, rng = database.create_session(), random.Random(7)
+            try:
+                for step in range(400):
+                    session.execute(
+                        "INSERT INTO orders VALUES (?, ?)",
+                        (1000 + step, rng.randrange(100) * 0.5),
+                    )
+                    session.execute(
+                        "UPDATE orders SET total = ? WHERE id = ?",
+                        (rng.randrange(100) * 0.5, rng.randrange(1, 1000 + step)),
+                    )
+                    session.execute(
+                        "DELETE FROM orders WHERE id = ?", (rng.randrange(1, 1000 + step),)
+                    )
+            finally:
+                stop.set()
+
+        def reader():
+            session = database.create_session()
+            session.execute("BEGIN ISOLATION LEVEL READ UNCOMMITTED")
+            while not stop.is_set():
+                for query, keeps in queries:
+                    try:
+                        rows = session.execute(query).rows
+                    except Exception as exc:  # the invariant: a dirty read never raises
+                        wrong.append(repr(exc))
+                        return
+                    answers[0] += 1
+                    if len(rows) > 10 or not all(keeps(total) for _, total in rows):
+                        wrong.append(rows)
+            session.execute("COMMIT")
+
+        threads = [threading.Thread(target=reader) for _ in range(2)]
+        threads.append(threading.Thread(target=writer))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        assert answers[0] > 0
 
     def test_read_committed_blocks_dirty_read(self, db):
         writer = db.create_session()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.obs import use_exporter
 from repro.relational import CatalogError, Database, NULL, SqlError
 
 
@@ -216,3 +217,56 @@ class TestExplain:
         assert "AGGREGATE" in plan
         assert any(line.startswith("SORT") for line in plan)
         assert "LIMIT" in plan
+
+    def test_ordered_scan_reported_and_counted(self, db):
+        """``ORDER BY amount … LIMIT`` over a range on the indexed amount
+        walks the index and stops at the k-th passing row and its ties;
+        ``rows_scanned`` counts the entries it read."""
+        db.execute("CREATE INDEX ix_amount ON sales (amount)")
+        db.execute("INSERT INTO sales VALUES (5,'west',20.0),(6,'east',20.0)")
+
+        def run(query):
+            plan = [r[0] for r in db.execute("EXPLAIN " + query).rows]
+            with use_exporter() as exporter:
+                rows = db.execute(query).rows
+            (span,) = [s for s in exporter.spans() if s.name == "sql.select"]
+            return plan, rows, span.attributes["rows_scanned"]
+
+        # amount >= 10 in index order: 10 (1), 20 (2, 5, 6), 30 (3); the
+        # second row is a 20, so its two ties are read and the 30 is not
+        plan, rows, scanned = run(
+            "SELECT id, amount FROM sales WHERE amount >= 10 ORDER BY amount, id LIMIT 2"
+        )
+        assert plan == ["INDEX ORDERED SCAN sales (ix_amount__ord) LIMIT 2", "LIMIT"]
+        assert rows == [(1, 10.0), (2, 20.0)]
+        assert scanned == 4
+        # downward: 20 (6, 5, 2), 10 (1), 5 (4); OFFSET counts toward k
+        plan, rows, scanned = run(
+            "SELECT id, amount FROM sales WHERE amount <= 25 "
+            "ORDER BY amount DESC, id LIMIT 1 OFFSET 1"
+        )
+        assert plan[0] == "INDEX ORDERED SCAN sales (ix_amount__ord) LIMIT 2"
+        assert rows == [(5, 20.0)]
+        assert scanned == 3
+
+    def test_ordered_scan_needs_a_limit_and_the_lead_column(self, db):
+        db.execute("CREATE INDEX ix_amount ON sales (amount)")
+        db.execute("CREATE VIEW v AS SELECT id, amount FROM sales")
+        ranged = ["INDEX RANGE SCAN sales (ix_amount__ord)", "SORT (1 key(s))"]
+        for query in (
+            "SELECT id FROM sales WHERE amount > 1 ORDER BY amount",
+            "SELECT id FROM sales WHERE amount > 1 ORDER BY id LIMIT 2",
+            "SELECT id FROM sales WHERE amount > 1 ORDER BY -amount LIMIT 2",
+            "SELECT id, amount * 2 AS amount FROM sales WHERE amount > 1 "
+            "ORDER BY amount LIMIT 2",
+        ):
+            plan = [r[0] for r in db.execute("EXPLAIN " + query).rows]
+            assert plan[:2] == ranged, query
+        for query in (
+            "SELECT region, MAX(amount) FROM sales WHERE amount > 1 "
+            "GROUP BY region ORDER BY region LIMIT 2",
+            "SELECT DISTINCT amount FROM sales WHERE amount > 1 ORDER BY amount LIMIT 2",
+            "SELECT id FROM v WHERE amount > 1 ORDER BY amount LIMIT 2",
+        ):
+            plan = [r[0] for r in db.execute("EXPLAIN " + query).rows]
+            assert not any("ORDERED" in line for line in plan), query

@@ -472,3 +472,49 @@ class TestConcurrentXUpdate:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert wrong == []
+
+    def test_updated_text_is_never_seen_empty(self):
+        """An XUpdate ``update`` of an element's text replaces its
+        children in one assignment, so a concurrent reader sees the old
+        text or the new one.  Every generation a writer puts into
+        ``<price>`` passes ``price >= floor`` for the last generation that
+        had returned, so each answer holds all 12 documents."""
+        documents = 12
+        resource = _resource([E("item", E("price", "0")) for _ in range(documents)])
+        returned = [0]
+        wrong: list = []
+        stop = threading.Event()
+
+        def writer():
+            for generation in range(1, 1001):
+                resource.xupdate_execute(
+                    _modifications(f'<xu:update select="/item/price">{generation}</xu:update>')
+                )
+                returned[0] = generation
+            stop.set()
+
+        def reader():
+            while not stop.is_set():
+                floor = returned[0]
+                for run, text in (
+                    (resource.xpath_execute, f"/item[price >= {floor}]"),
+                    (resource.xquery_execute,
+                     f"for $p in /item where $p/price >= {floor} return $p"),
+                ):
+                    got = [item.children[0].findtext("price") for item in run(text)]
+                    if len(got) != documents:
+                        wrong.append((floor, text, got))
+
+        threads = [threading.Thread(target=reader) for _ in range(3)]
+        threads.append(threading.Thread(target=writer))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
