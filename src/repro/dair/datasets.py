@@ -32,12 +32,14 @@ from repro.relational.engine import ResultSet
 from repro.relational.types import NULL
 from repro.xmlutil import (
     QName,
+    RowRun,
     StreamedElement,
     Text,
     XmlElement,
     escape_attribute,
     escape_text,
     interned_qname,
+    stored_children,
 )
 
 _WEBROWSET_NS = WEBROWSET_NS
@@ -203,8 +205,33 @@ def _q(local: str) -> QName:
     return QName(WSDAIR_NS, local)
 
 
+def _row_items(element: XmlElement, row_tag: QName, value_tag: QName) -> list:
+    """*element*'s children as stored: nodes, and the :class:`RowRun`
+    tuples the parser read for rows of *row_tag*/*value_tag* and built
+    no nodes for.  A run of other tags is not a dataset's rows, so then
+    the children are built and walked like any others."""
+    items = stored_children(element)
+    for item in items:
+        if type(item) is RowRun and (
+            item.row_tag != row_tag or item.value_tag != value_tag
+        ):
+            return element.children
+    return items
+
+
 def _parse_sqlrowset(element: XmlElement) -> Rowset:
-    metadata = element.find(_q("ColumnMetadata"))
+    row_qi = interned_qname(WSDAIR_NS, "Row")
+    value_qi = interned_qname(WSDAIR_NS, "Value")
+    null_qi = interned_qname(WSDAIR_NS, "Null")
+    items = _row_items(element, row_qi, value_qi)
+    metadata = next(
+        (
+            item
+            for item in items
+            if isinstance(item, XmlElement) and item.tag == _q("ColumnMetadata")
+        ),
+        None,
+    )
     columns: list[str] = []
     types: list[str] = []
     if metadata is not None:
@@ -212,23 +239,23 @@ def _parse_sqlrowset(element: XmlElement) -> Rowset:
             columns.append(column.get("name", "") or "")
             types.append(column.get("type", "") or "")
     rows = []
-    # One pass over raw children with the tag QNames bound once.
-    # Freshly parsed trees carry the interned instances, so tags
+    # Rows the parser read as a run come as tuples; the rest are walked.
+    # Freshly parsed trees carry the interned tag instances, so tags
     # compare by identity; equality is the fallback for hand-built
     # trees.  A Value's single merged Text child is read directly
     # instead of through the joining ``text`` property.
-    row_qi = interned_qname(WSDAIR_NS, "Row")
-    value_qi = interned_qname(WSDAIR_NS, "Value")
-    null_qi = interned_qname(WSDAIR_NS, "Null")
-    for row_el in element.children:
-        if type(row_el) is not XmlElement or (
-            row_el.tag is not row_qi and row_el.tag != row_qi
+    for item in items:
+        if type(item) is RowRun:
+            rows.extend(item.rows)
+            continue
+        if not isinstance(item, XmlElement) or (
+            item.tag is not row_qi and item.tag != row_qi
         ):
             continue
         values = []
         append = values.append
-        for child in row_el.children:
-            if type(child) is not XmlElement:
+        for child in item.children:
+            if not isinstance(child, XmlElement):
                 continue
             tag = child.tag
             if tag is value_qi:
@@ -266,14 +293,18 @@ def _parse_webrowset(element: XmlElement) -> Rowset:
     rows = []
     data = element.find(_w("data"))
     if data is not None:
-        for current in data.findall(_w("currentRow")):
-            values = []
-            for column_value in current.findall(_w("columnValue")):
-                if column_value.get("null") == "true":
-                    values.append(NULL)
-                else:
-                    values.append(column_value.text)
-            rows.append(tuple(values))
+        row_tag = _w("currentRow")
+        for item in _row_items(data, row_tag, _w("columnValue")):
+            if type(item) is RowRun:
+                rows.extend(item.rows)
+            elif isinstance(item, XmlElement) and item.tag == row_tag:
+                values = []
+                for column_value in item.findall(_w("columnValue")):
+                    if column_value.get("null") == "true":
+                        values.append(NULL)
+                    else:
+                        values.append(column_value.text)
+                rows.append(tuple(values))
     return Rowset(columns, types, rows)
 
 
@@ -297,6 +328,8 @@ def _csv_split_fields(line: str) -> list[tuple[str, bool]]:
     literal value ``"\\N"`` (quoted) — dropping it during unquoting is
     exactly how a quoted literal would collapse into NULL on parse.
     """
+    if '"' not in line:
+        return [(text, False) for text in line.split(",")]
     fields: list[tuple[str, bool]] = []
     buffer: list[str] = []
     index = 0
@@ -344,6 +377,8 @@ def _set_csv_types(element: XmlElement, rowset) -> None:
 
 def _split_records(text: str) -> list[str]:
     """Split CSV text into records, honouring quoted newlines."""
+    if '"' not in text:
+        return text.split("\n")
     records: list[str] = []
     buffer: list[str] = []
     in_quotes = False

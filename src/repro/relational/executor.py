@@ -300,15 +300,7 @@ class Executor:
             add_to_current_span("table_scans")
             return bindings, (row for _, row in storage.iter_rows())
         add_to_current_span("index_lookups")
-        if isinstance(path, EqualityLookup):
-            row_ids = path.index.lookup(path.key)
-        else:
-            row_ids = set(
-                path.index.range(
-                    path.low, path.high, path.low_inclusive, path.high_inclusive
-                )
-            )
-        fetched = map(storage.get, sorted(row_ids))
+        fetched = map(storage.get, _row_ids(path))
         return bindings, (row for row in fetched if row is not None)
 
     # -- column type metadata ------------------------------------------------
@@ -1023,12 +1015,34 @@ class Executor:
     def _targets(
         self, storage: TableStorage, where: ast.Expression | None, bindings: tuple
     ) -> list[tuple[int, tuple]]:
-        """The (row id, row) pairs an UPDATE/DELETE's WHERE selects."""
+        """The (row id, row) pairs an UPDATE/DELETE's WHERE selects.  The
+        WHERE picks an index as a SELECT's does (:meth:`_scan`) and still
+        runs whole on every candidate; indexed candidates come in row-id
+        order, as :meth:`_scan` reads them."""
+        path = None
+        if where is not None:
+            path = choose_access_path(
+                storage,
+                storage.schema.name.lower(),
+                tuple(conjuncts(where)),
+                self._parameters,
+            )
+        if path is None:
+            add_to_current_span("table_scans")
+            candidates = list(storage.rows())
+        else:
+            add_to_current_span("index_lookups")
+            candidates = [
+                (row_id, row)
+                for row_id in _row_ids(path)
+                if (row := storage.get(row_id)) is not None
+            ]
+        add_to_current_span("rows_scanned", len(candidates))
         if where is None:
-            return list(storage.rows())
+            return candidates
         test = self._bind(compile_expression, where, bindings, self._ctx)
         ctx = self._ctx
-        return [pair for pair in storage.rows() if test(pair[1], ctx) is True]
+        return [pair for pair in candidates if test(pair[1], ctx) is True]
 
     def execute_delete(self, delete: ast.Delete) -> int:
         with get_tracer().span("sql.delete", table=delete.table) as span:
@@ -1056,6 +1070,19 @@ class Executor:
 
 #: No key yet: unequal to every key the ordered walk compares with it.
 _UNSET = object()
+
+
+def _row_ids(path: EqualityLookup | RangeLookup) -> list[int]:
+    """The row ids an index access path selects, in row-id order."""
+    if isinstance(path, EqualityLookup):
+        return sorted(path.index.lookup(path.key))
+    return sorted(
+        set(
+            path.index.range(
+                path.low, path.high, path.low_inclusive, path.high_inclusive
+            )
+        )
+    )
 
 
 def _output_name(item: ast.SelectItem) -> str:

@@ -23,6 +23,8 @@ from __future__ import annotations
 import zlib
 from typing import Iterable, Iterator, Mapping
 
+from repro.transport.http11 import MAX_BODY_BYTES
+
 __all__ = [
     "GZIP_FLOOR_BYTES",
     "accepts_gzip",
@@ -67,8 +69,22 @@ def gzip_compress(payload: bytes, level: int = 6) -> bytes:
 
 
 def gunzip(payload: bytes) -> bytes:
-    """Inverse of :func:`gzip_compress` (also accepts zlib framing)."""
-    return zlib.decompress(payload, _ANY_WBITS)
+    """Inverse of :func:`gzip_compress` (also accepts zlib framing).
+
+    The decoded body is bounded like a plain one (:data:`MAX_BODY_BYTES`):
+    decoding stops one byte past the bound, so a gzip bomb costs no more
+    memory than a legal reply, and raises :class:`ValueError` naming the
+    bound.  A truncated member raises :class:`zlib.error`.
+    """
+    decompressor = zlib.decompressobj(_ANY_WBITS)
+    data = decompressor.decompress(payload, MAX_BODY_BYTES + 1)
+    if len(data) > MAX_BODY_BYTES:
+        raise ValueError(
+            f"gzip body decodes past the {MAX_BODY_BYTES}-byte limit"
+        )
+    if not decompressor.eof:
+        raise zlib.error("incomplete or truncated stream")
+    return data
 
 
 def gzip_stream(

@@ -104,6 +104,12 @@ def _keep_alive(version: str, headers: dict[str, str]) -> bool:
     return "keep-alive" in connection
 
 
+#: The largest body a parser reads by default (256 MiB): a request on the
+#: server, a reply on the client (``pool.REPLY_LIMITS``), and what a gzip
+#: reply may decode to (``compression.gunzip``).
+MAX_BODY_BYTES = 256 * 1024 * 1024
+
+
 class _MessageParser:
     """The state machine both directions share.  A subclass reads the
     start line (``_start``), picks the body framing once the headers
@@ -117,7 +123,7 @@ class _MessageParser:
         self,
         max_line_bytes: int = 16384,
         max_header_bytes: int = 65536,
-        max_body_bytes: int = 256 * 1024 * 1024,
+        max_body_bytes: int = MAX_BODY_BYTES,
     ) -> None:
         self.max_line_bytes = max_line_bytes
         self.max_header_bytes = max_header_bytes
@@ -156,7 +162,7 @@ class _MessageParser:
                 self._finish()
             elif state == self._EOF:
                 if len(self._body) + len(buffer) > self.max_body_bytes:
-                    raise HttpParseError("body too large", 413)
+                    raise self._too_large("body")
                 self._body += buffer
                 buffer.clear()
                 return
@@ -222,7 +228,7 @@ class _MessageParser:
             raise HttpParseError(f"bad chunk size {token!r}")
         self._remaining = int(token, 16)
         if len(self._body) + self._remaining > self.max_body_bytes:
-            raise HttpParseError("chunked body too large", 413)
+            raise self._too_large("chunked body")
         self._state = self._CHUNK_DATA if self._remaining else self._TRAILERS
 
     def _content_length(self) -> int | None:
@@ -236,8 +242,13 @@ class _MessageParser:
         except ValueError:  # past int()'s digit limit, so past any body limit
             length = self.max_body_bytes + 1
         if length > self.max_body_bytes:
-            raise HttpParseError(f"body of {len(raw)}-digit length too large", 413)
+            raise self._too_large(f"body of {len(raw)}-digit length")
         return length
+
+    def _too_large(self, what: str) -> HttpParseError:
+        return HttpParseError(
+            f"{what} too large: over the {self.max_body_bytes}-byte limit", 413
+        )
 
     def _chunked(self) -> bool:
         return "chunked" in self._headers.get("transfer-encoding", "").lower()

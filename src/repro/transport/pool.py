@@ -30,12 +30,11 @@ behaviour is visible in ``obs:ServiceMetrics`` and ``GET /metrics``.
 from __future__ import annotations
 
 import socket
-import sys
 import threading
 import time
 
 from repro.obs import MetricsRegistry
-from repro.transport.http11 import ParsedResponse, ResponseParser
+from repro.transport.http11 import MAX_BODY_BYTES, ParsedResponse, ResponseParser
 
 __all__ = ["ClientConnection", "HttpConnectionPool", "MAX_IDLE_PER_HOST"]
 
@@ -47,10 +46,12 @@ MAX_IDLE_PER_HOST = 8
 #: Bytes asked of the socket per ``recv``.
 RECV_BYTES = 65536
 
-#: Looser than a request's limits: a 64 KiB line, as the stdlib client
-#: took, and no body cap — a streamed dataset is as large as its result.
+#: A reply's lines may be looser than a request's: a 64 KiB line, as the
+#: stdlib client took.  Its body is bounded like a request's (256 MiB): a
+#: larger reply is a fault that names the bound, and its connection is
+#: closed, never pooled.
 REPLY_LIMITS = dict(
-    max_line_bytes=1 << 16, max_header_bytes=1 << 20, max_body_bytes=sys.maxsize
+    max_line_bytes=1 << 16, max_header_bytes=1 << 20, max_body_bytes=MAX_BODY_BYTES
 )
 
 

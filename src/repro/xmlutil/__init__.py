@@ -19,7 +19,9 @@ from repro.xmlutil.tree import (
     Comment,
     StreamedElement,
     RenderedElement,
+    RowRun,
     is_element,
+    stored_children,
 )
 from repro.xmlutil.builder import E, element
 from repro.xmlutil.serialize import (
@@ -51,7 +53,9 @@ __all__ = [
     "Comment",
     "StreamedElement",
     "RenderedElement",
+    "RowRun",
     "is_element",
+    "stored_children",
     "E",
     "element",
     "serialize",

@@ -23,7 +23,7 @@ from typing import NoReturn
 
 from repro.xmlutil.escape import unescape
 from repro.xmlutil.names import XML_NS, QName
-from repro.xmlutil.tree import Comment, Text, XmlElement
+from repro.xmlutil.tree import Comment, PendingRows, RowRun, Text, XmlElement
 
 
 class XmlParseError(ValueError):
@@ -380,10 +380,12 @@ def parse_bytes(data: bytes) -> XmlElement:
 def _parse_element(scanner: _Scanner, ctx: _NsContext) -> XmlElement:
     """The token loop: one ``_TOKEN_RE`` match per construct, one
     explicit stack instead of recursion, open tags resolved through the
-    scope memo, text-only leaves built without a frame.  After a leaf,
-    the sibling-run and row-run recognisers hand the rest of a rowset
-    lattice to the regex engine.  The scanner's ``pos`` is synced only
-    around cold paths and errors.
+    scope memo, text-only leaves built without a frame.  At a row's
+    first leaf the row-run recogniser hands a whole rowset lattice to
+    the regex engine and keeps it as tuples (:class:`RowRun`); after
+    any other leaf the sibling-run recogniser takes the leaves spelled
+    like it.  The scanner's ``pos`` is synced only around cold paths
+    and errors.
     """
     text = scanner.text
     pos = scanner.pos
@@ -398,6 +400,7 @@ def _parse_element(scanner: _Scanner, ctx: _NsContext) -> XmlElement:
     node: XmlElement | None = None  # the open element; None at the root level
     raw_tag = ""
     buffer: list[str] = []  # character data not yet attached to ``node``
+    holders: list[XmlElement] = []  # elements given a RowRun, in order
 
     while True:
         match = token(text, pos)
@@ -429,6 +432,8 @@ def _parse_element(scanner: _Scanner, ctx: _NsContext) -> XmlElement:
             closed = node
             node, raw_tag, ctx = stack.pop()
             if node is None:
+                for holder in holders:
+                    holder.__class__ = PendingRows
                 scanner.pos = pos
                 return closed
             node.children.append(closed)
@@ -438,6 +443,75 @@ def _parse_element(scanner: _Scanner, ctx: _NsContext) -> XmlElement:
         if entry is None:
             entry = _open_tag(scanner, ctx, match, qcache)
         ectx, tag, attributes, nraw = entry
+
+        # Row run: a leaf that opens the content of an attribute-free
+        # element (``<Row><Value>``) may start a lattice of such rows.
+        # One C-level match from the row's open tag takes every whole row
+        # of it, two split passes give one tuple per row, and the element
+        # holding the rows carries them as a RowRun: no row or value node
+        # is built until something reads its children.  Identically
+        # spelled attribute-free tags resolve to the same QNames; a row
+        # spelled like its values (<A><A>…</A></A>) has one seam for both
+        # levels and cannot be split by text; a lone row is built as
+        # nodes.  A row the pattern stops at (a <Null/>, an empty <Value/>,
+        # attributes, whitespace) is read token by token, and the next
+        # row's first leaf tries again.
+        if (
+            kind == _LEAF
+            and node is not None
+            and not node.children
+            and not node.attributes
+            and not buffer
+            and raw_tag != nraw
+            and stack[-1][0] is not None
+        ):
+            opener = "<" + raw_tag + ">"
+            start = match.start() - len(opener)
+            closer = "</" + raw_tag + ">"
+            end = match.end()
+            # the row opened bare, goes on with a value spelled alike or
+            # ends, and the next row opens right after it
+            if (
+                startswith(opener, start)
+                and startswith(("<" + nraw + ">", closer), end)
+                and startswith(opener, text.find(closer, end) + len(closer))
+            ):
+                rkey = (raw_tag, nraw)
+                row_re = rcache.get(rkey)
+                if row_re is None:
+                    er, ev = re.escape(raw_tag), re.escape(nraw)
+                    row_re = rcache[rkey] = re.compile(
+                        f"(?:<{er}>(?:<{ev}>[^<]*+</{ev}>)*+</{er}>){{2,}}+"
+                    )
+                run = row_re.match(text, start)
+                if run is not None:
+                    run_end = run.end()
+                    probe = "<" + nraw + ">"
+                    plen = len(probe)
+                    seam = "</" + nraw + ">" + probe
+                    bodies = text[start + len(opener) : run_end - len(closer)]
+                    rows = [
+                        tuple(body[plen : -plen - 1].split(seam)) if body else ()
+                        for body in bodies.split(closer + opener)
+                    ]
+                    if text.find("&", start, run_end) >= 0:
+                        rows = [
+                            tuple(
+                                _unescaped(raw, start, text, run_end)
+                                if "&" in raw
+                                else raw
+                                for raw in row
+                            )
+                            for row in rows
+                        ]
+                    row_tag = node.tag
+                    node, raw_tag, ctx = stack.pop()
+                    node.children.append(RowRun(row_tag, tag, rows))
+                    if not holders or holders[-1] is not node:
+                        holders.append(node)
+                    pos = run_end
+                    continue
+
         pos = match.end()
         # Inline construction: the dataclass __init__ + __post_init__
         # re-validate what the parser already guarantees.
@@ -500,61 +574,3 @@ def _parse_element(scanner: _Scanner, ctx: _NsContext) -> XmlElement:
                         sib.children = []
                     siblings.append(sib)
                 pos = run_end
-
-        # Row run: when the value run filled its parent and the next row
-        # opens right after it (``</Row><Row>``), whole rows of the same
-        # two-level lattice are consumed by one C-level match and two
-        # split passes.  Identically spelled attribute-free tags resolve
-        # to the same QNames unless the first row declared a namespace
-        # itself; a row spelled like its values (<A><A>…</A></A>) has
-        # one seam for both levels and cannot be split by text.
-        rraw = raw_tag
-        rseam = "</" + rraw + "><" + rraw + ">"
-        if rraw == nraw or not startswith(rseam, pos):
-            continue
-        outer, _, outer_ctx = stack[-1]
-        if outer is None or outer_ctx is not ctx:
-            continue
-        rkey = (rraw, nraw)
-        row_re = rcache.get(rkey)
-        if row_re is None:
-            er, ev = re.escape(rraw), re.escape(nraw)
-            row_re = rcache[rkey] = re.compile(
-                f"(?:<{er}>(?:<{ev}>[^<]*+</{ev}>)*+</{er}>)++"
-            )
-        closed = node
-        node, raw_tag, ctx = stack.pop()
-        node.children.append(closed)
-        pos += len(rraw) + 3
-        match = row_re.match(text, pos)
-        if match is None:
-            continue
-        run_end = match.end()
-        row_tag = closed.tag
-        rplen = len(rraw) + 2
-        append_row = node.children.append
-        for body in text[pos + rplen : run_end - rplen - 1].split(rseam):
-            rowel = element_new(XmlElement)
-            rowel.tag = row_tag
-            rowel.attributes = {}
-            if body:
-                children = []
-                append_value = children.append
-                for raw in body[plen : len(body) - plen - 1].split(seam):
-                    sib = element_new(XmlElement)
-                    sib.tag = tag
-                    sib.attributes = {}
-                    if raw:
-                        if "&" in raw:
-                            raw = _unescaped(raw, pos, text, run_end)
-                        tnode = text_new(Text)
-                        tnode.value = raw
-                        sib.children = [tnode]
-                    else:
-                        sib.children = []
-                    append_value(sib)
-                rowel.children = children
-            else:
-                rowel.children = []
-            append_row(rowel)
-        pos = run_end

@@ -4,10 +4,15 @@ The tree model is deliberately minimal: an :class:`XmlElement` has a
 :class:`~repro.xmlutil.names.QName` tag, a ``{QName: str}`` attribute map and
 an ordered child list of elements, :class:`Text` nodes and :class:`Comment`
 nodes.  Processing instructions and DTDs are out of scope for DAIS messages.
+
+A parsed element may hold a rowset lattice as tuples (:class:`RowRun`)
+until its children are first read (:class:`PendingRows`), so a dataset
+reader can take the rows without a node per row and value.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Union
 
@@ -227,6 +232,112 @@ class XmlElement:
         return True
 
 
+@dataclass(slots=True)
+class RowRun:
+    """Rows of a two-level lattice the parser read in one match and has
+    not built as nodes: each row a ``row_tag`` element whose children
+    are one ``value_tag`` element per value, a value being that
+    element's character data (``""``: no text node).
+
+    A run sits in the stored child list of a :class:`PendingRows`
+    element, in document order among its other children; of the tree's
+    readers only :func:`stored_children` ever returns it.
+    """
+
+    row_tag: QName
+    value_tag: QName
+    rows: list[tuple[str, ...]]
+
+    def nodes(self) -> list[XmlElement]:
+        """The rows as the element nodes the parser would have built."""
+        # Built as the parser builds nodes: the dataclass __init__ would
+        # re-validate what the parse already checked.
+        new, text_new = XmlElement.__new__, Text.__new__
+        row_tag, value_tag = self.row_tag, self.value_tag
+        built = []
+        for row in self.rows:
+            values = []
+            for value in row:
+                cell = new(XmlElement)
+                cell.tag = value_tag
+                cell.attributes = {}
+                if value:
+                    text = text_new(Text)
+                    text.value = value
+                    cell.children = [text]
+                else:
+                    cell.children = []
+                values.append(cell)
+            element = new(XmlElement)
+            element.tag = row_tag
+            element.attributes = {}
+            element.children = values
+            built.append(element)
+        return built
+
+
+#: The storage behind ``XmlElement.children``, which :class:`PendingRows`
+#: shadows with a property.
+_CHILDREN = XmlElement.__dict__["children"]
+_EXPANDING = threading.Lock()
+
+
+def stored_children(element: XmlElement) -> list[Node | RowRun]:
+    """*element*'s child list as stored, without building anything: for
+    a :class:`PendingRows` element its nodes and, where rows have not
+    been built, their :class:`RowRun`; for any other element its
+    ``children``.  A reader that takes a run's tuples leaves the rows
+    unbuilt; mutate the tree through ``children`` only."""
+    return _CHILDREN.__get__(element)
+
+
+def _expand(element: XmlElement) -> list[Node]:
+    """Build the rows of *element*'s runs in place, once, and make it a
+    plain :class:`XmlElement`.  Under a lock: two readers of one shared
+    parsed document must be handed the same nodes."""
+    with _EXPANDING:
+        if type(element) is PendingRows:
+            nodes: list[Node] = []
+            for item in _CHILDREN.__get__(element):
+                if type(item) is RowRun:
+                    nodes.extend(item.nodes())
+                else:
+                    nodes.append(item)
+            _CHILDREN.__set__(element, nodes)
+            element.__class__ = XmlElement
+    return _CHILDREN.__get__(element)
+
+
+class PendingRows(XmlElement):
+    """A parsed element whose stored children still hold :class:`RowRun`
+    entries.
+
+    Only the parser makes one, by re-classing the element that holds a
+    run when the document is complete.  The first read of ``children``
+    — and so every ``find``/``iter``/``equals``/``copy``/serialization
+    — builds the runs' rows in place and turns the element back into a
+    plain :class:`XmlElement`, so tree readers see exactly the nodes a
+    node-by-node parse builds.  A dataset reader takes the tuples
+    through :func:`stored_children` and builds nothing.
+    """
+
+    __slots__ = ()
+
+    @property
+    def children(self) -> list[Node]:
+        return _expand(self)
+
+    @children.setter
+    def children(self, value: list[Node]) -> None:
+        with _EXPANDING:
+            _CHILDREN.__set__(self, value)
+            self.__class__ = XmlElement
+
+    def __eq__(self, other: object) -> bool:
+        _expand(self)  # now a plain XmlElement: compare as one
+        return self == other
+
+
 #: Renders an inner QName with the prefix the enclosing document assigned.
 QNameRenderer = Callable[[QName], str]
 
@@ -330,5 +441,7 @@ def _significant(children: list[Node], ignore_whitespace: bool) -> list[Node]:
             continue
         if ignore_whitespace and isinstance(child, Text) and not child.value.strip():
             continue
+        if type(child) is PendingRows:
+            _expand(child)  # compared as the plain element it becomes
         out.append(child)
     return out

@@ -1,6 +1,8 @@
 """Dataset format emitting/parsing tests: what ``stream_rowset`` writes,
 read back through real XML text."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,9 +16,12 @@ from repro.dair import (
     parse_rowset,
 )
 from repro.dair.datasets import stream_rowset
+from repro.dair.messages import SQLExecuteResponse
 from repro.relational import Database
 from repro.relational.types import NULL
-from repro.xmlutil import parse, serialize
+from repro.soap import Envelope, MessageHeaders
+from repro.xmlutil import RowRun, XmlElement, parse, serialize, stored_children
+from tests.xmlutil import reference_parser
 
 FORMATS = [SQLROWSET_FORMAT_URI, WEBROWSET_FORMAT_URI, CSV_FORMAT_URI]
 
@@ -98,10 +103,12 @@ class TestFormats:
 
 _VALUES = st.one_of(
     st.just(NULL),
+    # what CSV must quote or keep apart from its NULL token, verbatim
+    st.sampled_from(["\\N", '"\\N"', "\\N,", '"', ",", "\n", "\r", "\r\n", ""]),
     st.text(
         alphabet=st.characters(
             codec="utf-8", categories=("L", "N", "P", "Zs"),
-            include_characters=',"\n',
+            include_characters=',"\n\r\\N',
         ),
         max_size=25,
     ),
@@ -125,3 +132,66 @@ class TestFormatProperties:
         rowset = Rowset(columns, ["" for _ in columns], rows)
         for format_uri in FORMATS:
             assert parse_rowset(format_uri, _written(format_uri, rowset)) == rowset
+
+
+def _reply(format_uri: str, rows: int = 1000) -> bytes:
+    """A SQLExecute reply as the wire carries it: *rows* rows of five
+    columns, one value of each row needing an escape."""
+    rowset = Rowset(
+        ["id", "order_id", "product", "qty", "price"],
+        ["INTEGER", "INTEGER", "VARCHAR(20)", "INTEGER", "FLOAT"],
+        [
+            (str(i), str(i // 3), f"part-{i % 7} & co", str(i % 20), f"{i * 0.25:.2f}")
+            for i in range(rows)
+        ],
+    )
+    response = SQLExecuteResponse(
+        dataset_format_uri=format_uri, dataset=stream_rowset(format_uri, rowset)
+    )
+    envelope = Envelope(
+        headers=MessageHeaders(to="http://127.0.0.1/dai", action="urn:reply"),
+        payload=response.to_xml(),
+    )
+    return b"".join(envelope.iter_bytes())
+
+
+def _decode(reply: bytes):
+    response = SQLExecuteResponse.from_xml(Envelope.from_bytes(reply).payload)
+    return response, parse_rowset(response.dataset_format_uri, response.dataset)
+
+
+class TestRowsFromTokens:
+    """A consumer decodes a dataset reply into tuples: the parser hands
+    the row lattice to ``parse_rowset`` as tuples, and no row or value
+    node is built unless something reads the tree."""
+
+    @pytest.mark.parametrize("format_uri", FORMATS[:2])
+    def test_a_1000_row_reply_builds_no_row_or_value_node(self, format_uri):
+        response, rowset = _decode(_reply(format_uri))
+        assert len(rowset.rows) == 1000
+        assert rowset.rows[7] == ("7", "2", "part-0 & co", "7", "1.75")
+        elements, runs = [], []
+        stack = [response.dataset]
+        while stack:  # the tree as stored: nothing here builds a node
+            for item in stored_children(stack.pop()):
+                if isinstance(item, RowRun):
+                    runs.append(item)
+                elif isinstance(item, XmlElement):
+                    elements.append(item.tag.local)
+                    stack.append(item)
+        assert [len(run.rows) for run in runs] == [1000]
+        assert not {"Row", "Value", "currentRow", "columnValue"} & set(elements)
+        # a tree reader sees every row, built as the oracle parser builds it
+        text = _reply(format_uri).decode()
+        assert serialize(parse(text)) == serialize(reference_parser.parse(text))
+
+    def test_decoding_a_1000_row_reply_peaks_under_five_times_its_size(self):
+        reply = _reply(SQLROWSET_FORMAT_URI)
+        _decode(reply)  # warm: interned names, compiled run patterns
+        tracemalloc.start()
+        try:
+            _decode(reply)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * len(reply), (peak, len(reply))

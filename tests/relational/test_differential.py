@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs import use_exporter
 from repro.relational import Database, NULL
 
 _INTS = st.one_of(st.integers(min_value=-100, max_value=100), st.none())
@@ -495,3 +496,57 @@ class TestBenchmarkShapes:
             f"ORDER BY o.total {lead}, o.id LIMIT ?"
         )
         _same_rows_in_order(ours, reference, query, (pivot, limit))
+
+
+#: UPDATE/DELETE WHERE clauses: the primary-key hash lookup, a range the
+#: ``total`` index serves when it exists, no match, a conjunct off every
+#: index, a WHERE no index can serve, and none at all (every row).
+_WRITE_WHERES = [
+    "WHERE id = {k}",
+    "WHERE id = {k} AND customer_id <> 2",
+    "WHERE total >= {pivot:.2f}",
+    "WHERE total < {pivot:.2f} AND customer_id <> 2",
+    "WHERE id = 999",
+    "WHERE total > 999",
+    "WHERE total + 0 > {pivot:.2f}",
+    "WHERE id = {k} OR customer_id = 3",
+    "",
+]
+
+
+class TestKeyedWrites:
+    """UPDATE and DELETE choose an index as SELECT does; the whole WHERE
+    still decides, so the table they leave matches sqlite's."""
+
+    @pytest.mark.parametrize("where", _WRITE_WHERES)
+    @pytest.mark.parametrize("verb", ["UPDATE", "DELETE"])
+    @given(_ORDERS, _PIVOT, st.integers(min_value=0, max_value=42), st.booleans())
+    @settings(max_examples=15, deadline=None)
+    def test_write_leaves_the_same_table(self, verb, where, orders, pivot, k, indexed):
+        ours, reference = _build_shop(orders, indexed)
+        where = where.format(k=k, pivot=pivot)
+        if verb == "UPDATE":
+            statement = f"UPDATE orders SET total = total + 100, customer_id = 0 {where}"
+        else:
+            statement = f"DELETE FROM orders {where}"
+        count = ours.execute(statement).update_count
+        assert count == reference.execute(statement).rowcount
+        _same_rows_in_order(
+            ours, reference, "SELECT id, customer_id, total FROM orders ORDER BY id"
+        )
+
+    @pytest.mark.parametrize("verb", ["UPDATE", "DELETE"])
+    def test_keyed_write_reads_one_row(self, verb):
+        ours, _ = _build_shop([(1, 0.25 * q) for q in range(40)], indexed=True)
+        statements = {
+            "UPDATE": "UPDATE orders SET total = 1 WHERE id = 7",
+            "DELETE": "DELETE FROM orders WHERE id = 7",
+        }
+        with use_exporter() as exporter:
+            assert ours.execute(statements[verb]).update_count == 1
+            assert ours.execute(statements[verb].replace("7", "8 + 0")).update_count == 1
+        keyed, scanned = exporter.spans(f"sql.{verb.lower()}")
+        assert keyed.attributes["rows_scanned"] == 1
+        assert keyed.attributes["index_lookups"] == 1
+        assert scanned.attributes["rows_scanned"] == 40 - (verb == "DELETE")
+        assert scanned.attributes["table_scans"] == 1

@@ -10,8 +10,8 @@ same way.  A table of malformed inputs pins the other half of the
 contract: each one is an ``HttpParseError``, never a hang — on a live
 server it costs the offending connection, never the event loop, and on
 the client it is a ``TransportFault``.  The client reads replies under
-looser limits than the server reads requests (``pool.REPLY_LIMITS``);
-their boundaries are pinned here too.
+a longer line than the server reads requests, under the same body bound
+(``pool.REPLY_LIMITS``); their boundaries are pinned here too.
 """
 
 import socket
@@ -25,8 +25,10 @@ from repro.core import ServiceRegistry, TransportFault
 from repro.soap.addressing import MessageHeaders
 from repro.soap.envelope import Envelope
 from repro.transport import DaisHttpServer, HttpTransport
+from repro.transport import compression
 from repro.transport.compression import gzip_compress
 from repro.transport.http11 import (
+    MAX_BODY_BYTES,
     REASONS,
     TERMINAL_CHUNK,
     HttpParseError,
@@ -40,7 +42,7 @@ from repro.transport.http11 import (
 from repro.transport.pool import REPLY_LIMITS
 from repro.xmlutil import E
 
-from tests.transport.stubserver import ScriptedServer, send
+from tests.transport.stubserver import ScriptedServer, hold, send
 
 _TOKEN = st.text(
     alphabet="abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-",
@@ -233,7 +235,14 @@ def test_request_with_5000_digit_content_length_is_413():
 
 class TestReplyLimits:
     """The client's limits: a reply line may be as long as 64 KiB, and
-    the body has no cap (a streamed dataset is as large as its result)."""
+    the body is bounded like a request's (256 MiB), gzip-decoded or not.
+    Past the bound the call is a ``TransportFault`` that names it, and
+    the connection is closed, not pooled."""
+
+    def test_one_stated_body_bound(self):
+        assert MAX_BODY_BYTES == 256 * 1024 * 1024
+        assert REPLY_LIMITS["max_body_bytes"] == MAX_BODY_BYTES
+        assert RequestParser().max_body_bytes == MAX_BODY_BYTES
 
     def test_header_line_over_the_request_limit_is_read(self):
         value = b"v" * 20000  # over the server's 16 KiB request line
@@ -272,11 +281,55 @@ class TestReplyLimits:
         ],
         ids=["content-length", "chunk"],
     )
-    def test_body_past_the_request_cap_is_framed(self, framing):
-        # 300 MB is over the 256 MB a request may carry; a reply may.
+    def test_body_past_the_bound_is_refused(self, framing):
+        # 300 MB is over the 256 MiB bound, announced before any body byte
         parser = ResponseParser(**REPLY_LIMITS)
-        parser.feed(b"HTTP/1.1 200 OK\r\n" + framing + b"partial")
-        assert parser.response is None
+        with pytest.raises(HttpParseError, match=f"over the {MAX_BODY_BYTES}-byte"):
+            parser.feed(b"HTTP/1.1 200 OK\r\n" + framing + b"partial")
+
+    def _fault_on_the_wire(self, wire: bytes, timeout: float = 5.0) -> str:
+        """Send one request to a raw-socket server that answers *wire*
+        and holds the socket open: the fault's message, raised well
+        within *timeout*, with the connection closed, not pooled."""
+        request = Envelope(
+            headers=MessageHeaders(to="http://127.0.0.1/stub", action="urn:stub"),
+            payload=E("Ping"),
+        )
+        with ScriptedServer([send(wire), hold(30.0)]) as stub:
+            transport = HttpTransport(timeout=timeout)
+            started = time.monotonic()
+            try:
+                with pytest.raises(TransportFault) as caught:
+                    transport.send(stub.url, request)
+                assert time.monotonic() - started < timeout
+                discarded = transport.metrics.counter(
+                    "rpc.client.connections.discarded", ""
+                )
+                assert discarded.value(reason="poisoned") == 1
+                assert transport.pool.idle_total() == 0
+            finally:
+                transport.close()
+        return str(caught.value)
+
+    def test_oversized_content_length_is_a_fault_naming_the_bound(self):
+        wire = (
+            b"HTTP/1.1 200 OK\r\nContent-Type: text/xml\r\n"
+            b"Content-Length: %d\r\n\r\n" % (MAX_BODY_BYTES + 1)
+        )
+        assert f"over the {MAX_BODY_BYTES}-byte limit" in self._fault_on_the_wire(wire)
+
+    def test_gzip_bomb_is_a_fault_naming_the_bound(self, monkeypatch):
+        # A bomb past the real 256 MiB would make the test hold that much
+        # memory before the bound trips, so the bound is lowered to 1 MiB.
+        limit = 1 << 20
+        monkeypatch.setattr(compression, "MAX_BODY_BYTES", limit)
+        assert compression.gunzip(gzip_compress(b"\0" * limit)) == b"\0" * limit
+        bomb = gzip_compress(b"\0" * (8 * limit))
+        assert len(bomb) < 16 * 1024
+        wire = render_response(
+            200, "text/xml", bomb, extra_headers=[("Content-Encoding", "gzip")]
+        )
+        assert f"past the {limit}-byte limit" in self._fault_on_the_wire(wire)
 
     def test_5000_digit_content_length_is_refused(self):
         parser = ResponseParser(**REPLY_LIMITS)

@@ -21,7 +21,21 @@ the fixed seed, then a fresh one).
 import os
 import random
 
-from repro.xmlutil import XmlParseError, parse, serialize
+from repro.dair.datasets import parse_rowset
+from repro.dair.namespaces import (
+    SQLROWSET_FORMAT_URI,
+    WEBROWSET_FORMAT_URI,
+    WEBROWSET_NS,
+    WSDAIR_NS,
+)
+from repro.xmlutil import (
+    RowRun,
+    XmlElement,
+    XmlParseError,
+    parse,
+    serialize,
+    stored_children,
+)
 from tests.xmlutil import reference_parser
 
 SEED = int(os.environ.get("PARSER_DIFF_SEED", "19"))
@@ -134,3 +148,111 @@ def test_shipped_parser_agrees_with_the_classic_oracle():
         trees += shipped is not XmlParseError
     # The soup must exercise both verdicts, not collapse into one.
     assert DOCUMENTS * 0.2 < trees < DOCUMENTS * 0.9, trees
+
+
+# -- dataset lattices: rows read from tokens -----------------------------------
+#
+# The parser hands a run of whole rows to its holder as tuples and builds
+# their nodes only when something reads them; parse_rowset takes the
+# tuples.  Over SQLRowset and WebRowSet bodies with every row shape the
+# run stops at, the rows read from the shipped parse must equal the rows
+# walked from the oracle's node tree, and the trees must serialize equal.
+
+DATASETS = 4_000
+
+_SQL_CELLS = [
+    "<r:Value>{}</r:Value>", "<r:Value>{}</r:Value>", "<r:Value>{}</r:Value>",
+    "<r:Null/>", "<r:Value/>", "<r:Value></r:Value>", '<r:Value k="v">{}</r:Value>',
+    "<r:Value><!--c-->{}</r:Value>", "<r:Other>{}</r:Other>", "<r:Null>{}</r:Null>",
+]
+_WEB_CELLS = [
+    "<columnValue>{}</columnValue>", "<columnValue>{}</columnValue>",
+    "<columnValue>{}</columnValue>", '<columnValue null="true"/>',
+    "<columnValue/>", "<columnValue></columnValue>", "<other>{}</other>",
+    '<columnValue null="false">{}</columnValue>',
+]
+_DATA_TEXTS = ["1", "x", "cell 3", "4.5", "&amp;", "a&lt;b", "&#65;&#x42;", " ", "é…"]
+#: Between rows, or in place of a row's plain open tag.
+_SQL_ROW_OPENS = ["<r:Row>"] * 12 + [
+    '<r:Row k="v">', f'<r:Row xmlns:r="{WSDAIR_NS}">', "<r:Row >", "<r:Row\n>",
+]
+_WEB_ROW_OPENS = ["<currentRow>"] * 12 + [
+    '<currentRow k="v">', f'<currentRow xmlns="{WEBROWSET_NS}">', "<currentRow >",
+]
+_GAPS = [""] * 12 + [" ", "\n  ", "<!--row-->", "<?pi?>", "<![CDATA[]]>"]
+
+
+def _rows(rng: random.Random, opens, close, cells, plain: int) -> str:
+    rows = []
+    for _ in range(rng.randint(0, 9)):
+        if rng.random() < 0.04:
+            rows.append(close.replace("</", "<")[:-1] + "/>")  # <Row/>
+            continue
+        parts = []
+        for _ in range(rng.randint(0, 5)):
+            cell = cells[rng.randrange(plain)] if rng.random() < 0.8 else rng.choice(cells)
+            parts.append(cell.format(rng.choice(_DATA_TEXTS)))
+        rows.append(rng.choice(_GAPS) + rng.choice(opens) + "".join(parts) + close)
+    return "".join(rows)
+
+
+def _dataset(rng: random.Random) -> tuple[str, str]:
+    """A SQLRowset or WebRowSet document: ragged rows, NULL, empty and
+    escaped cells, the row shapes a run stops at, sometimes cut off."""
+    if rng.random() < 0.5:
+        body = _rows(rng, _SQL_ROW_OPENS, "</r:Row>", _SQL_CELLS, 3)
+        document = (
+            f'<r:SQLRowset xmlns:r="{WSDAIR_NS}"><r:ColumnMetadata>'
+            '<r:Column name="a" type="INTEGER"/><r:Column name="b"/>'
+            f"</r:ColumnMetadata>{body}</r:SQLRowset>"
+        )
+        uri = SQLROWSET_FORMAT_URI
+    else:
+        body = _rows(rng, _WEB_ROW_OPENS, "</currentRow>", _WEB_CELLS, 3)
+        data = f"<data>{body}</data>" if body or rng.random() < 0.5 else "<data/>"
+        document = (
+            f'<webRowSet xmlns="{WEBROWSET_NS}"><metadata><column-count>1</column-count>'
+            "<column-definition><column-index>1</column-index>"
+            "<column-name>a</column-name></column-definition></metadata>"
+            f"{data}</webRowSet>"
+        )
+        uri = WEBROWSET_FORMAT_URI
+    if rng.random() < 0.05:
+        document = document[: rng.randrange(len(document))]  # cut off mid-run
+    return document, uri
+
+
+def _rows_of(parser, document: str, uri: str):
+    try:
+        tree = parser(document)
+    except XmlParseError:
+        return XmlParseError, XmlParseError
+    rows = parse_rowset(uri, tree).rows  # before anything builds the nodes
+    return rows, serialize(tree)
+
+
+def test_rows_read_from_tokens_equal_rows_walked_from_nodes():
+    rng = random.Random(SEED)
+    runs = 0
+    for index in range(DATASETS):
+        document, uri = _dataset(rng)
+        shipped = _rows_of(parse, document, uri)
+        oracle = _rows_of(reference_parser.parse, document, uri)
+        assert shipped == oracle, (
+            f"PARSER_DIFF_SEED={SEED} dataset #{index}: {document!r}\n"
+            f"  shipped: {shipped!r}\n  oracle:  {oracle!r}"
+        )
+        if shipped[0] is not XmlParseError:
+            runs += _holds_a_run(parse(document))
+    # the run path and the node path must both be exercised
+    assert DATASETS * 0.2 < runs < DATASETS * 0.9, runs
+
+
+def _holds_a_run(root) -> bool:
+    stack = [root]
+    while stack:
+        items = stored_children(stack.pop())
+        if any(isinstance(item, RowRun) for item in items):
+            return True
+        stack.extend(item for item in items if isinstance(item, XmlElement))
+    return False
