@@ -469,12 +469,15 @@ def _parse_element(scanner: _Scanner, ctx: _NsContext) -> XmlElement:
             start = match.start() - len(opener)
             closer = "</" + raw_tag + ">"
             end = match.end()
-            # the row opened bare, goes on with a value spelled alike or
-            # ends, and the next row opens right after it
-            if (
-                startswith(opener, start)
-                and startswith(("<" + nraw + ">", closer), end)
-                and startswith(opener, text.find(closer, end) + len(closer))
+            # the row opened bare and goes on with a value spelled alike, or
+            # ends and the next row opens right after it (so a one-leaf
+            # wrapper pays no regex).  Nothing searches ahead: the
+            # possessive pattern gives up within two rows, so a lone row
+            # costs one pass over itself.
+            if startswith(opener, start) and (
+                startswith("<" + nraw + ">", end)
+                or startswith(closer, end)
+                and startswith(opener, end + len(closer))
             ):
                 rkey = (raw_tag, nraw)
                 row_re = rcache.get(rkey)

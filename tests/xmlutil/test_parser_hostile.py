@@ -28,6 +28,11 @@ CASES = {
     + " ".join(f'k{i}="v"' for i in range(1_000_000 // 9)),
     "unterminated <a>text openings": "<r>" + "<a>text" * N,
     "deep nesting": "<a>" * N + "</a>" * N,
+    "nested rows of leaves, unterminated": "<r>" + "<a><b>x</b><b>y</b>" * (N // 2),
+    "nested rows of leaves, closed at the end": "<r>"
+    + "<a><b>x</b><b>y</b>" * (N // 2)
+    + "</a>" * (N // 2)
+    + "</r>",
     "distinct tag names": "<r>" + "".join(f"<t{i}/>" for i in range(N)) + "</r>",
     "character data, no end": "<r>" + "x" * 1_000_000,
     "one tag name, no '>'": "<" + "a" * 1_000_000,
