@@ -53,7 +53,7 @@ test-xml:
 
 # Submit → crash → restart → recover → fetch, narrated on stdout.
 jobs-demo:
-	$(PYTHON) -m repro jobs
+	$(PYTHON) examples/durable_jobs.py
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
@@ -113,17 +113,20 @@ bench-stream:
 # Figure 3 factory chain over real HTTP with tracing on; prints the
 # resulting span tree and lifecycle journal.
 trace-demo:
-	$(PYTHON) -m repro trace --demo
+	$(PYTHON) examples/traced_factory.py
 
 # Stdlib-trace coverage gate: every module under src/repro/obs/ must
 # stay at >= 90% executable-line coverage from the tests/obs/ suite.
 coverage-obs:
 	$(PYTHON) tools/obs_coverage.py
 
-# Fault-injection + resilience suites: once with the committed fixed
-# seeds, then the chaos scenarios again under a fresh random seed.
+# Fault-injection + resilience suites (the fault plans, FaultyTransport
+# and the FaultyHttpServer test subclass live in tests/faultinject/):
+# once with the committed fixed seeds, then the chaos scenarios again
+# under a fresh random seed.
 test-resilience:
-	$(PYTHON) -m pytest tests/faultinject tests/resilience -q
+	$(PYTHON) -m pytest tests/faultinject tests/resilience \
+		tests/integration/test_failure_injection.py -q
 	CHAOS_SEED=$$($(PYTHON) -c 'import random; print(random.randrange(10**6))') \
 		$(PYTHON) -m pytest tests/resilience/test_chaos_scenarios.py -q
 
@@ -139,4 +142,4 @@ test-concurrency:
 # Seeded chaos runs against resilient clients in virtual time; prints
 # the outcome tally and one retried call as a connected trace.
 chaos-demo:
-	$(PYTHON) -m repro chaos --seed 7 --iterations 40
+	$(PYTHON) -m tests.faultinject.chaos

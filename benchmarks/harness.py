@@ -1,23 +1,8 @@
-"""Raw-socket HTTP load generator for the event-loop server benchmarks.
+"""Clocks, tables and the load generator the figure benchmarks share.
 
-``make bench-load`` needs to hold thousands of *open keep-alive
-connections* against one :class:`~repro.transport.DaisHttpServer` —
-far more than the pooled client transport is shaped for.  This
-generator opens ``connections`` plain client connections up front,
-partitions them across ``threads`` driver threads, and drives one full
-request/response exchange at a time per connection, measuring wall
-latency per exchange.  Replies are read with the codec both ends of the
-exchange share (:class:`~repro.transport.http11.ResponseParser`, through
-:meth:`~repro.transport.pool.ClientConnection.read_response`).  A
-separate prober hits ``GET /healthz`` on its own connection throughout,
-so the loop-thread fast path is measured *under* the load, not beside
-it.
-
-Responses are classified strictly: a 200 counts as served; a 503 must
-carry a parseable SOAP ``ServiceBusyFault`` envelope to count as a
-shed (anything else is an error); every other outcome — wrong status,
-truncated body, bytes after the reply, connection reset — is a lost
-response.  The benchmark gates on ``lost == 0``.
+Each benchmark prints one :class:`Table` shaped like the claim the
+corresponding paper figure illustrates, so ``pytest benchmarks/
+--benchmark-only -s`` regenerates the whole set.
 """
 
 from __future__ import annotations
@@ -25,32 +10,98 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
+from typing import Any, Callable
 
+from bench.stats import percentile
 from repro.transport.http11 import HttpParseError, render_request
 from repro.transport.pool import ClientConnection
-
-__all__ = ["LoadReport", "percentile", "render_post", "run_load"]
+from tests.obs.traces import summarize_spans
 
 _HOST = "127.0.0.1"
 
 
-def percentile(values: list[float], q: float) -> float:
-    """The *q*-quantile (0..1) of *values* by nearest-rank."""
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    rank = min(len(ordered) - 1, max(0, int(q * len(ordered)) - (0 if q < 1 else 1)))
-    return ordered[rank]
+def measure_wall(fn: Callable[[], Any], repeat: int = 3) -> float:
+    """Best-of-*repeat* wall-clock seconds for one call of *fn*."""
+    best = float("inf")
+    for _ in range(repeat):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
 
 
-def render_post(path: str, body: bytes) -> bytes:
-    """One keep-alive SOAP POST as exact wire bytes."""
-    return render_request(
-        "POST",
-        path,
-        [("Host", _HOST), ("Content-Type", "text/xml; charset=utf-8")],
-        body,
-    )
+@dataclass
+class Table:
+    """A fixed-width printable results table."""
+
+    title: str
+    columns: list[str]
+    rows: list[list[Any]] = field(default_factory=list)
+    note: str = ""
+
+    def add(self, *values: Any) -> None:
+        if len(values) != len(self.columns):
+            raise ValueError(
+                f"row has {len(values)} values for {len(self.columns)} columns"
+            )
+        self.rows.append(list(values))
+
+    def render(self) -> str:
+        cells = [[str(v) for v in row] for row in self.rows]
+        widths = [
+            max(len(self.columns[i]), *(len(r[i]) for r in cells))
+            if cells
+            else len(self.columns[i])
+            for i in range(len(self.columns))
+        ]
+        lines = [f"== {self.title} =="]
+        header = "  ".join(
+            name.ljust(widths[i]) for i, name in enumerate(self.columns)
+        )
+        lines.append(header)
+        lines.append("-" * len(header))
+        for row in cells:
+            lines.append(
+                "  ".join(value.rjust(widths[i]) for i, value in enumerate(row))
+            )
+        if self.note:
+            lines.append(f"note: {self.note}")
+        return "\n".join(lines)
+
+    def show(self) -> None:
+        print("\n" + self.render())
+
+
+def span_table(title: str, spans, note: str = "") -> Table:
+    """A printable per-span-name summary (count, time, counter totals)."""
+    table = Table(title, ["span", "count", "total ms", "counters"], note=note)
+    rollups = summarize_spans(spans)
+    for name in sorted(rollups):
+        rollup = rollups[name]
+        counters = " ".join(
+            f"{key}={int(value) if value == int(value) else round(value, 3)}"
+            for key, value in sorted(rollup.totals.items())
+        )
+        table.add(
+            name, rollup.count, f"{rollup.total_seconds * 1e3:8.2f}", counters
+        )
+    return table
+
+
+# -- raw-socket load generator ---------------------------------------------
+#
+# ``make bench-load`` holds thousands of open keep-alive connections
+# against one DaisHttpServer — far more than the pooled client transport
+# is shaped for.  run_load opens them up front, partitions them across
+# driver threads and drives one request/response exchange at a time per
+# connection, reading replies with the codec both ends share.  A prober
+# hits ``GET /healthz`` on its own connection throughout, so the
+# loop-thread fast path is measured *under* the load.
+#
+# Responses are classified strictly: a 200 is served; a 503 must carry a
+# parseable SOAP ServiceBusyFault envelope to count as a shed; every
+# other outcome — wrong status, truncated body, bytes after the reply,
+# connection reset — is a lost response.
 
 
 def _exchange(
@@ -62,6 +113,10 @@ def _exchange(
     if conn.stray:
         raise HttpParseError(f"{conn.stray} stray bytes after the response")
     return response.status, response.body
+
+
+def _ms(values: list[float], pct: float) -> float:
+    return percentile(values, pct) * 1000.0 if values else 0.0
 
 
 @dataclass
@@ -84,11 +139,12 @@ class LoadReport:
     def throughput(self) -> float:
         return self.requests / self.elapsed if self.elapsed > 0 else 0.0
 
-    def latency_ms(self, q: float) -> float:
-        return percentile(self.latencies, q) * 1000.0
+    def latency_ms(self, pct: float) -> float:
+        """The nearest-rank *pct*-th percentile of exchange latency."""
+        return _ms(self.latencies, pct)
 
-    def healthz_ms(self, q: float) -> float:
-        return percentile(self.healthz_latencies, q) * 1000.0
+    def healthz_ms(self, pct: float) -> float:
+        return _ms(self.healthz_latencies, pct)
 
 
 def _shed_parses(body: bytes) -> bool:
@@ -117,7 +173,12 @@ def run_load(
 ) -> LoadReport:
     """Open ``connections`` keep-alive sockets, drive them from
     ``threads`` driver threads, and probe ``/healthz`` throughout."""
-    request = render_post(path, body)
+    request = render_request(
+        "POST",
+        path,
+        [("Host", _HOST), ("Content-Type", "text/xml; charset=utf-8")],
+        body,
+    )
     conns = [
         ClientConnection.open(_HOST, port, timeout) for _ in range(connections)
     ]
@@ -199,11 +260,10 @@ def run_load(
     for conn in conns:
         conn.close()
 
-    total = connections * requests_per_connection
     return LoadReport(
         connections=connections,
         threads=thread_count,
-        requests=total,
+        requests=connections * requests_per_connection,
         ok=counts["ok"],
         sheds=counts["shed"],
         unparseable_sheds=counts["bad_shed"],

@@ -24,7 +24,7 @@ import time
 
 import pytest
 
-from repro.bench import Table, run_load
+from benchmarks.harness import Table, run_load
 from repro.dair import messages as msg
 from repro.soap.addressing import MessageHeaders
 from repro.soap.envelope import Envelope
@@ -62,8 +62,8 @@ def _gate(report) -> None:
     )
     assert report.ok + report.sheds == report.requests
     if report.healthz_latencies:
-        assert report.healthz_ms(0.99) < HEALTHZ_P99_GATE_MS, (
-            f"/healthz p99 {report.healthz_ms(0.99):.1f}ms under load "
+        assert report.healthz_ms(99) < HEALTHZ_P99_GATE_MS, (
+            f"/healthz p99 {report.healthz_ms(99):.1f}ms under load "
             f"at c={report.connections}"
         )
 
@@ -73,11 +73,11 @@ def _row(table: Table, report) -> None:
         report.connections,
         report.requests,
         f"{report.throughput:.0f}",
-        f"{report.latency_ms(0.50):.1f}",
-        f"{report.latency_ms(0.99):.1f}",
+        f"{report.latency_ms(50):.1f}",
+        f"{report.latency_ms(99):.1f}",
         report.ok,
         report.sheds,
-        f"{report.healthz_ms(0.99):.1f}",
+        f"{report.healthz_ms(99):.1f}",
     )
 
 

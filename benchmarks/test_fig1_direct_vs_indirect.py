@@ -8,7 +8,8 @@ Regenerated series: result-size sweep → response bytes seen by
 consumer 1 under each pattern, plus the crossover factor.
 """
 
-from repro.bench import Table, span_table, summarize_spans
+from benchmarks.harness import Table, span_table
+from tests.obs.traces import summarize_spans
 from repro.client.sql import SQLClient
 from repro.obs import use_exporter
 from repro.transport import LoopbackTransport

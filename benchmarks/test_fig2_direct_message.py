@@ -12,7 +12,7 @@ as result size grows, per dataset format.
 
 import time
 
-from repro.bench import Table, measure_wall, span_table
+from benchmarks.harness import Table, measure_wall, span_table
 from repro.obs import use_exporter
 from repro.dair import (
     CSV_FORMAT_URI,

@@ -38,7 +38,7 @@ import time
 import pytest
 
 from bench.deploy import build_deployment
-from repro.bench import Table
+from benchmarks.harness import Table
 from repro.core import messages as core_messages
 from repro.core import mint_abstract_name
 from repro.dair import SQLDataResource, SQLRealisationService

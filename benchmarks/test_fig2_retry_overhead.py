@@ -7,7 +7,7 @@ bare transport.  The no-fault fast path is one breaker ``allow()``, one
 ``record_success()`` and a clock read — no sleeping, no retry spans.
 """
 
-from repro.bench import Table, measure_wall
+from benchmarks.harness import Table, measure_wall
 from repro.client.sql import SQLClient
 from repro.resilience import Resilience, RetryPolicy
 from repro.transport import LoopbackTransport

@@ -9,10 +9,9 @@ Regenerated table: factory response size and creation time vs derived
 result size; configuration-document variants.
 """
 
-from repro.bench import Table
+from benchmarks.harness import Table, measure_wall
 from repro.client.sql import configuration_document
 from repro.core import Sensitivity
-from repro.bench.harness import measure_wall
 
 SIZES = [10, 100, 1000]
 

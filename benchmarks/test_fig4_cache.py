@@ -41,7 +41,7 @@ import statistics
 import time
 
 from repro.client.sql import SQLClient
-from repro.bench import Table
+from benchmarks.harness import Table
 from repro.core import messages as msg
 from repro.soap import Envelope, MessageHeaders
 from repro.transport import HttpTransport

@@ -9,7 +9,7 @@ Regenerated table: property-document size vs schema size; whole-document
 vs fine-grained retrieval cost for one property.
 """
 
-from repro.bench import Table
+from benchmarks.harness import Table
 from repro.core.namespaces import WSDAI_NS
 from repro.workload import RelationalWorkload, build_single_service
 from repro.wsrf import ManualClock

@@ -8,7 +8,7 @@ calls (per-call latency trade-off).
 Regenerated tables: per-leg byte accounting, and a page-size sweep.
 """
 
-from repro.bench import Table
+from benchmarks.harness import Table
 from repro.dair import WEBROWSET_FORMAT_URI
 from repro.transport.wire import WAN
 

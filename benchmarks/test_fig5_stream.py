@@ -25,7 +25,7 @@ import tracemalloc
 
 import pytest
 
-from repro.bench import Table
+from benchmarks.harness import Table
 from repro.core import ServiceRegistry, mint_abstract_name
 from repro.dair import (
     SQLROWSET_FORMAT_URI,

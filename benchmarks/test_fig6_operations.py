@@ -9,7 +9,7 @@ fails if any operation of the figure is missing.
 
 import time
 
-from repro.bench import Table
+from benchmarks.harness import Table
 from repro.core.namespaces import WSDAI_NS
 from repro.xmlutil import QName
 

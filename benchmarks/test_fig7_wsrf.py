@@ -9,8 +9,7 @@ Regenerated tables: identical data-plane cost across profiles; the
 property-access gap; soft-state sweep scaling.
 """
 
-from repro.bench import Table
-from repro.bench.harness import measure_wall
+from benchmarks.harness import Table, measure_wall
 from repro.core.namespaces import WSDAI_NS
 from repro.workload import RelationalWorkload, build_single_service
 from repro.wsrf import ManualClock

@@ -8,7 +8,7 @@ threads joining via the ``obs:TraceContext`` header.  The rendered span
 tree is the figure's message diagram, measured rather than drawn.
 """
 
-from repro.bench.harness import assert_single_connected_trace
+from tests.obs.traces import assert_single_connected_trace
 from repro.client.sql import SQLClient
 from repro.core import ServiceRegistry, mint_abstract_name
 from repro.dair import SQLDataResource, SQLRealisationService

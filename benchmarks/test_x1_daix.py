@@ -9,8 +9,7 @@ Regenerated tables: query-mix latency/bytes over corpus sizes; XML
 factory (sequence) vs direct access byte shape.
 """
 
-from repro.bench import Table
-from repro.bench.harness import measure_wall
+from benchmarks.harness import Table, measure_wall
 from repro.obs import use_exporter
 from repro.workload import XmlCorpus, build_xml_deployment
 from repro.workload.xmlcorpus import XML_QUERY_MIX

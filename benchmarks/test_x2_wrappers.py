@@ -8,8 +8,7 @@ Regenerated table: the same consumer workload against a thin wrapper
 and a thick (rewriting) wrapper — identical results, bounded overhead.
 """
 
-from repro.bench import Table
-from repro.bench.harness import measure_wall
+from benchmarks.harness import Table, measure_wall
 from repro.client.sql import SQLClient
 from repro.core import ServiceRegistry, mint_abstract_name
 from repro.dair import SQLDataResource, SQLRealisationService

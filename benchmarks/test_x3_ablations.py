@@ -11,8 +11,7 @@ calls out, so a reader can see what each mechanism buys.
 
 import time
 
-from repro.bench import Table
-from repro.bench.harness import measure_wall
+from benchmarks.harness import Table, measure_wall
 from repro.relational import Database
 from repro.workload import RelationalWorkload, populate_shop_database
 

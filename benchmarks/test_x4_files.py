@@ -7,7 +7,7 @@ selection factory answers with a constant-size EPR, and byte-range
 ``GetFile`` reads trade calls for transfer like ``GetTuples`` does.
 """
 
-from repro.bench import Table
+from benchmarks.harness import Table
 from repro.client.files import FilesClient
 from repro.core import ServiceRegistry, mint_abstract_name
 from repro.daif import FileCollectionResource, FileRealisationService

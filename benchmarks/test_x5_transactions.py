@@ -7,8 +7,7 @@ of N updates as N autocommit messages vs N messages inside one context,
 plus the atomicity difference under failure.
 """
 
-from repro.bench import Table
-from repro.bench.harness import measure_wall
+from benchmarks.harness import Table, measure_wall
 from repro.core.properties import TransactionInitiation
 from repro.workload import RelationalWorkload, build_single_service
 

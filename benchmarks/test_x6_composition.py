@@ -5,8 +5,7 @@ negligible cost over issuing the same calls by hand.  Measures the
 query → transform → deliver scenario both ways.
 """
 
-from repro.bench import Table
-from repro.bench.harness import measure_wall
+from benchmarks.harness import Table, measure_wall
 from repro.client.xml import XMLClient
 from repro.compose import (
     DeliverToCollectionActivity,

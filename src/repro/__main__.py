@@ -1,4 +1,4 @@
-"""``python -m repro`` — self-check, plus ``trace`` and ``chaos``.
+"""``python -m repro`` — self-check, ``trace <file>`` and ``serve``.
 
 Default invocation stands up an in-process deployment, runs one query
 through the full SOAP round trip and reports the wire numbers — a quick
@@ -6,26 +6,13 @@ way to confirm an installation works.
 
 ``python -m repro trace <spans.jsonl>`` renders a trace exported by
 :class:`repro.obs.FileExporter` as an indented span tree (per-span
-latency, bytes and row counts).  ``python -m repro trace --demo`` runs a
-Figure 3-style factory chain over the real HTTP binding with tracing on
-and prints the resulting tree — the quickest way to *see* one request
-become one connected trace across processes, transports and engines.
-
-``python -m repro chaos`` runs seeded fault plans against resilient
-clients in virtual time and tallies the outcomes — every run must end in
-either a correct answer or a typed DAIS fault — then renders one retried
-call as a trace with its ``rpc.retry`` attempts visible.
+latency, bytes and row counts).
 
 ``python -m repro serve`` binds one SQL realisation service to a real
 HTTP port (event-loop front end, admission control armed) and serves
 until interrupted, printing ``LISTENING <port>`` first — the deploy
 path used by operators and by the out-of-process tiers of
 ``make bench-load``.
-
-``python -m repro jobs`` walks the durable asynchronous factory story:
-submit a factory request with ``ExecutionMode=asynchronous``, kill the
-process before any worker runs, restart from the journal, recover the
-job, execute it, and page the results through streamed ``GetTuples``.
 """
 
 from __future__ import annotations
@@ -43,8 +30,8 @@ def self_check() -> int:
           f"reference implementation")
     print(
         "packages: xmlutil soap wsrf xpath relational xmldb cim core "
-        "dair daix daif filestore compose transport client workload bench "
-        "faultinject resilience"
+        "dair daix daif filestore compose jobs transport client workload "
+        "resilience obs"
     )
 
     deployment = build_single_service(RelationalWorkload(customers=10))
@@ -63,160 +50,16 @@ def self_check() -> int:
     return 0
 
 
-def _demo_trace() -> int:
-    """Factory chain over real HTTP with tracing on; print the tree."""
-    from repro.client.sql import SQLClient
-    from repro.core import ServiceRegistry, mint_abstract_name
-    from repro.dair import SQLDataResource, SQLRealisationService
-    from repro.obs import get_tracer, render_trace_tree, use_exporter
-    from repro.obs.journal import use_journal
-    from repro.transport import DaisHttpServer, HttpTransport
-    from repro.workload import RelationalWorkload, populate_shop_database
-
-    registry = ServiceRegistry()
-    server = DaisHttpServer(registry, port=0)
-    address = server.url_for("/sql")
-    service = SQLRealisationService("demo-sql", address)
-    registry.register(service)
-    database = populate_shop_database(RelationalWorkload(customers=8))
-    resource = SQLDataResource(mint_abstract_name("shop"), database)
-    service.add_resource(resource)
-
-    client = SQLClient(HttpTransport())
-    with use_exporter() as exporter, use_journal() as journal, server:
-        with get_tracer().span("consumer.request", scenario="fig3-demo"):
-            factory = client.sql_execute_factory(
-                address,
-                resource.abstract_name,
-                "SELECT id, total FROM orders WHERE total > 100",
-            )
-            rowset = client.get_sql_rowset(
-                factory.address, factory.abstract_name
-            )
-        spans = exporter.spans()
-
-    print("trace demo — Figure 3 factory chain over HTTP "
-          f"({len(rowset.rows)} rows pulled via the derived EPR):\n")
-    print(render_trace_tree(spans))
-    print("\nlifecycle journal:")
-    for event in journal.events():
-        print(f"  #{event.sequence} {event.event:<12} {event.resource}")
-    return 0
-
-
-def chaos_main(argv: list[str]) -> int:
-    """Seeded chaos runs over the direct-access scenario, in virtual time."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro chaos",
-        description="run seeded fault plans against resilient clients",
-    )
-    parser.add_argument("--seed", type=int, default=7, help="base plan seed")
-    parser.add_argument(
-        "--iterations", type=int, default=40, help="number of seeded runs"
-    )
-    parser.add_argument(
-        "--rate", type=float, default=0.3, help="per-call fault probability"
-    )
-    options = parser.parse_args(argv)
-
-    from repro.client.sql import SQLClient
-    from repro.faultinject import FaultPlan, FaultyTransport
-    from repro.obs import render_trace_tree, use_exporter
-    from repro.resilience import Resilience, RetryPolicy, VirtualClock
-    from repro.soap.fault import SoapFault
-    from repro.transport import LoopbackTransport
-    from repro.workload import RelationalWorkload, build_single_service
-
-    deployment = build_single_service(RelationalWorkload(customers=4))
-    expected = deployment.client.sql_query_rowset(
-        deployment.address, deployment.name, "SELECT COUNT(*) FROM customers"
-    ).rows
-
-    outcomes: dict[str, int] = {}
-    total_retries = 0
-    total_injected = 0
-    virtual_seconds = 0.0
-    sample_tree: str | None = None
-    for i in range(options.iterations):
-        seed = options.seed + i
-        clock = VirtualClock()
-        plan = FaultPlan.chaos(seed=seed, rate=options.rate)
-        resilience = Resilience(
-            policy=RetryPolicy(max_attempts=4, budget_seconds=30.0),
-            clock=clock,
-            seed=seed,
-        )
-        transport = FaultyTransport(
-            LoopbackTransport(deployment.registry),
-            plan,
-            clock=clock,
-            resilience=resilience,
-        )
-        client = SQLClient(transport)
-        with use_exporter() as exporter:
-            from repro.obs import get_tracer
-
-            with get_tracer().span("consumer.request", seed=seed):
-                try:
-                    rows = client.sql_query_rowset(
-                        deployment.address,
-                        deployment.name,
-                        "SELECT COUNT(*) FROM customers",
-                    ).rows
-                    assert rows == expected, f"wrong answer under seed {seed}"
-                    outcome = "ok"
-                except SoapFault as fault:
-                    outcome = type(fault).__name__
-            retried = exporter.spans("rpc.retry")
-            if retried and sample_tree is None and outcome == "ok":
-                sample_tree = render_trace_tree(exporter.spans())
-        outcomes[outcome] = outcomes.get(outcome, 0) + 1
-        total_retries += int(
-            resilience.metrics.counter("resilience.retries").total()
-        )
-        total_injected += int(
-            transport.metrics.counter("faultinject.injected").total()
-        )
-        virtual_seconds += clock.now()
-
-    print(
-        f"chaos — {options.iterations} seeded runs "
-        f"(base seed {options.seed}, fault rate {options.rate:.0%}):\n"
-    )
-    for outcome in sorted(outcomes):
-        print(f"  {outcome:<28} {outcomes[outcome]:>4}")
-    print(
-        f"\n  faults injected: {total_injected}, retries taken: "
-        f"{total_retries}, virtual backoff time: {virtual_seconds:.2f}s "
-        f"(wall time: none — virtual clock)"
-    )
-    if sample_tree:
-        print("\none retried call, as a single connected trace:\n")
-        print(sample_tree)
-    return 0
-
-
 def trace_main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro trace",
         description="render an exported span file as a trace tree",
     )
-    parser.add_argument(
-        "path", nargs="?", help="JSONL span file written by FileExporter"
-    )
+    parser.add_argument("path", help="JSONL span file written by FileExporter")
     parser.add_argument(
         "--trace-id", help="render only this trace id", default=None
     )
-    parser.add_argument(
-        "--demo",
-        action="store_true",
-        help="run a traced factory chain over HTTP and render it",
-    )
     options = parser.parse_args(argv)
-    if options.demo:
-        return _demo_trace()
-    if not options.path:
-        parser.error("a span file is required unless --demo is given")
     from repro.obs import load_spans, render_trace_tree
 
     spans = load_spans(options.path)
@@ -225,102 +68,6 @@ def trace_main(argv: list[str]) -> int:
         return 1
     print(render_trace_tree(spans, trace_id=options.trace_id))
     return 0
-
-
-def jobs_main(argv: list[str]) -> int:
-    """Submit → crash → restart → recover → execute → fetch, end to end."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro jobs",
-        description="demo the durable asynchronous factory pipeline",
-    )
-    parser.add_argument(
-        "--journal",
-        default=None,
-        help="journal path (default: a temporary file, removed afterwards)",
-    )
-    parser.add_argument(
-        "--query",
-        default="SELECT region, COUNT(*) FROM customers "
-        "GROUP BY region ORDER BY 1",
-        help="SQL expression the factory evaluates",
-    )
-    options = parser.parse_args(argv)
-
-    import os
-    import tempfile
-
-    from repro.dair import SQLDataResource
-    from repro.jobs import MODE_ASYNCHRONOUS, read_journal
-    from repro.workload import RelationalWorkload, build_jobs_deployment
-
-    if options.journal is None:
-        handle, journal_path = tempfile.mkstemp(
-            prefix="dais-jobs-", suffix=".jsonl"
-        )
-        os.close(handle)
-        cleanup = True
-    else:
-        journal_path, cleanup = options.journal, False
-
-    try:
-        workload = RelationalWorkload(customers=10)
-        print("1. first process: submit an asynchronous factory request")
-        first = build_jobs_deployment(workload, journal_path=journal_path)
-        submitted = first.client.sql_execute_factory(
-            first.address,
-            first.name,
-            options.query,
-            execution_mode=MODE_ASYNCHRONOUS,
-        )
-        job = first.jobs.get(submitted.job_id)
-        print(f"   job {job.job_id}")
-        print(f"   phase {job.phase}, journalled to {journal_path}")
-
-        print("2. crash: the process dies before any worker claims the job")
-        first.jobs.journal.close()
-        records = read_journal(journal_path)
-        print(f"   journal holds {len(records)} durable record(s)")
-
-        print("3. restart: rebuild the job table from the journal")
-        second = build_jobs_deployment(
-            workload, journal_path=journal_path, recover=True
-        )
-        # The restarted service re-registers the same durable resource
-        # name the recovered job's payload points at.
-        second.service.add_resource(SQLDataResource(first.name, second.database))
-        recovered = second.jobs.get(submitted.job_id)
-        print(f"   recovered phase {recovered.phase}")
-
-        print("4. execute: drain the queue, poll to a terminal phase")
-        second.runner.drain()
-        status = second.client.wait_for_job(
-            second.address, submitted.job_id, sleep=lambda delay: None
-        )
-        print(f"   phase {status.phase}, attempts {status.attempts}")
-        print(f"   derived resource {status.result_name}")
-
-        print("5. fetch: page the derived rowset through streamed GetTuples")
-        rowset = second.client.sql_rowset_factory(
-            status.address, status.result_name
-        )
-        reader = second.client.rowset_reader(
-            rowset.address, rowset.abstract_name, page_size=2
-        )
-        for row in reader:
-            print("   " + " | ".join(str(value) for value in row))
-        print(
-            f"   {reader.total_rows} row(s) in {reader.pages_fetched} "
-            f"GetTuples page(s)"
-        )
-        counts = second.jobs.counts()
-        print(f"\njob table after the run: {counts}")
-        return 0
-    finally:
-        if cleanup:
-            try:
-                os.unlink(journal_path)
-            except OSError:
-                pass
 
 
 def serve_main(argv: list[str]) -> int:
@@ -384,10 +131,6 @@ def main(argv: list[str] | None = None) -> int:
     # running under foreign argv (pytest, runpy) stays harmless.
     if argv and argv[0] == "trace":
         return trace_main(argv[1:])
-    if argv and argv[0] == "chaos":
-        return chaos_main(argv[1:])
-    if argv and argv[0] == "jobs":
-        return jobs_main(argv[1:])
     if argv and argv[0] == "serve":
         return serve_main(argv[1:])
     return self_check()

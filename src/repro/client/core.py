@@ -105,11 +105,6 @@ class CoreClient:
     def transport(self):
         return self._transport
 
-    @property
-    def resilience(self):
-        """The resilience layer active on this client's transport."""
-        return getattr(self._transport, "resilience", None)
-
     def call(
         self, target: str | EndpointReference, request: DaisMessage
     ) -> DaisMessage:

@@ -62,10 +62,6 @@ class PipelineResult:
     output: Any
     trace: list[ActivityTrace] = field(default_factory=list)
 
-    @property
-    def total_seconds(self) -> float:
-        return sum(step.seconds for step in self.trace)
-
 
 class Pipeline:
     """A linear composition of activities.
@@ -90,10 +86,6 @@ class Pipeline:
                     f"{first.label} produces {first.PRODUCES!r}"
                 )
         self._activities = list(activities)
-
-    @property
-    def activities(self) -> list[Activity]:
-        return list(self._activities)
 
     def execute(self, initial: Any = None) -> PipelineResult:
         """Run all activities in order; raises :class:`ActivityError` on

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 
-from repro.core.faults import InvalidLanguageFault
 from repro.core.names import AbstractName
 from repro.core.properties import (
     ConfigurableProperties,
@@ -19,7 +18,6 @@ from repro.core.properties import (
 )
 from repro.obs.journal import record_event
 from repro.obs.tracing import current_span
-from repro.xmlutil import XmlElement
 
 
 class DataResource(ABC):
@@ -74,21 +72,11 @@ class DataResource(ABC):
     # -- generic query ----------------------------------------------------
 
     def generic_query_languages(self) -> list[str]:
-        """Language URIs accepted by :meth:`generic_query`."""
+        """Language URIs this resource's ``generic_query(language_uri,
+        expression, parameters)`` accepts; a resource that advertises
+        one defines that method.  The service faults any other language
+        before calling it."""
         return []
-
-    def generic_query(
-        self, language_uri: str, expression: str, parameters: list[str]
-    ) -> list[XmlElement]:
-        """Evaluate a generic query; returns result elements.
-
-        The default implementation rejects every language — resources
-        that advertise ``GenericQueryLanguage`` properties override it.
-        """
-        raise InvalidLanguageFault(
-            f"this resource does not support generic queries "
-            f"(language {language_uri!r})"
-        )
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -103,16 +91,4 @@ class DataResource(ABC):
         """
         record_event(
             "destroyed", self.abstract_name, management=self.management.value
-        )
-
-    # -- introspection ---------------------------------------------------------
-
-    @property
-    def is_service_managed(self) -> bool:
-        return self.management is DataResourceManagement.SERVICE_MANAGED
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<{type(self).__name__} {self.abstract_name} "
-            f"({self.management.value})>"
         )

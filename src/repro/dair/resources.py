@@ -226,9 +226,6 @@ class SQLDataResource(DataResource):
             )
         session.close()  # close rolls back
 
-    def open_context_count(self) -> int:
-        return len(self._contexts)
-
     def on_destroy(self) -> None:
         super().on_destroy()
         # Abandon any open consumer transactions (rollback + release locks).
@@ -315,7 +312,6 @@ class SQLResponseResource(DataResource):
         self._parent_resource = parent
         self._expression = expression
         self._parameters = list(parameters)
-        self._sensitivity = sensitivity
         self._creation_config = configurable
         self._snapshot: tuple | None = None
         if sensitivity is Sensitivity.INSENSITIVE:
@@ -366,14 +362,6 @@ class SQLResponseResource(DataResource):
     def output_parameters(self) -> dict[str, str]:
         """Stored-procedure output parameters (empty for plain statements)."""
         return self._current()[4]
-
-    @property
-    def expression(self) -> str:
-        return self._expression
-
-    @property
-    def sensitivity(self) -> Sensitivity:
-        return self._sensitivity
 
     def set_destroy_listener(self, callback) -> None:
         self._destroy_listener = callback

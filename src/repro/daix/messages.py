@@ -43,7 +43,11 @@ _DOCUMENT_SCOPE = Scalar("document_name", _q("DocumentName"), emit=TRUTHY)
 _RECORD_NAME = Attribute("name", "name", default="")
 _DOCUMENTS = Records("documents", _q("Document"), (_RECORD_NAME, Element("content")))
 _DOCUMENT_NAMES = Repeated("names", _q("DocumentName"))
-_ITEMS = Elements("items", tag=_q("Item"))
+#: Shared, not copied, both ways: every constructor of an item-sequence
+#: reply passes items it owns (``value_to_items`` and
+#: ``XMLSequenceResource.get_items`` build fresh ones per call), and a
+#: decoded reply's items come from a tree parsed for that message alone.
+_ITEMS = Elements("items", tag=_q("Item"), copy=False)
 
 
 # ---------------------------------------------------------------------------

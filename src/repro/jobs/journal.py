@@ -76,12 +76,6 @@ class JobJournal:
         if not self._file.closed and not isinstance(self._file, io.StringIO):
             self._file.close()
 
-    def __enter__(self) -> "JobJournal":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
     # -- replay ------------------------------------------------------------
 
     def records(self) -> list[dict]:
@@ -184,6 +178,10 @@ def replay_records(records: list[dict]) -> dict[str, "Job"]:
             )
             continue
         job = jobs.get(job_id)
+        if event == "forgotten" and job is not None and job.terminal:
+            # Only a terminal job is forgotten: its one legal successor.
+            del jobs[job_id]
+            continue
         if job is None or job.terminal:
             # A record for an unknown job can only follow mid-file damage
             # (replay of a *prefix* always sees submissions first); a
@@ -224,8 +222,6 @@ def replay_records(records: list[dict]) -> dict[str, "Job"]:
             job.transition(PENDING)
             job.worker = None
             job.lease_expires = None
-        elif event == "forgotten":
-            del jobs[job_id]
         else:
             raise JournalCorruptError(f"unknown journal event {event!r}")
     return jobs

@@ -252,9 +252,6 @@ class Catalog:
 
     # -- views ---------------------------------------------------------------
 
-    def view_names(self) -> list[str]:
-        return sorted(view.name for view in self._views.values())
-
     def has_view(self, name: str) -> bool:
         return name.lower() in self._views
 
@@ -283,9 +280,6 @@ class Catalog:
 
     # -- indexes ----------------------------------------------------------
 
-    def index_names(self) -> list[str]:
-        return sorted(self._indexes)
-
     def has_index(self, name: str) -> bool:
         return name.lower() in self._indexes
 
@@ -294,10 +288,6 @@ class Catalog:
             return self._indexes[name.lower()]
         except KeyError:
             raise CatalogError(f"no such index {name!r}") from None
-
-    def indexes_on(self, table: str) -> list[IndexDef]:
-        key = table.lower()
-        return [d for d in self._indexes.values() if d.table.lower() == key]
 
     def add_index(self, definition: IndexDef) -> None:
         key = definition.name.lower()

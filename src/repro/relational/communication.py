@@ -31,10 +31,6 @@ class SqlCommunicationArea:
             return cls(100, cls.NO_DATA_STATE, message or "no data", 0)
         return cls(0, cls.SUCCESS_STATE, message or "ok", rows_processed)
 
-    @classmethod
-    def failure(cls, sqlstate: str, message: str) -> "SqlCommunicationArea":
-        return cls(-1, sqlstate, message, 0)
-
     @property
     def succeeded(self) -> bool:
         return self.sqlcode >= 0

@@ -109,9 +109,6 @@ class ResultSet:
             raise SqlError("result set is empty")
         return self.rows[0][0]
 
-    def __len__(self) -> int:
-        return len(self.rows)
-
 
 #: What a read-only session runs: the statements that only read (the
 #: statements inside a ``CALL`` are checked as they run).
@@ -185,10 +182,6 @@ class Session:
         self.read_only = False
 
     # -- public API ---------------------------------------------------------
-
-    @property
-    def in_transaction(self) -> bool:
-        return self._transaction is not None
 
     @property
     def isolation(self) -> IsolationLevel:

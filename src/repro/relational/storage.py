@@ -73,9 +73,6 @@ class HashIndex:
         remaining = bucket - {ignoring_row_id} if ignoring_row_id is not None else bucket
         return bool(remaining)
 
-    def __len__(self) -> int:
-        return sum(len(bucket) for bucket in self._buckets.values())
-
 
 class OrderedIndex:
     """Sorted index over a single column supporting range scans."""
@@ -210,12 +207,6 @@ class TableStorage:
     def drop_index(self, name: str) -> None:
         self._indexes.pop(name, None)
         self._ordered.pop(name, None)
-
-    def hash_indexes(self) -> list[HashIndex]:
-        return list(self._indexes.values())
-
-    def ordered_indexes(self) -> list[OrderedIndex]:
-        return list(self._ordered.values())
 
     def find_hash_index(self, columns: tuple[str, ...]) -> HashIndex | None:
         """An index whose key is exactly *columns* (order-insensitive)."""

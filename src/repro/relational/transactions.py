@@ -116,10 +116,6 @@ class TransactionManager:
         """
         return self._data_version
 
-    @property
-    def locks(self) -> LockManager:
-        return self._lock_manager
-
     def begin(
         self, isolation: IsolationLevel = IsolationLevel.READ_COMMITTED
     ) -> Transaction:

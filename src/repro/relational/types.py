@@ -58,24 +58,6 @@ class SqlType(enum.Enum):
     DATE = "DATE"
     TIMESTAMP = "TIMESTAMP"
 
-    @property
-    def is_numeric(self) -> bool:
-        return self in _NUMERIC
-
-    @property
-    def is_character(self) -> bool:
-        return self in _CHARACTER
-
-
-_NUMERIC = {
-    SqlType.INTEGER,
-    SqlType.BIGINT,
-    SqlType.SMALLINT,
-    SqlType.FLOAT,
-    SqlType.DOUBLE,
-    SqlType.DECIMAL,
-}
-_CHARACTER = {SqlType.VARCHAR, SqlType.CHAR, SqlType.TEXT}
 
 _INTEGER_RANGES = {
     SqlType.SMALLINT: (-(2**15), 2**15 - 1),

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import time
 from urllib.parse import urlsplit
 
 from repro.core.faults import ServiceBusyFault, ServiceNotFoundFault, TransportFault
@@ -94,11 +93,6 @@ def _looks_like_soap(body: bytes) -> bool:
 class DaisHttpServer:
     """Serves a :class:`ServiceRegistry` over HTTP on 127.0.0.1.
 
-    *fault_plan* (a :class:`repro.faultinject.FaultPlan`) arms the
-    handler path itself: matching POSTs are delayed, answered with a
-    bare 503/500, a SOAP ``ServiceBusyFault``, or dropped outright
-    before the registry ever sees them — real sockets, injected chaos.
-
     Admission-control knobs (all keyword-only):
 
     *workers*
@@ -127,7 +121,6 @@ class DaisHttpServer:
         self,
         registry: ServiceRegistry,
         port: int = 0,
-        fault_plan=None,
         *,
         workers: int = 8,
         queue_depth: int = 64,
@@ -137,8 +130,6 @@ class DaisHttpServer:
         write_timeout: float = 30.0,
     ) -> None:
         self._registry = registry
-        #: Server-side fault injection plan (settable at any time).
-        self.fault_plan = fault_plan
         #: Server-side wire metrics across every service on this port.
         self.metrics = MetricsRegistry()
         self._requests = self.metrics.counter(
@@ -253,8 +244,6 @@ class DaisHttpServer:
         body = request.body
         self._request_bytes.inc(len(body))
         self._bytes_in.inc(len(body))
-        if not self._apply_fault_plan(conn, request, core):
-            return
         # The admitted decision rides the request span itself (a
         # separate admission span would be a second root and fragment
         # the consumer's trace — only *shed* decisions, which never
@@ -364,67 +353,12 @@ class DaisHttpServer:
     ) -> bytes:
         """A complete response to *request*, counted in
         ``http.server.requests`` / ``response.bytes`` like every served
-        POST — sheds and injected chaos traffic included."""
+        POST — sheds included."""
         self._requests.inc(status=str(status))
         self._response_bytes.inc(len(payload))
         return render_response(
             status, content_type, payload, keep_alive=request.keep_alive
         )
-
-    def _apply_fault_plan(
-        self, conn: Connection, request: ParsedRequest, core
-    ) -> bool:
-        """Apply the armed fault plan to one POST (worker thread).
-
-        Returns True when normal handling should proceed; False when the
-        injection already answered (or deliberately dropped) the request.
-        """
-        plan = self.fault_plan
-        if plan is None:
-            return True
-        from repro.faultinject.actions import (
-            Busy,
-            ConnectionRefused,
-            DropResponse,
-            ExpireResource,
-            HttpStatus,
-            Latency,
-        )
-
-        action = plan.decide(request.target, "http.server.request")
-        if action is None:
-            return True
-        if isinstance(action, Latency):
-            time.sleep(action.seconds)
-            return True
-        if isinstance(action, (ConnectionRefused, DropResponse)):
-            # Vanish: close the socket without an HTTP response — the
-            # client observes a reset/empty reply.  Still a served POST
-            # as far as the operator's counters are concerned.
-            self._requests.inc(status="dropped")
-            core.close(conn)
-            return False
-        if isinstance(action, HttpStatus):
-            status, content_type = action.status, "text/plain; charset=utf-8"
-            payload = b"injected fault: service unavailable"
-        elif isinstance(action, (Busy, ExpireResource)):
-            if isinstance(action, Busy):
-                fault = ServiceBusyFault("service is busy [injected]")
-            else:
-                from repro.wsrf.faults import ResourceUnknownFault
-
-                fault = ResourceUnknownFault(
-                    "resource lifetime expired [injected]"
-                )
-            status, content_type = 500, "text/xml; charset=utf-8"
-            payload = fault_envelope(
-                _transport_fault_headers(request.target), fault
-            ).to_bytes()
-        else:
-            raise TypeError(f"unknown fault action {type(action).__name__}")
-        response = self._counted(request, status, content_type, payload)
-        self._write(conn, core, response, keep_alive=request.keep_alive)
-        return False
 
     def _write(
         self, conn: Connection, core, payload: bytes, keep_alive: bool

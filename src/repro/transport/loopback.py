@@ -28,10 +28,6 @@ class LoopbackTransport(ClientTransport):
         super().__init__(network, resilience)
         self._registry = registry
 
-    @property
-    def registry(self) -> ServiceRegistry:
-        return self._registry
-
     def _send_once(self, address: str, request: Envelope) -> Envelope:
         action = request.headers.action
         with get_tracer().span(

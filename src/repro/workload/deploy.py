@@ -236,7 +236,6 @@ class HttpDeployment:
 def build_http_deployment(
     workload: RelationalWorkload = RelationalWorkload(),
     port: int = 0,
-    fault_plan=None,
     **server_knobs,
 ) -> HttpDeployment:
     """One service on a real HTTP port (server not yet started).
@@ -249,9 +248,7 @@ def build_http_deployment(
 
     database = populate_shop_database(workload)
     registry = ServiceRegistry()
-    server = DaisHttpServer(
-        registry, port=port, fault_plan=fault_plan, **server_knobs
-    )
+    server = DaisHttpServer(registry, port=port, **server_knobs)
     address = server.url_for("/sql")
     service = SQLRealisationService("http-sql", address)
     registry.register(service)

@@ -153,9 +153,6 @@ class Collection:
     def document_count(self) -> int:
         return len(self._documents)
 
-    def has_document(self, name: str) -> bool:
-        return name in self._documents
-
     def get(self, name: str) -> Document:
         try:
             return self._documents[name]

@@ -56,7 +56,7 @@ class QName:
             return f"{{{self.namespace}}}{self.local}"
         return self.local
 
-    def __str__(self) -> str:  # pragma: no cover - convenience
+    def __str__(self) -> str:
         return self.clark()
 
 
@@ -100,9 +100,6 @@ class NamespaceRegistry:
         clone._by_uri = dict(self._by_uri)
         clone._by_prefix = dict(self._by_prefix)
         return clone
-
-    def items(self):
-        return self._by_uri.items()
 
 
 #: Registry pre-loaded by the packages that define wire namespaces

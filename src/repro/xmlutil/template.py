@@ -23,7 +23,6 @@ Slot kinds
             ``None`` (the tree form would collapse ``<T></T>`` to
             ``<T/>``, so the template shape no longer matches — callers
             fall back to the tree path).
-``attr``    attribute value; escaped with :func:`escape_attribute`.
 ``splice``  markup the caller writes itself (e.g. a payload fragment
             rendered with the template's prefix map, as it streams): a
             template ending in a splice is cut there with
@@ -35,7 +34,7 @@ from __future__ import annotations
 import re
 from typing import Callable, Optional
 
-from repro.xmlutil.escape import escape_attribute, escape_text
+from repro.xmlutil.escape import escape_text
 from repro.xmlutil.names import NamespaceRegistry
 from repro.xmlutil.serialize import serialize
 from repro.xmlutil.tree import XmlElement
@@ -52,8 +51,8 @@ class TemplateSlots:
     """Records the slots a skeleton builder declares.
 
     The builder places the returned sentinel strings wherever a variable
-    span belongs — as element text, an attribute value, or raw markup
-    inside a streamed skeleton node.
+    span belongs — as element text or raw markup inside a streamed
+    skeleton node.
     """
 
     def __init__(self) -> None:
@@ -72,10 +71,6 @@ class TemplateSlots:
     def text(self, name: str) -> str:
         """A character-data slot (escaped as element text on render)."""
         return self._mark(name, "text")
-
-    def attr(self, name: str) -> str:
-        """An attribute-value slot (escaped as an attribute on render)."""
-        return self._mark(name, "attr")
 
     def splice(self, name: str) -> str:
         """A raw-markup slot: the rendered value is inserted verbatim."""
@@ -128,10 +123,6 @@ class ByteTemplate:
             raise ValueError("stray NUL in skeleton content")
         return cls(parts, order)
 
-    @property
-    def slot_names(self) -> list[str]:
-        return [name for name, _ in self._slots]
-
     def split_at(self, name: str) -> tuple["ByteTemplate", bytes]:
         """Cut the template at its last slot, the splice *name*: the
         template of everything before it, and the static bytes after."""
@@ -156,8 +147,6 @@ class ByteTemplate:
                 if not value:
                     return None
                 out.append(escape_text(value).encode("utf-8"))
-            elif kind == "attr":
-                out.append(escape_attribute(value).encode("utf-8"))
             else:
                 raise ValueError(f"splice slot {name!r} is written by the caller")
             out.append(parts[index + 1])

@@ -25,9 +25,6 @@ class Text:
 
     value: str
 
-    def __bool__(self) -> bool:
-        return bool(self.value)
-
 
 @dataclass(slots=True)
 class LazyText:

@@ -121,9 +121,25 @@ class TestDeployments:
         assert deployment.service.lifetime is not None
 
 
+    def test_http_deployment_serves_over_its_port(self):
+        from repro.client.sql import SQLClient
+        from repro.transport import HttpTransport
+        from repro.workload import build_http_deployment
+
+        deployment = build_http_deployment(RelationalWorkload(customers=3))
+        with deployment.server:
+            assert deployment.address.endswith(f":{deployment.port}/sql")
+            rows = SQLClient(HttpTransport()).sql_query_rowset(
+                deployment.address,
+                deployment.name,
+                "SELECT COUNT(*) FROM customers",
+            ).rows
+        assert rows == [("3",)]
+
+
 class TestBenchHarness:
     def test_table_renders_aligned(self):
-        from repro.bench import Table
+        from benchmarks.harness import Table
 
         table = Table("T", ["a", "long-column"], note="n")
         table.add(1, "x")
@@ -132,28 +148,26 @@ class TestBenchHarness:
         assert "note: n" in rendered
 
     def test_table_rejects_wrong_arity(self):
-        from repro.bench import Table
+        from benchmarks.harness import Table
 
         table = Table("T", ["a"])
         with pytest.raises(ValueError):
             table.add(1, 2)
 
     def test_measure_wall_positive(self):
-        from repro.bench import measure_wall
+        from benchmarks.harness import measure_wall
 
         assert measure_wall(lambda: sum(range(100)), repeat=2) > 0
 
-    def test_format_bytes_units(self):
-        from repro.bench import format_bytes
+    def test_load_percentiles_are_nearest_rank(self):
+        from benchmarks.harness import LoadReport
 
-        assert "KiB" in format_bytes(2048)
-        assert "B" in format_bytes(10)
-
-    def test_series(self):
-        from repro.bench import Series
-
-        series = Series("s")
-        series.add(1, 10)
-        series.add(2, 20)
-        assert series.xs() == [1, 2]
-        assert series.ys() == [10, 20]
+        seconds = [value / 1000 for value in range(1, 101)]
+        report = LoadReport(
+            connections=1, threads=1, requests=100, ok=100, sheds=0,
+            unparseable_sheds=0, lost=0, elapsed=1.0,
+            latencies=seconds, healthz_latencies=seconds[:10],
+        )
+        assert report.latency_ms(50) == pytest.approx(50.0)
+        assert report.latency_ms(99) == pytest.approx(99.0)
+        assert report.healthz_ms(50) == pytest.approx(5.0)

@@ -5,6 +5,7 @@ import pytest
 from repro.client.files import FilesClient
 from repro.core import (
     InvalidExpressionFault,
+    InvalidLanguageFault,
     InvalidResourceNameFault,
     NotAuthorizedFault,
     ServiceRegistry,
@@ -162,6 +163,23 @@ class TestSelectionFactory:
         )
         assert total == 3
         assert len(members) == 1
+
+    def test_fileset_property_document(self, setup):
+        client, _, resource, _ = setup
+        factory = client.file_selection_factory(
+            "dais://files", resource.abstract_name, "raw/*.csv"
+        )
+        document = client.get_property_document(
+            factory.address, factory.abstract_name
+        )
+        assert document.tag.local == "FileSetPropertyDocument"
+
+    def test_generic_query_without_a_language_faults(self, setup):
+        client, _, resource, _ = setup
+        with pytest.raises(InvalidLanguageFault):
+            client.generic_query(
+                "dais://files", resource.abstract_name, "urn:any", "*"
+            )
 
     def test_destroy_fileset(self, setup):
         client, service, resource, _ = setup

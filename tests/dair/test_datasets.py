@@ -21,6 +21,7 @@ from repro.relational import Database
 from repro.relational.types import NULL
 from repro.soap import Envelope, MessageHeaders
 from repro.xmlutil import RowRun, XmlElement, parse, serialize, stored_children
+from repro.xmlutil.tree import PendingRows
 from tests.xmlutil import reference_parser
 
 FORMATS = [SQLROWSET_FORMAT_URI, WEBROWSET_FORMAT_URI, CSV_FORMAT_URI]
@@ -184,6 +185,28 @@ class TestRowsFromTokens:
         # a tree reader sees every row, built as the oracle parser builds it
         text = _reply(format_uri).decode()
         assert serialize(parse(text)) == serialize(reference_parser.parse(text))
+
+    def test_tree_reads_of_a_pending_holder_build_its_rows(self):
+        text = _reply(SQLROWSET_FORMAT_URI, rows=5).decode()
+
+        def holder(root):
+            stack = [root]
+            while stack:
+                element = stack.pop()
+                items = stored_children(element)
+                if any(isinstance(item, RowRun) for item in items):
+                    return element
+                stack.extend(i for i in items if isinstance(i, XmlElement))
+
+        read, compared, assigned = (holder(parse(text)) for _ in range(3))
+        assert type(read) is PendingRows and type(compared) is PendingRows
+        tags = [child.tag.local for child in read.children if isinstance(child, XmlElement)]
+        assert tags.count("Row") == 5
+        assert type(read) is XmlElement
+        assert compared == read  # equality builds the pending side first
+        assert type(compared) is XmlElement
+        assigned.children = []  # replacing the children drops the run
+        assert type(assigned) is XmlElement and assigned.children == []
 
     def test_decoding_a_1000_row_reply_peaks_under_five_times_its_size(self):
         reply = _reply(SQLROWSET_FORMAT_URI)

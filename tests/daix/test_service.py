@@ -321,6 +321,38 @@ class TestFactoriesAndSequences:
         with pytest.raises(NotAuthorizedFault):
             deploy.client.get_items(factory.address, factory.abstract_name, 0, 1)
 
+    def test_get_items_replies_do_not_alias_the_sequence(self, deploy):
+        """Items go into a reply uncopied, so each reply must own them:
+        editing one reply's items leaves the next reply unchanged."""
+        from repro.daix import messages as msg
+        from repro.soap import Envelope, MessageHeaders
+        from repro.xmlutil import serialize
+
+        factory = deploy.client.xpath_execute_factory(
+            deploy.address, deploy.name, "/product/name"
+        )
+        request = msg.GetItemsRequest(
+            abstract_name=factory.abstract_name, start_position=0, count=3
+        )
+
+        def items():
+            reply = deploy.service.dispatch(
+                Envelope(
+                    headers=MessageHeaders(
+                        to=deploy.address, action=msg.GetItemsRequest.action()
+                    ),
+                    payload=request.to_xml(),
+                )
+            )
+            return msg.GetItemsResponse.from_xml(reply.payload).items
+
+        first = items()
+        before = [serialize(item) for item in first]
+        for item in first:
+            item.children[0].children.clear()
+            item.set("edited", "yes")
+        assert [serialize(item) for item in items()] == before
+
     def test_get_items_on_collection_faults(self, deploy):
         from repro.daix import messages as msg
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.client.sql import SQLClient
 from repro.core import ServiceBusyFault, TransportFault
-from repro.faultinject import (
+from tests.faultinject.faults import (
     Busy,
     ConnectionRefused,
     DropResponse,
@@ -113,3 +113,10 @@ class TestInjections:
         counter = transport.metrics.counter("faultinject.injected")
         assert counter.value(kind="Busy") == 2
         assert counter.total() == 2
+
+
+def test_chaos_demo_runs(capsys):
+    from tests.faultinject import chaos
+
+    chaos.main()  # asserts every answered run returned the right rows
+    assert f"{chaos.ITERATIONS} seeded runs" in capsys.readouterr().out

@@ -1,6 +1,6 @@
 """FaultPlan: rule matching, bounded firings, seeded determinism."""
 
-from repro.faultinject import (
+from tests.faultinject.faults import (
     Busy,
     CHAOS_MENU,
     ConnectionRefused,

@@ -34,4 +34,6 @@ def test_expected_example_set_present():
         "http_deployment",
         "compose_delivery",
         "federation",
+        "durable_jobs",
+        "traced_factory",
     } <= names

@@ -183,10 +183,17 @@ class TestInjectedFaultMetrics:
     def test_injected_faults_increment_server_metrics(self):
         from repro.core import ServiceRegistry, TransportFault, mint_abstract_name
         from repro.dair import SQLDataResource, SQLRealisationService
-        from repro.faultinject import Busy, DropResponse, ExpireResource, FaultPlan, HttpStatus
         from repro.relational import Database
-        from repro.transport import DaisHttpServer, HttpTransport
+        from repro.transport import HttpTransport
         from repro.wsrf.faults import ResourceUnknownFault
+        from tests.faultinject.faults import (
+            Busy,
+            DropResponse,
+            ExpireResource,
+            FaultPlan,
+            FaultyHttpServer,
+            HttpStatus,
+        )
 
         registry = ServiceRegistry()
         plan = (
@@ -196,7 +203,7 @@ class TestInjectedFaultMetrics:
             .at(3, ExpireResource())
             .at(4, DropResponse())
         )
-        server = DaisHttpServer(registry, port=0, fault_plan=plan)
+        server = FaultyHttpServer(registry, port=0, fault_plan=plan)
         address = server.url_for("/chaos")
         service = SQLRealisationService("chaos-sql", address)
         registry.register(service)

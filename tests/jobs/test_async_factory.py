@@ -11,6 +11,7 @@ import dataclasses
 
 import pytest
 
+from repro.client.core import JobTimeoutError
 from repro.client.sql import configuration_document
 from repro.core.faults import (
     DataResourceUnavailableFault,
@@ -31,8 +32,13 @@ from repro.jobs import (
     MODE_ASYNCHRONOUS,
     JobManager,
     JobRunner,
+    execute_claimed,
+    read_journal,
+    replay_records,
 )
+from repro.jobs.manager import UnknownJobError
 from repro.jobs.messages import JOB_SET
+from repro.resilience import RetryPolicy
 from repro.soap.fault import SoapFault
 from repro.workload import (
     RelationalWorkload,
@@ -40,6 +46,7 @@ from repro.workload import (
     build_single_service,
     build_xml_deployment,
 )
+from repro.wsrf import ManualClock
 from repro.xmlutil import serialize_bytes
 
 QUERY = "SELECT name, region FROM customers ORDER BY name"
@@ -295,6 +302,73 @@ def test_cancel_before_execution_leaves_no_resource(deployment):
     status = _wait(deployment, submitted.job_id)
     assert status.phase == CANCELLED
     assert set(deployment.service.resource_names()) == before
+
+
+def test_cancel_during_execution_rolls_the_derivation_back(deployment):
+    """Cancel-vs-complete: the cancel commits first, so the executor's
+    completion loses and the factory's rollback destroys what it
+    derived."""
+    client, address, name = deployment.client, deployment.address, deployment.name
+    submitted = client.sql_execute_factory(
+        address, name, QUERY, execution_mode=MODE_ASYNCHRONOUS
+    )
+    before = set(deployment.service.resource_names())
+    job = deployment.jobs.claim("racer")
+    assert job.job_id == submitted.job_id
+    assert client.cancel_job(address, job.job_id).phase == CANCELLED
+
+    assert execute_claimed(deployment.jobs, job) is False
+    assert deployment.jobs.get(job.job_id).phase == CANCELLED
+    assert set(deployment.service.resource_names()) == before
+
+
+def test_terminal_job_is_forgotten_after_its_ttl(tmp_path):
+    """Under WSRF a terminal job record lives ``terminal_ttl`` seconds;
+    the sweep forgets it durably, and the journal still replays."""
+    journal = str(tmp_path / "jobs.jsonl")
+    clock = ManualClock(0.0)
+    deployment = build_jobs_deployment(
+        RelationalWorkload(customers=4),
+        wsrf=True,
+        clock=clock,
+        journal_path=journal,
+        terminal_ttl=5.0,
+    )
+    submitted = deployment.client.sql_execute_factory(
+        deployment.address, deployment.name, QUERY,
+        execution_mode=MODE_ASYNCHRONOUS,
+    )
+    deployment.runner.drain()
+    assert deployment.jobs.get(submitted.job_id).phase == COMPLETED
+
+    clock.advance(4.0)
+    deployment.service.lifetime.sweep()
+    assert deployment.jobs.get(submitted.job_id).phase == COMPLETED
+    clock.advance(2.0)
+    deployment.service.lifetime.sweep()
+    with pytest.raises(UnknownJobError):
+        deployment.jobs.get(submitted.job_id)
+    with pytest.raises(UnknownJobFault):
+        deployment.client.get_job_status(deployment.address, submitted.job_id)
+
+    records = read_journal(journal)
+    assert [r["event"] for r in records if r["job"] == submitted.job_id][-1] == (
+        "forgotten"
+    )
+    assert submitted.job_id not in replay_records(records)
+    deployment.jobs.journal.close()
+    assert JobManager.recover(journal, fsync=False).counts() == {}
+
+
+def test_wait_for_job_times_out_with_the_last_status(deployment):
+    submitted = deployment.client.sql_execute_factory(
+        deployment.address, deployment.name, QUERY,
+        execution_mode=MODE_ASYNCHRONOUS,
+    )  # never drained: the job stays PENDING
+    with pytest.raises(JobTimeoutError) as timeout:
+        _wait(deployment, submitted.job_id, policy=RetryPolicy(max_attempts=3))
+    assert timeout.value.status.phase == "PENDING"
+    assert submitted.job_id in str(timeout.value)
 
 
 def test_unknown_job_id_is_a_typed_fault(deployment):

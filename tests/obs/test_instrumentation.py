@@ -10,7 +10,6 @@ operations, including WSRF ``GetResourceProperty``.
 
 import pytest
 
-from repro.bench import summarize_spans
 from repro.client.sql import SQLClient
 from repro.core import ServiceRegistry, mint_abstract_name
 from repro.dair import SQLDataResource, SQLRealisationService
@@ -25,6 +24,7 @@ from repro.relational import Database
 from repro.transport import DaisHttpServer, HttpTransport
 from repro.workload import RelationalWorkload, build_single_service
 from repro.xmlutil import QName
+from tests.obs.traces import summarize_spans
 
 WORKLOAD = RelationalWorkload(customers=6, orders_per_customer=2, items_per_order=2)
 

@@ -168,6 +168,19 @@ class TestDifferentialQueries:
             ours.execute(query).rows, reference.execute(query).fetchall()
         )
 
+    @given(_ROWS, st.integers(min_value=-100, max_value=100))
+    @settings(max_examples=30, deadline=None)
+    def test_coalesce(self, rows, fallback):
+        ours, reference = _build_both(rows)
+        for query in (
+            f"SELECT label, COALESCE(a, b, {fallback}) FROM t",
+            "SELECT COALESCE(a, b) FROM t",
+            f"SELECT label FROM t WHERE COALESCE(a, {fallback}) > b",
+        ):
+            _compare_unordered(
+                ours.execute(query).rows, reference.execute(query).fetchall()
+            )
+
     @given(_ROWS)
     @settings(max_examples=30, deadline=None)
     def test_in_and_between(self, rows):

@@ -22,11 +22,11 @@ import time
 import pytest
 
 from repro.client.sql import SQLClient
-from repro.faultinject import FaultPlan, FaultyTransport
 from repro.resilience import BreakerConfig, Resilience, RetryPolicy, VirtualClock
 from repro.soap.fault import SoapFault
 from repro.transport import LoopbackTransport
 from repro.workload import RelationalWorkload, build_single_service
+from tests.faultinject.faults import FaultPlan, FaultyTransport
 
 BASE_SEED = int(os.environ.get("CHAOS_SEED", "20060806"))
 ITERATIONS = 120  # per scenario; two scenarios -> >= 200 total

@@ -11,14 +11,6 @@ from repro.core import (
     mint_abstract_name,
 )
 from repro.dair import SQLDataResource, SQLRealisationService
-from repro.faultinject import (
-    Busy,
-    ConnectionRefused,
-    DropResponse,
-    FaultPlan,
-    HttpStatus,
-    Latency,
-)
 from repro.relational import Database
 from repro.resilience import (
     BreakerConfig,
@@ -26,7 +18,16 @@ from repro.resilience import (
     Resilience,
     RetryPolicy,
 )
-from repro.transport import DaisHttpServer, HttpTransport
+from repro.transport import HttpTransport
+from tests.faultinject.faults import (
+    Busy,
+    ConnectionRefused,
+    DropResponse,
+    FaultPlan,
+    FaultyHttpServer,
+    HttpStatus,
+    Latency,
+)
 
 #: Fast backoff so retried HTTP tests stay quick on the real clock.
 FAST = dict(base_delay=0.01, max_delay=0.05)
@@ -35,7 +36,7 @@ FAST = dict(base_delay=0.01, max_delay=0.05)
 @pytest.fixture()
 def http_setup():
     registry = ServiceRegistry()
-    server = DaisHttpServer(registry, port=0)
+    server = FaultyHttpServer(registry, port=0)
     address = server.url_for("/sql")
     service = SQLRealisationService("chaos-http-sql", address)
     registry.register(service)

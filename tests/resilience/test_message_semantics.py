@@ -6,11 +6,11 @@ import pytest
 
 from repro.client.sql import SQLClient
 from repro.core import InvalidExpressionFault, InvalidResourceNameFault
-from repro.faultinject import Busy, FaultPlan, FaultyTransport
 from repro.resilience import Resilience, RetryPolicy, VirtualClock
 from repro.soap.envelope import Envelope
 from repro.transport import LoopbackTransport
 from repro.workload import RelationalWorkload, build_single_service
+from tests.faultinject.faults import Busy, FaultPlan, FaultyTransport
 
 QUERY = "SELECT COUNT(*) FROM customers"
 

@@ -6,13 +6,6 @@ import pytest
 
 from repro.client.sql import SQLClient
 from repro.core import InvalidExpressionFault, ServiceBusyFault, TransportFault
-from repro.faultinject import (
-    Busy,
-    ConnectionRefused,
-    ExpireResource,
-    FaultPlan,
-    FaultyTransport,
-)
 from repro.obs import use_exporter
 from repro.resilience import (
     BreakerConfig,
@@ -25,6 +18,13 @@ from repro.resilience import (
 )
 from repro.transport import LoopbackTransport
 from repro.workload import RelationalWorkload, build_single_service
+from tests.faultinject.faults import (
+    Busy,
+    ConnectionRefused,
+    ExpireResource,
+    FaultPlan,
+    FaultyTransport,
+)
 
 QUERY = "SELECT COUNT(*) FROM customers"
 

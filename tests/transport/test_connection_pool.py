@@ -19,11 +19,10 @@ from repro.client.sql import SQLClient
 from repro.core import ServiceRegistry, TransportFault, mint_abstract_name
 from repro.dair import SQLDataResource, SQLRealisationService
 from repro.dair.messages import SQLExecuteRequest
-from repro.faultinject import DropResponse, FaultPlan
 from repro.relational import Database
 from repro.soap.addressing import MessageHeaders
 from repro.soap.envelope import Envelope
-from repro.transport import DaisHttpServer, HttpTransport
+from repro.transport import HttpTransport
 from repro.transport.http11 import render_response
 from repro.transport.pool import (
     MAX_IDLE_PER_HOST,
@@ -32,6 +31,7 @@ from repro.transport.pool import (
 )
 
 from tests.transport.stubserver import ScriptedServer, send
+from tests.faultinject.faults import DropResponse, FaultPlan, FaultyHttpServer
 
 
 def _make_registry() -> tuple[ServiceRegistry, Database]:
@@ -43,7 +43,7 @@ def _make_registry() -> tuple[ServiceRegistry, Database]:
 
 
 def _serve(registry: ServiceRegistry, port: int = 0, fault_plan=None):
-    server = DaisHttpServer(registry, port=port, fault_plan=fault_plan)
+    server = FaultyHttpServer(registry, port=port, fault_plan=fault_plan)
     address = server.url_for("/pool")
     service = SQLRealisationService("pool-sql", address)
     try:

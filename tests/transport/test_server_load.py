@@ -25,12 +25,12 @@ from repro.core import ServiceRegistry, mint_abstract_name
 from repro.core.faults import ServiceBusyFault
 from repro.dair import SQLDataResource, SQLRealisationService
 from repro.dair import messages as msg
-from repro.faultinject import FaultPlan, Latency
 from repro.relational import Database
 from repro.resilience import NO_RETRY, BreakerConfig, Resilience, RetryPolicy
 from repro.soap.addressing import MessageHeaders
 from repro.soap.envelope import Envelope
-from repro.transport import DaisHttpServer, HttpTransport
+from repro.transport import HttpTransport
+from tests.faultinject.faults import FaultPlan, FaultyHttpServer, Latency
 
 LOAD_SEED = int(os.environ.get("LOAD_SEED", "0"))
 
@@ -40,7 +40,7 @@ REQUESTS_EACH = 4
 
 def _make_server(**knobs):
     registry = ServiceRegistry()
-    server = DaisHttpServer(registry, port=0, **knobs)
+    server = FaultyHttpServer(registry, port=0, **knobs)
     address = server.url_for("/load")
     service = SQLRealisationService("load-sql", address)
     registry.register(service)

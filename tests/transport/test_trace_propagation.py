@@ -9,7 +9,6 @@ resources record their creating trace, and an access from a *different*
 trace carries a ``created-by`` span link.
 """
 
-from repro.bench.harness import assert_single_connected_trace, trace_forest
 from repro.client.sql import SQLClient
 from repro.core import ServiceRegistry, mint_abstract_name
 from repro.dair import SQLDataResource, SQLRealisationService
@@ -17,6 +16,7 @@ from repro.obs import get_tracer, use_exporter
 from repro.relational import Database
 from repro.transport import DaisHttpServer, HttpTransport
 from repro.workload import RelationalWorkload, build_single_service
+from tests.obs.traces import assert_single_connected_trace, trace_forest
 
 WORKLOAD = RelationalWorkload(customers=4, orders_per_customer=2,
                               items_per_order=2)

@@ -9,6 +9,7 @@ class TestQName:
     def test_clark_notation_with_namespace(self):
         name = QName("http://example.org/ns", "Local")
         assert name.clark() == "{http://example.org/ns}Local"
+        assert str(name) == name.clark()
 
     def test_clark_notation_without_namespace(self):
         assert QName("", "bare").clark() == "bare"

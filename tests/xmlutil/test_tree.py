@@ -88,6 +88,17 @@ class TestCopyEquality:
         clone.find("a").text = "changed"
         assert doc.find("a").text == "t"
 
+    def test_rendered_copy_keeps_the_rendering_and_copies_the_tail(self):
+        from repro.xmlutil import serialize
+        from repro.xmlutil.tree import RenderedElement
+
+        doc = RenderedElement("r", lambda prefixes: "<cached>1</cached>")
+        doc.append(E("tail", "2"))
+        clone = doc.copy()
+        clone.find("tail").text = "changed"
+        assert serialize(doc) == "<r><cached>1</cached><tail>2</tail></r>"
+        assert serialize(clone) == "<r><cached>1</cached><tail>changed</tail></r>"
+
     def test_copy_equals_original(self):
         doc = E("r", E("a", "t", k="v"), Comment("c"))
         assert doc.copy().equals(doc)

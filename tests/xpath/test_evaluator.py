@@ -201,6 +201,12 @@ class TestFunctions:
         assert engine.evaluate("boolean(//book)", doc) is True
         assert engine.evaluate("boolean(//nothing)", doc) is False
 
+    def test_lang_reads_the_nearest_xml_lang(self, engine):
+        tree = parse_xml('<r xml:lang="en-GB"><p/><q xml:lang="de"/></r>')
+        assert engine.evaluate("count(//*[lang('en')])", tree) == 2.0
+        assert engine.evaluate("count(//*[lang('DE')])", tree) == 1.0
+        assert engine.evaluate("count(//*[lang('fr')])", tree) == 0.0
+
     def test_number_coercion(self, engine, doc):
         assert engine.evaluate("number('12')", doc) == 12.0
         assert math.isnan(engine.evaluate("number('nope')", doc))
