@@ -59,20 +59,24 @@ def test_x1_query_mix_scaling(benchmark):
 def test_x1_point_read_evaluates_one_document():
     """Shape: the value index hands the point read the one document it
     selects at every corpus size; the aggregate, a value per document,
-    still evaluates them all."""
+    answers from the index with no closure run."""
     for size in CORPUS_SIZES:
         deployment = build_xml_deployment(XmlCorpus(documents=size))
         with use_exporter() as exporter:
-            for label in ("xpath_point", "xpath_agg"):
-                deployment.client.xpath_execute(
+            items = [
+                len(deployment.client.xpath_execute(
                     deployment.address, deployment.name, XML_QUERY_MIX[label][1]
-                )
+                ))
+                for label in ("xpath_point", "xpath_agg")
+            ]
+        assert items == [1, size]  # a count per document, zeros included
         point, aggregate = (
-            (s.attributes["documents"], s.attributes["documents_evaluated"])
+            (s.attributes["documents"], s.attributes["documents_evaluated"],
+             s.attributes["index"], s.attributes["result_type"])
             for s in exporter.spans("xpath.evaluate")
         )
-        assert point == (size, 1)
-        assert aggregate == (size, size)
+        assert point == (size, 1, "build", "list")
+        assert aggregate == (size, 0, "build", "float")
 
 
 def test_x1_direct_vs_factory_bytes(benchmark, xml_deploy):

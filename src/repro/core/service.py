@@ -241,8 +241,6 @@ class DataService:
         self._property_namespaces = dict(property_namespaces or {})
         self._property_namespaces.setdefault("wsdai", WSDAI_NS)
         self.lifetime = LifetimeManager(clock) if wsrf else None
-        #: Failure injection: when set, every dispatch faults ServiceBusy.
-        self.fail_busy = False
         #: When this service also acts as a consumer, attach its outbound
         #: :class:`repro.resilience.Resilience` layer here: its breaker
         #: states then publish as the ``obs:ResilienceStatus`` property.
@@ -554,8 +552,6 @@ class DataService:
     ) -> Envelope:
         admitted = False
         try:
-            if self.fail_busy:
-                raise ServiceBusyFault(f"service {self.name!r} is busy")
             admitted = self._admit()
             if not admitted:
                 raise ServiceBusyFault(

@@ -91,7 +91,6 @@ class SQLDataResource(DataResource):
             abstract_name, DataResourceManagement.EXTERNALLY_MANAGED
         )
         self.database = database
-        self._available = True
         #: Paper §2.1: a DAIS service may be a *thin* wrapper (pass query
         #: text straight through — the default) or a *thick* wrapper that
         #: intercepts/translates/redirects statements.  A thick wrapper
@@ -99,17 +98,6 @@ class SQLDataResource(DataResource):
         self.statement_rewriter = statement_rewriter
         #: Open consumer-controlled transaction contexts (id → session).
         self._contexts: dict[str, "object"] = {}
-
-    # -- availability (failure injection for tests/benches) ---------------
-
-    def set_available(self, available: bool) -> None:
-        self._available = available
-
-    def _require_available(self) -> None:
-        if not self._available:
-            raise DataResourceUnavailableFault(
-                f"database {self.database.name!r} is unavailable"
-            )
 
     # -- SQL execution ----------------------------------------------------
 
@@ -130,7 +118,6 @@ class SQLDataResource(DataResource):
         in a later row surfaces where the rows are pulled, as the same
         typed fault.
         """
-        self._require_available()
         if self.statement_rewriter is not None:
             expression = self.statement_rewriter(expression)
         session = self.database.create_session()
@@ -174,7 +161,6 @@ class SQLDataResource(DataResource):
         """
         import uuid
 
-        self._require_available()
         session = self.database.create_session()
         begin = "BEGIN"
         if isolation:
@@ -198,7 +184,6 @@ class SQLDataResource(DataResource):
     def sql_execute_in_context(
         self, context_id: str, expression: str, parameters: list[str]
     ) -> ResultSet:
-        self._require_available()
         if self.statement_rewriter is not None:
             expression = self.statement_rewriter(expression)
         session = self._context_session(context_id)

@@ -27,7 +27,7 @@ from repro.lru import VersionedLRU
 from repro.xmlutil import XmlElement, parse, serialize
 
 #: Value indexes one collection keeps, least recently probed dropped
-#: first: one per (root element, operand, string/number) probed.
+#: first: one per (parent, element, operand, string/number) probed.
 INDEX_CAPACITY = 16
 
 
@@ -63,33 +63,50 @@ _RANGES = {
 
 class ValueIndex:
     """One operand's keys across a snapshot of a collection's documents,
-    each pointing at a document's ordinal in that snapshot: a dict for
-    string equality, a sorted key list for numeric comparisons."""
+    each pointing at a filtered-step element, numbered by document
+    ordinal and then document order: a dict for string equality, a
+    sorted key list for numeric comparisons."""
 
     def __init__(self, root_filter, documents: list[Document]) -> None:
+        self._empty = [(document.root, ()) for document in documents]
+        self._elements: list[XmlElement] = []
+        self._ordinals: list[int] = []
+        keyed = []
+        for ordinal, (root, _) in enumerate(self._empty):
+            for element in root_filter.elements(root):
+                number = len(self._elements)
+                self._elements.append(element)
+                self._ordinals.append(ordinal)
+                keyed += [(key, number) for key in root_filter.keys(element)]
         if root_filter.numeric:
-            pairs = sorted(
-                (key, ordinal)
-                for ordinal, document in enumerate(documents)
-                for key in root_filter.keys(document.root)
-            )
-            self._keys = [key for key, _ in pairs]
-            self._ordinals = [ordinal for _, ordinal in pairs]
+            keyed.sort()
+            self._keys = [key for key, _ in keyed]
+            self._numbers = [number for _, number in keyed]
         else:
             self._strings: dict[str, list[int]] = {}
-            for ordinal, document in enumerate(documents):
-                for key in root_filter.keys(document.root):
-                    self._strings.setdefault(key, []).append(ordinal)
+            for key, number in keyed:
+                self._strings.setdefault(key, []).append(number)
 
-    def probe(self, root_filter) -> list[int]:
-        """Ordinals, ascending, of the documents whose keys pass."""
+    def probe(self, root_filter) -> list[tuple]:
+        """Every document's root with its elements whose keys pass, each
+        once and in document order (none: a shared empty tuple)."""
         literal = root_filter.literal
         if not root_filter.numeric:
-            return sorted(set(self._strings.get(literal, ())))
-        if literal != literal:  # NaN compares false with everything
-            return []
-        start, stop = _RANGES[root_filter.op](self._keys, literal)
-        return sorted(set(self._ordinals[start:stop]))
+            numbers = self._strings.get(literal, ())
+        elif literal != literal:  # NaN compares false with everything
+            numbers = ()
+        else:
+            start, stop = _RANGES[root_filter.op](self._keys, literal)
+            numbers = self._numbers[start:stop]
+        entries = self._empty.copy()
+        for number in sorted(set(numbers)):
+            ordinal = self._ordinals[number]
+            root, passed = entries[ordinal]
+            if not passed:
+                passed = []
+                entries[ordinal] = (root, passed)
+            passed.append(self._elements[number])
+        return entries
 
 
 class Collection:
@@ -204,10 +221,15 @@ class Collection:
                 self._sorted = (self.version, documents)
             return self.version, documents
 
-    def select(self, root_filter) -> tuple[list[XmlElement], str]:
-        """The roots, in name order, of the documents that can pass
-        *root_filter*, and how they were found: ``probe`` (a live value
-        index) or ``build`` (one built now, over every document)."""
+    def select(self, root_filter) -> tuple[list[tuple], str]:
+        """For every document of one snapshot, in name order, its root
+        and the filtered-step elements that pass *root_filter* (none: an
+        empty tuple), which callers must not mutate; and how they were
+        found: ``probe`` (a live value index) or ``build`` (one built
+        now, over every document).  The index is stamped with the
+        version of the snapshot it was built over, so it answers for
+        that snapshot only: an in-place edit is seen once :meth:`touch`
+        follows it."""
         version, documents = self._snapshot()
         index = self.indexes.lookup(root_filter.key, version)
         how = "probe"
@@ -216,7 +238,7 @@ class Collection:
                 root_filter.key, version, ValueIndex(root_filter, documents)
             )
             how = "build"
-        return [documents[ordinal].root for ordinal in index.probe(root_filter)], how
+        return index.probe(root_filter), how
 
     def walk(self):
         """Yield this collection and all descendants, depth-first."""

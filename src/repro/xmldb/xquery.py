@@ -90,7 +90,7 @@ def _plan(query: str, namespaces: tuple) -> _Plan:
     XPath parser stops, which is the only place a keyword can start."""
     if not re.match(r"(for|let)\b", query, re.IGNORECASE):
         bare = _expr(query, namespaces)
-        return _Plan(None, (), bare, bare.run.root_filter)
+        return _Plan(None, (), bare, _node_filter(bare.run))
     clauses: list[tuple] = []
     order: list[tuple] = []
     pos = 0
@@ -147,7 +147,13 @@ def _clauses_filter(clauses: list, namespaces: tuple) -> RootFilter | None:
         folded = flwor_filter(binding.text, variable, clauses[1][2].text, namespaces)
         if folded is not None:
             return folded
-    return binding.run.root_filter
+    return _node_filter(binding.run)
+
+
+def _node_filter(run: Callable) -> RootFilter | None:
+    """An expression's root filter when its value is the node-set the
+    filter selects from: a ``count()`` has a value in every document."""
+    return None if run.counted else run.root_filter
 
 
 def _parse_return(text: str, namespaces: tuple) -> _Expr | _Constructor:
@@ -183,8 +189,8 @@ class XQueryEngine:
         is evaluated as a bare XPath expression per document.  One
         statement is one ``xpath.evaluate`` span.  *index* is as for
         :meth:`XPathEngine.evaluate_each`: a query with a root filter
-        runs on the roots it returns, which are the only ones whose
-        bindings can reach the ``return``.
+        runs on the roots with an element that passes it, which are the
+        only ones whose bindings can reach the ``return``.
         """
         roots = root if isinstance(root, list) else [root]
         if not roots:
@@ -195,7 +201,8 @@ class XQueryEngine:
             plan = _plan(query.strip(), self._xpath.namespace_key)
             how = "scan"
             if index is not None and plan.root_filter is not None:
-                roots, how = index(plan.root_filter)
+                entries, how = index(plan.root_filter)
+                roots = [root for root, passed in entries if passed]
             span.set_attributes(documents_evaluated=len(roots), index=how)
             if not roots:
                 return []

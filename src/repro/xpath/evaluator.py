@@ -12,11 +12,12 @@ nested, and only where order cannot be proven does a step call
 — the document, variables, extension functions, predicate focus — rides
 the :class:`XPathContext`, so one closure serves every thread.
 
-A statement of the shape ``/T[operand op literal]…`` also yields, at
-compile time, a :class:`RootFilter`: the one test a document's root
-element must pass for the statement to select anything in it, which a
-collection answers from a value index instead of running the closure on
-every document.
+A statement of the shape ``/T[operand op literal]…`` or
+``/P/T[operand op literal]…``, or ``count()`` of one, also yields, at
+compile time, a :class:`RootFilter`: the test its filtered step's
+elements must pass, which a collection answers from a value index, and
+the *rest* of the statement, which runs from the elements that passed
+instead of the whole closure running on every document.
 """
 
 from __future__ import annotations
@@ -40,7 +41,13 @@ from repro.xpath.context import (
     string_value,
 )
 from repro.xpath.errors import XPathEvaluationError
-from repro.xpath.functions import CORE_FUNCTIONS, to_boolean, to_number, to_string
+from repro.xpath.functions import (
+    CORE_FUNCTIONS,
+    fn_count,
+    to_boolean,
+    to_number,
+    to_string,
+)
 from repro.xpath.parser import parse, parse_prefix
 
 #: What is statically known about a node-set valued expression.
@@ -53,8 +60,11 @@ def compile_xpath(expression: str, namespaces: tuple = ()) -> Callable:
 
     *namespaces* is the prefix → URI binding as a tuple of pairs (it is
     part of the cache key: name tests are resolved against it here).
-    The closure carries ``root_filter``: the statement's
-    :class:`RootFilter`, or None.
+    The closure carries ``root_filter``, the statement's
+    :class:`RootFilter` or None; ``rest``, ``fn(passed, ctx) -> nodes``
+    running the filtered step's other predicates and the later steps
+    from the elements that passed it, or None when there are none; and
+    ``counted``, whether the statement is ``count()`` of that path.
     """
     return _compile_statement(parse(expression), dict(namespaces))
 
@@ -67,31 +77,47 @@ def compile_prefix(text: str, start: int, namespaces: tuple = ()) -> tuple[Calla
 
 def _compile_statement(tree: ast.Expr, namespaces: dict) -> Callable:
     run = _compile(tree, namespaces)[0]
-    run.root_filter = _root_filter(tree, namespaces)
+    run.root_filter, run.rest, run.counted = None, None, False
+    counted = (
+        isinstance(tree, ast.FunctionCall)
+        and tree.name == "count"
+        and len(tree.args) == 1
+    )
+    found = _filtered_step(tree.args[0] if counted else tree)
+    if found is not None:
+        parent, step, later = found
+        run.root_filter = _value_filter(
+            step.test, step.predicates[0], namespaces, None, parent
+        )
+        if run.root_filter is not None:
+            run.rest, run.counted = _rest(step, later, namespaces), counted
     return run
 
 
 @dataclass(frozen=True)
 class RootFilter:
-    """The test a document's root element must pass for a statement to
-    select anything in that document.
+    """The test a statement's filtered step applies first: the elements
+    of a document that fail it contribute nothing to the statement.
 
-    The statement's value is ``/T[operand op literal]…`` (or a FLWOR
-    ranging over ``/T`` whose ``where`` is that comparison on the bound
-    variable), *operand* being one attribute or child of ``T``.  A
-    document whose root is not ``T``, or whose operand values all fail
-    the comparison, evaluates to an empty node-set.  ``op`` has the
-    literal on its right.  The comparison is made as :func:`_compare`
-    makes it: by number when ``literal`` is a float (a number literal,
-    or a string literal under ``<``/``<=``/``>``/``>=``, already
-    converted; NaN matches nothing), else by string equality.
+    The statement's value is ``/T[operand op literal]…`` or, under a
+    *parent* ``P``, ``/P/T[operand op literal]…`` (or ``count()`` of
+    either, or a FLWOR ranging over ``/T`` whose ``where`` is that
+    comparison on the bound variable), *operand* being one attribute or
+    child of ``T``.  The filtered step's elements are the document's
+    root when it is ``T``, or the ``T`` children of a root that is
+    ``P``.  ``op`` has the literal on its right.  The comparison is made
+    as :func:`_compare` makes it: by number when ``literal`` is a float
+    (a number literal, or a string literal under ``<``/``<=``/``>``/
+    ``>=``, already converted; NaN matches nothing), else by string
+    equality.
     """
 
-    root: QName
+    tag: QName
     axis: str  # "attribute" or "child"
     operand: QName
     op: str  # = < <= > >=
     literal: float | str
+    parent: QName | None = None
 
     @property
     def numeric(self) -> bool:
@@ -101,33 +127,46 @@ class RootFilter:
     def key(self) -> tuple:
         """What an index of the operand's values is built for: every
         filter with this key probes the same index."""
-        return (self.root, self.axis, self.operand, self.numeric)
+        return (self.parent, self.tag, self.axis, self.operand, self.numeric)
 
-    def keys(self, root: XmlElement) -> list:
-        """The index keys of the document rooted at *root*: the
-        operand's string-values, or, when numeric, those that are
-        numbers (NaN never matches)."""
-        name, operand = self.root, self.operand
-        if root.tag.local != name.local or root.tag.namespace != name.namespace:
+    def elements(self, root: XmlElement) -> list[XmlElement]:
+        """The filtered step's elements in the document rooted at
+        *root*, in document order."""
+        if self.parent is None:
+            return [root] if _named(root, self.tag) else []
+        if not _named(root, self.parent):
             return []
+        return [
+            child
+            for child in root.children
+            if isinstance(child, XmlElement) and _named(child, self.tag)
+        ]
+
+    def keys(self, element: XmlElement) -> list:
+        """The index keys of one filtered-step element: the operand's
+        string-values, or, when numeric, those that are numbers (NaN
+        never matches)."""
+        operand = self.operand
         if self.axis == "attribute":
             values = [
                 value
-                for attribute, value in root.attributes.items()
+                for attribute, value in element.attributes.items()
                 if attribute.local == operand.local
                 and attribute.namespace == operand.namespace
             ]
         else:
             values = [
                 string_value(child)
-                for child in root.children
-                if isinstance(child, XmlElement)
-                and child.tag.local == operand.local
-                and child.tag.namespace == operand.namespace
+                for child in element.children
+                if isinstance(child, XmlElement) and _named(child, operand)
             ]
         if not self.numeric:
             return values
         return [number for number in map(to_number, values) if number == number]
+
+
+def _named(element: XmlElement, name: QName) -> bool:
+    return element.tag.local == name.local and element.tag.namespace == name.namespace
 
 
 _PROBED = {"=", "<", "<=", ">", ">="}
@@ -141,12 +180,37 @@ def _root_step(tree: ast.Expr) -> ast.Step | None:
     return first if first.axis == "child" and first.test.kind == "name" else None
 
 
-def _root_filter(tree: ast.Expr, namespaces: dict) -> RootFilter | None:
-    """``/T[operand op literal]…`` → its filter; any other shape → None."""
-    step = _root_step(tree)
-    if step is None or not step.predicates:
+def _filtered_step(tree: ast.Expr) -> tuple | None:
+    """``/T[pred]…`` → (None, T's step, the later steps); ``/P/T[pred]…``
+    with no predicate on ``P`` → (``P``'s test, T's step, the later
+    steps); any other shape → None."""
+    first = _root_step(tree)
+    if first is None:
         return None
-    return _value_filter(step.test, step.predicates[0], namespaces, None)
+    if first.predicates:
+        return None, first, tree.steps[1:]
+    if len(tree.steps) > 1:
+        second = tree.steps[1]
+        if second.axis == "child" and second.test.kind == "name" and second.predicates:
+            return first.test, second, tree.steps[2:]
+    return None
+
+
+def _rest(step: ast.Step, later: tuple, namespaces: dict) -> Callable | None:
+    """The statement after the filtered step's first predicate: its
+    other predicates, positions counting among the elements that passed
+    (they share one parent), then the later steps."""
+    if len(step.predicates) == 1 and not later:
+        return None
+    predicates = [_predicate(p, namespaces) for p in step.predicates[1:]]
+    walk = _chain(_steps(later, namespaces), _FLAT)[0]
+
+    def rest(nodes, ctx):
+        for predicate in predicates:
+            nodes = predicate(nodes, ctx)
+        return walk(nodes, ctx)
+
+    return rest
 
 
 def flwor_filter(
@@ -163,7 +227,11 @@ def flwor_filter(
 
 
 def _value_filter(
-    test: ast.NodeTest, tree: ast.Expr, namespaces: dict, variable: str | None
+    test: ast.NodeTest,
+    tree: ast.Expr,
+    namespaces: dict,
+    variable: str | None,
+    parent: ast.NodeTest | None = None,
 ) -> RootFilter | None:
     """*tree* as ``operand op literal`` (either order) on the element
     named by *test* — the context node, or ``$variable`` when given."""
@@ -197,7 +265,12 @@ def _value_filter(
     if op != "=" and isinstance(value, str):
         value = to_number(value)
     return RootFilter(
-        _resolve(test, namespaces), step.axis, _resolve(step.test, namespaces), op, value
+        _resolve(test, namespaces),
+        step.axis,
+        _resolve(step.test, namespaces),
+        op,
+        value,
+        None if parent is None else _resolve(parent, namespaces),
     )
 
 
@@ -259,26 +332,46 @@ class XPathEngine:
         """One statement over many documents: compile once, run the
         closure per root, one ``xpath.evaluate`` span; a value per root.
 
-        *index*, ``fn(root_filter) -> (roots, how)``, answers a
-        statement that has a :class:`RootFilter` with the roots, in
-        order, that can pass it: the closure runs on those only, and the
-        values are theirs (every other root's is an empty node-set).
-        The span records ``documents`` (all roots),
-        ``documents_evaluated`` and ``index``: ``how``, or ``scan``.
+        *index*, ``fn(root_filter) -> (entries, how)``, answers a
+        statement that has a :class:`RootFilter` instead: *entries* hold,
+        for every document of the snapshot it probed, ``(root, the
+        filtered-step elements that pass)``.  Only the statement's
+        ``rest`` runs, from those elements.  A ``count()`` has a value
+        per entry, zeros included; a node-set a value per entry with an
+        element that passed (every other one's is empty).  The span
+        records ``documents`` (all roots), ``documents_evaluated`` (the
+        documents a closure ran on) and ``index``: ``how``, or ``scan``.
         """
         with get_tracer().span(
             "xpath.evaluate", expression=expression, documents=len(roots)
         ) as span:
             run = compile_xpath(expression, self.namespace_key)
-            how = "scan"
-            if index is not None and run.root_filter is not None:
-                roots, how = index(run.root_filter)
-            span.set_attributes(documents_evaluated=len(roots), index=how)
             variables = dict(variables or {})
             results = []
-            for root in roots:
-                ctx = self.context(DocumentContext(root), variables, context_node)
-                results.append(run(ctx.node, ctx))
+            if (
+                index is None
+                or run.root_filter is None
+                or (run.counted and self._functions["count"] is not fn_count)
+            ):
+                span.set_attributes(documents_evaluated=len(roots), index="scan")
+                for root in roots:
+                    ctx = self.context(DocumentContext(root), variables, context_node)
+                    results.append(run(ctx.node, ctx))
+            else:
+                entries, how = index(run.root_filter)
+                evaluated = 0
+                for root, nodes in entries:
+                    if nodes and run.rest is not None:
+                        evaluated += 1
+                        ctx = self.context(
+                            DocumentContext(root), variables, context_node
+                        )
+                        nodes = run.rest(nodes, ctx)
+                    if run.counted:
+                        results.append(float(len(nodes)))
+                    elif nodes:
+                        results.append(nodes)
+                span.set_attributes(documents_evaluated=evaluated, index=how)
             if span.recording and results:
                 span.set_attribute("result_type", type(results[0]).__name__)
                 if isinstance(results[0], list):

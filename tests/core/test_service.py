@@ -118,7 +118,7 @@ class TestDispatch:
             client.generic_query("dais://ro", resource.abstract_name, "urn:echo", "x")
 
     def test_busy_failure_injection(self, client, service, resource):
-        service.fail_busy = True
+        service.max_concurrent = 0  # admission refuses every call
         with pytest.raises(ServiceBusyFault):
             client.list_resources("dais://svc")
 

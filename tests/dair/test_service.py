@@ -12,6 +12,7 @@ from repro.core import (
     InvalidResourceNameFault,
     NotAuthorizedFault,
     Sensitivity,
+    mint_abstract_name,
 )
 from repro.core.namespaces import WSDAI_NS, SQL_LANGUAGE_URI
 from repro.dair import (
@@ -30,6 +31,7 @@ from repro.workload import (
     build_single_service,
 )
 from repro.xmlutil import QName
+from tests.faultinject.faults import UnavailableSQLDataResource
 
 SMALL = RelationalWorkload(customers=10, orders_per_customer=2, items_per_order=2)
 
@@ -135,9 +137,11 @@ class TestSQLAccess:
             )
 
     def test_unavailable_resource_faults(self, single):
-        single.resource.set_available(False)
+        resource = UnavailableSQLDataResource(mint_abstract_name("gone"), single.database)
+        single.service.add_resource(resource)
+        resource.available = False
         with pytest.raises(DataResourceUnavailableFault):
-            single.client.sql_execute(single.address, single.name, "SELECT 1")
+            single.client.sql_execute(single.address, resource.abstract_name, "SELECT 1")
 
     def test_generic_query_also_works(self, single):
         response = single.client.generic_query(

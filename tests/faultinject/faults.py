@@ -6,7 +6,8 @@ refusals, mid-response drops, fixed or spread latency, HTTP 503/500,
 SOAP ``ServiceBusyFault`` and expired-resource ``ResourceUnknownFault``
 injections; :class:`FaultyTransport` applies them around any transport,
 and :class:`FaultyHttpServer` on the real HTTP handler path.  Same seed
-→ same failures, so every chaos run replays.
+→ same failures, so every chaos run replays.  A resource whose database
+has gone is :class:`UnavailableSQLDataResource`.
 
 Rules match on the global call index (1-based) and optionally on the
 target address / ``wsa:Action``; the first match wins::
@@ -25,7 +26,12 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from repro.core.faults import ServiceBusyFault, TransportFault
+from repro.core.faults import (
+    DataResourceUnavailableFault,
+    ServiceBusyFault,
+    TransportFault,
+)
+from repro.dair import SQLDataResource
 from repro.obs import MetricsRegistry, add_to_current_span
 from repro.resilience import RealClock, coerce_resilience
 from repro.soap.envelope import Envelope, fault_envelope
@@ -363,3 +369,18 @@ class FaultyHttpServer(DaisHttpServer):
         response = self._counted(request, status, content_type, payload)
         self._write(conn, core, response, keep_alive=request.keep_alive)
 
+
+
+class UnavailableSQLDataResource(SQLDataResource):
+    """A SQL data resource whose database can be taken away: while
+    ``available`` is False every statement faults
+    ``DataResourceUnavailableFault``."""
+
+    available = True
+
+    def sql_execute(self, *args, **kwargs):
+        if not self.available:
+            raise DataResourceUnavailableFault(
+                f"database {self.database.name!r} is unavailable"
+            )
+        return super().sql_execute(*args, **kwargs)

@@ -7,11 +7,13 @@ from repro.core import (
     DataResourceUnavailableFault,
     InvalidExpressionFault,
     ServiceBusyFault,
+    mint_abstract_name,
 )
 from repro.soap import Envelope, FaultCode, MessageHeaders, SoapFault
 from repro.transport import LoopbackTransport
 from repro.workload import RelationalWorkload, build_single_service
 from repro.xmlutil import E
+from tests.faultinject.faults import UnavailableSQLDataResource
 
 WORKLOAD = RelationalWorkload(customers=5)
 
@@ -23,25 +25,29 @@ def deployment():
 
 class TestServiceFailures:
     def test_busy_service_faults_every_operation(self, deployment):
-        deployment.service.fail_busy = True
+        deployment.service.max_concurrent = 0  # admission refuses every call
         with pytest.raises(ServiceBusyFault):
             deployment.client.sql_execute(
                 deployment.address, deployment.name, "SELECT 1"
             )
         with pytest.raises(ServiceBusyFault):
             deployment.client.list_resources(deployment.address)
-        deployment.service.fail_busy = False
+        deployment.service.max_concurrent = None
         assert deployment.client.list_resources(deployment.address)
 
     def test_unavailable_resource_recovers(self, deployment):
-        deployment.resource.set_available(False)
+        resource = UnavailableSQLDataResource(
+            mint_abstract_name("gone"), deployment.database
+        )
+        deployment.service.add_resource(resource)
+        resource.available = False
         with pytest.raises(DataResourceUnavailableFault):
             deployment.client.sql_execute(
-                deployment.address, deployment.name, "SELECT 1"
+                deployment.address, resource.abstract_name, "SELECT 1"
             )
-        deployment.resource.set_available(True)
+        resource.available = True
         response = deployment.client.sql_execute(
-            deployment.address, deployment.name, "SELECT 1"
+            deployment.address, resource.abstract_name, "SELECT 1"
         )
         assert response.communication.succeeded
 

@@ -1,14 +1,16 @@
 """The collection value index against the scan it stands in for.
 
 A statement whose compiled form has a root filter (``/T[operand op
-literal]…``, or a FLWOR over ``/T`` whose first ``where`` is that
-comparison) runs only on the documents the collection's value index
-returns.  That is right only while the index agrees with the documents,
-so the generative guard interleaves indexed statements with every way a
-collection changes — add, replace, remove, XUpdate — and checks each
-answer against the same closure run over *all* roots.  The threaded case
-checks the ordering promise: once an XUpdate has returned, no query
-answers from an index built before it.
+literal]…``, ``/P/T[operand op literal]…``, ``count()`` of either, or a
+FLWOR over ``/T`` whose first ``where`` is that comparison) is answered
+from the elements the collection's value index says pass the filter:
+the rest of the statement runs from them, and a count is their number
+after it.  That is right only while the index agrees with the
+documents, so the generative guard interleaves indexed statements with
+every way a collection changes — add, replace, remove, XUpdate — and
+checks each answer against the same closure run over *all* roots.  The
+threaded cases check the ordering promise: once an XUpdate has returned,
+no query answers from an index built before it.
 """
 
 import sys
@@ -43,8 +45,11 @@ _ROOTS = [QName("", "item")] * 4 + [QName("urn:n", "item"), QName("", "other")]
 _VALUES = ["1", "2", "2.5", "10", "-3", " 7 ", "x", "", "NaN", "1e3", "2"]
 
 
-def _document():
-    def build(tag, code, q, prices, names):
+def _document(parts=(0, 3)):
+    """A root with zero or more ``part`` children (*parts*: their number's
+    bounds), each like the root but with no parts of its own."""
+
+    def build(tag, code, q, prices, names, parts):
         attributes = {}
         if code is not None:
             attributes[QName("", "code")] = code
@@ -53,18 +58,29 @@ def _document():
         element = XmlElement(tag, attributes)
         for price in prices:  # zero, one or several: missing and repeated operands
             element.append(E("price", price))
+        for part in parts:
+            element.append(part)
         for name in names:
             element.append(E("name", name))
         return element
 
     value = st.sampled_from(_VALUES)
-    return st.builds(
-        build,
-        st.sampled_from(_ROOTS),
-        st.none() | value,
-        st.none() | value,
-        st.lists(value, max_size=3),
-        st.lists(st.sampled_from(["bolt", "1", "2.5"]), max_size=2),
+
+    def elements(tags, parts):
+        return st.builds(
+            build,
+            tags,
+            st.none() | value,
+            st.none() | value,
+            st.lists(value, max_size=3),
+            st.lists(st.sampled_from(["bolt", "1", "2.5"]), max_size=2),
+            parts,
+        )
+
+    # The item/part level: a root's children filtered by /P/part[…].
+    part = elements(st.just(QName("", "part")), st.just(()))
+    return elements(
+        st.sampled_from(_ROOTS), st.lists(part, min_size=parts[0], max_size=parts[1])
     )
 
 
@@ -91,15 +107,22 @@ def _comparison(operands, operand_prefix: str = ""):
 
 
 _ROOT_TESTS = st.sampled_from(["item", "item", "item", "n:item", "other"])
-_SECOND = st.sampled_from(["", "", "[name]", "[price > 1]", "[1]", "[last()]"])
+_SECOND = st.sampled_from(["", "", "[name]", "[price > 1]", "[1]", "[last()]", "[2]"])
 _TAILS = st.sampled_from(["", "/name", "/price", "/@code", "/price[. > 1]", "/*[2]",
-                          "//text()"])
+                          "//text()", "/../@code"])
 
 
-def _statements(operands=_OPERANDS):
+def _statements(operands=_OPERANDS, depths=("", "", "/part")):
+    depths = st.sampled_from(depths)  # /T[…] or /P/part[…]
     xpaths = st.builds(
-        "/{}[{}]{}{}".format, _ROOT_TESTS, _comparison(operands), _SECOND, _TAILS
+        "/{}{}[{}]{}{}".format,
+        _ROOT_TESTS,
+        depths,
+        _comparison(operands),
+        _SECOND,
+        _TAILS,
     )
+    counts = xpaths.map("count({})".format)
     flwors = st.builds(
         lambda root, where, order, result: (
             f"for $v in /{root} where {where} {order} return {result}"
@@ -109,10 +132,17 @@ def _statements(operands=_OPERANDS):
         st.sampled_from(["", "order by $v/price", "order by $v/@code descending"]),
         st.sampled_from(["$v/name", '<r c="{$v/@code}">{$v/price}</r>', "$v"]),
     )
+    parts = st.builds(  # a first for over /P/part[…]: the documents it selects from
+        lambda root, where: f"for $v in /{root}/part[{where}] return $v/name",
+        _ROOT_TESTS,
+        _comparison(operands),
+    )
     return st.one_of(
         xpaths.map(lambda text: ("xpath", text)),
+        counts.map(lambda text: ("xpath", text)),
         flwors.map(lambda text: ("xquery", text)),
-        xpaths.map(lambda text: ("xquery", text)),  # a bare XPath as a query
+        parts.map(lambda text: ("xquery", text)),
+        st.one_of(xpaths, counts).map(lambda text: ("xquery", text)),  # bare XPath
     )
 
 
@@ -169,6 +199,11 @@ _XUPDATES = st.sampled_from(
          "item", "price"),
         ('<xu:append select="/item"><xu:attribute name="code">{}</xu:attribute>'
          "</xu:append>", "item", "@code"),
+        ('<xu:update select="/item/part/price">{}</xu:update>', "item/part", "price"),
+        ('<xu:update select="/item/part/@code">{}</xu:update>', "item/part", "@code"),
+        ('<xu:remove select="/item/part[1]"/>', None, None),
+        ('<xu:append select="/item"><xu:element name="part"><price>{}</price>'
+         "</xu:element></xu:append>", "item/part", "price"),
     ]
 )
 
@@ -183,7 +218,10 @@ def _probes(step) -> list:
     _, (_, root, operand), value, _ = step
     return [
         ("xpath", f"/{root}[{operand} = '{value}']"),
-        ("xquery", f"for $v in /{root} where '{value}' <= $v/{operand} return $v"),
+        ("xpath", f"count(/{root}[{operand} >= '{value}'])"),
+        ("xquery", f"for $v in /{root}['{value}' <= {operand}] return $v"
+         if "/" in root else
+         f"for $v in /{root} where '{value}' <= $v/{operand} return $v"),
     ]
 
 _STEPS = st.one_of(
@@ -239,7 +277,9 @@ class TestIndexedEqualsScanned:
         def ask(statements):
             for language, text in statements:
                 got, how = _indexed(resource, language, text)
-                assert how in ("probe", "build"), text
+                # A count as an XQuery has a value in every document: a scan.
+                counted = language == "xquery" and text.startswith("count(")
+                assert how in (("scan", "build") if counted else ("probe", "build")), text
                 assert got == _scanned(resource, language, text), (language, text)
 
         ask(watched)
@@ -250,6 +290,32 @@ class TestIndexedEqualsScanned:
                 ask(_probes(step))
                 _apply(resource, step, counter)
                 ask(_probes(step) + watched)
+
+    @given(
+        st.lists(_document(parts=(2, 4)), min_size=2, max_size=5),
+        st.lists(
+            st.builds(
+                "/item/part[{} {} {}]{}{}".format,
+                st.sampled_from(["price", "@code"]),
+                st.sampled_from(_OPS),
+                st.sampled_from(["0", "1", "2", "2.5", "7", "'1'"]),
+                _SECOND,
+                _TAILS,
+            ).flatmap(lambda text: st.sampled_from([text, f"count({text})"])),
+            min_size=1,
+            max_size=10,
+        ),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_the_child_level(self, documents, statements):
+        """``/P/part[…]`` over documents that each hold several parts:
+        the parts that pass keep document order within their document,
+        later positions count among them, and the rest runs with their
+        own document as the context (``/..`` reaches their root)."""
+        resource = _resource(documents)
+        for text in statements:
+            got, _ = _indexed(resource, "xpath", text)
+            assert got == _scanned(resource, "xpath", text), text
 
     def test_every_mutation_moves_the_answer(self):
         """Literal mutation arm: each way of changing the collection is
@@ -325,21 +391,46 @@ class TestShapes:
             ("/item[price >= '2.5']", ("item", "child", "price", ">=", 2.5)),
             ("/item[price = 7]", ("item", "child", "price", "=", 7.0)),
             ("/n:item[@n:q <= 1]", ("{urn:n}item", "attribute", "{urn:n}q", "<=", 1.0)),
+            ("count(/item[@code = '3'])", ("item", "attribute", "code", "=", "3")),
+            ("/item/part[price > 2]/name",
+             ("part", "child", "price", ">", 2.0, "item")),
+            ("count(/n:item/part[@code = 'a'][1])",
+             ("part", "attribute", "code", "=", "a", "{urn:n}item")),
         ],
     )
     def test_filtered(self, expression, expected):
-        root, axis, operand, op, literal = expected
+        tag, axis, operand, op, literal, *parent = expected
         assert compile_xpath(expression, XPATH.namespace_key).root_filter == RootFilter(
-            QName.parse(root), axis, QName.parse(operand), op, literal
+            QName.parse(tag), axis, QName.parse(operand), op, literal,
+            QName.parse(parent[0]) if parent else None,
         )
+
+    @pytest.mark.parametrize(
+        "expression, rest, counted",
+        [
+            ("/item[@code = '3']", False, False),
+            ("count(/item/part[price > 2])", False, True),
+            ("count(/item/part[price > 2][1])", True, True),
+            ("/item/part[price > 2]/name", True, False),
+        ],
+    )
+    def test_rest_and_count(self, expression, rest, counted):
+        run = compile_xpath(expression, XPATH.namespace_key)
+        assert (run.rest is not None, run.counted) == (rest, counted)
 
     @pytest.mark.parametrize(
         "expression",
         [
-            "count(/item[@code = '3'])",  # one value per document: a scan
             "/item[@code != '3']",
             "/item[@code = $x]",
-            "/item/price[. > 1]",  # the predicate is past the first step
+            "/item/price[. > 1]",  # the operand is the context node
+            "/item[1]/part[price > 1]",  # a predicate on the parent step
+            "/item/part/x[price > 1]",  # the predicate is past the second step
+            "//item/part[price > 1]",
+            "/*/part[price > 1]",
+            "sum(/item[price > 1]/price)",
+            "count(/item[price > 1], 1)",
+            "1 + count(/item[price > 1])",
             "//item[@code = '3']",
             "/*[@code = '3']",
             "/item[1][@code = '3']",
@@ -379,16 +470,34 @@ class TestShapes:
         assert (_plan(query, XPATH.namespace_key).root_filter is not None) is filtered
 
     def test_a_scan_shape_evaluates_every_document(self):
+        """Only a scan runs the closure on every document; an indexed
+        statement runs its rest on the documents with an element that
+        passed, and none at all when the rest is empty."""
         resource = _resource([E("item", E("price", str(i))) for i in range(5)])
         with use_exporter() as exporter:
+            assert len(resource.xpath_execute("sum(/item[price > 2]/price)")) == 5
             assert len(resource.xpath_execute("count(/item[price > 2])")) == 5
             assert len(resource.xpath_execute("/item[price > 2]")) == 2
+            assert len(resource.xpath_execute("/item[price > 2]/price")) == 2
             assert len(resource.xpath_execute("/item[price > 2]", "d04")) == 1
         assert [
             (s.attributes["documents"], s.attributes["documents_evaluated"],
              s.attributes["index"])
             for s in exporter.spans("xpath.evaluate")
-        ] == [(5, 5, "scan"), (5, 2, "build"), (1, 1, "scan")]
+        ] == [(5, 5, "scan"), (5, 0, "build"), (5, 0, "probe"), (5, 2, "probe"),
+              (1, 1, "scan")]
+
+    def test_a_count_gives_every_document_a_value(self):
+        resource = _resource(
+            [E("item", E("part", E("price", "5")), E("part", E("price", "1"))),
+             E("other", E("part", E("price", "5"))),
+             E("item", E("part", E("price", "4"), E("price", "6")))]
+        )
+        values = [
+            item.children[0].value
+            for item in resource.xpath_execute("count(/item/part[price > 3])")
+        ]
+        assert values == ["1", "0", "1"]  # zeros kept, a repeated key once
 
 
 class TestCollectionState:
@@ -458,6 +567,51 @@ class TestConcurrentXUpdate:
                     got = [float(item.children[0].get("v")) for item in run(text)]
                     if len(got) != documents or min(got) < floor:
                         wrong.append((floor, text, got))
+
+        threads = [threading.Thread(target=reader) for _ in range(3)]
+        threads.append(threading.Thread(target=writer))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
+    def test_no_count_from_before_a_returned_update(self):
+        """As above for ``count(/item/part[@v >= floor])``, answered from
+        the index alone: every document holds three parts, and once the
+        XUpdate raising them to a generation has returned, each document
+        counts all three for that floor."""
+        documents = 40
+        resource = _resource(
+            [E("item", *(E("part", v="0") for _ in range(3))) for _ in range(documents)]
+        )
+        returned = [0]
+        wrong: list = []
+        stop = threading.Event()
+
+        def writer():
+            for generation in range(1, 81):
+                resource.xupdate_execute(
+                    _modifications(
+                        f'<xu:update select="/item/part/@v">{generation}</xu:update>'
+                    )
+                )
+                returned[0] = generation
+            stop.set()
+
+        def reader():
+            while not stop.is_set():
+                floor = returned[0]
+                text = f"count(/item/part[@v >= {floor}])"
+                got = [item.children[0].value for item in resource.xpath_execute(text)]
+                if got != ["3"] * documents:
+                    wrong.append((floor, got))
 
         threads = [threading.Thread(target=reader) for _ in range(3)]
         threads.append(threading.Thread(target=writer))
