@@ -94,12 +94,13 @@ bench-fig2:
 # at a p50 no worse than that client sees when DDL has just made the
 # cached document stale (render + plain bytes), and an identical
 # SQLExecuteFactory must be answered from the shared-result cache no
-# slower than a fresh evaluation.  Stale-read regression tests and the
-# cache primitive's own suite ride along.
+# slower than a fresh evaluation.  Stale-read regression tests, the
+# conditional-read suite and the cache primitive's own suite ride along.
 bench-fig4:
 	$(PYTHON) -m pytest benchmarks/test_fig4_cache.py \
 		tests/test_versioned_lru.py \
 		tests/core/test_propdoc_cache.py tests/core/test_propdoc_hits.py \
+		tests/core/test_propdoc_conditional.py \
 		tests/dair/test_result_reuse.py -q -s
 
 # Streamed-delivery memory/throughput gate: streamed peak memory at

@@ -69,8 +69,7 @@ class CimDatabase:
 def describe_catalog(catalog: Catalog) -> CimDatabase:
     """Map a live relational catalog to the CIM model."""
     tables = []
-    for table_name in catalog.table_names():
-        schema = catalog.table(table_name)
+    for schema in catalog.tables():
         columns = tuple(
             CimColumn(
                 name=column.name,

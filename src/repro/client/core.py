@@ -15,6 +15,7 @@ from repro.core.faults import (
     TransportFault,
 )
 from repro.core.messages import DaisMessage, response_class
+from repro.core.propcache import held_block, is_unchanged, reply_stamp
 from repro.wsrf.faults import ResourceUnknownFault
 from repro.jobs import messages as jmsg
 from repro.jobs.model import ERROR, TERMINAL_PHASES
@@ -42,6 +43,10 @@ DEFAULT_POLL_POLICY = RetryPolicy(
 
 #: EPRs :meth:`CoreClient.resolve` keeps per client (LRU beyond this).
 RESOLVE_CACHE_CAPACITY = 1024
+
+#: Property documents whose cached part a client keeps for conditional
+#: reads (LRU beyond this); docs/CACHING.md gives the memory per entry.
+PROPERTY_DOCUMENT_CAPACITY = 16
 
 
 class JobTimeoutError(TimeoutError):
@@ -78,6 +83,11 @@ class CoreClient:
     :class:`ServiceNotFoundFault` from an address drops every EPR cached
     against it, and a resource-name fault (unknown, invalid, or
     WSRF-expired) drops the one entry it names.
+
+    Every ``Get*PropertyDocument`` call is a conditional read
+    (:mod:`repro.core.propcache`, :meth:`_property_document`), its
+    state kept per ``(address, abstract_name)`` in a second
+    :class:`~repro.lru.VersionedLRU`.
     """
 
     def __init__(self, transport, resilience=None) -> None:
@@ -86,8 +96,23 @@ class CoreClient:
         if layer is not None:
             transport.resilience = layer
         self._resolved = VersionedLRU(RESOLVE_CACHE_CAPACITY)
+        self._documents = VersionedLRU(PROPERTY_DOCUMENT_CAPACITY)
         metrics = getattr(transport, "metrics", None)
         if metrics is not None:  # every shipped transport has metrics
+            self._documents.bind_counters(
+                metrics.counter(
+                    "cache.propdoc.held.hits",
+                    "property-document reads sent holding a stamp",
+                ),
+                metrics.counter(
+                    "cache.propdoc.held.misses",
+                    "property-document reads sent holding none",
+                ),
+                metrics.counter(
+                    "cache.propdoc.held.invalidations",
+                    "held cached parts dropped by a new stamp or a fault",
+                ),
+            )
             self._resolved.bind_counters(
                 metrics.counter(
                     "cache.resolve.hits", "resolve() calls served from cache"
@@ -118,6 +143,16 @@ class CoreClient:
         request; a reply whose body element is any other is a
         :class:`TransportFault`.
         """
+        return _decoded(request, self._exchange(target, request))
+
+    def _exchange(
+        self,
+        target: str | EndpointReference,
+        request: DaisMessage,
+        blocks: tuple[XmlElement, ...] = (),
+    ) -> Envelope:
+        """Send *request* with the extension header *blocks*; the reply
+        envelope, or its fault raised."""
         if isinstance(target, EndpointReference):
             address, parameters = target.address, target.reference_parameters
         else:
@@ -126,7 +161,7 @@ class CoreClient:
             headers=MessageHeaders(
                 to=address,
                 action=type(request).action(),
-                reference_parameters=parameters,
+                reference_parameters=parameters + blocks,
             ),
             payload=request.to_xml(),
         )
@@ -151,13 +186,48 @@ class CoreClient:
                 ):
                     self._resolved.invalidate(key)
             raise
-        response_cls = response_class(type(request))
-        if response.payload.tag != response_cls.TAG:
-            raise TransportFault(
-                f"{request.TAG.clark()} was answered by "
-                f"{response.payload.tag.clark()}, not {response_cls.TAG.clark()}"
-            )
-        return response_cls.from_xml(response.payload)
+        return response
+
+    def _property_document(
+        self, target: str | EndpointReference, request: DaisMessage
+    ) -> XmlElement:
+        """Every ``Get*PropertyDocument`` call: a conditional read.
+
+        The request holds the stamp kept for the resource, or an empty
+        one.  An ``Unchanged`` reply gets a copy of the kept part in
+        place of its marker; a full reply's part is kept (a copy, so the
+        caller's document aliases nothing kept).  An ``Unchanged`` that
+        cannot be grafted is asked again holding no stamp, so no marker
+        is ever returned.
+        """
+        address = getattr(target, "address", target)
+        key = (address, str(request.abstract_name))
+        held = self._documents.lookup(key)
+        for holding in (held, None):
+            block = held_block(holding[0] if holding else "")
+            try:
+                reply = self._exchange(target, request, (block,))
+            except SoapFault:
+                self._documents.invalidate(key)
+                raise
+            document = document_of(_decoded(request, reply))
+            stamp = reply_stamp(reply.headers.reference_parameters)
+            children = document.children
+            if not is_unchanged(document):
+                self._documents.invalidate(key)
+                if stamp is not None and stamp[1] <= len(children):
+                    part = XmlElement(document.tag, {}, children[: stamp[1]])
+                    self._documents.store(key, None, (stamp[0], part.copy()))
+                return document
+            if holding is not None and stamp == (
+                holding[0], len(holding[1].children)
+            ):
+                document.children = holding[1].copy().children + children[1:]
+                return document
+            self._documents.invalidate(key)
+        raise TransportFault(
+            f"{request.TAG.clark()} was answered Unchanged holding no stamp"
+        )
 
     # -- CoreDataAccess ------------------------------------------------------
 
@@ -189,7 +259,7 @@ class CoreClient:
         request = msg.GetDataResourcePropertyDocumentRequest(
             abstract_name=abstract_name
         )
-        return document_of(self.call(address, request))
+        return self._property_document(address, request)
 
     # -- CoreResourceList ---------------------------------------------------
 
@@ -314,6 +384,18 @@ class CoreClient:
             requested_termination_time=termination_time,
         )
         return self.call(address, request)
+
+
+def _decoded(request: DaisMessage, response: Envelope) -> DaisMessage:
+    """*response*'s body decoded as the reply to *request*; any other
+    body element is a :class:`TransportFault`."""
+    response_cls = response_class(type(request))
+    if response.payload.tag != response_cls.TAG:
+        raise TransportFault(
+            f"{request.TAG.clark()} was answered by "
+            f"{response.payload.tag.clark()}, not {response_cls.TAG.clark()}"
+        )
+    return response_cls.from_xml(response.payload)
 
 
 def document_of(response: DaisMessage) -> XmlElement:

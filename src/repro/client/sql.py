@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.client.core import CoreClient, document_of
+from repro.client.core import CoreClient
 from repro.core.namespaces import WSDAI_NS
 from repro.core.properties import CONFIGURABLE_ELEMENTS, configurable_element
 from repro.dair import messages as msg
@@ -125,7 +125,7 @@ class SQLClient(CoreClient):
         self, address: str, abstract_name: str
     ) -> XmlElement:
         request = msg.GetSQLPropertyDocumentRequest(abstract_name=abstract_name)
-        return document_of(self.call(address, request))
+        return self._property_document(address, request)
 
     # -- SQLFactory ----------------------------------------------------------
 
@@ -203,7 +203,7 @@ class SQLClient(CoreClient):
         request = msg.GetSQLResponsePropertyDocumentRequest(
             abstract_name=abstract_name
         )
-        return document_of(self.call(epr, request))
+        return self._property_document(epr, request)
 
     # -- ResponseFactory -------------------------------------------------------
 
@@ -249,7 +249,7 @@ class SQLClient(CoreClient):
         self, epr: EndpointReference, abstract_name: str
     ) -> XmlElement:
         request = msg.GetRowsetPropertyDocumentRequest(abstract_name=abstract_name)
-        return document_of(self.call(epr, request))
+        return self._property_document(epr, request)
 
     def rowset_reader(
         self,

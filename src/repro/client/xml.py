@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.client.core import CoreClient, document_of
+from repro.client.core import CoreClient
 from repro.daix import messages as msg
 from repro.soap.addressing import EndpointReference
 from repro.xmlutil import QName, XmlElement
@@ -69,7 +69,7 @@ class XMLClient(CoreClient):
         request = msg.GetCollectionPropertyDocumentRequest(
             abstract_name=abstract_name
         )
-        return document_of(self.call(address, request))
+        return self._property_document(address, request)
 
     # -- query access --------------------------------------------------------
 

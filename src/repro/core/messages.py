@@ -77,6 +77,9 @@ class DaisMessage:
     #: The reply class of a request the naming rule does not cover
     #: (see :func:`response_class`).
     RESPONSE: ClassVar[Optional[type["DaisMessage"]]] = None
+    #: Extension SOAP header blocks the envelope carrying this message
+    #: adds; a handler sets them on the reply it returns.
+    header_blocks: ClassVar[tuple[XmlElement, ...]] = ()
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)

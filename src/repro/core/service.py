@@ -26,7 +26,7 @@ from repro.core.faults import (
     ServiceBusyFault,
 )
 from repro.core.names import AbstractName
-from repro.core.propcache import PropertyDocumentCache
+from repro.core.propcache import PropertyDocumentCache, held_stamp
 from repro.core.properties import ConfigurableProperties
 from repro.core.resource import DataResource
 from repro.jobs import messages as jmsg
@@ -114,22 +114,13 @@ class ResourceBinding:
         resilience and job-set elements are volatile and are appended
         fresh on every read (:meth:`_volatile_properties`).
         """
-        document = self._service._resource_document(self, reply=False)
+        entry = self._service._cached_document(self)
+        document = self._render() if entry is None else entry.tree()
         document.extend(self._volatile_properties())
         return document
 
-    def reply_document(self) -> XmlElement:
-        """The same document for a ``Get*PropertyDocument`` reply.
-
-        Serialized, it is byte-identical to :meth:`property_document`;
-        on a cache hit its cached part is the entry's stored rendering
-        (a :class:`~repro.xmlutil.RenderedElement`) and only the
-        volatile properties are built, so nothing cached is walked or
-        copied.  Its tree API sees only those properties — it is meant
-        to be written, and readers use :meth:`property_document`."""
-        document = self._service._resource_document(self, reply=True)
-        document.extend(self._volatile_properties())
-        return document
+    def _render(self) -> XmlElement:
+        return self.resource.property_document(self.configurable).to_xml()
 
     def _volatile_properties(self) -> list[XmlElement]:
         journal = get_journal()
@@ -187,7 +178,7 @@ class DataService:
             (msg.DestroyDataResourceRequest, "_handle_destroy"),
             (
                 msg.GetDataResourcePropertyDocumentRequest,
-                "_handle_get_property_document",
+                "_handle_property_document",
             ),
         ),
         "core_resource_list": (
@@ -218,6 +209,12 @@ class DataService:
     #: The factories, as data: request class → :class:`Factory`.  Each
     #: one's :attr:`OPERATIONS` row names :meth:`_handle_factory`.
     FACTORIES: dict[type[msg.FactoryRequest], Factory] = {}
+    #: The ``Get*PropertyDocument`` operations, as data: request class →
+    #: its typed binding lookup (method name).  Each one's
+    #: :attr:`OPERATIONS` row names :meth:`_handle_property_document`.
+    DOCUMENTS: dict[type[msg.DaisRequest], str] = {
+        msg.GetDataResourcePropertyDocumentRequest: "binding",
+    }
 
     def __init__(
         self,
@@ -271,6 +268,10 @@ class DataService:
                 "cache.propdoc.invalidations",
                 "property-document cache invalidations",
             ),
+        )
+        self._unchanged_counter = self.metrics.counter(
+            "cache.propdoc.unchanged",
+            "property-document replies answered Unchanged",
         )
         self._dispatch_counter = self.metrics.counter(
             "dais.dispatch.count", "dispatches per wsa:Action"
@@ -407,34 +408,60 @@ class DataService:
 
     # -- property-document cache -------------------------------------------
 
-    def _resource_document(
-        self, binding: ResourceBinding, reply: bool
-    ) -> XmlElement:
-        """The resource's own property document, served from the cache.
+    def _cached_document(self, binding: ResourceBinding):
+        """The cache entry of the resource's own property document, or
+        ``None`` for a resource whose
+        :meth:`~repro.core.resource.DataResource.property_version` is
+        ``None`` (rendered on every read).
 
         A miss renders the live document, serializes it and stores the
         bytes; the entry's master tree is parsed back from them, so no
         serve aliases mutable catalog state.  Every serve, the fill's
-        included, then comes from the entry: for a *reply* the stored
-        rendering, otherwise a deep copy of the master — the two write
-        the same bytes.  A resource whose
-        :meth:`~repro.core.resource.DataResource.property_version` is
-        ``None`` renders directly.
+        included, then comes from the entry: the stored rendering for a
+        reply, a deep copy of the master for a tree reader — the two
+        write the same bytes.
         """
-        cache = self.propdoc_cache
         version = binding.resource.property_version()
         if version is None:
-            return binding.resource.property_document(
-                binding.configurable
-            ).to_xml()
+            return None
         key = binding.abstract_name
-        entry = cache.lookup(key, version)
+        entry = self.propdoc_cache.lookup(key, version)
         if entry is None:
-            document = binding.resource.property_document(
-                binding.configurable
-            ).to_xml()
-            entry = cache.store(key, version, serialize_bytes(document))
-        return entry.served() if reply else entry.tree()
+            entry = self.propdoc_cache.store(
+                key, version, serialize_bytes(binding._render())
+            )
+        return entry
+
+    def _handle_property_document(
+        self, request: msg.DaisRequest, headers: MessageHeaders
+    ) -> msg.DaisMessage:
+        """Every ``Get*PropertyDocument`` operation (:attr:`DOCUMENTS`).
+
+        Serialized, the reply's document is byte-identical to
+        :meth:`ResourceBinding.property_document`: the entry's stored
+        rendering (a :class:`~repro.xmlutil.RenderedElement`) and the
+        volatile properties built fresh, so nothing cached is walked or
+        copied.  A request carrying the conditional-read header block
+        (:mod:`repro.core.propcache`) also gets the entry's stamp block,
+        and a consumer that holds the current stamp gets the
+        ``Unchanged`` marker in place of the cached part.
+        """
+        lookup = getattr(self, self.DOCUMENTS[type(request)])
+        binding = lookup(request.abstract_name)
+        held = held_stamp(headers.reference_parameters)
+        entry = self._cached_document(binding)
+        if entry is None:
+            document = binding._render()
+        elif held == entry.stamp:
+            document = entry.unchanged()
+            self._unchanged_counter.inc()
+        else:
+            document = entry.served()
+        document.extend(binding._volatile_properties())
+        response = msg.response_class(type(request))(document=document)
+        if held is not None and entry is not None:
+            response.header_blocks = (entry.stamp_block(),)
+        return response
 
     def epr_for(self, abstract_name: str) -> EndpointReference:
         """The data resource address: service address + abstract name as a
@@ -577,10 +604,9 @@ class DataService:
                         )
                     message = request_cls.from_xml(message)
                 response_message = handler(message, request.headers)
-            return Envelope(
-                headers=request.headers.reply(f"{action}Response"),
-                payload=response_message.to_xml(),
-            )
+            headers = request.headers.reply(f"{action}Response")
+            headers.reference_parameters = response_message.header_blocks
+            return Envelope(headers=headers, payload=response_message.to_xml())
         except SoapFault as fault:
             return fault_envelope(request.headers, fault)
         except Exception as exc:  # pragma: no cover - defensive boundary
@@ -633,16 +659,6 @@ class DataService:
     ) -> msg.DestroyDataResourceResponse:
         self.destroy_resource(request.abstract_name)
         return msg.DestroyDataResourceResponse(destroyed=request.abstract_name)
-
-    def _handle_get_property_document(
-        self,
-        request: msg.GetDataResourcePropertyDocumentRequest,
-        headers: MessageHeaders,
-    ) -> msg.GetDataResourcePropertyDocumentResponse:
-        binding = self.binding(request.abstract_name)
-        return msg.GetDataResourcePropertyDocumentResponse(
-            document=binding.reply_document()
-        )
 
     # -- CoreResourceList handlers ----------------------------------------------
 

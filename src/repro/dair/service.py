@@ -48,7 +48,7 @@ class SQLRealisationService(DataService):
             (msg.SQLExecuteRequest, "_handle_sql_execute"),
             (
                 msg.GetSQLPropertyDocumentRequest,
-                "_handle_get_sql_property_document",
+                "_handle_property_document",
             ),
             (msg.BeginTransactionRequest, "_handle_begin_transaction"),
             (msg.CommitTransactionRequest, "_handle_commit_transaction"),
@@ -58,7 +58,7 @@ class SQLRealisationService(DataService):
         "response_access": (
             (
                 msg.GetSQLResponsePropertyDocumentRequest,
-                "_handle_get_response_property_document",
+                "_handle_property_document",
             ),
             (msg.GetSQLRowsetRequest, "_handle_get_sql_rowset"),
             (msg.GetSQLUpdateCountRequest, "_handle_get_update_count"),
@@ -75,9 +75,15 @@ class SQLRealisationService(DataService):
             (msg.GetTuplesRequest, "_handle_get_tuples"),
             (
                 msg.GetRowsetPropertyDocumentRequest,
-                "_handle_get_rowset_property_document",
+                "_handle_property_document",
             ),
         ),
+    }
+    DOCUMENTS = {
+        **DataService.DOCUMENTS,
+        msg.GetSQLPropertyDocumentRequest: "_sql_binding",
+        msg.GetSQLResponsePropertyDocumentRequest: "_response_binding",
+        msg.GetRowsetPropertyDocumentRequest: "_rowset_binding",
     }
     FACTORIES = {
         msg.SQLExecuteFactoryRequest: Factory(
@@ -257,14 +263,6 @@ class SQLRealisationService(DataService):
             communication_factory=communication_factory,
         )
 
-    def _handle_get_sql_property_document(
-        self, request: msg.GetSQLPropertyDocumentRequest, headers: MessageHeaders
-    ) -> msg.GetSQLPropertyDocumentResponse:
-        binding = self._sql_binding(request.abstract_name)
-        return msg.GetSQLPropertyDocumentResponse(
-            document=binding.reply_document()
-        )
-
     # -- consumer-controlled transactions ------------------------------------
 
     @staticmethod
@@ -375,16 +373,6 @@ class SQLRealisationService(DataService):
 
     # -- ResponseAccess ----------------------------------------------------
 
-    def _handle_get_response_property_document(
-        self,
-        request: msg.GetSQLResponsePropertyDocumentRequest,
-        headers: MessageHeaders,
-    ) -> msg.GetSQLResponsePropertyDocumentResponse:
-        binding = self._response_binding(request.abstract_name)
-        return msg.GetSQLResponsePropertyDocumentResponse(
-            document=binding.reply_document()
-        )
-
     def _handle_get_sql_rowset(
         self, request: msg.GetSQLRowsetRequest, headers: MessageHeaders
     ) -> msg.GetSQLRowsetResponse:
@@ -480,12 +468,4 @@ class SQLRealisationService(DataService):
             dataset_format_uri=resource.data_format_uri,
             dataset=stream_rowset(resource.data_format_uri, window),
             total_rows=resource.row_count,
-        )
-
-    def _handle_get_rowset_property_document(
-        self, request: msg.GetRowsetPropertyDocumentRequest, headers: MessageHeaders
-    ) -> msg.GetRowsetPropertyDocumentResponse:
-        binding = self._rowset_binding(request.abstract_name)
-        return msg.GetRowsetPropertyDocumentResponse(
-            document=binding.reply_document()
         )

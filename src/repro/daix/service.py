@@ -32,7 +32,7 @@ class XMLRealisationService(DataService):
             (msg.RemoveSubcollectionRequest, "_handle_remove_subcollection"),
             (
                 msg.GetCollectionPropertyDocumentRequest,
-                "_handle_get_collection_property_document",
+                "_handle_property_document",
             ),
         ),
         "xpath_access": ((msg.XPathExecuteRequest, "_handle_xpath_execute"),),
@@ -53,6 +53,10 @@ class XMLRealisationService(DataService):
         derive="_derive_sequence",
         kind="xml-factory",
     )
+    DOCUMENTS = {
+        **DataService.DOCUMENTS,
+        msg.GetCollectionPropertyDocumentRequest: "_collection_binding",
+    }
     FACTORIES = {
         msg.XPathExecuteFactoryRequest: _SEQUENCE_FACTORY,
         msg.XQueryExecuteFactoryRequest: _SEQUENCE_FACTORY,
@@ -208,14 +212,6 @@ class XMLRealisationService(DataService):
             ):
                 self.destroy_resource(name)
         return msg.RemoveSubcollectionResponse(removed=request.collection_name)
-
-    def _handle_get_collection_property_document(
-        self, request: msg.GetCollectionPropertyDocumentRequest, headers: MessageHeaders
-    ) -> msg.GetCollectionPropertyDocumentResponse:
-        binding = self._collection_binding(request.abstract_name)
-        return msg.GetCollectionPropertyDocumentResponse(
-            document=binding.reply_document()
-        )
 
     # -- query access ------------------------------------------------------
 

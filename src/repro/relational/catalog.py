@@ -187,8 +187,13 @@ class Catalog:
 
     # -- tables -----------------------------------------------------------
 
+    def tables(self) -> list[TableSchema]:
+        """Every table, in name order: one snapshot, which DDL running
+        beside it cannot tear."""
+        return sorted(list(self._tables.values()), key=lambda s: s.name)
+
     def table_names(self) -> list[str]:
-        return sorted(schema.name for schema in self._tables.values())
+        return [schema.name for schema in self.tables()]
 
     def has_table(self, name: str) -> bool:
         return name.lower() in self._tables

@@ -21,6 +21,7 @@ from repro.xmlutil import (
     QName,
     StreamedElement,
     TemplateSlots,
+    Text,
     XmlElement,
     document_prefixes,
     fragment_chunks,
@@ -50,6 +51,7 @@ def _skeleton_builder(payload_ns: tuple[str, ...], has_relates_to: bool):
         ]
         if has_relates_to:
             blocks.append(E(_WSA_RELATES_TO, slots.text("relates_to")))
+        blocks.append(Text(slots.splice("blocks")))
         sentinel = slots.splice("payload")
         body = StreamedElement(
             _BODY, lambda q: iter([sentinel]), namespaces=payload_ns
@@ -59,15 +61,17 @@ def _skeleton_builder(payload_ns: tuple[str, ...], has_relates_to: bool):
     return build
 
 
-#: One skeleton per (payload namespace order, has RelatesTo); a DAIS
-#: deployment has a handful, and the bound caps what odd traffic adds.
+#: One skeleton per (namespace order of the extension header blocks and
+#: then the payload, has RelatesTo); a DAIS deployment has a handful,
+#: and the bound caps what odd traffic adds.
 @functools.lru_cache(maxsize=256)
 def _envelope_template(
     payload_ns: tuple[str, ...], has_relates_to: bool
 ) -> tuple[ByteTemplate, bytes, dict[str, str]]:
     """The compiled skeleton cut at the payload: the head template (the
-    header values are its slots), the static tail, and the prefix map
-    the payload is written with."""
+    header values and the written header blocks are its slots), the
+    static tail, and the prefix map the blocks and the payload are
+    written with."""
     build = _skeleton_builder(payload_ns, has_relates_to)
     head, tail = ByteTemplate.compile(build).split_at("payload")
     return head, tail, document_prefixes(build(TemplateSlots()))
@@ -109,9 +113,10 @@ class Envelope:
         followed by their concatenation.
 
         Common-shape envelopes (the WS-Addressing trio, optionally
-        RelatesTo, no reply-to/reference parameters) render through a
-        precompiled skeleton: its head with the header values spliced
-        in, the payload writer's chunks as they are pulled, its tail.
+        RelatesTo, any extension header blocks, no reply-to) render
+        through a precompiled skeleton: its head with the header values
+        and the written blocks spliced in, the payload writer's chunks
+        as they are pulled, its tail.
         Every other shape walks the envelope tree, which the skeleton
         was compiled from, so both give the same bytes.  Lazy payload
         content renders as it is pulled either way, so a streamed
@@ -133,7 +138,7 @@ class Envelope:
         chunk is pulled: a lazy payload is one-shot, so nothing may
         drain it unless the skeleton is certain to be used."""
         headers = self.headers
-        if headers.reply_to is not None or headers.reference_parameters:
+        if headers.reply_to is not None:
             return None
         if not (headers.to and headers.action and headers.message_id):
             # An empty header collapses to <T/> in the tree: not the
@@ -146,9 +151,21 @@ class Envelope:
         }
         if headers.relates_to:
             values["relates_to"] = headers.relates_to
+        blocks = headers.reference_parameters
         try:
+            namespaces = _collect_namespaces(self.payload)
+            if blocks:
+                # The tree walk meets the blocks' namespaces before the
+                # payload's: the skeleton declares them in that order.
+                namespaces = dict.fromkeys(
+                    [uri for block in blocks for uri in _collect_namespaces(block)]
+                    + namespaces
+                )
             head, tail, prefixes = _envelope_template(
-                tuple(_collect_namespaces(self.payload)), bool(headers.relates_to)
+                tuple(namespaces), bool(headers.relates_to)
+            )
+            values["blocks"] = "".join(
+                chunk for block in blocks for chunk in fragment_chunks(block, prefixes)
             )
             chunks = fragment_chunks(self.payload, prefixes)
         except (KeyError, ValueError):

@@ -68,11 +68,11 @@ class ValueIndex:
     sorted key list for numeric comparisons."""
 
     def __init__(self, root_filter, documents: list[Document]) -> None:
-        self._empty = [(document.root, ()) for document in documents]
+        self._roots = [document.root for document in documents]
         self._elements: list[XmlElement] = []
         self._ordinals: list[int] = []
         keyed = []
-        for ordinal, (root, _) in enumerate(self._empty):
+        for ordinal, root in enumerate(self._roots):
             for element in root_filter.elements(root):
                 number = len(self._elements)
                 self._elements.append(element)
@@ -88,8 +88,9 @@ class ValueIndex:
                 self._strings.setdefault(key, []).append(number)
 
     def probe(self, root_filter) -> list[tuple]:
-        """Every document's root with its elements whose keys pass, each
-        once and in document order (none: a shared empty tuple)."""
+        """The documents with an element whose keys pass, in document
+        order: ``(ordinal in the snapshot, root, those elements)``, each
+        element once and in document order."""
         literal = root_filter.literal
         if not root_filter.numeric:
             numbers = self._strings.get(literal, ())
@@ -98,14 +99,13 @@ class ValueIndex:
         else:
             start, stop = _RANGES[root_filter.op](self._keys, literal)
             numbers = self._numbers[start:stop]
-        entries = self._empty.copy()
+        entries: list[tuple] = []
         for number in sorted(set(numbers)):
+            # Numbers run in document order, so ordinals never decrease.
             ordinal = self._ordinals[number]
-            root, passed = entries[ordinal]
-            if not passed:
-                passed = []
-                entries[ordinal] = (root, passed)
-            passed.append(self._elements[number])
+            if not entries or entries[-1][0] != ordinal:
+                entries.append((ordinal, self._roots[ordinal], []))
+            entries[-1][2].append(self._elements[number])
         return entries
 
 
@@ -221,15 +221,15 @@ class Collection:
                 self._sorted = (self.version, documents)
             return self.version, documents
 
-    def select(self, root_filter) -> tuple[list[tuple], str]:
-        """For every document of one snapshot, in name order, its root
-        and the filtered-step elements that pass *root_filter* (none: an
-        empty tuple), which callers must not mutate; and how they were
-        found: ``probe`` (a live value index) or ``build`` (one built
-        now, over every document).  The index is stamped with the
-        version of the snapshot it was built over, so it answers for
-        that snapshot only: an in-place edit is seen once :meth:`touch`
-        follows it."""
+    def select(self, root_filter) -> tuple[list[tuple], str, int]:
+        """:meth:`ValueIndex.probe` over one snapshot, whose documents
+        are in name order: the documents with a filtered-step element
+        that passes *root_filter*; how they were found, ``probe`` (a
+        live value index) or ``build`` (one built now, over every
+        document); and how many documents the snapshot has.  The index
+        is stamped with the version of the snapshot it was built over,
+        so it answers for that snapshot only: an in-place edit is seen
+        once :meth:`touch` follows it."""
         version, documents = self._snapshot()
         index = self.indexes.lookup(root_filter.key, version)
         how = "probe"
@@ -238,7 +238,7 @@ class Collection:
                 root_filter.key, version, ValueIndex(root_filter, documents)
             )
             how = "build"
-        return index.probe(root_filter), how
+        return index.probe(root_filter), how, len(documents)
 
     def walk(self):
         """Yield this collection and all descendants, depth-first."""

@@ -201,8 +201,8 @@ class XQueryEngine:
             plan = _plan(query.strip(), self._xpath.namespace_key)
             how = "scan"
             if index is not None and plan.root_filter is not None:
-                entries, how = index(plan.root_filter)
-                roots = [root for root, passed in entries if passed]
+                entries, how, _ = index(plan.root_filter)
+                roots = [root for _, root, _ in entries]
             span.set_attributes(documents_evaluated=len(roots), index=how)
             if not roots:
                 return []

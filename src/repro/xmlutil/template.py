@@ -24,9 +24,9 @@ Slot kinds
             ``<T/>``, so the template shape no longer matches — callers
             fall back to the tree path).
 ``splice``  markup the caller writes itself (e.g. a payload fragment
-            rendered with the template's prefix map, as it streams): a
-            template ending in a splice is cut there with
-            :meth:`ByteTemplate.split_at`.
+            rendered with the template's prefix map): :meth:`render`
+            inserts it verbatim, and a template ending in a splice that
+            streams is cut there with :meth:`ByteTemplate.split_at`.
 """
 
 from __future__ import annotations
@@ -135,9 +135,9 @@ class ByteTemplate:
 
         ``None`` means the tree serializer would have produced different
         markup shape for these values (an empty text span) — the caller
-        must fall back to tree serialization.  Missing slot values raise
-        ``KeyError``; a splice slot must first be cut off with
-        :meth:`split_at`.
+        must fall back to tree serialization.  A splice value is markup
+        written with the template's prefixes and goes in verbatim.
+        Missing slot values raise ``KeyError``.
         """
         parts = self._parts
         out = [parts[0]]
@@ -146,8 +146,7 @@ class ByteTemplate:
             if kind == "text":
                 if not value:
                     return None
-                out.append(escape_text(value).encode("utf-8"))
-            else:
-                raise ValueError(f"splice slot {name!r} is written by the caller")
+                value = escape_text(value)
+            out.append(value.encode("utf-8"))
             out.append(parts[index + 1])
         return b"".join(out)

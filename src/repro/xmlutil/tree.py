@@ -197,17 +197,29 @@ class XmlElement:
     # -- structure --------------------------------------------------------
 
     def copy(self) -> "XmlElement":
-        """Deep structural copy."""
-        clone = XmlElement(self.tag, dict(self.attributes))
-        for child in self.children:
-            if isinstance(child, XmlElement):
-                clone.children.append(child.copy())
-            elif isinstance(child, Text):
-                clone.children.append(Text(child.value))
-            elif isinstance(child, LazyText):
-                clone.children.append(LazyText(child.thunk))
-            else:
-                clone.children.append(Comment(child.value))
+        """Deep structural copy into plain elements, built iteratively
+        and without the dataclass ``__init__`` (what is copied was
+        validated already); a streamed or rendered child copies itself."""
+        new = XmlElement.__new__
+        clone = new(XmlElement)
+        stack = [(self, clone)]
+        while stack:
+            source, target = stack.pop()
+            target.tag = source.tag
+            target.attributes = dict(source.attributes)
+            target.children = children = []
+            for child in source.children:
+                kind = type(child)
+                if kind is XmlElement:
+                    node = new(XmlElement)
+                    stack.append((child, node))
+                elif kind is Text or kind is Comment:
+                    node = kind(child.value)
+                elif kind is LazyText:
+                    node = LazyText(child.thunk)
+                else:
+                    node = child.copy()
+                children.append(node)
         return clone
 
     def equals(self, other: "XmlElement", ignore_whitespace: bool = False) -> bool:

@@ -332,13 +332,14 @@ class XPathEngine:
         """One statement over many documents: compile once, run the
         closure per root, one ``xpath.evaluate`` span; a value per root.
 
-        *index*, ``fn(root_filter) -> (entries, how)``, answers a
-        statement that has a :class:`RootFilter` instead: *entries* hold,
-        for every document of the snapshot it probed, ``(root, the
-        filtered-step elements that pass)``.  Only the statement's
-        ``rest`` runs, from those elements.  A ``count()`` has a value
-        per entry, zeros included; a node-set a value per entry with an
-        element that passed (every other one's is empty).  The span
+        *index*, ``fn(root_filter) -> (entries, how, documents)``,
+        answers a statement that has a :class:`RootFilter` instead:
+        *entries* hold, for each document of the snapshot it probed that
+        has a filtered-step element that passes, ``(ordinal, root, those
+        elements)``.  Only the statement's ``rest`` runs, from those
+        elements.  A ``count()`` has a value per document of the
+        snapshot, zeros included; a node-set a value per entry whose
+        ``rest`` left nodes (every other document's is empty).  The span
         records ``documents`` (all roots), ``documents_evaluated`` (the
         documents a closure ran on) and ``index``: ``how``, or ``scan``.
         """
@@ -358,20 +359,23 @@ class XPathEngine:
                     ctx = self.context(DocumentContext(root), variables, context_node)
                     results.append(run(ctx.node, ctx))
             else:
-                entries, how = index(run.root_filter)
-                evaluated = 0
-                for root, nodes in entries:
-                    if nodes and run.rest is not None:
-                        evaluated += 1
+                entries, how, documents = index(run.root_filter)
+                if run.counted:
+                    results = [0.0] * documents
+                for ordinal, root, nodes in entries:
+                    if run.rest is not None:
                         ctx = self.context(
                             DocumentContext(root), variables, context_node
                         )
                         nodes = run.rest(nodes, ctx)
                     if run.counted:
-                        results.append(float(len(nodes)))
+                        results[ordinal] = float(len(nodes))
                     elif nodes:
                         results.append(nodes)
-                span.set_attributes(documents_evaluated=evaluated, index=how)
+                span.set_attributes(
+                    documents_evaluated=len(entries) if run.rest is not None else 0,
+                    index=how,
+                )
             if span.recording and results:
                 span.set_attribute("result_type", type(results[0]).__name__)
                 if isinstance(results[0], list):

@@ -6,9 +6,10 @@ volatile tail (``ServiceMetrics``, ``LifecycleJournal``, …).  These
 tests pin what that must not change:
 
 * for all five property-document operations, over loopback and HTTP
-  with and without gzip, the fill reply and a hit reply are the same
-  bytes apart from the tail and the message ids, and both equal the
-  tree path — ``binding.property_document()`` in the same envelope;
+  with and without gzip, the fill reply and a hit reply to the spec's
+  plain request (no conditional-read header) are the same bytes apart
+  from the tail and the message ids, and both equal the tree path —
+  ``binding.property_document()`` in the same envelope;
 * a document that needs unregistered ``nsN`` prefixes renders under
   any enclosing prefix map, and the per-entry memo stays bounded;
 * DDL, ``SetTerminationTime``, destroy and sweep between reads each
@@ -111,8 +112,8 @@ def clients(request, fabric):
 # -- the five operations -----------------------------------------------------
 #
 # Each row: how to make the target resource, then how to read its
-# document through the client, which service holds its binding and
-# which response class carries it.
+# document through the client, which service holds its binding, which
+# response class carries it and which request class asks for it.
 
 
 def _sql_target(fabric, sql):
@@ -142,30 +143,35 @@ OPERATIONS = {
         lambda sql, xml, target: sql.get_property_document(*target),
         "sql",
         core_msg.GetDataResourcePropertyDocumentResponse,
+        core_msg.GetDataResourcePropertyDocumentRequest,
     ),
     "GetSQLPropertyDocument": (
         _sql_target,
         lambda sql, xml, target: sql.get_sql_property_document(*target),
         "sql",
         dair_msg.GetSQLPropertyDocumentResponse,
+        dair_msg.GetSQLPropertyDocumentRequest,
     ),
     "GetSQLResponsePropertyDocument": (
         _response_target,
         lambda sql, xml, target: sql.get_sql_response_property_document(*target),
         "sql",
         dair_msg.GetSQLResponsePropertyDocumentResponse,
+        dair_msg.GetSQLResponsePropertyDocumentRequest,
     ),
     "GetRowsetPropertyDocument": (
         _rowset_target,
         lambda sql, xml, target: sql.get_rowset_property_document(*target),
         "sql",
         dair_msg.GetRowsetPropertyDocumentResponse,
+        dair_msg.GetRowsetPropertyDocumentRequest,
     ),
     "GetCollectionPropertyDocument": (
         _collection_target,
         lambda sql, xml, target: xml.get_collection_property_document(*target),
         "xml",
         daix_msg.GetCollectionPropertyDocumentResponse,
+        daix_msg.GetCollectionPropertyDocumentRequest,
     ),
 }
 
@@ -205,12 +211,19 @@ def _misses(service) -> float:
     return service.metrics.counter("cache.propdoc.misses").total()
 
 
+def plain_read(sql, request_cls, target):
+    """The document as a spec consumer reads it: the plain request
+    through ``CoreClient.call``, no conditional-read header."""
+    return sql.call(target[0], request_cls(abstract_name=target[1])).document
+
+
 @pytest.mark.parametrize("operation", sorted(OPERATIONS))
 def test_fill_hit_and_tree_path_write_the_same_bytes(
     fabric, clients, replies, operation
 ):
-    make, read, which, response_cls = OPERATIONS[operation]
+    make, _, which, response_cls, request_cls = OPERATIONS[operation]
     sql, xml = clients
+    read = lambda sql, xml, target: plain_read(sql, request_cls, target)
     service = getattr(fabric, which)
     target = make(fabric, sql)
     name = target[1]
@@ -311,7 +324,11 @@ def test_ddl_between_reads_yields_the_new_document(fabric, loopback):
 
 
 def test_set_termination_time_between_reads_refills(fabric, loopback, replies):
-    read = lambda: loopback.get_property_document(fabric.sql.address, fabric.name)
+    read = lambda: plain_read(
+        loopback,
+        core_msg.GetDataResourcePropertyDocumentRequest,
+        (fabric.sql.address, fabric.name),
+    )
     read()
     read()
     misses = _misses(fabric.sql)

@@ -7,7 +7,9 @@ from three directions: the skeleton must be *taken* for the hot shapes
 (lazy payloads included), its output must be byte-identical to tree
 serialization for every golden corpus envelope and for fuzzed
 header/payload combinations, and the shapes it cannot express must fall
-back to the tree path rather than render wrongly.
+back to the tree path rather than render wrongly.  Extension header
+blocks (reference parameters, ``obs:TraceContext``, the conditional-read
+stamps) ride the skeleton in a slot of their own.
 """
 
 import random
@@ -80,6 +82,72 @@ class TestTemplatePathTaken:
         assert fast == _tree_bytes(envelope)
 
 
+    def test_reference_parameters_use_template(self):
+        envelope = Envelope(
+            headers=MessageHeaders(
+                to="http://h/s",
+                action="urn:a",
+                reference_parameters=(E(QName("urn:x", "Key"), "v"),),
+            ),
+            payload=E(QName("urn:x", "Req")),
+        )
+        fast = _skeleton_bytes(envelope)
+        assert fast is not None
+        assert fast == _tree_bytes(envelope)
+
+
+def _header_shapes() -> dict[str, tuple[MessageHeaders, object]]:
+    """Every header shape a client sends or a service replies with:
+    the WS-Addressing trio, RelatesTo, an EPR's reference parameter,
+    ``obs:TraceContext``, the conditional-read blocks, and blocks whose
+    namespaces the payload shares or that have none."""
+    from repro.core import messages as msg
+    from repro.core.propcache import CachedDocument, UNCHANGED, held_block
+    from repro.core.service import RESOURCE_REFERENCE_PARAMETER
+    from repro.soap.tracecontext import TraceContext, to_header_block
+
+    request = msg.GetDataResourcePropertyDocumentRequest(abstract_name="urn:r")
+    entry = CachedDocument(serialize_bytes(E(QName("urn:x", "Doc"), E("Part", "p"))))
+    document = entry.unchanged()
+    document.append(E(QName("urn:x:tail", "Tail"), "t"))
+    reply = msg.GetDataResourcePropertyDocumentResponse(document=document)
+    epr = E(RESOURCE_REFERENCE_PARAMETER, "urn:r")
+    trace = to_header_block(TraceContext("trace-0000002a", "0000002a"))
+    odd = E("Plain", E(QName("urn:y", "Inner"), "i")).set(QName("urn:z", "a"), "1")
+    ask = lambda *blocks: (
+        MessageHeaders(to="http://h/s", action="urn:a", reference_parameters=blocks),
+        request.to_xml(),
+    )
+    answer = lambda *blocks: (
+        MessageHeaders(
+            to="http://h/s", action="urn:a", relates_to="urn:m:1",
+            reference_parameters=blocks,
+        ),
+        reply.to_xml(),
+    )
+    return {
+        "plain": ask(),
+        "epr": ask(epr),
+        "trace": ask(trace),
+        "opt-in": ask(held_block("")),
+        "held": ask(held_block(entry.stamp)),
+        "epr-held-trace": ask(epr, held_block(entry.stamp), trace),
+        "odd-blocks": ask(odd, E(QName("urn:x", "Shared"))),
+        "reply": answer(),
+        "reply-stamp": answer(entry.stamp_block()),
+        "reply-stamp-trace": answer(trace, entry.stamp_block(), E(UNCHANGED)),
+    }
+
+
+@pytest.mark.parametrize("shape", sorted(_header_shapes()))
+def test_every_header_shape_takes_the_skeleton(shape):
+    headers, payload = _header_shapes()[shape]
+    envelope = Envelope(headers=headers, payload=payload)
+    fast = _skeleton_bytes(envelope)
+    assert fast is not None, f"{shape}: template path not taken"
+    assert fast == _tree_bytes(envelope) == envelope.to_bytes()
+
+
 class TestFallbackShapes:
     def test_reply_to_falls_back_and_stays_identical(self):
         envelope = Envelope(
@@ -87,18 +155,6 @@ class TestFallbackShapes:
                 to="http://h/s",
                 action="urn:a",
                 reply_to=EndpointReference(address="http://reply"),
-            ),
-            payload=E(QName("urn:x", "Req")),
-        )
-        assert envelope._skeleton() is None
-        assert envelope.to_bytes() == _tree_bytes(envelope)
-
-    def test_reference_parameters_fall_back(self):
-        envelope = Envelope(
-            headers=MessageHeaders(
-                to="http://h/s",
-                action="urn:a",
-                reference_parameters=(E(QName("urn:x", "Key"), "v"),),
             ),
             payload=E(QName("urn:x", "Req")),
         )

@@ -487,6 +487,23 @@ class TestShapes:
         ] == [(5, 5, "scan"), (5, 0, "build"), (5, 0, "probe"), (5, 2, "probe"),
               (1, 1, "scan")]
 
+    def test_a_point_read_probes_one_entry(self):
+        """A statement that selects one document is handed that document
+        alone, not an entry per document of the collection."""
+        resource = _resource(
+            [E("item", E("name", f"n{i}"), code=str(i)) for i in range(40)]
+        )
+        root_filter = compile_xpath(
+            "/item[@code = '7']/name", XPATH.namespace_key
+        ).root_filter
+        for how in ("build", "probe"):
+            entries, got, documents = resource.collection.select(root_filter)
+            assert (len(entries), got, documents) == (1, how, 40)
+        [(ordinal, root, passed)] = entries
+        assert ordinal == 7 and passed == [root]
+        [name] = resource.xpath_execute("/item[@code = '7']/name")
+        assert name.children[0].text == "n7"
+
     def test_a_count_gives_every_document_a_value(self):
         resource = _resource(
             [E("item", E("part", E("price", "5")), E("part", E("price", "1"))),
