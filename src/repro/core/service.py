@@ -110,7 +110,7 @@ class ResourceBinding:
         property element.
 
         Only the resource's *own* document is cacheable (see
-        :meth:`DataService._resource_document`); the metrics, journal,
+        :meth:`DataService._cached_document`); the metrics, journal,
         resilience and job-set elements are volatile and are appended
         fresh on every read (:meth:`_volatile_properties`).
         """
